@@ -28,10 +28,12 @@ race:
 		./internal/server/... ./internal/fleet/... ./internal/loadgen/... \
 		./internal/chaos/... ./internal/cli/... ./internal/hyp/...
 
-# fuzz-short gives the classifier-soundness fuzzer a 10-second native-fuzzing
-# budget — enough for CI to catch regressions the seeded corpus misses.
+# fuzz-short gives the classifier-soundness fuzzer and the TIR
+# parse→print→parse fuzzer a 10-second native-fuzzing budget each — enough
+# for CI to catch regressions the seeded corpora miss.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifierSoundness -fuzztime=10s ./internal/classify
+	$(GO) test -run='^$$' -fuzz=FuzzParsePrintParse -fuzztime=10s ./internal/ir
 
 # The full verification artifacts the repository ships with.
 artifacts:

@@ -9,7 +9,7 @@ import (
 //
 //	main: parallel 4 x worker; ret
 //	worker(tid): txbegin; g[0] += tid; txend; ret
-func buildCounterModule(t *testing.T) *Module {
+func buildCounterModule(t testing.TB) *Module {
 	t.Helper()
 	b := NewBuilder("counter")
 	b.Global("g", 1)

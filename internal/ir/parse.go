@@ -99,6 +99,9 @@ func (p *parser) parseGlobal(line string) error {
 	if err != nil {
 		return p.errf("global %s: bad size %q", name, inner)
 	}
+	if p.m.Global(name) != nil {
+		return p.errf("duplicate global %s", name)
+	}
 	g := &Global{Name: name, Words: words,
 		PageAligned: strings.Contains(tail, "pagealigned")}
 	p.m.AddGlobal(g)
@@ -116,6 +119,9 @@ func (p *parser) parseFunc(header string) error {
 	params, rest, ok := strings.Cut(rest, ")")
 	if !ok {
 		return p.errf("func %s: missing ')'", name)
+	}
+	if p.m.Func(name) != nil {
+		return p.errf("duplicate function %s", name)
 	}
 	f := &Func{Name: name, ThreadBody: threadBody}
 	for _, ps := range strings.Split(params, ",") {
@@ -150,6 +156,9 @@ func (p *parser) parseFunc(header string) error {
 		}
 		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {
 			cur = &Block{Name: strings.TrimSuffix(line, ":")}
+			if f.Block(cur.Name) != nil {
+				return p.errf("func %s: duplicate block %s", name, cur.Name)
+			}
 			f.addBlock(cur)
 			continue
 		}

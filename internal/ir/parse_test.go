@@ -24,7 +24,9 @@ func TestParseRoundTripCounter(t *testing.T) {
 	roundTrip(t, m)
 }
 
-func TestParseRoundTripAllOps(t *testing.T) {
+// buildAllOpsModule builds a verified module using every instruction form.
+func buildAllOpsModule(t testing.TB) *Module {
+	t.Helper()
 	b := NewBuilder("allops")
 	b.GlobalPageAligned("table", 64)
 	b.Global("ctr", 1)
@@ -68,7 +70,11 @@ func TestParseRoundTripAllOps(t *testing.T) {
 	if err := b.M.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	parsed := roundTrip(t, b.M)
+	return b.M
+}
+
+func TestParseRoundTripAllOps(t *testing.T) {
+	parsed := roundTrip(t, buildAllOpsModule(t))
 
 	// Safety bits must survive the round trip.
 	var safeLoads, safeStores int
@@ -91,18 +97,25 @@ func TestParseRoundTripAllOps(t *testing.T) {
 	}
 }
 
+// parseErrorCases are malformed sources with the error each must produce.
+var parseErrorCases = []struct {
+	name, src, want string
+}{
+	{"no module", "func @f() regs=0 frame=0w {\n}\n", "expected 'module"},
+	{"bad global", "module m\nglobal @g oops\n", "expected [N words]"},
+	{"bad instr", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\tfrobnicate r1\n}\n", "unknown instruction"},
+	{"instr before label", "module m\nfunc @main() regs=1 frame=0w {\n\tret\n}\n", "before any label"},
+	{"eof in func", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\tret\n", "unexpected EOF"},
+	{"invalid module", "module m\nfunc @f() regs=0 frame=0w {\nentry:\n\tret\n}\n", "no main"},
+	{"duplicate global", "module m\nglobal @g [1 words]\nglobal @g [2 words]\n", "tir:3: duplicate global g"},
+	{"duplicate function", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\tret\n}\n\nfunc @main() regs=0 frame=0w {\n",
+		"tir:7: duplicate function main"},
+	{"duplicate block", "module m\nfunc @main() regs=0 frame=0w {\nspin:\n\tbr spin\nspin:\n\tret\n}\n",
+		"tir:5: func main: duplicate block spin"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"no module", "func @f() regs=0 frame=0w {\n}\n", "expected 'module"},
-		{"bad global", "module m\nglobal @g oops\n", "expected [N words]"},
-		{"bad instr", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\tfrobnicate r1\n}\n", "unknown instruction"},
-		{"instr before label", "module m\nfunc @main() regs=1 frame=0w {\n\tret\n}\n", "before any label"},
-		{"eof in func", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\tret\n", "unexpected EOF"},
-		{"invalid module", "module m\nfunc @f() regs=0 frame=0w {\nentry:\n\tret\n}\n", "no main"},
-	}
-	for _, c := range cases {
+	for _, c := range parseErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Parse(c.src)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -112,8 +125,7 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestParseHandwritten(t *testing.T) {
-	src := `module hand
+const handwrittenSrc = `module hand
 global @g [4 words]
 
 func @main() regs=3 frame=0w {
@@ -125,7 +137,9 @@ entry:
 	ret
 }
 `
-	m, err := Parse(src)
+
+func TestParseHandwritten(t *testing.T) {
+	m, err := Parse(handwrittenSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

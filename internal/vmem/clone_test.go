@@ -7,8 +7,8 @@ import (
 
 // A clone replayed against the same translation sequence must produce the
 // same outcomes (safety, TLB misses, faults, cycles): eviction victims
-// depend on the copied TLB LRU clocks and sharing transitions on the copied
-// page table, so this pins the deep copy end to end.
+// depend on the copied TLB recency lists and sharing transitions on the
+// copied page table, so this pins the deep copy end to end.
 func TestManagerCloneReplaysIdentically(t *testing.T) {
 	m := New(4, 4, DefaultCosts(), true)
 	rng := rand.New(rand.NewSource(11))
@@ -36,6 +36,26 @@ func TestManagerCloneReplaysIdentically(t *testing.T) {
 		if om != oc {
 			t.Fatalf("access %d (ctx %d page %d write %v) diverged: original %+v, clone %+v",
 				i, ctx, pg, wr, om, oc)
+		}
+	}
+
+	// Clone a full 64-entry TLB midway through a stream in which every
+	// access evicts, then keep streaming with some reuse: the clone must
+	// evict the same victims, so every hit and miss must match.
+	m = New(1, 64, DefaultCosts(), true)
+	for pg := uint64(0); pg < 137; pg++ {
+		m.Access(0, 0, pg%100, false)
+	}
+	c = m.Clone()
+	for i := 0; i < 2000; i++ {
+		pg := uint64(137+i) % 100
+		if rng.Intn(3) == 0 {
+			pg = uint64(rng.Intn(100))
+		}
+		wr := rng.Intn(8) == 0
+		if om, oc := m.Access(0, 0, pg, wr), c.Access(0, 0, pg, wr); om != oc {
+			t.Fatalf("full-TLB access %d (page %d write %v) diverged: original %+v, clone %+v",
+				i, pg, wr, om, oc)
 		}
 	}
 }

@@ -119,66 +119,126 @@ type pageEntry struct {
 }
 
 // tlbEntry is one translation-cache record, stored by value in the table.
+// node indexes the entry's recency-list node in the owning tlb.
 type tlbEntry struct {
 	mode Mode
 	tid  int32
-	lru  uint64
+	node int32
 }
 
-// tlb is one hardware context's translation cache. It stays fully
-// associative with exact-LRU replacement — the model the TLB-miss counts in
-// every committed result were produced under — but entries live by value in
-// a fixed open-addressed table (2× capacity slots, reused forever), and the
-// eviction scan walks a flat array instead of a map.
+// tlbNode is one link of a tlb's recency list. Nodes never move, so the
+// table entries that point at them may be shifted freely by flat.Tab.Del.
+type tlbNode struct {
+	page       uint64
+	prev, next int32
+}
+
+// tlb is one hardware context's translation cache: fully associative with
+// exact-LRU replacement, the model every committed TLB-miss count was
+// produced under. The page index is a fixed open-addressed table (2×
+// capacity slots, reused forever); recency is an intrusive circular doubly
+// linked list over a fixed node pool. A hit moves its node to
+// the head, a fill into a full TLB evicts the tail, and invalidated nodes
+// go on a free list — every operation is O(1).
 type tlb struct {
-	tab      flat.Tab[tlbEntry]
-	capacity int
-	tick     uint64
+	tab flat.Tab[tlbEntry]
+	// nodes[0] is the list sentinel: its next is the most recently used
+	// node and its prev the least recently used one.
+	nodes []tlbNode
+	// free is the first unused node, chained through next; 0 means none.
+	free int32
 }
 
 func newTLB(capacity int) *tlb {
-	t := &tlb{capacity: capacity}
+	capacity = max(capacity, 1) // a 0-entry TLB still holds the last page
+	t := &tlb{nodes: make([]tlbNode, capacity+1)}
 	t.tab.Init(2*capacity, true)
+	t.reset()
 	return t
 }
 
-// lookup returns the entry for page, bumping its LRU stamp, or nil on miss.
-// The pointer aliases table storage and is valid until the next install.
+// reset empties the TLB, returning every node to the free list.
+func (t *tlb) reset() {
+	t.tab.Reset()
+	t.nodes[0] = tlbNode{}
+	for i := 1; i < len(t.nodes); i++ {
+		t.nodes[i].next = int32(i + 1)
+	}
+	t.nodes[len(t.nodes)-1].next = 0
+	t.free = 1
+}
+
+func (t *tlb) unlink(n int32) {
+	nodes := t.nodes
+	nd := &nodes[n]
+	nodes[nd.prev].next = nd.next
+	nodes[nd.next].prev = nd.prev
+}
+
+func (t *tlb) pushFront(n int32) {
+	nodes := t.nodes
+	head := nodes[0].next
+	nodes[n].prev, nodes[n].next = 0, head
+	nodes[head].prev = n
+	nodes[0].next = n
+}
+
+// lookup returns the entry for page, making it most recently used, or nil
+// on miss. The pointer aliases table storage and is valid until the next
+// install or invalidate.
 func (t *tlb) lookup(page uint64) *tlbEntry {
 	i, ok := t.tab.Find(page)
 	if !ok {
 		return nil
 	}
-	t.tick++
-	t.tab.Vals[i].lru = t.tick
-	return &t.tab.Vals[i]
+	e := &t.tab.Vals[i]
+	if e.node != t.nodes[0].next {
+		t.unlink(e.node)
+		t.pushFront(e.node)
+	}
+	return e
 }
 
+// install caches a page that is not resident, evicting the least recently
+// used entry when the TLB is full.
 func (t *tlb) install(page uint64, mode Mode, tid int32) {
-	if t.tab.N >= t.capacity {
-		// Exact LRU: tick stamps are unique, so the minimum is a single
-		// deterministic victim regardless of slot order.
-		var victim uint64
-		var min uint64 = ^uint64(0)
-		for i, g := range t.tab.Gens {
-			if g == t.tab.Gen && t.tab.Vals[i].lru < min {
-				min = t.tab.Vals[i].lru
-				victim = t.tab.Keys[i]
-			}
-		}
-		t.tab.Del(victim)
+	n := t.free
+	if n != 0 {
+		t.free = t.nodes[n].next
+	} else {
+		n = t.nodes[0].prev
+		t.tab.Del(t.nodes[n].page)
+		t.unlink(n)
 	}
-	t.tick++
-	t.tab.Add(page, tlbEntry{mode: mode, tid: tid, lru: t.tick})
+	t.nodes[n].page = page
+	t.pushFront(n)
+	t.tab.Add(page, tlbEntry{mode: mode, tid: tid, node: n})
 }
 
 func (t *tlb) invalidate(page uint64) bool {
-	return t.tab.Del(page)
+	i, ok := t.tab.Find(page)
+	if !ok {
+		return false
+	}
+	n := t.tab.Vals[i].node
+	t.tab.Del(page)
+	t.unlink(n)
+	t.nodes[n].next = t.free
+	t.free = n
+	return true
 }
 
 func (t *tlb) has(page uint64) bool {
 	_, ok := t.tab.Find(page)
 	return ok
+}
+
+// clone returns an independent deep copy: index, recency and free lists.
+func (t *tlb) clone() *tlb {
+	c := *t
+	c.tab = t.tab.Clone()
+	c.nodes = append([]tlbNode(nil), t.nodes...)
+	return &c
 }
 
 // Manager is the translation subsystem for all hardware contexts.
@@ -270,8 +330,14 @@ func (m *Manager) Access(ctx, tid int, page uint64, write bool) Outcome {
 
 	pe := m.pageFor(page)
 	m.walk(ctx, tid, page, write, pe, &out)
-	t.invalidate(page)
-	t.install(page, pe.mode, pe.tid)
+	if e != nil {
+		// The walk touches no other entry of this TLB (shootdowns skip the
+		// initiator), so e is still valid and lookup already made it most
+		// recently used: refresh it in place.
+		e.mode, e.tid = pe.mode, pe.tid
+	} else {
+		t.install(page, pe.mode, pe.tid)
+	}
 	if out.Safe {
 		m.stats.SafeAccesses++
 	}
@@ -390,15 +456,15 @@ func (m *Manager) ResetSharing() {
 	m.pt.Reset()
 	m.arena = m.arena[:0]
 	for _, t := range m.tlbs {
-		t.tab.Reset()
+		t.reset()
 	}
 }
 
 // Clone returns an independent deep copy of the manager: the page table and
-// its arena, every context's TLB (entries, LRU clocks), and the counters.
-// Translations through either manager never disturb the other, and probe
-// layouts are copied verbatim so eviction-victim selection stays identical —
-// part of the snapshot/fork byte-identity guarantee.
+// its arena, every context's TLB (index, recency and free lists), and the
+// counters. Translations through either manager never disturb the other,
+// and the copied recency lists keep TLB eviction victims identical — part of
+// the snapshot/fork byte-identity guarantee.
 func (m *Manager) Clone() *Manager {
 	c := &Manager{
 		enabled: m.enabled,
@@ -408,7 +474,7 @@ func (m *Manager) Clone() *Manager {
 		stats:   m.stats,
 	}
 	for _, t := range m.tlbs {
-		c.tlbs = append(c.tlbs, &tlb{tab: t.tab.Clone(), capacity: t.capacity, tick: t.tick})
+		c.tlbs = append(c.tlbs, t.clone())
 	}
 	return c
 }
