@@ -28,12 +28,14 @@ race:
 		./internal/server/... ./internal/fleet/... ./internal/loadgen/... \
 		./internal/chaos/... ./internal/cli/... ./internal/hyp/...
 
-# fuzz-short gives the classifier-soundness fuzzer and the TIR
-# parse→print→parse fuzzer a 10-second native-fuzzing budget each — enough
-# for CI to catch regressions the seeded corpora miss.
+# fuzz-short gives the classifier-soundness fuzzer, the TIR
+# parse→print→parse fuzzer and the store-object decoding fuzzer a 10-second
+# native-fuzzing budget each — enough for CI to catch regressions the
+# seeded corpora miss.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifierSoundness -fuzztime=10s ./internal/classify
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrintParse -fuzztime=10s ./internal/ir
+	$(GO) test -run='^$$' -fuzz=FuzzStoreEntryDecode -fuzztime=10s ./internal/store
 
 # The full verification artifacts the repository ships with.
 artifacts:

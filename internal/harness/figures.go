@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"hintm/internal/htm"
-	"hintm/internal/profile"
 	"hintm/internal/sim"
 	"hintm/internal/stats"
 	"hintm/internal/workloads"
@@ -72,31 +70,20 @@ func (r *Runner) Fig1(ctx context.Context) ([]Fig1Row, error) {
 			req(spec.Name, r.opts.Scale, sim.HTMInfCap, sim.HintNone))
 	}
 
-	// The profiled runs carry a per-run observer and so cannot share the
-	// memoized grid; they ride the same worker pool concurrently with it.
-	profs := make([]profile.Report, len(specs))
-	perrs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, app string) {
-			defer wg.Done()
-			_, profs[i], perrs[i] = r.RunProfiled(ctx,
-				req(app, r.opts.Scale, sim.HTMInfCap, sim.HintNone))
-		}(i, spec.Name)
-	}
 	byReq, err := r.gather(ctx, reqs)
-	wg.Wait()
 	if byReq == nil {
 		return nil, err
 	}
-	err = joinErrors(append(perrs, err))
 
 	var rows []Fig1Row
-	for i, spec := range specs {
+	for _, spec := range specs {
+		infReq := req(spec.Name, r.opts.Scale, sim.HTMInfCap, sim.HintNone)
 		p8 := byReq[req(spec.Name, r.opts.Scale, sim.HTMP8, sim.HintNone)]
-		inf := byReq[req(spec.Name, r.opts.Scale, sim.HTMInfCap, sim.HintNone)]
-		if anyNil(p8, inf) || perrs[i] != nil {
+		inf := byReq[infReq]
+		// The InfCap cell is the profiled one: its sharing report was
+		// produced (or recalled from the store) with its result.
+		prof := r.report(infReq)
+		if anyNil(p8, inf) || prof == nil {
 			rows = append(rows, Fig1Row{App: spec.Name, Failed: true})
 			continue
 		}
@@ -107,9 +94,9 @@ func (r *Runner) Fig1(ctx context.Context) ([]Fig1Row, error) {
 		rows = append(rows, Fig1Row{
 			App:            spec.Name,
 			CapacityTime:   capTime,
-			SafePages:      profs[i].SafePageFrac,
-			SafeReadsPage:  profs[i].SafeReadFracPage,
-			SafeReadsBlock: profs[i].SafeReadFracBlock,
+			SafePages:      prof.SafePageFrac,
+			SafeReadsPage:  prof.SafeReadFracPage,
+			SafeReadsBlock: prof.SafeReadFracBlock,
 		})
 	}
 	return rows, err

@@ -22,7 +22,6 @@ import (
 	"hintm/internal/fault"
 	"hintm/internal/ir"
 	"hintm/internal/obs"
-	"hintm/internal/sim"
 	"hintm/internal/store"
 	"hintm/internal/workloads"
 )
@@ -124,7 +123,7 @@ type Runner struct {
 
 	mu       sync.Mutex
 	mods     map[moduleKey]*flight[*ir.Module]
-	runs     map[Request]*flight[*sim.Result]
+	runs     map[Request]*flight[cell]
 	prefixes map[string]*prefixFlight
 }
 
@@ -188,7 +187,7 @@ func NewRunner(opts Options) *Runner {
 		opts:     opts,
 		sem:      make(chan struct{}, workers),
 		mods:     make(map[moduleKey]*flight[*ir.Module]),
-		runs:     make(map[Request]*flight[*sim.Result]),
+		runs:     make(map[Request]*flight[cell]),
 		prefixes: make(map[string]*prefixFlight),
 	}
 }

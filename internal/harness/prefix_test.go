@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"testing"
@@ -215,5 +217,71 @@ func TestPrefixSharingDisabledPaths(t *testing.T) {
 	}
 	if st.SimRuns != 8 {
 		t.Fatalf("cold grid ran %d sims, want 8", st.SimRuns)
+	}
+}
+
+// TestProfiledForkMatchesCold pins the premise that lets Fig. 1's sharing
+// report ride the grid's own InfCap cell: for every Fig. 1 app, the
+// profiled prefix-forked run reports exactly what a cold profiled run
+// reports (the profiler ignores the main thread, and workers only exist
+// past the warm-up boundary), and the profiler, a passive observer, leaves
+// the result JSON byte-identical to an unprofiled run's.
+func TestProfiledForkMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every Fig. 1 app three ways; skipped in -short mode")
+	}
+	ctx := context.Background()
+	coldOpts := QuickOptions()
+	coldOpts.NoPrefixShare = true
+	cold := NewRunner(coldOpts)
+	shared := NewRunner(QuickOptions())
+	for _, spec := range workloads.All() {
+		p8 := req(spec.Name, workloads.Small, sim.HTMP8, sim.HintNone)
+		inf := req(spec.Name, workloads.Small, sim.HTMInfCap, sim.HintNone)
+
+		before := shared.Stats()
+		out, err := shared.RunAll(ctx, []Request{p8, inf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := shared.Stats().Sub(before); d.ForkedRuns != 2 {
+			t.Fatalf("%s: Fig. 1 pair not prefix-forked: %+v", spec.Name, d)
+		}
+		coldRes, err := cold.Run(ctx, inf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := cold.runConfig(ctx, spec, workloads.Small, cold.configFor(spec, inf))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		forkRep, coldRep := shared.report(inf), cold.report(inf)
+		if forkRep == nil || coldRep == nil {
+			t.Fatalf("%s: missing report: forked %v, cold %v", spec.Name, forkRep, coldRep)
+		}
+		if *forkRep != *coldRep {
+			t.Errorf("%s: forked report differs from cold:\nforked: %+v\ncold:   %+v", spec.Name, *forkRep, *coldRep)
+		}
+		want, _ := json.Marshal(plain)
+		for name, res := range map[string]*sim.Result{"forked": out[1], "cold": coldRes} {
+			if got, _ := json.Marshal(res); !bytes.Equal(got, want) {
+				t.Errorf("%s: %s profiled result JSON differs from the unprofiled run's", spec.Name, name)
+			}
+		}
+	}
+}
+
+// TestFig1SimulatesOnlyItsCells: a cold Fig. 1 runs exactly its P8 and
+// InfCap cells, both prefix-forked from one shared warm-up per app; the
+// sharing reports cost no separate run.
+func TestFig1SimulatesOnlyItsCells(t *testing.T) {
+	r := quick("labyrinth", "kmeans")
+	if _, err := r.Fig1(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.SimRuns != 4 || st.ForkedRuns != 4 || st.PrefixRuns != 2 {
+		t.Fatalf("Fig. 1 over 2 apps: %+v, want 4 simulations, all forked, from 2 warm-ups", st)
 	}
 }

@@ -46,6 +46,14 @@ func (q Request) normalize() Request {
 	return q
 }
 
+// profiled reports whether q is Fig. 1's opportunity cell for its workload
+// and scale (InfCap, baseline hints, SMT 1): the one request whose run
+// carries the sharing profiler and whose report is memoized and stored
+// with its result, whichever figure or client asks for it first.
+func (q Request) profiled() bool {
+	return q.normalize() == req(q.Workload, q.Scale, sim.HTMInfCap, sim.HintNone)
+}
+
 // String renders the request for error messages and logs. The signature
 // override only appears when set, so default-signature requests render (and
 // name their trace artifacts) exactly as before.

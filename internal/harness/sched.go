@@ -67,6 +67,13 @@ func (r *Runner) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
+// cell is one request's memoized output: the run's result and, for a
+// profiled request (see Request.profiled), the sharing profiler's report.
+type cell struct {
+	res  *sim.Result
+	prof *profile.Report
+}
+
 // Run executes (or joins, or recalls) the simulation for req and returns
 // its cached result. Identical Requests — from any goroutine, any figure —
 // share one underlying run.
@@ -77,21 +84,21 @@ func (r *Runner) Run(ctx context.Context, req Request) (*sim.Result, error) {
 		r.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.val, f.err
+			return f.val.res, f.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	f := &flight[*sim.Result]{done: make(chan struct{})}
+	f := &flight[cell]{done: make(chan struct{})}
 	r.runs[req] = f
 	r.mu.Unlock()
 
 	// Store hook: a warm entry answers without simulating (and without a
 	// worker slot); a cold run is persisted the moment it completes, so the
 	// next process — or the next figure regeneration — recalls it.
-	if res, ok := r.storeGet(req); ok {
+	if c, ok := r.storeGet(req); ok {
 		r.storeHits.Add(1)
-		f.val = res
+		f.val = c
 	} else {
 		f.val, f.err = r.execute(ctx, req)
 		if f.err == nil {
@@ -111,7 +118,7 @@ func (r *Runner) Run(ctx context.Context, req Request) (*sim.Result, error) {
 		}
 	}
 	close(f.done)
-	return f.val, f.err
+	return f.val.res, f.err
 }
 
 // RunAll submits the whole grid at once and waits for every request. The
@@ -158,45 +165,21 @@ func (r *Runner) gather(ctx context.Context, reqs []Request) (map[Request]*sim.R
 	return out, err
 }
 
-// RunProfiled executes req with the sharing profiler attached and returns
-// the run's result alongside the profiler's report. Profiled runs are never
-// memoized (the profiler is a per-run observer) but they respect the worker
-// pool like every other run.
-func (r *Runner) RunProfiled(ctx context.Context, req Request) (res *sim.Result, rep profile.Report, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, &RequestError{Req: req, Err: &PanicError{Value: v, Stack: debug.Stack()}}
-		}
-	}()
-	req = req.normalize()
-	spec, err := workloads.ByName(req.Workload)
-	if err != nil {
-		return nil, profile.Report{}, err
+// report returns the sharing report memoized with req's completed run, or
+// nil when req has not completed, failed, or is not profiled.
+func (r *Runner) report(req Request) *profile.Report {
+	r.mu.Lock()
+	f := r.runs[req.normalize()]
+	r.mu.Unlock()
+	if f == nil {
+		return nil
 	}
-	release, err := r.acquire(ctx)
-	if err != nil {
-		return nil, profile.Report{}, err
+	select {
+	case <-f.done:
+		return f.val.prof
+	default:
+		return nil
 	}
-	defer release()
-	mod, err := r.module(ctx, spec, spec.DefaultThreads*req.SMT, req.Scale)
-	if err != nil {
-		return nil, profile.Report{}, err
-	}
-	cfg := r.configFor(spec, req)
-	m, err := sim.New(cfg, mod)
-	if err != nil {
-		return nil, profile.Report{}, err
-	}
-	defer m.Release()
-	prof := profile.NewSharing(cfg.Contexts() - 1)
-	m.SetProfiler(prof)
-	r.noteExec()
-	res, err = m.Run(ctx)
-	if err != nil {
-		return nil, profile.Report{}, &RequestError{Req: req, Err: fmt.Errorf("profiled: %w", err)}
-	}
-	r.simCycles.Add(uint64(res.Cycles))
-	return res, prof.Report(), nil
 }
 
 // execute performs one simulation under a worker-pool slot. A panicking
@@ -205,11 +188,14 @@ func (r *Runner) RunProfiled(ctx context.Context, req Request) (res *sim.Result,
 // released, and the grid's other requests keep running. When the runner has
 // a TraceDir, the run carries a tracer and its artifacts are finalized even
 // on failure — a livelocked run's trace is exactly the one worth reading.
-func (r *Runner) execute(ctx context.Context, req Request) (res *sim.Result, err error) {
+// A profiled request's run carries the sharing profiler, a passive observer
+// of worker accesses: the result is unchanged, and since workers only exist
+// past the warm-up boundary, a forked run's report equals a cold run's.
+func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 	var finish func(error) error
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
+			c, err = cell{}, &PanicError{Value: v, Stack: debug.Stack()}
 		}
 		if finish != nil {
 			err = finish(err)
@@ -217,34 +203,43 @@ func (r *Runner) execute(ctx context.Context, req Request) (res *sim.Result, err
 	}()
 	spec, err := workloads.ByName(req.Workload)
 	if err != nil {
-		return nil, err
+		return cell{}, err
 	}
 	release, err := r.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return cell{}, err
 	}
 	defer release()
 	mod, err := r.module(ctx, spec, spec.DefaultThreads*req.SMT, req.Scale)
 	if err != nil {
-		return nil, err
+		return cell{}, err
 	}
 	cfg := r.configFor(spec, req)
 	if finish, err = r.attachTrace(&cfg, req); err != nil {
-		return nil, err
+		return cell{}, err
 	}
 	m, prefixCycles, err := r.machineFor(ctx, spec, req, mod, cfg)
 	if err != nil {
-		return nil, err
+		return cell{}, err
 	}
 	defer m.Release()
+	var prof *profile.Sharing
+	if req.profiled() {
+		prof = profile.NewSharing(cfg.Contexts() - 1)
+		m.SetProfiler(prof)
+	}
 	r.noteExec()
-	res, err = m.Run(ctx)
-	if res != nil {
+	c.res, err = m.Run(ctx)
+	if c.res != nil {
 		// A forked run's prefix cycles were executed (and counted) once by
 		// the shared warm-up; only the suffix was simulated here.
-		r.simCycles.Add(uint64(res.Cycles - prefixCycles))
+		r.simCycles.Add(uint64(c.res.Cycles - prefixCycles))
 	}
-	return res, err
+	if prof != nil && err == nil {
+		rep := prof.Report()
+		c.prof = &rep
+	}
+	return c, err
 }
 
 // attachTrace wires per-run observability into cfg when the runner has a

@@ -176,17 +176,25 @@ func TestRequestNormalization(t *testing.T) {
 	}
 }
 
-// TestRunProfiledRespectsContext: the profiled path honours cancellation
-// like every other run.
-func TestRunProfiledRespectsContext(t *testing.T) {
+// TestProfiledCellRespectsContext: the profiled cell (Fig. 1's InfCap run,
+// which carries the sharing profiler) honours cancellation like every other
+// run, and a cancelled attempt leaves no report behind; a live retry
+// produces one.
+func TestProfiledCellRespectsContext(t *testing.T) {
 	r := NewRunner(QuickOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := Request{Workload: "kmeans", Scale: workloads.Small}
-	if _, _, err := r.RunProfiled(ctx, req); !errors.Is(err, context.Canceled) {
+	q := req("kmeans", workloads.Small, sim.HTMInfCap, sim.HintNone)
+	if _, err := r.Run(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, rep, err := r.RunProfiled(context.Background(), req); err != nil || rep.Pages == 0 {
-		t.Fatalf("live profiled run: err=%v report=%+v", err, rep)
+	if rep := r.report(q); rep != nil {
+		t.Fatalf("cancelled run left a report: %+v", rep)
+	}
+	if _, err := r.Run(context.Background(), q); err != nil {
+		t.Fatalf("live profiled run: %v", err)
+	}
+	if rep := r.report(q); rep == nil || rep.Pages == 0 {
+		t.Fatalf("live profiled run: report=%+v", rep)
 	}
 }

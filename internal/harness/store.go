@@ -8,6 +8,7 @@ import (
 
 	"hintm/internal/htm"
 	"hintm/internal/obs"
+	"hintm/internal/profile"
 	"hintm/internal/sim"
 	"hintm/internal/stats"
 	"hintm/internal/store"
@@ -72,21 +73,30 @@ func (r *Runner) StoreKey(req Request) string {
 	return store.Key(r.KeyPreimage(req))
 }
 
-// storeGet recalls req's result from the configured store. Any failure —
+// storeGet recalls req's cell from the configured store. Any failure —
 // no store, miss, quarantined entry, undecodable result — degrades to
-// (nil, false): the scheduler just simulates.
-func (r *Runner) storeGet(req Request) (*sim.Result, bool) {
+// (cell{}, false): the scheduler just simulates. A profiled request's entry
+// without a report (written before reports were stored) is a miss too: the
+// cell re-simulates once, and its rewrite carries the report.
+func (r *Runner) storeGet(req Request) (cell, bool) {
 	st := r.opts.Store
 	if st == nil {
-		return nil, false
+		return cell{}, false
 	}
 	e, _, err := st.Get(r.StoreKey(req))
 	if err != nil || e == nil {
-		return nil, false
+		return cell{}, false
 	}
 	var res sim.Result
 	if err := json.Unmarshal(e.Result, &res); err != nil {
-		return nil, false
+		return cell{}, false
+	}
+	c := cell{res: &res}
+	if req.profiled() {
+		c.prof = new(profile.Report)
+		if json.Unmarshal(e.Profile, c.prof) != nil { // absent fails too
+			return cell{}, false
+		}
 	}
 	// Restore the invariants sim.newResult guarantees and plain JSON does
 	// not: consumers index these without nil checks.
@@ -99,24 +109,27 @@ func (r *Runner) storeGet(req Request) (*sim.Result, bool) {
 	if res.TxFootprints == nil {
 		res.TxFootprints = stats.NewHist()
 	}
-	return &res, true
+	return c, true
 }
 
 // storePut persists a completed run. Persistence failures are deliberately
 // non-fatal — the simulation succeeded and its result is correct; a full
 // disk should not fail the figure — but they are counted so a service
 // operator sees them on /metrics.
-func (r *Runner) storePut(req Request, res *sim.Result) {
+func (r *Runner) storePut(req Request, c cell) {
 	st := r.opts.Store
 	if st == nil {
 		return
 	}
-	data, err := json.Marshal(res)
+	e := store.Entry{Request: r.KeyPreimage(req)}
+	var err error
+	if e.Result, err = json.Marshal(c.res); err == nil && c.prof != nil {
+		e.Profile, err = json.Marshal(c.prof)
+	}
 	if err != nil {
 		r.opts.Metrics.Counter(obs.MetricStorePutErrors).Inc()
 		return
 	}
-	e := store.Entry{Request: r.KeyPreimage(req), Result: data}
 	if r.opts.TraceDir != "" {
 		base := filepath.Join(r.opts.TraceDir, strings.ReplaceAll(req.String(), "/", "_"))
 		e.TracePath = base + ".trace.json"

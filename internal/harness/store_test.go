@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -72,23 +73,28 @@ func TestStoreWarmRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestStoreWarmFigureByteIdentical renders the same figure cold and warm
-// and requires identical text — the regeneration workflow the store exists
-// for.
-func TestStoreWarmFigureByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-
-	render := func() (string, uint64) {
-		r := NewRunner(storeOpts(t, dir))
-		var sb strings.Builder
-		if err := r.RenderFig4(ctx, &sb); err != nil {
+// renderFigs renders Figs. 1 and 4 by a fresh runner over the store in dir
+// and returns the text and the simulations the runner executed.
+func renderFigs(t *testing.T, dir string) (string, uint64) {
+	t.Helper()
+	r := NewRunner(storeOpts(t, dir))
+	var sb strings.Builder
+	for _, render := range []func(context.Context, io.Writer) error{r.RenderFig1, r.RenderFig4} {
+		if err := render(context.Background(), &sb); err != nil {
 			t.Fatal(err)
 		}
-		return sb.String(), r.SimRuns()
 	}
-	coldOut, coldRuns := render()
-	warmOut, warmRuns := render()
+	return sb.String(), r.SimRuns()
+}
+
+// TestStoreWarmFigureByteIdentical renders the same figures cold and warm
+// and requires identical text — the regeneration workflow the store exists
+// for. Fig. 1 is included: its sharing reports are stored with its InfCap
+// cells, so the warm render simulates nothing.
+func TestStoreWarmFigureByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	coldOut, coldRuns := renderFigs(t, dir)
+	warmOut, warmRuns := renderFigs(t, dir)
 	if coldRuns == 0 {
 		t.Fatal("cold render simulated nothing")
 	}
@@ -97,6 +103,49 @@ func TestStoreWarmFigureByteIdentical(t *testing.T) {
 	}
 	if coldOut != warmOut {
 		t.Errorf("warm figure differs from cold:\n--- cold ---\n%s--- warm ---\n%s", coldOut, warmOut)
+	}
+}
+
+// TestStoreHealsEntryWithoutProfile: an InfCap cell stored without a sharing
+// report (as a store written before reports were stored holds it) is a miss
+// for the profiled request. It re-simulates exactly once, the rewritten
+// entry carries the report next to unchanged result bytes, and the next
+// render simulates nothing. Entries of other requests carry no report.
+func TestStoreHealsEntryWithoutProfile(t *testing.T) {
+	dir := t.TempDir()
+	coldOut, _ := renderFigs(t, dir)
+
+	r := NewRunner(storeOpts(t, dir))
+	st := r.opts.Store
+	inf := req("labyrinth", workloads.Small, sim.HTMInfCap, sim.HintNone)
+	p8 := req("labyrinth", workloads.Small, sim.HTMP8, sim.HintNone)
+	if e, _, _ := st.Get(r.StoreKey(p8)); e == nil || len(e.Profile) != 0 {
+		t.Fatalf("P8 entry should be stored without a report: %+v", e)
+	}
+	e, _, _ := st.Get(r.StoreKey(inf))
+	if e == nil || len(e.Profile) == 0 {
+		t.Fatalf("InfCap entry stored without a report: %+v", e)
+	}
+	result := e.Result
+	e.Profile = nil
+	if _, err := st.Put(*e); err != nil {
+		t.Fatal(err)
+	}
+
+	healOut, healRuns := renderFigs(t, dir)
+	if healRuns != 1 {
+		t.Errorf("render over a report-less InfCap entry executed %d simulations, want 1", healRuns)
+	}
+	e, _, _ = st.Get(r.StoreKey(inf))
+	if e == nil || len(e.Profile) == 0 || !bytes.Equal(e.Result, result) {
+		t.Fatalf("healed entry: %+v", e)
+	}
+	warmOut, warmRuns := renderFigs(t, dir)
+	if warmRuns != 0 {
+		t.Errorf("render after healing executed %d simulations, want 0", warmRuns)
+	}
+	if healOut != coldOut || warmOut != coldOut {
+		t.Errorf("figure text moved:\n--- cold ---\n%s--- healed ---\n%s--- warm ---\n%s", coldOut, healOut, warmOut)
 	}
 }
 

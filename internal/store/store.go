@@ -4,10 +4,11 @@
 // key is the SHA-256 of the canonical encoding of the run's request (the
 // harness derives it — request coordinates plus every option that reaches
 // the simulator, prefixed with the store schema version), and the value is
-// the run's full sim.Result JSON plus optional trace/autopsy artifact
-// paths. Capacity-study campaigns are large config sweeps re-run with
-// small deltas; with the store underneath the scheduler, regenerating one
-// figure re-simulates only the cells that actually changed.
+// the run's full sim.Result JSON plus an optional sharing-profiler report
+// and optional trace/autopsy artifact paths. Capacity-study campaigns are
+// large config sweeps re-run with small deltas; with the store underneath
+// the scheduler, regenerating one figure re-simulates only the cells that
+// actually changed.
 //
 // Layout on disk:
 //
@@ -85,6 +86,10 @@ type Entry struct {
 	Seq     uint64          `json:"-"`
 	Request json.RawMessage `json:"request"`
 	Result  json.RawMessage `json:"result"`
+	// Profile is the run's sharing-profiler report, for the requests that
+	// carry one (Fig. 1's InfCap cells); absent everywhere else, so those
+	// objects encode exactly as they did before the field existed.
+	Profile json.RawMessage `json:"profile,omitempty"`
 	// TracePath/AutopsyPath point at per-run observability artifacts when
 	// the producing runner had a trace directory configured.
 	TracePath   string `json:"tracePath,omitempty"`
