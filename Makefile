@@ -29,13 +29,14 @@ race:
 		./internal/chaos/... ./internal/cli/... ./internal/hyp/...
 
 # fuzz-short gives the classifier-soundness fuzzer, the TIR
-# parse→print→parse fuzzer and the store-object decoding fuzzer a 10-second
-# native-fuzzing budget each — enough for CI to catch regressions the
-# seeded corpora miss.
+# parse→print→parse fuzzer, the store-object decoding fuzzer and the TIR2
+# trace-reader fuzzer a 10-second native-fuzzing budget each — enough for CI
+# to catch regressions the seeded corpora miss.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifierSoundness -fuzztime=10s ./internal/classify
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrintParse -fuzztime=10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzStoreEntryDecode -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzTraceReader -fuzztime=10s ./internal/trace
 
 # The full verification artifacts the repository ships with.
 artifacts:

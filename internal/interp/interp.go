@@ -131,6 +131,9 @@ func (p *Program) EnableProfile() {
 	p.counts = make([]uint64, p.maxID+1)
 }
 
+// Profiling reports whether per-instruction execution counting is on.
+func (p *Program) Profiling() bool { return p.counts != nil }
+
 // ProfileCounts returns the execution counts keyed by instruction ID (nil
 // unless enabled). Built on demand; call once per run, not per step.
 func (p *Program) ProfileCounts() map[int]uint64 {
@@ -441,6 +444,33 @@ func (t *Thread) randBounded(bound int64) int64 {
 		return 0
 	}
 	return int64(x % uint64(bound))
+}
+
+// localOp marks the thread-local opcodes: each reads and writes only the
+// executing thread's registers, frames, PC, PRNG and stack cursor, never
+// memory, another thread, or the environment's shared state.
+var localOp = [256]bool{
+	ir.OpConst: true, ir.OpMov: true, ir.OpBin: true, ir.OpCmp: true,
+	ir.OpAlloca: true, ir.OpGlobalAddr: true, ir.OpCall: true, ir.OpRet: true,
+	ir.OpBr: true, ir.OpCondBr: true, ir.OpRand: true,
+}
+
+// RunLocal steps t through up to max consecutive thread-local instructions
+// (Const, Mov, Bin, Cmp, Alloca, GlobalAddr, Call, Ret, Br, CondBr, Rand)
+// and returns how many it executed. It stops before the first instruction
+// of any other kind and when the thread finishes. Env sees only StackAlloc
+// and StackRelease calls for the thread's own stack.
+func (p *Program) RunLocal(env Env, t *Thread, max int) int {
+	n := 0
+	for n < max && !t.Done {
+		f := t.Frames[len(t.Frames)-1]
+		if !localOp[f.code[f.PC].op] {
+			break
+		}
+		p.Step(env, t)
+		n++
+	}
+	return n
 }
 
 // Step executes one instruction of t against env. It returns true if the

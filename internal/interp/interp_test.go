@@ -363,3 +363,56 @@ func TestStepDoneThreadNoop(t *testing.T) {
 		t.Fatal("done thread has a current instruction")
 	}
 }
+
+// RunLocal executes exactly the thread-local instructions up to the next
+// memory access, call boundaries included, and counts them.
+func TestRunLocalStopsAtSharedOps(t *testing.T) {
+	b := ir.NewBuilder("m")
+	b.Global("out", 1)
+	sq := b.Function("sq", 1)
+	sq.Ret(sq.Mul(sq.Param(0), sq.Param(0)))
+	f := b.Function("main", 0)
+	g := f.GlobalAddr("out")
+	x := f.Call("sq", f.AddI(f.Rand(f.C(10)), 1))
+	f.Store(g, 0, x)
+	f.RetVoid()
+
+	p, err := NewProgram(b.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newPlainEnv(p)
+	mn := p.M.Func("main")
+	th := p.NewThread(0, "main", nil, env.al.StackAlloc(0, mn.AllocaWords*mem.WordSize), 7)
+
+	// main's instructions before the store, plus sq's body (Bin, Ret).
+	want := 0
+	for _, in := range mn.Blocks[0].Instrs {
+		if in.Op == ir.OpStore {
+			break
+		}
+		want++
+	}
+	want += len(p.M.Func("sq").Blocks[0].Instrs)
+	if n := p.RunLocal(env, th, 1); n != 1 {
+		t.Fatalf("RunLocal(max 1) = %d", n)
+	}
+	if n := p.RunLocal(env, th, 100); n != want-1 {
+		t.Fatalf("RunLocal = %d, want %d", n, want-1)
+	}
+	if op := th.NextOp(); op != ir.OpStore {
+		t.Fatalf("stopped before %v, want the store", op)
+	}
+	if n := p.RunLocal(env, th, 100); n != 0 {
+		t.Fatalf("RunLocal at a store = %d, want 0", n)
+	}
+	if !p.Step(env, th) {
+		t.Fatal("store did not complete")
+	}
+	if n := p.RunLocal(env, th, 100); n != 1 || !th.Done {
+		t.Fatalf("RunLocal over the final Ret = %d (done %v), want 1", n, th.Done)
+	}
+	if v := env.mem.ReadWord(p.GlobalAddr("out")); v < 1 || v > 100 {
+		t.Fatalf("out = %d, want a square in [1, 100]", v)
+	}
+}

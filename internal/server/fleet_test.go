@@ -50,6 +50,7 @@ func newFleet(t *testing.T, n int) (servers []*Server, urls []string, metrics []
 		servers = append(servers, s)
 		metrics = append(metrics, m)
 	}
+	t.Cleanup(func() { drainAll(servers) })
 	return servers, urls, metrics, handlers
 }
 

@@ -45,8 +45,22 @@ func newServerWithFakePeers(t *testing.T, fleet FleetConfig, peers ...http.Handl
 		fleet.Replicas = len(urls)
 	}
 	s := New(Config{Store: st, Options: opts, Metrics: m, Fleet: fleet})
+	t.Cleanup(func() { drainAll([]*Server{s}) })
 	self.Config.Handler = s.Handler()
 	return s, self, m, peerURLs
+}
+
+// drainAll stops the servers' replication before the test removes their
+// store directories (register it after the last t.TempDir: cleanups run
+// last-registered first). A push still in flight would otherwise re-read a
+// deleted object, quarantine it and rewrite the index into a directory
+// being removed. Retries to unreachable or failing peers are cut short.
+func drainAll(servers []*Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	for _, s := range servers {
+		_ = s.Drain(ctx)
+	}
 }
 
 func TestErrPeerStatusIncludesNumericCode(t *testing.T) {

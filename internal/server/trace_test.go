@@ -57,6 +57,7 @@ func newMemFleet(t *testing.T, n int) (servers []*Server, urls []string, client 
 		mt.handlers[urls[i]] = s.Handler()
 		servers = append(servers, s)
 	}
+	t.Cleanup(func() { drainAll(servers) })
 	return servers, urls, client
 }
 

@@ -238,11 +238,16 @@ func (m *Machine) pageModeTransition(c *hwContext, out vmem.Outcome) (selfAborte
 		m.tracer.Instant(c.id, c.cycle, obs.EvPageTransition, tr.Page)
 	}
 	for _, s := range tr.Slaves {
-		m.ctxs[s].cycle += m.vm.SlaveCost()
-		m.syncEff(m.ctxs[s])
+		sc := m.ctxs[s]
+		if m.settle(sc) > 0 {
+			sc.aheadFrom += m.vm.SlaveCost() // the charge lands before the rest
+			m.settles[1]++
+		}
+		sc.cycle += m.vm.SlaveCost()
+		m.syncEff(sc)
 		cost += m.vm.SlaveCost()
 		if m.tracer != nil {
-			m.tracer.Instant(s, m.ctxs[s].cycle, obs.EvTLBShootdown, tr.Page)
+			m.tracer.Instant(s, sc.cycle, obs.EvTLBShootdown, tr.Page)
 		}
 	}
 	m.res.PageModeCycles += cost

@@ -46,6 +46,11 @@ type hwContext struct {
 	// suspended marks escape-action mode (TxSuspend..TxResume): accesses
 	// bypass transactional tracking entirely.
 	suspended bool
+	// ahead counts the thread-local instructions this context executed past
+	// min-clock order (run-ahead, see stepWorkers); the first started at
+	// clock aheadFrom and each cost one cycle, so cycle = aheadFrom+ahead.
+	// settle splits the run when another context acts on this one.
+	aheadFrom, ahead int64
 
 	// intro accumulates per-attempt introspection for the tracer (block
 	// access counts and the hint-skipped set); nil when tracing is disabled
@@ -151,6 +156,22 @@ type Machine struct {
 	fallbackAcquires  uint64
 	lastProgress      uint64
 	lastProgressCycle int64
+
+	// runAhead enables run-ahead scheduling for this Run: off when the run
+	// carries a tracer, the fault engine or per-instruction profiling, all of
+	// which read other contexts' clocks or the global step count mid-run.
+	// noRunAhead forces it off (tests compare both schedules).
+	runAhead, noRunAhead bool
+	// actClock and actID are the (clock, id) scheduling key of the
+	// instruction executing now; settle splits run-ahead against it.
+	actClock int64
+	actID    int
+	// bound is the runner-up key stepWorkers batches its pick against; an
+	// abort that rewinds a run-ahead lowers it.
+	bound int64
+	// settles counts the settles that left instructions ahead, by kind
+	// (abort rewinds, shootdown charge shifts), for the exactness tests.
+	settles [2]uint64
 
 	// resumed marks a machine forked from a captured prefix (see prefix.go):
 	// globals are already laid out and the main thread already exists, so Run
@@ -365,6 +386,7 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 	}
 	m.stepCap = maxSteps
 	m.sampling = m.tracer != nil && m.cfg.SampleCycles > 0
+	m.runAhead = !m.noRunAhead && m.tracer == nil && m.faults == nil && !m.prog.Profiling()
 
 	for !m.mainThread.Done {
 		if m.res.Steps&ctxCheckMask == 0 {
@@ -372,8 +394,14 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 				return nil, fmt.Errorf("sim: cancelled after %d steps: %w", m.res.Steps, err)
 			}
 		}
-		if m.res.Steps >= maxSteps {
-			return nil, fmt.Errorf("sim: exceeded %d steps (livelock?)", maxSteps)
+		if m.res.Steps >= m.stepCap {
+			// Steps counts run-ahead instructions a later abort may still
+			// roll back; only committed steps trip the cap. Past it, step
+			// singly (no run-ahead) and re-check after every step.
+			if m.res.Steps-m.aheadSteps() >= maxSteps {
+				return nil, fmt.Errorf("sim: exceeded %d steps (livelock?)", maxSteps)
+			}
+			m.stepCap = m.res.Steps + 1
 		}
 		if m.res.Steps&guardMask == 0 {
 			if err := m.checkGuards(); err != nil {
@@ -406,13 +434,21 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 // next guard-grid boundary (or the step cap, or the region's barrier), so
 // Run's periodic checks fire at exactly the steps they would under
 // single-stepping while the scheduler stays out of the per-step call path.
+//
+// With run-ahead on, each instruction the pick executes as the scheduler's
+// choice is followed by its thread-local instructions (runLocal), even past
+// the runner-up's clock: they touch nothing another context can observe, so
+// the global order of shared-state instructions is unchanged. Only aborts
+// and shootdown charges act on another context; both settle it first.
 func (m *Machine) stepWorkers() {
 	for {
 		if len(m.runnable) == 0 {
 			// All workers finished: barrier completes; main resumes at the
-			// latest worker clock.
+			// latest worker clock. Nothing can act on a finished worker's
+			// run-ahead any more, so all of it is committed.
 			var max int64
 			for _, c := range m.ctxs {
+				c.ahead = 0
 				if c.cycle > max {
 					max = c.cycle
 				}
@@ -436,9 +472,10 @@ func (m *Machine) stepWorkers() {
 				best2 = e
 			}
 		}
+		m.bound = best2
 		for {
 			pick := m.runnable[pickIdx]
-			m.stepThread(pick, pick.thread)
+			m.stepPick(pick)
 			e := pick.effectiveCycle()
 			m.effCache[pickIdx] = e
 			// Keep stepping pick while it is provably still the scheduler's
@@ -446,8 +483,8 @@ func (m *Machine) stepWorkers() {
 			for !pick.thread.Done &&
 				m.res.Steps&guardMask != 0 &&
 				m.res.Steps < m.stepCap &&
-				e < best2 {
-				m.stepThread(pick, pick.thread)
+				e < m.bound {
+				m.stepPick(pick)
 				e = pick.effectiveCycle()
 				m.effCache[pickIdx] = e
 			}
@@ -465,11 +502,13 @@ func (m *Machine) stepWorkers() {
 			}
 			// Tie continuation: every entry left of pickIdx exceeded best at
 			// scan time, pick just moved past it, and clocks never move
-			// backwards — so the next entry still equal to best (lockstep
-			// workloads keep whole tie groups at one clock) is the lowest-id
-			// minimum, i.e. exactly the context a fresh scan would choose.
-			if best2 != best {
-				break // no entry can equal best: all others sit at >= best2
+			// below best (an abort's rewind stops at the acting
+			// instruction's key, and a lower-id context commits that clock)
+			// — so the next entry still equal to best (lockstep workloads
+			// keep whole tie groups at one clock) is the lowest-id minimum,
+			// i.e. exactly the context a fresh scan would choose.
+			if m.bound != best {
+				break // no entry can equal best: all others sit at >= bound
 			}
 			j := pickIdx + 1
 			for j < len(m.effCache) && m.effCache[j] != best {
@@ -479,7 +518,7 @@ func (m *Machine) stepWorkers() {
 				break // tie group exhausted: full rescan
 			}
 			pickIdx = j
-			best2 = best // a tied peer exists, so no batch for this pick
+			m.bound = best // a tied peer exists, so no batch for this pick
 		}
 		if m.res.Steps&guardMask == 0 || m.res.Steps >= m.stepCap {
 			return
@@ -495,10 +534,83 @@ func (m *Machine) syncEff(c *hwContext) {
 	}
 }
 
+// stepPick steps the scheduler's choice c, then lets it run ahead. Every
+// instruction c ran ahead started before its current clock, which is now the
+// minimum key: none of them can be rolled back any more.
+func (m *Machine) stepPick(c *hwContext) {
+	c.ahead = 0
+	m.stepThread(c, c.thread)
+	if m.runAhead {
+		m.runLocal(c)
+	}
+}
+
+// runLocal executes c's thread-local instructions that follow, up to the
+// next guard-grid boundary or the step cap, and records them as run ahead.
+func (m *Machine) runLocal(c *hwContext) {
+	if c.thread.Done || c.backoffUntil > c.cycle || m.res.Steps&guardMask == 0 {
+		return
+	}
+	limit := (m.res.Steps | guardMask) + 1 - m.res.Steps
+	if r := m.stepCap - m.res.Steps; r < limit {
+		limit = r
+	}
+	if limit <= 0 {
+		return
+	}
+	n := int64(m.prog.RunLocal(m, c.thread, int(limit)))
+	c.aheadFrom, c.ahead = c.cycle, n
+	c.cycle += n
+	m.res.Steps += n
+}
+
+// settle splits c's run-ahead against the acting instruction's key
+// (actClock, actID): the instructions that start before it in (clock, id)
+// order would have executed first under min-clock order, so they are
+// committed; the rest stay ahead. It returns how many remain ahead.
+func (m *Machine) settle(c *hwContext) int64 {
+	if c.ahead == 0 {
+		return 0
+	}
+	done := m.actClock - c.aheadFrom
+	if c.id < m.actID {
+		done++ // c wins the tie at actClock
+	}
+	if done >= c.ahead {
+		c.ahead = 0
+		return 0
+	}
+	if done > 0 {
+		c.aheadFrom += done
+		c.ahead -= done
+	}
+	return c.ahead
+}
+
+// aheadSteps is the number of executed instructions that are still ahead:
+// an abort may yet roll them back.
+func (m *Machine) aheadSteps() int64 {
+	var n int64
+	for _, c := range m.ctxs {
+		n += c.ahead
+	}
+	return n
+}
+
+// committedCycle is c's clock without its run-ahead, the time every guard
+// sees: a run-ahead clock may still be rolled back.
+func (c *hwContext) committedCycle() int64 {
+	if c.ahead > 0 {
+		return c.aheadFrom
+	}
+	return c.cycle
+}
+
 func (m *Machine) stepThread(c *hwContext, t *interp.Thread) {
 	if c.backoffUntil > c.cycle {
 		c.cycle = c.backoffUntil
 	}
+	m.actClock, m.actID = c.cycle, c.id
 	m.prog.Step(m, t)
 	c.cycle++ // base instruction cost
 	m.res.Steps++
@@ -544,6 +656,18 @@ func (m *Machine) ctxOf(t *interp.Thread) *hwContext {
 // the undo log, the thread rolls back to its TxBegin checkpoint, statistics
 // and the retry policy are updated.
 func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
+	// The part of another context's run-ahead that starts after the acting
+	// instruction never ran under min-clock order: un-count it. Its register
+	// effects are discarded by the checkpoint restore below.
+	if rest := m.settle(c); rest > 0 {
+		c.cycle -= rest
+		m.res.Steps -= rest
+		c.ahead = 0
+		m.settles[0]++
+		if c.cycle < m.bound {
+			m.bound = c.cycle // the batch's runner-up moved back
+		}
+	}
 	// The span must be captured before Abort() resets the tracker: set sizes
 	// and the footprint are the attempt's state at the moment of death.
 	var span obs.TxAttempt

@@ -1,0 +1,177 @@
+package sim_test
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"hintm/internal/cache"
+	"hintm/internal/classify"
+	"hintm/internal/ir"
+	"hintm/internal/profile"
+	"hintm/internal/sim"
+	"hintm/internal/workloads"
+)
+
+// runAheadConfigs are the machine configurations the exactness test runs
+// every workload under.
+var runAheadConfigs = []struct {
+	htm   sim.HTMKind
+	hints sim.HintMode
+	smt   int
+}{
+	{sim.HTMP8, sim.HintNone, 1},
+	{sim.HTMP8, sim.HintFull, 1},
+	{sim.HTMP8S, sim.HintFull, 1},
+	{sim.HTML1TM, sim.HintFull, 2},
+	{sim.HTMInfCap, sim.HintNone, 1},
+	{sim.HTMSTM, sim.HintFull, 1},
+}
+
+// runAheadCell builds spec's classified module and machine configuration
+// the way the harness does: with SMT the machine shrinks to one core per
+// application thread, so two contexts share every core.
+func runAheadCell(t *testing.T, spec *workloads.Spec, htm sim.HTMKind, hints sim.HintMode, smt int) (*ir.Module, sim.Config) {
+	t.Helper()
+	cfg := sim.DefaultConfig()
+	cfg.HTM, cfg.Hints, cfg.SMT = htm, hints, smt
+	if smt > 1 {
+		cfg.Cores = spec.DefaultThreads
+		cfg.Cache = cache.DefaultConfig(cfg.Cores)
+	}
+	mod := spec.Build(spec.DefaultThreads*smt, workloads.Small)
+	if _, err := classify.Run(mod); err != nil {
+		t.Fatal(err)
+	}
+	return mod, cfg
+}
+
+// runScheduled runs one cell with run-ahead on or off and returns the
+// machine (for its settle counters), the result and the sharing report
+// when profiled.
+func runScheduled(t *testing.T, mod *ir.Module, cfg sim.Config, runAhead, profiled bool) (*sim.Machine, []byte, *profile.Report) {
+	t.Helper()
+	m, err := sim.New(cfg, mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if !runAhead {
+		sim.DisableRunAhead(m)
+	}
+	var prof *profile.Sharing
+	if profiled {
+		prof = profile.NewSharing(cfg.Contexts() - 1)
+		m.SetProfiler(prof)
+	}
+	res, err := m.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof == nil {
+		return m, js, nil
+	}
+	rep := prof.Report()
+	return m, js, &rep
+}
+
+// TestRunAheadExact pins run-ahead scheduling as exact: every workload under
+// every configuration yields byte-identical results with it on and off. Both
+// settle paths must fire somewhere in the set, so a settle that went wrong
+// would show.
+func TestRunAheadExact(t *testing.T) {
+	var aborts, charges uint64
+	for _, spec := range workloads.All() {
+		for _, c := range runAheadConfigs {
+			name := fmt.Sprintf("%s/%v/%v/smt%d", spec.Name, c.htm, c.hints, c.smt)
+			mod, cfg := runAheadCell(t, spec, c.htm, c.hints, c.smt)
+			_, ref, _ := runScheduled(t, mod, cfg, false, false)
+			m, got, _ := runScheduled(t, mod, cfg, true, false)
+			if string(got) != string(ref) {
+				t.Errorf("%s: run-ahead result differs:\n off: %s\n on:  %s", name, ref, got)
+			}
+			a, ch := sim.Settles(m)
+			aborts += a
+			charges += ch
+		}
+	}
+	t.Logf("settles: %d abort rewinds, %d shootdown charges", aborts, charges)
+	if aborts == 0 || charges == 0 {
+		t.Errorf("settle paths not exercised: %d abort rewinds, %d shootdown charges", aborts, charges)
+	}
+}
+
+// TestRunAheadSharingProfile checks the sharing profiler's report (Fig. 1)
+// is unchanged by run-ahead: its events are memory accesses and
+// transaction events, whose global order run-ahead keeps.
+func TestRunAheadSharingProfile(t *testing.T) {
+	for _, name := range []string{"intruder", "labyrinth", "vacation"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, cfg := runAheadCell(t, spec, sim.HTMInfCap, sim.HintNone, 1)
+		_, ref, refRep := runScheduled(t, mod, cfg, false, true)
+		_, got, gotRep := runScheduled(t, mod, cfg, true, true)
+		if string(got) != string(ref) {
+			t.Errorf("%s: profiled run-ahead result differs", name)
+		}
+		if !reflect.DeepEqual(refRep, gotRep) {
+			t.Errorf("%s: sharing report differs:\n off: %+v\n on:  %+v", name, *refRep, *gotRep)
+		}
+	}
+}
+
+// TestRunAheadCapsExact checks the guards read committed state. A run
+// capped at exactly its own cycle count completes, so a run-ahead clock an
+// abort later rolls back never trips the cycle cap. The step cap is exact:
+// a run needing S steps completes under MaxSteps = S and fails under S-1.
+func TestRunAheadCapsExact(t *testing.T) {
+	run := func(mod *ir.Module, cfg sim.Config) (*sim.Result, error) {
+		m, err := sim.New(cfg, mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Release()
+		return m.Run(context.Background())
+	}
+	for _, name := range []string{"kmeans", "labyrinth", "intruder", "genome"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range runAheadConfigs[:4] {
+			label := fmt.Sprintf("%s/%v/%v/smt%d", name, c.htm, c.hints, c.smt)
+			mod, cfg := runAheadCell(t, spec, c.htm, c.hints, c.smt)
+			res, err := run(mod, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			capped := cfg
+			capped.MaxCycles = res.Cycles
+			if _, err := run(mod, capped); err != nil {
+				t.Errorf("%s: MaxCycles = own cycles %d: %v", label, res.Cycles, err)
+			}
+			capped.MaxCycles = res.Cycles / 2
+			if _, err := run(mod, capped); !errors.Is(err, sim.ErrMaxCycles) {
+				t.Errorf("%s: MaxCycles = half its cycles: err = %v, want ErrMaxCycles", label, err)
+			}
+			capped = cfg
+			capped.MaxSteps = res.Steps
+			if _, err := run(mod, capped); err != nil {
+				t.Errorf("%s: MaxSteps = own steps %d: %v", label, res.Steps, err)
+			}
+			capped.MaxSteps = res.Steps - 1
+			if _, err := run(mod, capped); err == nil {
+				t.Errorf("%s: MaxSteps = own steps - 1 completed", label)
+			}
+		}
+	}
+}

@@ -108,12 +108,13 @@ func (e *CycleLimitError) Error() string {
 // every 4096 steps, cheap enough to leave both always-on.
 const guardMask = 1<<12 - 1
 
-// maxCycle is the furthest context clock — the run's current simulated time.
+// maxCycle is the furthest committed context clock — the run's current
+// simulated time, without run-ahead an abort may still roll back.
 func (m *Machine) maxCycle() int64 {
 	var max int64
 	for _, c := range m.ctxs {
-		if c.cycle > max {
-			max = c.cycle
+		if cc := c.committedCycle(); cc > max {
+			max = cc
 		}
 	}
 	return max
@@ -184,7 +185,7 @@ func (m *Machine) livelockError(now, stall int64) *LivelockError {
 			HoldsLock:    m.fallbackHolder == c,
 			Suspended:    c.suspended,
 			Retries:      c.retries,
-			Cycle:        c.cycle,
+			Cycle:        c.committedCycle(),
 			BackoffUntil: c.backoffUntil,
 			TxStart:      c.txStart,
 		}

@@ -173,6 +173,9 @@ func (tr *Reader) Next() (Event, error) {
 			if err != nil {
 				return Event{}, fmt.Errorf("trace: truncated abort record: %w", err)
 			}
+			if !knownReason(reason) {
+				return Event{}, fmt.Errorf("trace: abort record with unknown reason %d", reason)
+			}
 			ev.Reason = htm.AbortReason(reason)
 		}
 		return ev, nil
@@ -189,6 +192,17 @@ func (tr *Reader) Next() (Event, error) {
 		InTx:  head&(1<<3) != 0,
 		Addr:  mem.Addr(tr.prevAddr),
 	}, nil
+}
+
+// knownReason reports whether r encodes one of the real abort reasons; a
+// wider value would otherwise truncate silently into the uint8 reason.
+func knownReason(r uint64) bool {
+	for _, k := range htm.AbortReasons {
+		if r == uint64(k) {
+			return true
+		}
+	}
+	return false
 }
 
 // ForEach decodes every event, invoking fn.

@@ -117,7 +117,7 @@ func TestZigzagRoundTrip(t *testing.T) {
 }
 
 // recordWorkload runs one workload with the trace writer attached.
-func recordWorkload(t *testing.T, name string, cfg sim.Config) (*bytes.Buffer, *sim.Result) {
+func recordWorkload(t testing.TB, name string, cfg sim.Config) (*bytes.Buffer, *sim.Result) {
 	t.Helper()
 	spec, err := workloads.ByName(name)
 	if err != nil {
@@ -210,5 +210,26 @@ func TestTraceCompactness(t *testing.T) {
 	}
 	if perEvent > 8 {
 		t.Fatalf("trace too fat: %.1f bytes per instruction-ish event", perEvent)
+	}
+}
+
+// An abort reason outside htm.AbortReasons is corruption: 300 must not
+// truncate to reason 44 (or any other).
+func TestUnknownAbortReasonRejected(t *testing.T) {
+	for _, reason := range []uint64{0, uint64(htm.AbortSpurious) + 1, 300} {
+		var buf bytes.Buffer
+		tw := NewWriter(&buf)
+		tw.putUvarint(uint64(KindTxAbort) | 1<<4)
+		tw.putUvarint(reason)
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev, err := tr.Next(); err == nil {
+			t.Errorf("reason %d decoded as %+v, want an error", reason, ev)
+		}
 	}
 }
