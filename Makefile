@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff prefix-smoke trace-check serve-smoke fleet-smoke chaos-smoke hyp-smoke figures svg ablate export clean
+.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff prefix-smoke parity trace-check serve-smoke fleet-smoke chaos-smoke hyp-smoke figures svg ablate export clean
 
 all: test
 
@@ -90,6 +90,13 @@ bench-diff:
 # minimum number of runs from snapshots (MIN_SHARED, default 50).
 prefix-smoke:
 	./scripts/prefix-smoke.sh
+
+# parity builds hintm-sim at REV and at the working tree and requires
+# byte-identical output over every workload × six HTM configurations at
+# large scale — the cross-commit check for changes that must not move a
+# result, e.g. `make parity REV=HEAD`.
+parity:
+	./scripts/parity.sh $(REV)
 
 # serve-smoke boots hintm-served against a temp store, submits the same
 # seeded run twice over HTTP, and asserts the second is a store hit with a

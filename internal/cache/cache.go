@@ -63,6 +63,7 @@ type Config struct {
 	Cores    int
 	Protocol Protocol
 	// L1Sets × L1Ways blocks per core (32 KiB 8-way => 64 sets × 8 ways).
+	// Set counts must be powers of two.
 	L1Sets, L1Ways int
 	// L2Sets × L2Ways blocks shared (8 MiB 16-way => 8192 sets × 16 ways).
 	L2Sets, L2Ways int
@@ -78,6 +79,17 @@ func DefaultConfig(n int) Config {
 		L2Sets: 8192, L2Ways: 16,
 		L1Latency: 3, L2Latency: 12, MemLatency: 100,
 	}
+}
+
+// Validate reports whether cfg's set counts are powers of two, as New
+// requires: a block's set is its low bits.
+func (c Config) Validate() error {
+	for _, sets := range [...]int{c.L1Sets, c.L2Sets} {
+		if sets <= 0 || sets&(sets-1) != 0 {
+			return fmt.Errorf("cache: %d sets is not a power of two", sets)
+		}
+	}
+	return nil
 }
 
 // line is one cache line's bookkeeping.
@@ -98,6 +110,9 @@ type array struct {
 	// order, preserving the set-internal visit order of the per-set-slice
 	// representation this replaces.
 	used []int32
+	// mask is len(used)-1: set counts are powers of two, so a block's set
+	// is its low bits.
+	mask uint64
 	ways int
 	tick uint64
 }
@@ -132,11 +147,12 @@ func newArray(sets, ways int) *array {
 	return &array{
 		lines: getLines(sets * ways),
 		used:  make([]int32, sets),
+		mask:  uint64(sets - 1),
 		ways:  ways,
 	}
 }
 
-func (a *array) setOf(block uint64) int { return int(block % uint64(len(a.used))) }
+func (a *array) setOf(block uint64) int { return int(block & a.mask) }
 
 // set returns the populated portion of block's set.
 func (a *array) set(block uint64) []line {
@@ -234,8 +250,11 @@ type Hierarchy struct {
 	evBuf [1]uint64
 }
 
-// New builds a hierarchy.
+// New builds a hierarchy. It panics on a cfg that fails Validate.
 func New(cfg Config) *Hierarchy {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	h := &Hierarchy{cfg: cfg, l2: newArray(cfg.L2Sets, cfg.L2Ways)}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, newArray(cfg.L1Sets, cfg.L1Ways))
@@ -262,6 +281,7 @@ func (a *array) clone() *array {
 	c := &array{
 		lines: getLines(len(a.lines)),
 		used:  append([]int32(nil), a.used...),
+		mask:  a.mask,
 		ways:  a.ways,
 		tick:  a.tick,
 	}

@@ -9,7 +9,7 @@
 //
 // The hot loop is allocation-free: NewProgram pre-decodes every instruction
 // into a dense dispatch form (branch targets and callees resolved to
-// indices/pointers, no map lookups in Step), and frames, register files, and
+// indices/pointers, no map lookups in Exec), and frames, register files, and
 // checkpoints are pooled per thread so calls and Capture/Restore reuse
 // storage across transaction attempts.
 package interp
@@ -65,7 +65,7 @@ type Env interface {
 }
 
 // dinstr is one pre-decoded instruction: branch targets resolved to block
-// indices, callees and globals to side-table indices, so Step dispatches
+// indices, callees and globals to side-table indices, so Exec dispatches
 // with array indexing only. The struct is kept to 32 bytes (half a cache
 // line) — per-op cold payloads (call sites, parallel sites, profile IDs)
 // live in dfunc side tables reached through aux.
@@ -118,7 +118,7 @@ type Program struct {
 	globalsLaid bool
 	// counts, when non-nil, accumulates per-instruction execution counts
 	// indexed by instruction ID — the simulator's profiling hook. A dense
-	// slice (IDs are module-sequential), so the per-Step overhead when
+	// slice (IDs are module-sequential), so the per-instruction overhead when
 	// enabled is one bounds-checked increment; nil costs one branch.
 	counts []uint64
 	maxID  int
@@ -455,189 +455,180 @@ var localOp = [256]bool{
 	ir.OpBr: true, ir.OpCondBr: true, ir.OpRand: true,
 }
 
-// RunLocal steps t through up to max consecutive thread-local instructions
-// (Const, Mov, Bin, Cmp, Alloca, GlobalAddr, Call, Ret, Br, CondBr, Rand)
-// and returns how many it executed. It stops before the first instruction
-// of any other kind and when the thread finishes. Env sees only StackAlloc
-// and StackRelease calls for the thread's own stack.
-func (p *Program) RunLocal(env Env, t *Thread, max int) int {
-	n := 0
-	for n < max && !t.Done {
-		f := t.Frames[len(t.Frames)-1]
-		if !localOp[f.code[f.PC].op] {
-			break
-		}
-		p.Step(env, t)
-		n++
-	}
-	return n
-}
-
-// Step executes one instruction of t against env. It returns true if the
-// instruction completed (PC advanced or control transferred), false if the
-// thread stalled or aborted-and-rolled-back (no forward progress).
-// Stepping a Done thread is a no-op returning false.
-func (p *Program) Step(env Env, t *Thread) bool {
+// Exec executes t's next instruction, whatever its op, then continues
+// through the thread-local instructions that follow (see localOp) until the
+// next instruction of any other kind, the thread's completion, or n == max.
+// It returns how many instructions it executed and whether the last one
+// completed (PC advanced or control transferred) rather than stalled or
+// aborted: a first instruction that stalled or aborted returns (1, false)
+// with the PC where it was, and a Done thread (0, false).
+//
+// After the first instruction Env sees only StackAlloc and StackRelease
+// calls for the thread's own stack. The active frame's code, registers and
+// PC live in locals, reloaded at Call and Ret and written back on return. A
+// shared-state instruction only ever runs first, while the frame's PC is
+// still its own, so Capture and Restore see the frames a single step would.
+func (p *Program) Exec(env Env, t *Thread, max int) (n int, ok bool) {
 	if t.Done {
-		return false
+		return 0, false
 	}
 	f := t.Frames[len(t.Frames)-1]
-	in := &f.code[f.PC]
-	if p.counts != nil {
-		p.counts[f.df.ids[f.Block][f.PC]]++
-	}
-
-	switch in.op {
-	case ir.OpConst:
-		f.Regs[in.dst] = in.imm
-		f.PC++
-	case ir.OpMov:
-		f.Regs[in.dst] = f.Regs[in.a]
-		f.PC++
-	case ir.OpBin:
-		// The common arithmetic kinds are open-coded: ir.EvalBin contains a
-		// panic and is not inlinable, and this is the hottest ALU path.
-		a, b := f.Regs[in.a], f.Regs[in.b]
-		switch in.bin {
-		case ir.BinAdd:
-			f.Regs[in.dst] = a + b
-		case ir.BinSub:
-			f.Regs[in.dst] = a - b
-		case ir.BinMul:
-			f.Regs[in.dst] = a * b
-		default:
-			f.Regs[in.dst] = ir.EvalBin(in.bin, a, b)
+	code, regs, pc := f.code, f.Regs, f.PC
+	for {
+		in := &code[pc]
+		if p.counts != nil {
+			p.counts[f.df.ids[f.Block][pc]]++
 		}
-		f.PC++
-	case ir.OpCmp:
-		if ir.EvalCmp(in.pred, f.Regs[in.a], f.Regs[in.b]) {
-			f.Regs[in.dst] = 1
-		} else {
-			f.Regs[in.dst] = 0
-		}
-		f.PC++
-	case ir.OpLoad:
-		v, ctrl := env.Load(t, mem.Addr(f.Regs[in.a]+in.imm), in.safe)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.Regs[in.dst] = v
-		f.PC++
-	case ir.OpStore:
-		ctrl := env.Store(t, mem.Addr(f.Regs[in.a]+in.imm), f.Regs[in.b], in.safe)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpAlloca:
-		// imm is pre-scaled to bytes by the decoder.
-		f.Regs[in.dst] = int64(f.StackBase) + in.imm
-		f.PC++
-	case ir.OpGlobalAddr:
-		if !p.globalsLaid {
-			panic(fmt.Sprintf("interp: global %v not laid out", f.Fn.Blocks[f.Block].Instrs[f.PC]))
-		}
-		f.Regs[in.dst] = int64(p.globalAddrs[in.aux])
-		f.PC++
-	case ir.OpMalloc:
-		f.Regs[in.dst] = int64(env.Malloc(t, f.Regs[in.a]))
-		f.PC++
-	case ir.OpFree:
-		env.Free(t, mem.Addr(f.Regs[in.a]), f.Regs[in.b])
-		f.PC++
-	case ir.OpCall:
-		cs := &f.df.calls[in.aux]
-		callee := cs.callee
-		base := env.StackAlloc(t, callee.fn.AllocaWords)
-		nf := t.takeFrame(callee.fn.NumRegs)
-		nf.Fn = callee.fn
-		nf.df = callee
-		nf.Block = 0
-		nf.PC = 0
-		nf.code = callee.blocks[0]
-		nf.StackBase = base
-		nf.RetReg = in.dst
-		for i, arg := range cs.args {
-			nf.Regs[callee.fn.Params[i]] = f.Regs[arg]
-		}
-		f.PC++ // caller resumes after the call
-		t.Frames = append(t.Frames, nf)
-	case ir.OpRet:
-		var ret int64
-		if in.a != ir.NoReg {
-			ret = f.Regs[in.a]
-		}
-		retReg := f.RetReg
-		env.StackRelease(t, f.StackBase)
-		t.Frames[len(t.Frames)-1] = nil
-		t.Frames = t.Frames[:len(t.Frames)-1]
-		t.releaseFrame(f)
-		if len(t.Frames) == 0 {
-			t.Done = true
-			return true
-		}
-		if retReg != ir.NoReg {
-			t.Frames[len(t.Frames)-1].Regs[retReg] = ret
-		}
-	case ir.OpBr:
-		f.Block = int(in.aux)
-		f.code = f.df.blocks[f.Block]
-		f.PC = 0
-	case ir.OpCondBr:
-		if f.Regs[in.a] != 0 {
+		n++
+		switch in.op {
+		case ir.OpConst:
+			regs[in.dst] = in.imm
+			pc++
+		case ir.OpMov:
+			regs[in.dst] = regs[in.a]
+			pc++
+		case ir.OpBin:
+			// The common arithmetic kinds are open-coded: ir.EvalBin contains
+			// a panic and is not inlinable, and this is the hottest ALU path.
+			a, b := regs[in.a], regs[in.b]
+			switch in.bin {
+			case ir.BinAdd:
+				regs[in.dst] = a + b
+			case ir.BinSub:
+				regs[in.dst] = a - b
+			case ir.BinMul:
+				regs[in.dst] = a * b
+			default:
+				regs[in.dst] = ir.EvalBin(in.bin, a, b)
+			}
+			pc++
+		case ir.OpCmp:
+			if ir.EvalCmp(in.pred, regs[in.a], regs[in.b]) {
+				regs[in.dst] = 1
+			} else {
+				regs[in.dst] = 0
+			}
+			pc++
+		case ir.OpLoad:
+			v, ctrl := env.Load(t, mem.Addr(regs[in.a]+in.imm), in.safe)
+			if ctrl != CtrlOK {
+				return n, false
+			}
+			regs[in.dst] = v
+			pc++
+		case ir.OpStore:
+			if env.Store(t, mem.Addr(regs[in.a]+in.imm), regs[in.b], in.safe) != CtrlOK {
+				return n, false
+			}
+			pc++
+		case ir.OpAlloca:
+			// imm is pre-scaled to bytes by the decoder.
+			regs[in.dst] = int64(f.StackBase) + in.imm
+			pc++
+		case ir.OpGlobalAddr:
+			if !p.globalsLaid {
+				panic(fmt.Sprintf("interp: global %v not laid out", f.Fn.Blocks[f.Block].Instrs[pc]))
+			}
+			regs[in.dst] = int64(p.globalAddrs[in.aux])
+			pc++
+		case ir.OpMalloc:
+			regs[in.dst] = int64(env.Malloc(t, regs[in.a]))
+			pc++
+		case ir.OpFree:
+			env.Free(t, mem.Addr(regs[in.a]), regs[in.b])
+			pc++
+		case ir.OpCall:
+			cs := &f.df.calls[in.aux]
+			callee := cs.callee
+			base := env.StackAlloc(t, callee.fn.AllocaWords)
+			nf := t.takeFrame(callee.fn.NumRegs)
+			nf.Fn, nf.df, nf.Block, nf.PC, nf.code = callee.fn, callee, 0, 0, callee.blocks[0]
+			nf.StackBase = base
+			nf.RetReg = in.dst
+			for i, arg := range cs.args {
+				nf.Regs[callee.fn.Params[i]] = regs[arg]
+			}
+			f.PC = pc + 1 // caller resumes after the call
+			t.Frames = append(t.Frames, nf)
+			f, code, regs, pc = nf, nf.code, nf.Regs, 0
+		case ir.OpRet:
+			var ret int64
+			if in.a != ir.NoReg {
+				ret = regs[in.a]
+			}
+			retReg := f.RetReg
+			env.StackRelease(t, f.StackBase)
+			t.Frames[len(t.Frames)-1] = nil
+			t.Frames = t.Frames[:len(t.Frames)-1]
+			t.releaseFrame(f)
+			if len(t.Frames) == 0 {
+				t.Done = true
+				return n, true
+			}
+			f = t.Frames[len(t.Frames)-1]
+			code, regs, pc = f.code, f.Regs, f.PC
+			if retReg != ir.NoReg {
+				regs[retReg] = ret
+			}
+		case ir.OpBr:
 			f.Block = int(in.aux)
-		} else {
-			f.Block = int(in.imm) // else target rides in imm
+			f.code = f.df.blocks[f.Block]
+			code, pc = f.code, 0
+		case ir.OpCondBr:
+			if regs[in.a] != 0 {
+				f.Block = int(in.aux)
+			} else {
+				f.Block = int(in.imm) // else target rides in imm
+			}
+			f.code = f.df.blocks[f.Block]
+			code, pc = f.code, 0
+		case ir.OpTxBegin:
+			if env.TxBegin(t) != CtrlOK {
+				return n, false
+			}
+			pc++
+		case ir.OpTxEnd:
+			if env.TxEnd(t) != CtrlOK {
+				return n, false
+			}
+			pc++
+		case ir.OpTxSuspend:
+			if env.TxSuspend(t) != CtrlOK {
+				return n, false
+			}
+			pc++
+		case ir.OpTxResume:
+			if env.TxResume(t) != CtrlOK {
+				return n, false
+			}
+			pc++
+		case ir.OpParallel:
+			ps := &f.df.pars[in.aux]
+			if cap(t.parArgs) < len(ps.args) {
+				t.parArgs = make([]int64, len(ps.args))
+			}
+			args := t.parArgs[:len(ps.args)]
+			for i, a := range ps.args {
+				args[i] = regs[a]
+			}
+			if env.Parallel(t, regs[in.a], ps.sym, args) != CtrlOK {
+				return n, false
+			}
+			pc++
+		case ir.OpRand:
+			regs[in.dst] = t.randBounded(regs[in.a])
+			pc++
+		case ir.OpAbortHint:
+			if env.AbortHint(t, regs[in.a]) != CtrlOK {
+				return n, false
+			}
+			pc++
+		default:
+			panic(fmt.Sprintf("interp: unhandled op in %s: %v", f.Fn.Name, f.Fn.Blocks[f.Block].Instrs[pc]))
 		}
-		f.code = f.df.blocks[f.Block]
-		f.PC = 0
-	case ir.OpTxBegin:
-		ctrl := env.TxBegin(t)
-		if ctrl != CtrlOK {
-			return false
+		if n == max || !localOp[code[pc].op] {
+			f.PC = pc
+			return n, true
 		}
-		f.PC++
-	case ir.OpTxEnd:
-		ctrl := env.TxEnd(t)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpTxSuspend:
-		if env.TxSuspend(t) != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpTxResume:
-		if env.TxResume(t) != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpParallel:
-		ps := &f.df.pars[in.aux]
-		if cap(t.parArgs) < len(ps.args) {
-			t.parArgs = make([]int64, len(ps.args))
-		}
-		args := t.parArgs[:len(ps.args)]
-		for i, a := range ps.args {
-			args[i] = f.Regs[a]
-		}
-		ctrl := env.Parallel(t, f.Regs[in.a], ps.sym, args)
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	case ir.OpRand:
-		f.Regs[in.dst] = t.randBounded(f.Regs[in.a])
-		f.PC++
-	case ir.OpAbortHint:
-		ctrl := env.AbortHint(t, f.Regs[in.a])
-		if ctrl != CtrlOK {
-			return false
-		}
-		f.PC++
-	default:
-		panic(fmt.Sprintf("interp: unhandled op in %s: %v", f.Fn.Name, f.Fn.Blocks[f.Block].Instrs[f.PC]))
 	}
-	return true
 }

@@ -7,13 +7,24 @@ import (
 	"hintm/internal/mem"
 )
 
+// Step executes one instruction of t against env: Exec with max 1. It
+// returns true if the instruction completed (PC advanced or control
+// transferred), false if the thread stalled or aborted-and-rolled-back (no
+// forward progress). Stepping a Done thread is a no-op returning false.
+func (p *Program) Step(env Env, t *Thread) bool {
+	_, ok := p.Exec(env, t, 1)
+	return ok
+}
+
 // plainEnv executes directly against memory with no transactional effects —
 // the minimal Env for testing interpreter semantics.
 type plainEnv struct {
 	mem *mem.Memory
 	al  *mem.Allocator
-	// abortAtStore triggers one simulated abort+rollback on the nth store.
+	// abortAtStore triggers one simulated abort+rollback on the nth store;
+	// stallTx makes TxBegin stall.
 	abortAtStore int
+	stallTx      bool
 	storeCount   int
 	parallelDone bool
 	spawned      []*Thread
@@ -51,6 +62,9 @@ func (e *plainEnv) StackAlloc(t *Thread, words int64) mem.Addr {
 func (e *plainEnv) StackRelease(t *Thread, base mem.Addr) { e.al.StackRelease(t.ID, base) }
 
 func (e *plainEnv) TxBegin(t *Thread) Ctrl {
+	if e.stallTx {
+		return CtrlStall
+	}
 	t.Capture(e.al.StackTop(t.ID))
 	t.InTx = true
 	return CtrlOK
@@ -364,9 +378,11 @@ func TestStepDoneThreadNoop(t *testing.T) {
 	}
 }
 
-// RunLocal executes exactly the thread-local instructions up to the next
-// memory access, call boundaries included, and counts them.
-func TestRunLocalStopsAtSharedOps(t *testing.T) {
+// Exec executes its first instruction whatever the op, then exactly the
+// thread-local instructions up to the next shared one, call boundaries
+// included; it honours max, ends on the final Ret, and leaves the PC alone
+// when the first instruction stalls or aborts.
+func TestExecStopsAtSharedOps(t *testing.T) {
 	b := ir.NewBuilder("m")
 	b.Global("out", 1)
 	sq := b.Function("sq", 1)
@@ -375,6 +391,10 @@ func TestRunLocalStopsAtSharedOps(t *testing.T) {
 	g := f.GlobalAddr("out")
 	x := f.Call("sq", f.AddI(f.Rand(f.C(10)), 1))
 	f.Store(g, 0, x)
+	f.AddI(f.AddI(x, 1), 2)
+	f.TxBegin()
+	f.Store(g, 0, f.AddI(f.Load(g, 0), 1))
+	f.TxEnd()
 	f.RetVoid()
 
 	p, err := NewProgram(b.M)
@@ -385,34 +405,55 @@ func TestRunLocalStopsAtSharedOps(t *testing.T) {
 	mn := p.M.Func("main")
 	th := p.NewThread(0, "main", nil, env.al.StackAlloc(0, mn.AllocaWords*mem.WordSize), 7)
 
-	// main's instructions before the store, plus sq's body (Bin, Ret).
-	want := 0
-	for _, in := range mn.Blocks[0].Instrs {
-		if in.Op == ir.OpStore {
-			break
+	// at[op] lists the indices of op's instructions in main's only block.
+	at := map[ir.Op][]int{}
+	for i, in := range mn.Blocks[0].Instrs {
+		at[in.Op] = append(at[in.Op], i)
+	}
+	store1, store2 := at[ir.OpStore][0], at[ir.OpStore][1]
+	txBegin, load, txEnd := at[ir.OpTxBegin][0], at[ir.OpLoad][0], at[ir.OpTxEnd][0]
+	exec := func(max, wantN int, wantOK bool, wantNext ir.Op) {
+		t.Helper()
+		if n, ok := p.Exec(env, th, max); n != wantN || ok != wantOK {
+			t.Fatalf("Exec(max %d) = (%d, %v), want (%d, %v)", max, n, ok, wantN, wantOK)
 		}
-		want++
+		if op := th.NextOp(); op != wantNext {
+			t.Fatalf("stopped before %v, want %v", op, wantNext)
+		}
 	}
-	want += len(p.M.Func("sq").Blocks[0].Instrs)
-	if n := p.RunLocal(env, th, 1); n != 1 {
-		t.Fatalf("RunLocal(max 1) = %d", n)
+
+	// Locals only, into and out of sq (Bin, Ret), up to the first store.
+	exec(1, 1, true, ir.OpConst)
+	exec(100, store1+len(p.M.Func("sq").Blocks[0].Instrs)-1, true, ir.OpStore)
+	// A shared first instruction, then locals; max caps the run.
+	exec(2, 2, true, ir.OpBin)
+	exec(100, txBegin-store1-2, true, ir.OpTxBegin)
+	// A stalled first instruction does not move the PC.
+	env.stallTx = true
+	exec(100, 1, false, ir.OpTxBegin)
+	if pc := th.Top().PC; pc != txBegin {
+		t.Fatalf("PC after a stall = %d, want %d", pc, txBegin)
 	}
-	if n := p.RunLocal(env, th, 100); n != want-1 {
-		t.Fatalf("RunLocal = %d, want %d", n, want-1)
+	env.stallTx = false
+	exec(100, load-txBegin, true, ir.OpLoad)
+	exec(100, store2-load, true, ir.OpStore)
+	// An aborted first instruction leaves the PC at the restored TxBegin.
+	env.abortAtStore = env.storeCount + 1
+	exec(100, 1, false, ir.OpTxBegin)
+	if pc := th.Top().PC; pc != txBegin {
+		t.Fatalf("PC after an abort = %d, want %d", pc, txBegin)
 	}
-	if op := th.NextOp(); op != ir.OpStore {
-		t.Fatalf("stopped before %v, want the store", op)
+	exec(100, load-txBegin, true, ir.OpLoad)
+	exec(100, store2-load, true, ir.OpStore)
+	exec(100, txEnd-store2, true, ir.OpTxEnd)
+	// TxEnd, then the final Ret finishes the thread.
+	if n, ok := p.Exec(env, th, 100); n != 2 || !ok || !th.Done {
+		t.Fatalf("Exec over the final Ret = (%d, %v), done %v; want (2, true), done", n, ok, th.Done)
 	}
-	if n := p.RunLocal(env, th, 100); n != 0 {
-		t.Fatalf("RunLocal at a store = %d, want 0", n)
+	if n, ok := p.Exec(env, th, 100); n != 0 || ok {
+		t.Fatalf("Exec of a done thread = (%d, %v), want (0, false)", n, ok)
 	}
-	if !p.Step(env, th) {
-		t.Fatal("store did not complete")
-	}
-	if n := p.RunLocal(env, th, 100); n != 1 || !th.Done {
-		t.Fatalf("RunLocal over the final Ret = %d (done %v), want 1", n, th.Done)
-	}
-	if v := env.mem.ReadWord(p.GlobalAddr("out")); v < 1 || v > 100 {
-		t.Fatalf("out = %d, want a square in [1, 100]", v)
+	if v := env.mem.ReadWord(p.GlobalAddr("out")); v < 2 || v > 101 {
+		t.Fatalf("out = %d, want a square in [1, 100] plus one", v)
 	}
 }

@@ -35,7 +35,7 @@ type ThreadState struct {
 	frames []frameState
 }
 
-// NextOp returns the opcode the thread will execute at its next Step
+// NextOp returns the opcode the thread will execute at its next Exec
 // (ir.OpRet is returned for a Done thread, which cannot step). The prefix
 // boundary scan uses it to stop the machine *before* an instruction class
 // executes, so a resumed run re-executes the boundary instruction exactly

@@ -238,6 +238,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("sim: cache config is for %d cores, machine has %d",
 			c.Cache.Cores, c.Cores)
 	}
+	if err := c.Cache.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if c.MaxCycles < 0 || c.WatchdogCycles < 0 {
 		return fmt.Errorf("sim: negative cycle limit (max-cycles %d, watchdog %d)",
 			c.MaxCycles, c.WatchdogCycles)

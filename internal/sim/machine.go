@@ -157,10 +157,11 @@ type Machine struct {
 	lastProgress      uint64
 	lastProgressCycle int64
 
-	// runAhead enables run-ahead scheduling for this Run: off when the run
-	// carries a tracer, the fault engine or per-instruction profiling, all of
-	// which read other contexts' clocks or the global step count mid-run.
-	// noRunAhead forces it off (tests compare both schedules).
+	// runAhead enables run-ahead scheduling and main-thread batches for this
+	// run (batch): off when the run carries a tracer, the fault engine or
+	// per-instruction profiling, all of which read other contexts' clocks or
+	// the global step count mid-run. noRunAhead forces it off (tests compare
+	// both schedules).
 	runAhead, noRunAhead bool
 	// actClock and actID are the (clock, id) scheduling key of the
 	// instruction executing now; settle splits run-ahead against it.
@@ -364,55 +365,16 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	mainFn := m.prog.M.Func("main")
-	if mainFn == nil {
-		return nil, fmt.Errorf("sim: module has no main")
-	}
 	if !m.resumed {
 		// A machine forked from a prefix (prefix.go) arrives with globals laid
 		// out, the main thread mid-program, and its stack already allocated —
 		// redoing setup would corrupt the captured state.
-		m.prog.LayoutGlobals(m.alloc, m.memory)
-
-		mtid := m.mainTID()
-		base := m.alloc.StackAlloc(mtid, mainFn.AllocaWords*mem.WordSize)
-		m.mainThread = m.prog.NewThread(mtid, "main", nil, base, m.cfg.Seed)
-		m.byThread[mtid] = m.ctxs[0]
+		if err := m.startMain(); err != nil {
+			return nil, err
+		}
 	}
-
-	maxSteps := m.cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 2_000_000_000
-	}
-	m.stepCap = maxSteps
-	m.sampling = m.tracer != nil && m.cfg.SampleCycles > 0
-	m.runAhead = !m.noRunAhead && m.tracer == nil && m.faults == nil && !m.prog.Profiling()
-
-	for !m.mainThread.Done {
-		if m.res.Steps&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: cancelled after %d steps: %w", m.res.Steps, err)
-			}
-		}
-		if m.res.Steps >= m.stepCap {
-			// Steps counts run-ahead instructions a later abort may still
-			// roll back; only committed steps trip the cap. Past it, step
-			// singly (no run-ahead) and re-check after every step.
-			if m.res.Steps-m.aheadSteps() >= maxSteps {
-				return nil, fmt.Errorf("sim: exceeded %d steps (livelock?)", maxSteps)
-			}
-			m.stepCap = m.res.Steps + 1
-		}
-		if m.res.Steps&guardMask == 0 {
-			if err := m.checkGuards(); err != nil {
-				return nil, err
-			}
-		}
-		if m.parallel != nil && !m.parallel.finished {
-			m.stepWorkers()
-			continue
-		}
-		m.stepThread(m.ctxs[0], m.mainThread)
+	if err := m.runMain(ctx, false); err != nil {
+		return nil, err
 	}
 
 	m.res.Cycles = 0
@@ -429,6 +391,69 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 	return m.res, nil
 }
 
+// startMain lays out the globals and creates the main thread on context 0.
+func (m *Machine) startMain() error {
+	mainFn := m.prog.M.Func("main")
+	if mainFn == nil {
+		return fmt.Errorf("sim: module has no main")
+	}
+	m.prog.LayoutGlobals(m.alloc, m.memory)
+	mtid := m.mainTID()
+	base := m.alloc.StackAlloc(mtid, mainFn.AllocaWords*mem.WordSize)
+	m.mainThread = m.prog.NewThread(mtid, "main", nil, base, m.cfg.Seed)
+	m.byThread[mtid] = m.ctxs[0]
+	return nil
+}
+
+// runMain runs the main thread, and the workers of its parallel regions,
+// until main finishes or, with toPrefix, until main's next instruction is
+// the first OpTxBegin or OpParallel (the prefix boundary, see prefix.go).
+// Main runs in batches up to the guard grid like a worker pick, committed
+// at once: no other context runs while main does.
+func (m *Machine) runMain(ctx context.Context, toPrefix bool) error {
+	maxSteps := m.cfg.MaxSteps
+	if maxSteps <= 0 {
+		maxSteps = 2_000_000_000
+	}
+	m.stepCap = maxSteps
+	m.sampling = m.tracer != nil && m.cfg.SampleCycles > 0
+	m.runAhead = !m.noRunAhead && m.tracer == nil && m.faults == nil && !m.prog.Profiling()
+
+	for !m.mainThread.Done {
+		if m.res.Steps&ctxCheckMask == 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("sim: cancelled after %d steps: %w", m.res.Steps, err)
+			}
+		}
+		if m.res.Steps >= m.stepCap {
+			// Steps counts run-ahead instructions a later abort may still
+			// roll back; only committed steps trip the cap. Past it, step
+			// singly (no run-ahead) and re-check after every step.
+			if m.res.Steps-m.aheadSteps() >= maxSteps {
+				return fmt.Errorf("sim: exceeded %d steps (livelock?)", maxSteps)
+			}
+			m.stepCap = m.res.Steps + 1
+		}
+		if m.res.Steps&guardMask == 0 {
+			if err := m.checkGuards(); err != nil {
+				return err
+			}
+		}
+		if m.parallel != nil && !m.parallel.finished {
+			m.stepWorkers()
+			continue
+		}
+		if toPrefix {
+			if op := m.mainThread.NextOp(); op == ir.OpTxBegin || op == ir.OpParallel {
+				return nil
+			}
+		}
+		m.stepThread(m.ctxs[0], m.mainThread, m.batch())
+		m.ctxs[0].ahead = 0
+	}
+	return nil
+}
+
 // stepWorkers advances runnable worker contexts, always stepping the one
 // with the smallest clock (ties to the lowest context id). It runs until the
 // next guard-grid boundary (or the step cap, or the region's barrier), so
@@ -436,8 +461,8 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 // single-stepping while the scheduler stays out of the per-step call path.
 //
 // With run-ahead on, each instruction the pick executes as the scheduler's
-// choice is followed by its thread-local instructions (runLocal), even past
-// the runner-up's clock: they touch nothing another context can observe, so
+// choice is followed by its thread-local instructions (stepThread), even
+// past the runner-up's clock: they touch nothing another context can observe, so
 // the global order of shared-state instructions is unchanged. Only aborts
 // and shootdown charges act on another context; both settle it first.
 func (m *Machine) stepWorkers() {
@@ -464,18 +489,21 @@ func (m *Machine) stepWorkers() {
 		// best2 is the runner-up clock: every other runnable context sits at
 		// or above it, and clocks only move forward, so pick stays the unique
 		// minimum for as long as it remains strictly below best2.
+		// The scan has no data-dependent branches (min, max and a conditional
+		// move): lockstep clocks made them unpredictable.
 		best2 := int64(1<<63 - 1)
 		for i := 1; i < len(m.effCache); i++ {
-			if e := m.effCache[i]; e < best {
-				pickIdx, best2, best = i, best, e
-			} else if e < best2 {
-				best2 = e
+			e := m.effCache[i]
+			best2 = min(best2, max(best, e))
+			if e < best {
+				pickIdx = i
 			}
+			best = min(best, e)
 		}
 		m.bound = best2
 		for {
 			pick := m.runnable[pickIdx]
-			m.stepPick(pick)
+			m.stepThread(pick, pick.thread, m.batch())
 			e := pick.effectiveCycle()
 			m.effCache[pickIdx] = e
 			// Keep stepping pick while it is provably still the scheduler's
@@ -484,7 +512,7 @@ func (m *Machine) stepWorkers() {
 				m.res.Steps&guardMask != 0 &&
 				m.res.Steps < m.stepCap &&
 				e < m.bound {
-				m.stepPick(pick)
+				m.stepThread(pick, pick.thread, m.batch())
 				e = pick.effectiveCycle()
 				m.effCache[pickIdx] = e
 			}
@@ -534,36 +562,6 @@ func (m *Machine) syncEff(c *hwContext) {
 	}
 }
 
-// stepPick steps the scheduler's choice c, then lets it run ahead. Every
-// instruction c ran ahead started before its current clock, which is now the
-// minimum key: none of them can be rolled back any more.
-func (m *Machine) stepPick(c *hwContext) {
-	c.ahead = 0
-	m.stepThread(c, c.thread)
-	if m.runAhead {
-		m.runLocal(c)
-	}
-}
-
-// runLocal executes c's thread-local instructions that follow, up to the
-// next guard-grid boundary or the step cap, and records them as run ahead.
-func (m *Machine) runLocal(c *hwContext) {
-	if c.thread.Done || c.backoffUntil > c.cycle || m.res.Steps&guardMask == 0 {
-		return
-	}
-	limit := (m.res.Steps | guardMask) + 1 - m.res.Steps
-	if r := m.stepCap - m.res.Steps; r < limit {
-		limit = r
-	}
-	if limit <= 0 {
-		return
-	}
-	n := int64(m.prog.RunLocal(m, c.thread, int(limit)))
-	c.aheadFrom, c.ahead = c.cycle, n
-	c.cycle += n
-	m.res.Steps += n
-}
-
 // settle splits c's run-ahead against the acting instruction's key
 // (actClock, actID): the instructions that start before it in (clock, id)
 // order would have executed first under min-clock order, so they are
@@ -606,17 +604,37 @@ func (c *hwContext) committedCycle() int64 {
 	return c.cycle
 }
 
-func (m *Machine) stepThread(c *hwContext, t *interp.Thread) {
+// batch is how many instructions the next pick may execute: with
+// run-ahead, up to the next guard-grid boundary, capped by the step cap;
+// without, one.
+func (m *Machine) batch() int {
+	if !m.runAhead {
+		return 1
+	}
+	return int(min((m.res.Steps|guardMask)+1, m.stepCap) - m.res.Steps)
+}
+
+// stepThread executes c's next instruction as the scheduler's choice, then
+// up to max-1 of the thread-local instructions that follow (interp.Exec),
+// recorded as run ahead for settle to split. c's earlier run-ahead started
+// before its current clock, which is now the minimum key: none of it can be
+// rolled back any more, so it is committed first.
+func (m *Machine) stepThread(c *hwContext, t *interp.Thread, max int) {
 	if c.backoffUntil > c.cycle {
 		c.cycle = c.backoffUntil
 	}
 	m.actClock, m.actID = c.cycle, c.id
-	m.prog.Step(m, t)
+	c.ahead = 0
+	n, _ := m.prog.Exec(m, t, max)
 	c.cycle++ // base instruction cost
 	m.res.Steps++
 	if m.sampling && c.cycle >= m.nextSample {
 		m.sample(c.cycle)
 	}
+	ahead := int64(n - 1)
+	c.aheadFrom, c.ahead = c.cycle, ahead
+	c.cycle += ahead
+	m.res.Steps += ahead
 }
 
 // sample emits one periodic counter snapshot and schedules the next one on

@@ -7,8 +7,6 @@ import (
 
 	"hintm/internal/htm"
 	"hintm/internal/interp"
-	"hintm/internal/ir"
-	"hintm/internal/mem"
 	"hintm/internal/snap"
 )
 
@@ -98,11 +96,11 @@ func PrefixCompatible(prefix, run Config) error {
 	return nil
 }
 
-// RunToPrefix executes the warm-up: it steps the main thread exactly as Run
-// would — same clock charges, same cancellation and guard cadence — and
-// stops immediately BEFORE the first OpTxBegin or OpParallel, so the
-// boundary instruction itself is re-executed by every fork (and by nobody
-// during capture: stopping after it would charge its cycle twice). On
+// RunToPrefix executes the warm-up: it runs the main thread exactly as Run
+// would — the same loop, runMain — and stops immediately BEFORE the first
+// OpTxBegin or OpParallel, so the boundary instruction itself is
+// re-executed by every fork (and by nobody during capture: stopping after
+// it would charge its cycle twice). On
 // success the machine's components are MOVED into the returned Prefix and
 // the machine is dead; on error the machine is unchanged but should be
 // discarded. A program that completes without reaching a boundary returns
@@ -118,44 +116,16 @@ func (m *Machine) RunToPrefix(ctx context.Context) (*Prefix, error) {
 	if m.tracer != nil || m.faults != nil {
 		return nil, fmt.Errorf("sim: prefix capture needs an uninstrumented machine: %w", ErrNoPrefix)
 	}
-	mainFn := m.prog.M.Func("main")
-	if mainFn == nil {
-		return nil, fmt.Errorf("sim: module has no main")
+	if err := m.startMain(); err != nil {
+		return nil, err
 	}
-	m.prog.LayoutGlobals(m.alloc, m.memory)
-
-	mtid := m.mainTID()
-	base := m.alloc.StackAlloc(mtid, mainFn.AllocaWords*mem.WordSize)
-	m.mainThread = m.prog.NewThread(mtid, "main", nil, base, m.cfg.Seed)
-	m.byThread[mtid] = m.ctxs[0]
-
-	maxSteps := m.cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 2_000_000_000
+	if err := m.runMain(ctx, true); err != nil {
+		return nil, err
 	}
-	m.stepCap = maxSteps
-
-	for !m.mainThread.Done {
-		if m.res.Steps&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: cancelled after %d steps: %w", m.res.Steps, err)
-			}
-		}
-		if m.res.Steps >= maxSteps {
-			return nil, fmt.Errorf("sim: exceeded %d steps (livelock?)", maxSteps)
-		}
-		if m.res.Steps&guardMask == 0 {
-			if err := m.checkGuards(); err != nil {
-				return nil, err
-			}
-		}
-		switch m.mainThread.NextOp() {
-		case ir.OpTxBegin, ir.OpParallel:
-			return m.capturePrefix()
-		}
-		m.stepThread(m.ctxs[0], m.mainThread)
+	if m.mainThread.Done {
+		return nil, fmt.Errorf("sim: program finished without transactional work: %w", ErrNoPrefix)
 	}
-	return nil, fmt.Errorf("sim: program finished without transactional work: %w", ErrNoPrefix)
+	return m.capturePrefix()
 }
 
 // capturePrefix verifies the machine is quiescent at the boundary and moves

@@ -335,10 +335,10 @@ func TestResumedStepAllocsZero(t *testing.T) {
 	// Step through the boundary transaction into the cooldown loop (the
 	// first TxBegin draws its checkpoint from the pool).
 	for i := 0; i < 64 && !m.mainThread.Done; i++ {
-		m.stepThread(m.ctxs[0], m.mainThread)
+		m.stepThread(m.ctxs[0], m.mainThread, 1)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		m.stepThread(m.ctxs[0], m.mainThread)
+		m.stepThread(m.ctxs[0], m.mainThread, 1)
 	}); avg != 0 {
 		t.Errorf("resumed step allocates %.1f objects/step, want 0", avg)
 	}

@@ -137,16 +137,13 @@ func TestStepWorkersAllocsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.prog.LayoutGlobals(m.alloc, m.memory)
-	mainFn := m.prog.M.Func("main")
-	mtid := m.mainTID()
-	base := m.alloc.StackAlloc(mtid, mainFn.AllocaWords*mem.WordSize)
-	m.mainThread = m.prog.NewThread(mtid, "main", nil, base, m.cfg.Seed)
-	m.byThread[mtid] = m.ctxs[0]
+	if err := m.startMain(); err != nil {
+		t.Fatal(err)
+	}
 	m.stepCap = 1 << 62
 	m.runAhead = true
 	for m.parallel == nil {
-		m.stepThread(m.ctxs[0], m.mainThread)
+		m.stepThread(m.ctxs[0], m.mainThread, 1)
 	}
 	for i := 0; i < 64; i++ { // warm checkpoint and frame pools
 		m.stepWorkers()
@@ -160,5 +157,86 @@ func TestStepWorkersAllocsZero(t *testing.T) {
 	}
 	if len(m.runnable) != 8 {
 		t.Fatalf("%d workers runnable, want 8 — iteration bound too low", len(m.runnable))
+	}
+}
+
+// mainLoopModule: main alone updates a global iters times, with runs of
+// local arithmetic between the load and the store.
+func mainLoopModule(iters int64) *ir.Module {
+	b := ir.NewBuilder("mainloop")
+	b.Global("ctr", 1)
+	mn := b.Function("main", 0)
+	loop := mn.NewBlock("loop")
+	done := mn.NewBlock("done")
+	i := mn.C(0)
+	mn.Br(loop)
+	mn.SetBlock(loop)
+	g := mn.GlobalAddr("ctr")
+	v := mn.Load(g, 0)
+	mn.Store(g, 0, mn.AddI(mn.MulI(v, 3), 1))
+	mn.MovTo(i, mn.AddI(i, 1))
+	mn.CondBr(mn.Cmp(ir.CmpLT, i, mn.C(iters)), loop, done)
+	mn.SetBlock(done)
+	mn.RetVoid()
+	return b.M
+}
+
+// TestMainBatchAllocsZero pins the main thread's batched stepping: a batch
+// of main's instructions, committed at once as Run commits it, allocates
+// nothing.
+func TestMainBatchAllocsZero(t *testing.T) {
+	m, err := New(DefaultConfig(), mainLoopModule(1<<30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.startMain(); err != nil {
+		t.Fatal(err)
+	}
+	m.stepCap = 1 << 62
+	m.runAhead = true
+	batch := func() {
+		m.stepThread(m.ctxs[0], m.mainThread, m.batch())
+		m.ctxs[0].ahead = 0
+	}
+	for i := 0; i < 64; i++ { // warm: fault in the global's page
+		batch()
+	}
+	before := m.res.Steps
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, batch); n != 0 {
+		t.Errorf("a main-thread batch allocates %.1f objects", n)
+	}
+	// AllocsPerRun adds one warm-up call; a Load or Store starts every
+	// batch, and at least four local instructions follow each.
+	if steps := m.res.Steps - before; steps < 5*(runs+1) {
+		t.Errorf("%d batches ran only %d steps", runs+1, steps)
+	}
+	if m.mainThread.Done {
+		t.Fatal("main finished during the pin — iteration bound too low")
+	}
+}
+
+// TestMainBatchStepCapExact checks a main-thread batch is committed at
+// once: a run whose last batch straddles MaxSteps fails there, as single
+// stepping would, instead of slipping past the cap on uncommitted steps.
+func TestMainBatchStepCapExact(t *testing.T) {
+	run := func(maxSteps int64) (*Result, error) {
+		cfg := DefaultConfig()
+		cfg.MaxSteps = maxSteps
+		m, err := New(cfg, mainLoopModule(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Run(context.Background())
+	}
+	res, err := run(DefaultConfig().MaxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(res.Steps); err != nil {
+		t.Errorf("MaxSteps = own steps %d: %v", res.Steps, err)
+	}
+	if _, err := run(res.Steps - 1); err == nil {
+		t.Errorf("MaxSteps = own steps - 1 completed")
 	}
 }

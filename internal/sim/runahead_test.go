@@ -2,10 +2,15 @@ package sim_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hintm/internal/cache"
@@ -82,29 +87,65 @@ func runScheduled(t *testing.T, mod *ir.Module, cfg sim.Config, runAhead, profil
 	return m, js, &rep
 }
 
+// updateDigests rewrites testdata/result_digests.txt from the current
+// simulator. Regenerate only from a tree whose results are known good:
+//
+//	go test ./internal/sim -run TestRunAheadExact -update
+var updateDigests = flag.Bool("update", false, "rewrite testdata/result_digests.txt from the current simulator")
+
+const digestsPath = "testdata/result_digests.txt"
+
 // TestRunAheadExact pins run-ahead scheduling as exact: every workload under
-// every configuration yields byte-identical results with it on and off. Both
-// settle paths must fire somewhere in the set, so a settle that went wrong
-// would show.
+// every configuration, seeds 1 and 2, yields byte-identical results with it
+// on and off. Both settle paths must fire somewhere in the set, so a settle
+// that went wrong would show. The SHA-256 of each cell's Result JSON must
+// also match the committed digest, which catches a change that moves both
+// schedules alike.
 func TestRunAheadExact(t *testing.T) {
 	var aborts, charges uint64
-	for _, spec := range workloads.All() {
-		for _, c := range runAheadConfigs {
-			name := fmt.Sprintf("%s/%v/%v/smt%d", spec.Name, c.htm, c.hints, c.smt)
-			mod, cfg := runAheadCell(t, spec, c.htm, c.hints, c.smt)
-			_, ref, _ := runScheduled(t, mod, cfg, false, false)
-			m, got, _ := runScheduled(t, mod, cfg, true, false)
-			if string(got) != string(ref) {
-				t.Errorf("%s: run-ahead result differs:\n off: %s\n on:  %s", name, ref, got)
+	var lines []string
+	for _, seed := range []uint64{1, 2} {
+		for _, spec := range workloads.All() {
+			for _, c := range runAheadConfigs {
+				name := fmt.Sprintf("%s/%v/%v/smt%d/seed%d", spec.Name, c.htm, c.hints, c.smt, seed)
+				mod, cfg := runAheadCell(t, spec, c.htm, c.hints, c.smt)
+				cfg.Seed = seed
+				_, ref, _ := runScheduled(t, mod, cfg, false, false)
+				m, got, _ := runScheduled(t, mod, cfg, true, false)
+				if string(got) != string(ref) {
+					t.Errorf("%s: run-ahead result differs:\n off: %s\n on:  %s", name, ref, got)
+				}
+				a, ch := sim.Settles(m)
+				aborts += a
+				charges += ch
+				sum := sha256.Sum256(got)
+				lines = append(lines, name+" "+hex.EncodeToString(sum[:]))
 			}
-			a, ch := sim.Settles(m)
-			aborts += a
-			charges += ch
 		}
 	}
 	t.Logf("settles: %d abort rewinds, %d shootdown charges", aborts, charges)
 	if aborts == 0 || charges == 0 {
 		t.Errorf("settle paths not exercised: %d abort rewinds, %d shootdown charges", aborts, charges)
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *updateDigests {
+		if err := os.WriteFile(digestsPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(digestsPath)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Fatalf("%d committed digests, %d cells", len(wantLines), len(lines))
+	}
+	for i := range lines {
+		if lines[i] != wantLines[i] {
+			t.Errorf("result drift:\n got:  %s\n want: %s", lines[i], wantLines[i])
+		}
 	}
 }
 
@@ -133,6 +174,8 @@ func TestRunAheadSharingProfile(t *testing.T) {
 // capped at exactly its own cycle count completes, so a run-ahead clock an
 // abort later rolls back never trips the cycle cap. The step cap is exact:
 // a run needing S steps completes under MaxSteps = S and fails under S-1.
+// Compute-bound apps cover worker run-ahead; bayes and tpcc-no, whose main
+// thread makes many of the steps, cover main-thread batches.
 func TestRunAheadCapsExact(t *testing.T) {
 	run := func(mod *ir.Module, cfg sim.Config) (*sim.Result, error) {
 		m, err := sim.New(cfg, mod)
@@ -142,13 +185,21 @@ func TestRunAheadCapsExact(t *testing.T) {
 		defer m.Release()
 		return m.Run(context.Background())
 	}
-	for _, name := range []string{"kmeans", "labyrinth", "intruder", "genome"} {
-		spec, err := workloads.ByName(name)
+	all := []int{0, 1, 2, 3}
+	for _, cell := range []struct {
+		app  string
+		cfgs []int // indices into runAheadConfigs
+	}{
+		{"kmeans", all}, {"labyrinth", all}, {"intruder", all}, {"genome", all},
+		{"bayes", []int{1}}, {"tpcc-no", []int{1}},
+	} {
+		spec, err := workloads.ByName(cell.app)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range runAheadConfigs[:4] {
-			label := fmt.Sprintf("%s/%v/%v/smt%d", name, c.htm, c.hints, c.smt)
+		for _, ci := range cell.cfgs {
+			c := runAheadConfigs[ci]
+			label := fmt.Sprintf("%s/%v/%v/smt%d", cell.app, c.htm, c.hints, c.smt)
 			mod, cfg := runAheadCell(t, spec, c.htm, c.hints, c.smt)
 			res, err := run(mod, cfg)
 			if err != nil {

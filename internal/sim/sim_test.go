@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"hintm/internal/classify"
@@ -399,6 +400,17 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Cache.Cores = 4
 	if _, err := New(cfg, counterModule(1, 1)); err == nil {
 		t.Fatal("mismatched cache cores accepted")
+	}
+	// Cache sets are indexed by the block's low bits.
+	for _, set := range []func(*Config){
+		func(c *Config) { c.Cache.L1Sets = 48 },
+		func(c *Config) { c.Cache.L2Sets = 48 },
+	} {
+		cfg = DefaultConfig()
+		set(&cfg)
+		if _, err := New(cfg, counterModule(1, 1)); err == nil || !strings.Contains(err.Error(), "power of two") {
+			t.Errorf("48 cache sets: err = %v, want a power-of-two error", err)
+		}
 	}
 }
 
