@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff prefix-smoke parity trace-check serve-smoke fleet-smoke chaos-smoke hyp-smoke figures svg ablate export clean
+.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff bench-module-build parity trace-check serve-smoke fleet-smoke chaos-smoke hyp-smoke figures svg ablate export clean
 
 all: test
 
@@ -20,9 +20,9 @@ vet:
 # harness determinism tests double as the parallel-scheduler correctness
 # suite, and the server/fleet/loadgen packages exercise the admission
 # control and NDJSON stream ratchet under concurrent submissions. The
-# prefix twin-grid golden makes the harness package heavy under -race, so
-# the per-package timeout is raised: concurrent packages on a starved
-# single-CPU runner must wait it out, not flake.
+# worker-count twin grid and the seed-grid golden make the harness package
+# heavy under -race, so the per-package timeout is raised: concurrent
+# packages on a starved single-CPU runner must wait it out, not flake.
 race:
 	$(GO) test -race -timeout 1800s ./internal/harness/... ./internal/sim/... \
 		./internal/server/... ./internal/fleet/... ./internal/loadgen/... \
@@ -61,35 +61,31 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-smoke runs every benchmark exactly once with -benchmem, plus the
-# zero-allocation pin tests (testing.AllocsPerRun over the step loop, tracker
-# probe/insert, TLB hit, checkpoint capture/restore, and the snapshot-fork
-# paths: fork cost stays O(live state) and the resumed step loop stays
-# alloc-free) — the CI gate that the benchmark harness still works and the
-# hot paths stay alloc-free.
+# zero-allocation pin tests (testing.AllocsPerRun over the step loop, the
+# main-thread batch and worker scheduling loops, tracker probe/insert, TLB
+# hit, checkpoint capture/restore) — the CI gate that the benchmark harness
+# still works and the hot paths stay alloc-free.
 bench-smoke:
 	$(GO) test -run='Alloc' -bench=. -benchtime=1x -benchmem ./...
 
 # bench-diff re-runs the small-input benchmark trajectory and fails when a
 # headline metric regresses the committed BENCH_baseline.json beyond the
-# tolerance (default 5%), or when wall time regresses beyond the much wider
-# wall gate (10x tolerance, floor 50% — wall clocks are noisy, headline
-# metrics are not; figures whose baseline ran in under 50ms are store hits
-# and are not wall-gated). The simulator is seeded-deterministic, so an
-# unchanged
-# tree diffs exactly zero on the metrics; regenerate the baseline
-# deliberately with:
+# tolerance (default 5%), or when the whole run's wall time regresses beyond
+# the much wider wall gate (10x tolerance, floor 50% — wall clocks are
+# noisy, headline metrics are not). The simulator is seeded-deterministic,
+# so an unchanged tree diffs exactly zero on the metrics; regenerate the
+# baseline deliberately with:
 #   go run ./cmd/hintm-bench -scale small -large small -results BENCH_baseline.json all
 bench-diff:
 	$(GO) run ./cmd/hintm-bench -scale small -large small -results .bench-current.json all > /dev/null
 	$(GO) run ./cmd/hintm-bench benchdiff BENCH_baseline.json .bench-current.json
 	rm -f .bench-current.json
 
-# prefix-smoke runs the full small-scale figure grid twice — warm-up prefix
-# sharing off, then on — and asserts the two stores are byte-identical,
-# object file for object file, and that the shared pass actually forked a
-# minimum number of runs from snapshots (MIN_SHARED, default 50).
-prefix-smoke:
-	./scripts/prefix-smoke.sh
+# bench-module-build builds and vets the benchmark module (benchmark/, its
+# own go.mod) without writing a binary, so a harness API change cannot
+# break it unnoticed.
+bench-module-build:
+	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # parity builds hintm-sim at REV and at the working tree and requires
 # byte-identical output over every workload × six HTM configurations at

@@ -274,44 +274,6 @@ func (h *Hierarchy) Release() {
 	}
 }
 
-// clone deep-copies an array. The line backing comes from the recycle pool
-// (one memcpy regardless of geometry), so cloning costs no more allocations
-// than building a fresh array.
-func (a *array) clone() *array {
-	c := &array{
-		lines: getLines(len(a.lines)),
-		used:  append([]int32(nil), a.used...),
-		mask:  a.mask,
-		ways:  a.ways,
-		tick:  a.tick,
-	}
-	// Copy only each set's populated prefix: no reader ever looks past
-	// used[s], so the recycled backing's stale slots can stay. A snapshot
-	// taken at a warm-up boundary leaves the paper's 8192-set L2 almost
-	// empty, and cloning must cost O(live lines), not O(geometry) — a full
-	// backing copy was the dominant cost of forking a machine.
-	for s, u := range a.used {
-		if u != 0 {
-			base := s * a.ways
-			copy(c.lines[base:base+int(u)], a.lines[base:base+int(u)])
-		}
-	}
-	return c
-}
-
-// Clone returns an independent deep copy of the hierarchy: every L1, the
-// shared L2 (line contents, LRU clocks, per-set occupancy), and the event
-// counters. Accesses through either hierarchy never disturb the other. Safe
-// to call concurrently on the same receiver as long as nothing mutates it —
-// the regime the snapshot/fork subsystem runs it in.
-func (h *Hierarchy) Clone() *Hierarchy {
-	c := &Hierarchy{cfg: h.cfg, l2: h.l2.clone(), stats: h.stats}
-	for _, a := range h.l1 {
-		c.l1 = append(c.l1, a.clone())
-	}
-	return c
-}
-
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 

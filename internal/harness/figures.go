@@ -678,11 +678,10 @@ func (r *Runner) RenderAll(ctx context.Context, w io.Writer) error {
 }
 
 // renderRunSummary appends the per-figure production breakdown to every
-// full render: how each figure's simulations were obtained (full cold runs,
-// content-addressed store recalls, prefix-forked resumes) plus the shared
-// warm-ups executed and the wall time spent forking snapshots. Shared runs
-// attribute to the first figure that needed them, so later figures showing
-// zeros means the memoization is working, not that they rendered for free.
+// full render: how each figure's simulations were obtained (full cold runs
+// or content-addressed store recalls). Shared runs attribute to the first
+// figure that needed them, so later figures showing zeros means the
+// memoization is working, not that they rendered for free.
 // RenderRunSummary is the single-figure entry point to the same table:
 // callers that render one figure directly (hintm-bench fig4 etc.) pass the
 // figure name and the stats span their render consumed.
@@ -692,24 +691,15 @@ func (r *Runner) RenderRunSummary(w io.Writer, name string, span RunStats) {
 
 func (r *Runner) renderRunSummary(w io.Writer, names []string, spans []RunStats) {
 	fmt.Fprint(w, Title("Run summary: how each figure's simulations were produced"))
-	// Fork wall time is deliberately absent here: stdout must stay
-	// byte-identical across worker counts and sharing modes aside, and a
-	// wall clock never is. It lives in BENCH_results.json (forkWallNanos),
-	// where bench-diff gates it with a tolerance.
-	tb := stats.NewTable("figure", "cold", "store-hit", "prefix-forked", "prefix-runs", "shared-cycles")
+	tb := stats.NewTable("figure", "cold", "store-hit")
 	var total RunStats
 	for i, name := range names {
 		d := spans[i]
-		tb.Row(name, d.ColdRuns(), d.StoreHits, d.ForkedRuns, d.PrefixRuns, d.SharedCycles)
+		tb.Row(name, d.SimRuns, d.StoreHits)
 		total.SimRuns += d.SimRuns
 		total.StoreHits += d.StoreHits
-		total.PrefixRuns += d.PrefixRuns
-		total.ForkedRuns += d.ForkedRuns
-		total.ForkSeconds += d.ForkSeconds
-		total.SharedCycles += d.SharedCycles
 	}
-	tb.Row("TOTAL", total.ColdRuns(), total.StoreHits, total.ForkedRuns, total.PrefixRuns,
-		total.SharedCycles)
+	tb.Row("TOTAL", total.SimRuns, total.StoreHits)
 	tb.Render(w)
 }
 

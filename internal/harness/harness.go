@@ -57,16 +57,6 @@ type Options struct {
 	// SampleCycles is the counter-sample period for traced runs
 	// (0 = a 10000-cycle default; only meaningful with TraceDir set).
 	SampleCycles int64
-	// NoPrefixShare disables grid-level warm-up prefix sharing. By default,
-	// when RunAll receives several requests that differ only in parameters
-	// that cannot influence execution before the first transaction or
-	// parallel region (HTM kind, static hints, signature sizing), the
-	// scheduler simulates their common warm-up once, snapshots the machine,
-	// and forks every sibling from the snapshot — byte-identical to cold
-	// runs, pinned by TestPrefixTwinGrid. Sharing is automatically off for
-	// traced (TraceDir) and fault-injected runs, whose per-access
-	// instrumentation makes the warm-up configuration-dependent.
-	NoPrefixShare bool
 	// Store, when non-nil, is the content-addressed result store the
 	// scheduler consults before simulating and persists into afterwards:
 	// a warm store turns figure regeneration into a pure, byte-identical
@@ -97,80 +87,53 @@ type Runner struct {
 	// simulation.
 	sem chan struct{}
 
-	// execs counts actual result-producing simulator invocations — cold
-	// full runs plus prefix-forked resumes; store hits, memoized recalls,
-	// and prefix warm-up runs are excluded — so the "warm serve runs
+	// execs counts actual result-producing simulator invocations; store
+	// hits and memoized recalls are excluded, so the "warm serve runs
 	// nothing" assertions and the per-cell accounting both stay exact.
 	execs atomic.Uint64
-	// simCycles totals the simulated cycles actually executed: cold runs
-	// contribute their full clock, forked resumes only their post-boundary
-	// suffix, and each shared prefix contributes its warm-up exactly once —
-	// so the BENCH_results.json simulated-cycles-per-second headline never
-	// double-counts shared work.
+	// simCycles totals the simulated cycles of those invocations, the
+	// numerator of the BENCH_results.json simulated-cycles-per-second
+	// headline.
 	simCycles atomic.Uint64
-	// Prefix-sharing and store-reuse accounting (see prefix.go; the
-	// BENCH_results.json v3 breakdown and the RenderAll run summary read
-	// these through Stats).
-	storeHits  atomic.Uint64
-	prefixRuns atomic.Uint64
-	forkedRuns atomic.Uint64
-	forkNanos  atomic.Int64
-	// sharedCycles totals the simulated cycles forked resumes inherited from
-	// their snapshot instead of re-executing — the work prefix sharing
-	// actually eliminated, in simulated time. A cold scheduler would have
-	// executed simCycles + sharedCycles - (each warm-up once).
-	sharedCycles atomic.Uint64
+	// storeHits counts requests answered from the content-addressed store
+	// (the RenderAll run summary reads it through Stats).
+	storeHits atomic.Uint64
 
-	mu       sync.Mutex
-	mods     map[moduleKey]*flight[*ir.Module]
-	runs     map[Request]*flight[cell]
-	prefixes map[string]*prefixFlight
+	mu   sync.Mutex
+	mods map[moduleKey]*flight[*ir.Module]
+	runs map[Request]*flight[cell]
 }
 
 // RunStats is a point-in-time snapshot of the runner's execution counters.
 // Differences of two snapshots attribute work to a span of calls (RenderAll
 // and BenchResults use that for their per-figure breakdowns).
 type RunStats struct {
-	// SimRuns counts result-producing simulations (cold + prefix-forked);
-	// StoreHits counts requests answered from the content-addressed store.
+	// SimRuns counts simulations executed; StoreHits counts requests
+	// answered from the content-addressed store.
 	SimRuns   uint64
 	StoreHits uint64
-	// PrefixRuns counts shared warm-ups executed; ForkedRuns the
-	// simulations resumed from a snapshot; ForkSeconds the wall time spent
-	// deep-cloning snapshots into forks.
-	PrefixRuns  uint64
-	ForkedRuns  uint64
-	ForkSeconds float64
-	// SharedCycles is the simulated-cycle total forked resumes inherited
-	// from their snapshots instead of re-executing.
+
+	// PrefixRuns, ForkedRuns, ForkSeconds and SharedCycles are always zero,
+	// and ColdRuns always equals SimRuns. They exist only so the benchmark
+	// module, which still reads them, compiles; the change that next edits
+	// that module removes them.
+	PrefixRuns   uint64
+	ForkedRuns   uint64
+	ForkSeconds  float64
 	SharedCycles uint64
 }
 
-// ColdRuns is the number of simulations that ran from scratch.
-func (s RunStats) ColdRuns() uint64 { return s.SimRuns - s.ForkedRuns }
+// ColdRuns returns SimRuns; see the note on RunStats.PrefixRuns.
+func (s RunStats) ColdRuns() uint64 { return s.SimRuns }
 
 // Sub returns the counter deltas s - o (s taken after o).
 func (s RunStats) Sub(o RunStats) RunStats {
-	return RunStats{
-		SimRuns:      s.SimRuns - o.SimRuns,
-		StoreHits:    s.StoreHits - o.StoreHits,
-		PrefixRuns:   s.PrefixRuns - o.PrefixRuns,
-		ForkedRuns:   s.ForkedRuns - o.ForkedRuns,
-		ForkSeconds:  s.ForkSeconds - o.ForkSeconds,
-		SharedCycles: s.SharedCycles - o.SharedCycles,
-	}
+	return RunStats{SimRuns: s.SimRuns - o.SimRuns, StoreHits: s.StoreHits - o.StoreHits}
 }
 
 // Stats snapshots the runner's execution counters.
 func (r *Runner) Stats() RunStats {
-	return RunStats{
-		SimRuns:      r.execs.Load(),
-		StoreHits:    r.storeHits.Load(),
-		PrefixRuns:   r.prefixRuns.Load(),
-		ForkedRuns:   r.forkedRuns.Load(),
-		ForkSeconds:  float64(r.forkNanos.Load()) / 1e9,
-		SharedCycles: r.sharedCycles.Load(),
-	}
+	return RunStats{SimRuns: r.execs.Load(), StoreHits: r.storeHits.Load()}
 }
 
 // SimRuns reports how many simulator invocations the runner has performed
@@ -184,11 +147,10 @@ func NewRunner(opts Options) *Runner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		opts:     opts,
-		sem:      make(chan struct{}, workers),
-		mods:     make(map[moduleKey]*flight[*ir.Module]),
-		runs:     make(map[Request]*flight[cell]),
-		prefixes: make(map[string]*prefixFlight),
+		opts: opts,
+		sem:  make(chan struct{}, workers),
+		mods: make(map[moduleKey]*flight[*ir.Module]),
+		runs: make(map[Request]*flight[cell]),
 	}
 }
 

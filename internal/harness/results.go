@@ -4,18 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"time"
 )
 
 // BenchResultsSchema versions the BENCH_results.json layout; bump it when a
 // field changes meaning so downstream tooling can detect stale files.
 // v2 added per-figure wall time and whole-run simulated-cycle throughput;
-// v3 added the run-production breakdown (cold / store-hit / prefix-forked
-// counts and fork time) per figure and for the whole run. Older files
-// remain readable (the added fields decode as zero and the diff checks
-// skip them).
+// v3 added the run-production breakdown (cold / store-hit counts) per figure
+// and for the whole run; v4 dropped the per-figure wall time (the grid is
+// submitted up front, so it timed only a reduction) and the prefix-sharing
+// counters. Older files remain readable: removed fields are ignored, added
+// ones decode as zero and the diff checks skip zero baselines.
 const (
-	BenchResultsSchema   = "hintm-bench-results/v3"
+	BenchResultsSchema   = "hintm-bench-results/v4"
+	benchResultsSchemaV3 = "hintm-bench-results/v3"
 	benchResultsSchemaV2 = "hintm-bench-results/v2"
 	benchResultsSchemaV1 = "hintm-bench-results/v1"
 )
@@ -30,27 +31,14 @@ type FigureHeadline struct {
 	Rows   int `json:"rows"`
 	Failed int `json:"failed"`
 
-	// WallSeconds is this figure's wall-clock production time (v2). When the
-	// summary runs after the figures rendered, the memoized scheduler recalls
-	// every run and this measures a cheap reduction; standalone, it measures
-	// the figure's real simulation cost. Measurement metadata only — never
-	// part of the deterministic result bytes.
-	WallSeconds float64 `json:"wallSeconds,omitempty"`
-
-	// v3 production breakdown: how this figure's simulations were obtained
-	// while it rendered — full cold runs, content-addressed store recalls,
-	// and prefix-forked resumes — plus the wall time spent forking
-	// snapshots. Like WallSeconds these are deltas over the figure's span
-	// (≈0 when an earlier figure already ran the cells; shared runs
-	// attribute to the first figure that needed them) and are measurement
-	// metadata, never part of the deterministic result bytes.
-	ColdRuns     uint64  `json:"coldRuns,omitempty"`
-	StoreHits    uint64  `json:"storeHits,omitempty"`
-	PrefixShared uint64  `json:"prefixShared,omitempty"`
-	ForkSeconds  float64 `json:"forkSeconds,omitempty"`
-	// SharedCycles is the simulated-cycle total this figure's forked runs
-	// inherited from snapshots instead of re-executing.
-	SharedCycles uint64 `json:"sharedCycles,omitempty"`
+	// Production breakdown (v3): how this figure's simulations were obtained
+	// while it rendered — full cold runs and content-addressed store recalls.
+	// These are deltas over the figure's span (≈0 when an earlier figure
+	// already ran the cells: shared runs attribute to the first figure that
+	// needed them) and are measurement metadata, never part of the
+	// deterministic result bytes.
+	ColdRuns  uint64 `json:"coldRuns,omitempty"`
+	StoreHits uint64 `json:"storeHits,omitempty"`
 
 	// GeomeanSpeedup is the HinTM-full speedup geomean over the figure's
 	// baseline HTM; GeomeanSpeedupInf the InfCap upper bound.
@@ -89,18 +77,9 @@ type BenchResults struct {
 	SimCyclesPerSec float64 `json:"simCyclesPerSec,omitempty"`
 
 	// Whole-run production breakdown (v3): runner-global totals over every
-	// simulation this process performed — always meaningful even when
-	// figures share runs, and the counters bench-diff gates sharing on.
-	ColdRuns     uint64  `json:"coldRuns,omitempty"`
-	StoreHits    uint64  `json:"storeHits,omitempty"`
-	PrefixShared uint64  `json:"prefixShared,omitempty"`
-	ForkSeconds  float64 `json:"forkSeconds,omitempty"`
-	// SharedCycles is the simulated-cycle total forked runs inherited from
-	// snapshots rather than re-executing: a cold scheduler would have
-	// simulated SimCycles + SharedCycles - (each shared warm-up, which
-	// SimCycles already counts once) — the sharing win on the
-	// simulated-work axis.
-	SharedCycles uint64 `json:"sharedCycles,omitempty"`
+	// simulation this process performed.
+	ColdRuns  uint64 `json:"coldRuns,omitempty"`
+	StoreHits uint64 `json:"storeHits,omitempty"`
 
 	// Figures maps figure name → headline metrics.
 	Figures map[string]*FigureHeadline `json:"figures"`
@@ -121,13 +100,9 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 		Errors:     make(map[string]string),
 	}
 
-	// Per-figure wall times and production breakdowns are measurement
-	// metadata, not simulation state; the deterministic result bytes never
-	// see them.
-	var figStart time.Time
-	var figStats RunStats
-
-	figStart, figStats = time.Now(), r.Stats()
+	// Per-figure production breakdowns are measurement metadata, not
+	// simulation state; the deterministic result bytes never see them.
+	figStats := r.Stats()
 	if rows, err := r.Fig1(ctx); !out.note(ctx, "fig1", err) {
 		h := &FigureHeadline{}
 		var ct, srb []float64
@@ -140,18 +115,18 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 		}
 		h.MeanCapacityTime = mean(ct)
 		h.MeanSafeReadsBlock = mean(srb)
-		h.stamp(figStart, figStats, r.Stats())
+		h.stamp(figStats, r.Stats())
 		out.Figures["fig1"] = h
 	}
 
-	figStart, figStats = time.Now(), r.Stats()
+	figStats = r.Stats()
 	if rows, err := r.Fig4(ctx); !out.note(ctx, "fig4", err) {
 		h := sweepHeadline(rows)
-		h.stamp(figStart, figStats, r.Stats())
+		h.stamp(figStats, r.Stats())
 		out.Figures["fig4"] = h
 	}
 
-	figStart, figStats = time.Now(), r.Stats()
+	figStats = r.Stats()
 	if rows, err := r.Fig5(ctx); !out.note(ctx, "fig5", err) {
 		h := &FigureHeadline{}
 		var sf, df []float64
@@ -164,11 +139,11 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 		}
 		h.MeanStaticSafeFrac = mean(sf)
 		h.MeanDynSafeFrac = mean(df)
-		h.stamp(figStart, figStats, r.Stats())
+		h.stamp(figStats, r.Stats())
 		out.Figures["fig5"] = h
 	}
 
-	figStart, figStats = time.Now(), r.Stats()
+	figStats = r.Stats()
 	if series, err := r.Fig6(ctx); !out.note(ctx, "fig6", err) {
 		h := &FigureHeadline{}
 		var over []float64
@@ -179,11 +154,11 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 			}
 		}
 		h.MeanFracOverP8Full = mean(over)
-		h.stamp(figStart, figStats, r.Stats())
+		h.stamp(figStats, r.Stats())
 		out.Figures["fig6"] = h
 	}
 
-	figStart, figStats = time.Now(), r.Stats()
+	figStats = r.Stats()
 	if rows, err := r.Fig7(ctx); !out.note(ctx, "fig7", err) {
 		h := &FigureHeadline{}
 		var sp, si, cr []float64
@@ -200,11 +175,11 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 		h.GeomeanSpeedup = geomean(sp)
 		h.GeomeanSpeedupInf = geomean(si)
 		h.MeanCapAbortReduction = mean(cr)
-		h.stamp(figStart, figStats, r.Stats())
+		h.stamp(figStats, r.Stats())
 		out.Figures["fig7"] = h
 	}
 
-	figStart, figStats = time.Now(), r.Stats()
+	figStats = r.Stats()
 	if rows, err := r.Fig8(ctx); !out.note(ctx, "fig8", err) {
 		h := &FigureHeadline{}
 		var sp, si, cr []float64
@@ -221,7 +196,7 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 		h.GeomeanSpeedup = geomean(sp)
 		h.GeomeanSpeedupInf = geomean(si)
 		h.MeanCapAbortReduction = mean(cr)
-		h.stamp(figStart, figStats, r.Stats())
+		h.stamp(figStats, r.Stats())
 		out.Figures["fig8"] = h
 	}
 
@@ -233,24 +208,17 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 	}
 	out.SimCycles = r.simCycles.Load()
 	st := r.Stats()
-	out.ColdRuns = st.ColdRuns()
+	out.ColdRuns = st.SimRuns
 	out.StoreHits = st.StoreHits
-	out.PrefixShared = st.ForkedRuns
-	out.ForkSeconds = st.ForkSeconds
-	out.SharedCycles = st.SharedCycles
 	return out, nil
 }
 
-// stamp records the figure's wall time and production breakdown from the
-// runner counter deltas over its rendering span.
-func (h *FigureHeadline) stamp(figStart time.Time, before, after RunStats) {
-	h.WallSeconds = time.Since(figStart).Seconds()
+// stamp records the figure's production breakdown from the runner counter
+// deltas over its rendering span.
+func (h *FigureHeadline) stamp(before, after RunStats) {
 	d := after.Sub(before)
-	h.ColdRuns = d.ColdRuns()
+	h.ColdRuns = d.SimRuns
 	h.StoreHits = d.StoreHits
-	h.PrefixShared = d.ForkedRuns
-	h.ForkSeconds = d.ForkSeconds
-	h.SharedCycles = d.SharedCycles
 }
 
 // note records a figure failure; it reports whether the figure must be

@@ -128,10 +128,6 @@ func (r *Runner) Run(ctx context.Context, req Request) (*sim.Result, error) {
 // RequestError per distinct failure — so callers both get the partial
 // results and learn exactly which requests died.
 func (r *Runner) RunAll(ctx context.Context, reqs []Request) ([]*sim.Result, error) {
-	// Group the grid by shared warm-up prefix before anything runs, so
-	// sibling cells fork one captured snapshot instead of re-simulating
-	// their common setup (see prefix.go).
-	r.planPrefixes(reqs)
 	out := make([]*sim.Result, len(reqs))
 	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
@@ -189,8 +185,7 @@ func (r *Runner) report(req Request) *profile.Report {
 // a TraceDir, the run carries a tracer and its artifacts are finalized even
 // on failure — a livelocked run's trace is exactly the one worth reading.
 // A profiled request's run carries the sharing profiler, a passive observer
-// of worker accesses: the result is unchanged, and since workers only exist
-// past the warm-up boundary, a forked run's report equals a cold run's.
+// of worker accesses: the result is unchanged.
 func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 	var finish func(error) error
 	defer func() {
@@ -218,7 +213,7 @@ func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 	if finish, err = r.attachTrace(&cfg, req); err != nil {
 		return cell{}, err
 	}
-	m, prefixCycles, err := r.machineFor(ctx, spec, req, mod, cfg)
+	m, err := sim.New(cfg, mod)
 	if err != nil {
 		return cell{}, err
 	}
@@ -231,9 +226,7 @@ func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 	r.noteExec()
 	c.res, err = m.Run(ctx)
 	if c.res != nil {
-		// A forked run's prefix cycles were executed (and counted) once by
-		// the shared warm-up; only the suffix was simulated here.
-		r.simCycles.Add(uint64(c.res.Cycles - prefixCycles))
+		r.simCycles.Add(uint64(c.res.Cycles))
 	}
 	if prof != nil && err == nil {
 		rep := prof.Report()

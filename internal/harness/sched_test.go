@@ -1,14 +1,21 @@
 package harness
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"hintm/internal/sim"
+	"hintm/internal/store"
 	"hintm/internal/workloads"
 )
 
@@ -196,5 +203,207 @@ func TestProfiledCellRespectsContext(t *testing.T) {
 	}
 	if rep := r.report(q); rep == nil || rep.Pages == 0 {
 		t.Fatalf("live profiled run: report=%+v", rep)
+	}
+}
+
+// twinGrid is the grid TestPrefixTwinGrid runs at two worker counts: every
+// HTM kind, every hint mode, and a P8S signature sweep, over two workloads
+// and both SMT settings.
+func twinGrid() []Request {
+	var reqs []Request
+	for _, wl := range []string{"labyrinth", "vacation"} {
+		for _, smt := range []int{1, 2} {
+			for _, kind := range []sim.HTMKind{sim.HTMP8, sim.HTMP8S, sim.HTML1TM, sim.HTMInfCap, sim.HTMSTM} {
+				for _, hints := range []sim.HintMode{sim.HintNone, sim.HintStatic, sim.HintDynamic, sim.HintFull} {
+					reqs = append(reqs, Request{Workload: wl, Scale: workloads.Small, HTM: kind, Hints: hints, SMT: smt})
+				}
+			}
+			for _, bits := range []uint64{256, 4096} {
+				reqs = append(reqs, Request{Workload: wl, Scale: workloads.Small, HTM: sim.HTMP8S, Hints: sim.HintFull, SMT: smt, SigBits: bits})
+			}
+		}
+	}
+	return reqs
+}
+
+// storeLines canonicalizes a store's full contents as
+// "<key> <sha256(result)> <request preimage>" lines.
+func storeLines(t *testing.T, st *store.Store) []string {
+	t.Helper()
+	entries := st.List()
+	lines := make([]string, 0, len(entries))
+	for _, ie := range entries {
+		e, _, err := st.Get(ie.Key)
+		if err != nil || e == nil {
+			t.Fatalf("store entry %s unreadable: %v", ie.Key, err)
+		}
+		res := sha256.Sum256(e.Result)
+		lines = append(lines, fmt.Sprintf("%s %s %s", e.Key, hex.EncodeToString(res[:]), string(e.Request)))
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// TestPrefixTwinGrid is the grid-level byte-identity pin for the parallel
+// scheduler: the twin grid run with one worker and with two must persist
+// exactly the same store keys and result payloads, simulating each distinct
+// request once and sharing no warm-up prefix. Run under -race by the
+// Makefile's race target.
+func TestPrefixTwinGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full twin grid; skipped in -short mode")
+	}
+	reqs := twinGrid()
+	runGrid := func(workers int) []string {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := QuickOptions()
+		opts.Filter = []string{"labyrinth", "vacation"}
+		opts.Store = st
+		opts.Workers = workers
+		r := NewRunner(opts)
+		if _, err := r.RunAll(context.Background(), reqs); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if st := r.Stats(); st.SimRuns != uint64(len(reqs)) || st.PrefixRuns != 0 || st.ForkedRuns != 0 {
+			t.Fatalf("workers=%d: %+v, want %d cold sims", workers, st, len(reqs))
+		}
+		return storeLines(t, st)
+	}
+	serial, parallel := runGrid(1), runGrid(2)
+	if len(parallel) != len(serial) {
+		t.Fatalf("store sizes differ: 2 workers %d, 1 worker %d", len(parallel), len(serial))
+	}
+	for i := range serial {
+		if parallel[i] != serial[i] {
+			t.Errorf("store line %d differs:\n  1 worker:  %s\n  2 workers: %s", i, serial[i], parallel[i])
+		}
+	}
+}
+
+// TestProfiledForkMatchesCold pins the premise that lets Fig. 1's sharing
+// report ride the grid's own InfCap cell: for every Fig. 1 app, the InfCap
+// cell run as Fig. 1 submits it (paired with its P8 cell in one RunAll)
+// reports exactly what a lone cold Run reports, and the profiler, a passive
+// observer, leaves the result JSON byte-identical to an unprofiled run's.
+func TestProfiledForkMatchesCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every Fig. 1 app three ways; skipped in -short mode")
+	}
+	ctx := context.Background()
+	cold := NewRunner(QuickOptions())
+	paired := NewRunner(QuickOptions())
+	for _, spec := range workloads.All() {
+		p8 := req(spec.Name, workloads.Small, sim.HTMP8, sim.HintNone)
+		inf := req(spec.Name, workloads.Small, sim.HTMInfCap, sim.HintNone)
+
+		before := paired.Stats()
+		out, err := paired.RunAll(ctx, []Request{p8, inf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := paired.Stats().Sub(before); d.SimRuns != 2 || d.ForkedRuns != 0 {
+			t.Fatalf("%s: Fig. 1 pair: %+v, want 2 cold sims", spec.Name, d)
+		}
+		coldRes, err := cold.Run(ctx, inf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := cold.runConfig(ctx, spec, workloads.Small, cold.configFor(spec, inf))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		pairRep, coldRep := paired.report(inf), cold.report(inf)
+		if pairRep == nil || coldRep == nil {
+			t.Fatalf("%s: missing report: paired %v, cold %v", spec.Name, pairRep, coldRep)
+		}
+		if *pairRep != *coldRep {
+			t.Errorf("%s: paired report differs from cold:\npaired: %+v\ncold:   %+v", spec.Name, *pairRep, *coldRep)
+		}
+		want, _ := json.Marshal(plain)
+		for name, res := range map[string]*sim.Result{"paired": out[1], "cold": coldRes} {
+			if got, _ := json.Marshal(res); !bytes.Equal(got, want) {
+				t.Errorf("%s: %s profiled result JSON differs from the unprofiled run's", spec.Name, name)
+			}
+		}
+	}
+}
+
+// A lone Run simulates exactly once and plans no warm-up: the prefix
+// counters RunStats still carries stay zero.
+func TestSingleRunNeverSharesPrefix(t *testing.T) {
+	r := NewRunner(QuickOptions())
+	req := Request{Workload: "labyrinth", Scale: workloads.Small, HTM: sim.HTMP8, Hints: sim.HintNone}
+	if _, err := r.Run(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.PrefixRuns != 0 || st.ForkedRuns != 0 {
+		t.Fatalf("lone Run shared a prefix: %+v", st)
+	}
+	if st.SimRuns != 1 || st.ColdRuns() != 1 {
+		t.Fatalf("lone Run accounting: %+v", st)
+	}
+}
+
+// Re-submitting a completed grid must do no new work: every request is
+// already satisfied, so nothing is simulated or planned.
+func TestPrefixPlanningSkipsSatisfiedRequests(t *testing.T) {
+	r := NewRunner(QuickOptions())
+	ctx := context.Background()
+	grid := fig4Grid()
+	if _, err := r.RunAll(ctx, grid); err != nil {
+		t.Fatal(err)
+	}
+	first := r.Stats()
+	if first.SimRuns != uint64(len(grid)) {
+		t.Fatalf("first submission: %+v, want %d sims", first, len(grid))
+	}
+	if _, err := r.RunAll(ctx, grid); err != nil {
+		t.Fatal(err)
+	}
+	if second := r.Stats(); second != first {
+		t.Fatalf("re-submitted grid did new work: %+v -> %+v", first, second)
+	}
+}
+
+// Every run path is cold: a shareable grid through RunAll, and a figure
+// built on it, leave the prefix counters at zero and ColdRuns equal to
+// SimRuns.
+func TestPrefixSharingDisabledPaths(t *testing.T) {
+	ctx := context.Background()
+	r := NewRunner(QuickOptions())
+	if _, err := r.RunAll(ctx, fig4Grid()); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.PrefixRuns != 0 || st.ForkedRuns != 0 || st.ForkSeconds != 0 || st.SharedCycles != 0 {
+		t.Fatalf("grid runner shared: %+v", st)
+	}
+	if st.SimRuns != 8 || st.ColdRuns() != st.SimRuns {
+		t.Fatalf("cold grid: %+v, want 8 cold sims", st)
+	}
+
+	fig := quick("labyrinth")
+	if _, err := fig.Fig1(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := fig.Stats(); st.PrefixRuns != 0 || st.ForkedRuns != 0 || st.ColdRuns() != st.SimRuns {
+		t.Fatalf("Fig. 1 runner shared: %+v", st)
+	}
+}
+
+// TestFig1SimulatesOnlyItsCells: a cold Fig. 1 runs exactly its P8 and
+// InfCap cells; the sharing reports cost no separate run.
+func TestFig1SimulatesOnlyItsCells(t *testing.T) {
+	r := quick("labyrinth", "kmeans")
+	if _, err := r.Fig1(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.SimRuns != 4 {
+		t.Fatalf("Fig. 1 over 2 apps: %+v, want 4 simulations", st)
 	}
 }

@@ -128,17 +128,6 @@ func NewController(tr Tracker) *Controller {
 // Active reports whether a transaction is running.
 func (c *Controller) Active() bool { return c.active }
 
-// Quiescent reports that the controller holds no transactional state at
-// all: no open transaction, empty undo log and write buffer, nothing
-// tracked, no touched pages. The snapshot/fork subsystem asserts this at
-// prefix boundaries — a quiescent controller carries no information, so
-// forked machines rebuild fresh controllers from their own configuration
-// instead of cloning.
-func (c *Controller) Quiescent() bool {
-	return !c.active && len(c.undoLog) == 0 && c.writeBuf.N == 0 && c.touched.N == 0 &&
-		c.tracker.ReadSetSize() == 0 && c.tracker.WriteSetSize() == 0
-}
-
 // Begin opens a transaction. Panics if one is already open: the interpreter
 // guarantees non-nested TXs.
 func (c *Controller) Begin() {

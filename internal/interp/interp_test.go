@@ -378,6 +378,12 @@ func TestStepDoneThreadNoop(t *testing.T) {
 	}
 }
 
+// nextOp returns the opcode t executes at its next Exec.
+func nextOp(t *Thread) ir.Op {
+	f := t.Frames[len(t.Frames)-1]
+	return f.code[f.PC].op
+}
+
 // Exec executes its first instruction whatever the op, then exactly the
 // thread-local instructions up to the next shared one, call boundaries
 // included; it honours max, ends on the final Ret, and leaves the PC alone
@@ -417,7 +423,7 @@ func TestExecStopsAtSharedOps(t *testing.T) {
 		if n, ok := p.Exec(env, th, max); n != wantN || ok != wantOK {
 			t.Fatalf("Exec(max %d) = (%d, %v), want (%d, %v)", max, n, ok, wantN, wantOK)
 		}
-		if op := th.NextOp(); op != wantNext {
+		if op := nextOp(th); op != wantNext {
 			t.Fatalf("stopped before %v, want %v", op, wantNext)
 		}
 	}

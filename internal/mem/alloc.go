@@ -199,30 +199,6 @@ func (al *Allocator) StackTop(tid int) Addr {
 	return sp
 }
 
-// Clone returns an independent deep copy of the allocator: segment cursors,
-// every thread's arena (including its size-class free lists), and the stack
-// cursors. Allocations through either allocator never disturb the other, so
-// forked machines resuming from one snapshot carve identical addresses.
-func (al *Allocator) Clone() *Allocator {
-	c := &Allocator{
-		globalsNext: al.globalsNext,
-		heapNext:    al.heapNext,
-		arenas:      make(map[int]*arena, len(al.arenas)),
-		stackNext:   make(map[int]Addr, len(al.stackNext)),
-	}
-	for tid, ar := range al.arenas {
-		na := &arena{next: ar.next, end: ar.end, free: make(map[int64][]Addr, len(ar.free))}
-		for size, lst := range ar.free {
-			na.free[size] = append([]Addr(nil), lst...)
-		}
-		c.arenas[tid] = na
-	}
-	for tid, sp := range al.stackNext {
-		c.stackNext[tid] = sp
-	}
-	return c
-}
-
 // HeapBytes reports the total bytes carved from the heap segment so far.
 func (al *Allocator) HeapBytes() int64 { return int64(al.heapNext - HeapBase) }
 

@@ -27,10 +27,8 @@ type MetricDef struct {
 // Declared metric family names. Grouped by owning subsystem.
 const (
 	// Scheduler (internal/harness).
-	MetricSimRuns      = "runner_sim_runs_total"
-	MetricInflight     = "runner_inflight"
-	MetricPrefixRuns   = "runner_prefix_runs_total"
-	MetricPrefixForked = "runner_prefix_forked_total"
+	MetricSimRuns  = "runner_sim_runs_total"
+	MetricInflight = "runner_inflight"
 
 	// Content-addressed result store (internal/store, internal/harness).
 	MetricStorePuts        = "store_puts_total"
@@ -90,8 +88,6 @@ const (
 var defs = []MetricDef{
 	{MetricSimRuns, TypeCounter, "Simulations actually executed (cold paths only; warm paths never increment this)."},
 	{MetricInflight, TypeGauge, "Simulations currently executing on the scheduler's worker pool."},
-	{MetricPrefixRuns, TypeCounter, "Shared warm-up prefixes simulated once on behalf of a sibling group."},
-	{MetricPrefixForked, TypeCounter, "Simulations resumed from a forked prefix snapshot instead of running cold."},
 
 	{MetricStorePuts, TypeCounter, "Results persisted into the content-addressed store."},
 	{MetricStorePutErrors, TypeCounter, "Failed store writes (result still served from memory)."},

@@ -173,11 +173,6 @@ type Machine struct {
 	// settles counts the settles that left instructions ahead, by kind
 	// (abort rewinds, shootdown charge shifts), for the exactness tests.
 	settles [2]uint64
-
-	// resumed marks a machine forked from a captured prefix (see prefix.go):
-	// globals are already laid out and the main thread already exists, so Run
-	// skips program setup and continues from the boundary instruction.
-	resumed bool
 }
 
 // Profiler observes every data memory access the simulated program performs.
@@ -365,15 +360,10 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !m.resumed {
-		// A machine forked from a prefix (prefix.go) arrives with globals laid
-		// out, the main thread mid-program, and its stack already allocated —
-		// redoing setup would corrupt the captured state.
-		if err := m.startMain(); err != nil {
-			return nil, err
-		}
+	if err := m.startMain(); err != nil {
+		return nil, err
 	}
-	if err := m.runMain(ctx, false); err != nil {
+	if err := m.runMain(ctx); err != nil {
 		return nil, err
 	}
 
@@ -406,11 +396,9 @@ func (m *Machine) startMain() error {
 }
 
 // runMain runs the main thread, and the workers of its parallel regions,
-// until main finishes or, with toPrefix, until main's next instruction is
-// the first OpTxBegin or OpParallel (the prefix boundary, see prefix.go).
-// Main runs in batches up to the guard grid like a worker pick, committed
-// at once: no other context runs while main does.
-func (m *Machine) runMain(ctx context.Context, toPrefix bool) error {
+// until main finishes. Main runs in batches up to the guard grid like a
+// worker pick, committed at once: no other context runs while main does.
+func (m *Machine) runMain(ctx context.Context) error {
 	maxSteps := m.cfg.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 2_000_000_000
@@ -442,11 +430,6 @@ func (m *Machine) runMain(ctx context.Context, toPrefix bool) error {
 		if m.parallel != nil && !m.parallel.finished {
 			m.stepWorkers()
 			continue
-		}
-		if toPrefix {
-			if op := m.mainThread.NextOp(); op == ir.OpTxBegin || op == ir.OpParallel {
-				return nil
-			}
 		}
 		m.stepThread(m.ctxs[0], m.mainThread, m.batch())
 		m.ctxs[0].ahead = 0

@@ -233,14 +233,6 @@ func (t *tlb) has(page uint64) bool {
 	return ok
 }
 
-// clone returns an independent deep copy: index, recency and free lists.
-func (t *tlb) clone() *tlb {
-	c := *t
-	c.tab = t.tab.Clone()
-	c.nodes = append([]tlbNode(nil), t.nodes...)
-	return &c
-}
-
 // Manager is the translation subsystem for all hardware contexts.
 type Manager struct {
 	// Enabled selects HinTM-dyn; when false, translation still models TLB
@@ -458,25 +450,6 @@ func (m *Manager) ResetSharing() {
 	for _, t := range m.tlbs {
 		t.reset()
 	}
-}
-
-// Clone returns an independent deep copy of the manager: the page table and
-// its arena, every context's TLB (index, recency and free lists), and the
-// counters. Translations through either manager never disturb the other,
-// and the copied recency lists keep TLB eviction victims identical — part of
-// the snapshot/fork byte-identity guarantee.
-func (m *Manager) Clone() *Manager {
-	c := &Manager{
-		enabled: m.enabled,
-		costs:   m.costs,
-		pt:      m.pt.Clone(),
-		arena:   append(make([]pageEntry, 0, cap(m.arena)), m.arena...),
-		stats:   m.stats,
-	}
-	for _, t := range m.tlbs {
-		c.tlbs = append(c.tlbs, t.clone())
-	}
-	return c
 }
 
 // HasTLBEntry reports whether context ctx caches page (tests/diagnostics).
