@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff bench-module-build parity trace-check serve-smoke fleet-smoke chaos-smoke hyp-smoke figures svg ablate export clean
+.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff bench-module-build parity trace-check serve-smoke hyp-smoke figures svg ablate export clean
 
 all: test
 
@@ -18,15 +18,16 @@ vet:
 
 # race runs the concurrency-sensitive packages under the race detector; the
 # harness determinism tests double as the parallel-scheduler correctness
-# suite, and the server/fleet/loadgen packages exercise the admission
-# control and NDJSON stream ratchet under concurrent submissions. The
+# suite, the server package exercises the admission control and NDJSON
+# stream ratchet under concurrent submissions, and the load generator fires
+# its open-loop schedule from concurrent goroutines. The
 # worker-count twin grid and the seed-grid golden make the harness package
 # heavy under -race, so the per-package timeout is raised: concurrent
 # packages on a starved single-CPU runner must wait it out, not flake.
 race:
 	$(GO) test -race -timeout 1800s ./internal/harness/... ./internal/sim/... \
-		./internal/server/... ./internal/fleet/... ./internal/loadgen/... \
-		./internal/chaos/... ./internal/cli/... ./internal/hyp/...
+		./internal/server/... ./internal/loadgen/... ./internal/cli/... \
+		./internal/hyp/...
 
 # fuzz-short gives the classifier-soundness fuzzer, the TIR
 # parse→print→parse fuzzer, the store-object decoding fuzzer and the TIR2
@@ -99,22 +100,6 @@ parity:
 # byte-identical body and zero extra simulations — then SIGTERM-drains it.
 serve-smoke:
 	./scripts/serve-smoke.sh
-
-# fleet-smoke boots a 3-node sharded fleet, submits a grid cold to node 1
-# and again to node 2 (fleet-wide SimRuns delta must be zero), checks
-# byte-identity across nodes, runs seeded open-loop load with p99 and
-# hit-rate SLO gates, and SIGTERM-drains every node.
-fleet-smoke:
-	./scripts/fleet-smoke.sh
-
-# chaos-smoke is the resilience gate: a fault-proxy sanity pass, then a
-# 3-node fleet that loses a node (SIGKILL) mid-grid — the grid must finish
-# with zero failures, survivors must stay byte-identical and meet load
-# SLOs behind open circuit breakers — and finally the node revives empty
-# and must be repaired to a warm store by anti-entropy with a fleet-wide
-# SimRuns delta of zero.
-chaos-smoke:
-	./scripts/chaos-smoke.sh
 
 # hyp-smoke re-verifies the committed hypothesis catalogue: a cold
 # `hintm-exp check` (every FINDINGS.md must regenerate byte-identical),

@@ -1,4 +1,4 @@
-// Command hintm-load drives a hintm-served node or fleet with seeded
+// Command hintm-load drives one or more hintm-served instances with seeded
 // open-loop synthetic load and gates on latency/hit-rate SLOs.
 //
 // Usage:
@@ -7,7 +7,7 @@
 //
 // Flags:
 //
-//	-targets URL,URL,...      node base URLs, round-robin (required)
+//	-targets URL,URL,...      server base URLs, round-robin (required)
 //	-n N                      total requests (default 100)
 //	-rate R                   mean arrival rate, requests/sec (default 20)
 //	-arrivals poisson|bursty  arrival process (default poisson)
@@ -39,7 +39,7 @@
 // failures. The exit status is non-zero iff an SLO is violated or the
 // run could not execute.
 //
-// The /metrics scrape always runs (best effort — a fleet without the
+// The /metrics scrape always runs (best effort — a server without the
 // endpoint just skips the server-side rows); with -slo-server-p99 set a
 // failed scrape is fatal, because a gate that cannot measure must not
 // pass.
@@ -60,7 +60,7 @@ import (
 )
 
 func main() {
-	targets := flag.String("targets", "", "comma-separated node base URLs (required)")
+	targets := flag.String("targets", "", "comma-separated server base URLs (required)")
 	n := flag.Int("n", 100, "total requests")
 	rate := flag.Float64("rate", 20, "mean arrival rate, requests/sec")
 	arrivals := flag.String("arrivals", "poisson", "arrival process: poisson|bursty")
@@ -111,7 +111,7 @@ func main() {
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 
-	// Scrape the fleet's histograms around the run: the delta is the
+	// Scrape the targets' histograms around the run: the delta is the
 	// server-side view of exactly this run's requests.
 	before, scrapeErr := loadgen.ScrapeServers(ctx, nil, cfg.Targets)
 	if scrapeErr != nil && *sloServerP99 > 0 {
@@ -141,7 +141,6 @@ func main() {
 		rep.Sent, wall.Round(time.Millisecond), process, *rate, *seed, len(specs), len(cfg.Targets))
 	t := stats.NewTable("metric", "value")
 	t.Row("hits (warm)", rep.Hits)
-	t.Row("  via peer", rep.PeerHits)
 	t.Row("simulated (cold)", rep.Simulated)
 	t.Row("throttled (429)", rep.Throttled)
 	t.Row("timed out", rep.TimedOut)
@@ -162,7 +161,7 @@ func main() {
 
 	if *asJSON {
 		out := map[string]any{
-			"sent": rep.Sent, "hits": rep.Hits, "peerHits": rep.PeerHits,
+			"sent": rep.Sent, "hits": rep.Hits,
 			"simulated": rep.Simulated, "throttled": rep.Throttled,
 			"timedOut": rep.TimedOut, "failed": rep.Failed,
 			"hitRate":     rep.HitRate(),

@@ -1,8 +1,7 @@
 // Command hintm-served is the persistent experiment service: it keeps a
 // scheduler and a content-addressed result store resident, so experiments
 // are submitted over HTTP, simulated at most once, and served from the
-// store forever after — across clients, across restarts, and (with -peers)
-// across a fleet of nodes sharing the key space by consistent hashing.
+// store forever after — across clients and across restarts.
 //
 // Usage:
 //
@@ -24,26 +23,8 @@
 //	                            from each store entry
 //	-drain D                    graceful-shutdown budget (default 30s)
 //	-queue-limit N              max admitted-but-unfinished runs before
-//	                            submissions get 429 (default 256)
-//	-node URL                   this node's advertised base URL
-//	-peers URL,URL,...          every fleet node's base URL (incl. -node);
-//	                            enables sharding, peer fetch, forwarding
-//	-replicas N                 ring owners per key (default 2)
-//	-peer-budget D              total peer time one cold miss may spend
-//	                            before simulating locally (default 2s)
-//	-breaker-threshold N        consecutive peer failures that open its
-//	                            circuit breaker (default 3)
-//	-breaker-backoff D          initial open-breaker probe backoff,
-//	                            doubled (with seeded jitter) per failed
-//	                            probe (default 500ms)
-//	-health-seed N              breaker backoff jitter seed
-//	-repl-queue N               async replication queue capacity;
-//	                            overflow drops oldest (default 1024)
-//	-repl-workers N             replication worker count (default 2)
-//	-anti-entropy D             background repair sweep interval
-//	                            (default 0 = off)
-//	-trace-capacity N           resident fleet-trace buffers per node
-//	                            (default 512; negative disables tracing)
+//	                            submissions get 429 (default 256); a
+//	                            submission of more runs than this is a 400
 //
 // Endpoints (wire format hintm-api/v2, see internal/api):
 //
@@ -51,18 +32,12 @@
 //	POST /v1/grids           batched grid; NDJSON per-run progress stream
 //	GET  /v1/runs            list stored results (?workload=, ?htm=,
 //	                         ?limit=, ?after= pagination)
-//	GET  /v1/runs/{key}      stored result (byte-identical per key, fetched
-//	                         from the key's ring owners on a miss) or 202
-//	PUT  /v1/runs/{key}      fleet-internal replication (raw object bytes)
+//	GET  /v1/runs/{key}      stored result (byte-identical per key) or 202
 //	GET  /v1/figures/{name}  figure rows assembled from the store
-//	GET  /v1/traces/{key}    the assembled fleet trace of a request: every
-//	                         span recorded for the key's latest resolve on
-//	                         this node, gathered from all healthy peers
-//	GET  /healthz            liveness + build info + store/queue/fleet summary
-//	GET  /metrics            store hits/misses, queue depth, sim runs,
-//	                         peer fetch/hit/forward counters, and
-//	                         serve_request_seconds/serve_phase_seconds
-//	                         latency histograms labeled by node/phase/outcome
+//	GET  /healthz            liveness + build info + store/queue summary
+//	GET  /metrics            store hits/misses, queue depth, sim runs, and
+//	                         the serve_request_seconds latency histogram
+//	                         labeled by outcome
 //
 // On SIGINT/SIGTERM the listener stops accepting, enqueued runs get the
 // drain budget to finish persisting, and only then does the process exit.
@@ -75,7 +50,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"hintm/internal/cli"
@@ -89,8 +63,6 @@ func main() {
 	hf := cli.RegisterHarness(flag.CommandLine)
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight runs")
 	queueLimit := flag.Int("queue-limit", 0, "max admitted-but-unfinished runs before submissions get 429 (0 = default)")
-	traceCap := flag.Int("trace-capacity", 0, "resident fleet-trace buffers (0 = default 512, negative = tracing off)")
-	ff := cli.RegisterFleet(flag.CommandLine)
 	flag.Parse()
 
 	opts, err := hf.Options()
@@ -102,12 +74,7 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := server.Config{Store: st, Options: opts, Metrics: obs.NewMetrics(),
-		QueueLimit: *queueLimit, TraceCapacity: *traceCap}
-	if cfg.Fleet, err = ff.Config(); err != nil {
-		fatal(err)
-	}
-	srv := server.New(cfg)
+	srv := server.New(server.Config{Store: st, Options: opts, Metrics: obs.NewMetrics(), QueueLimit: *queueLimit})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	// SIGTERM alongside SIGINT: containers and service managers send TERM,
@@ -120,10 +87,6 @@ func main() {
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "hintm-served: listening on %s (store %s, %d entries)\n",
 		*addr, *storeDir, st.Len())
-	if ff.Enabled() {
-		fmt.Fprintf(os.Stderr, "hintm-served: fleet node %s of [%s]\n",
-			cfg.Fleet.Self, strings.Join(cfg.Fleet.Peers, ","))
-	}
 
 	select {
 	case err := <-errc:

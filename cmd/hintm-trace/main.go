@@ -6,39 +6,22 @@
 //
 //	hintm-trace record -o trace.bin [-scale s] [-hints m] <workload>
 //	hintm-trace report trace.bin
-//	hintm-trace report -fleet URL [-sim run.trace.json] [-o merged.json] <store-key>
 //
 // `report` prints the sharing metrics (safe regions / safe transactional
 // reads at 64 B and 4 KiB granularity) and a transaction-footprint limit
 // study: the fraction of committed transactions that would overflow
 // hypothetical buffer sizes.
-//
-// `report -fleet` switches from simulator traces to fleet traces: it
-// fetches the assembled span tree for a store key from a hintm-served
-// node (GET /v1/traces/{key}), prints the per-phase latency breakdown —
-// admission, store, peer, hedge, sim, replication — with the fraction of
-// the request's wall time attributed, and with -o writes the spans as
-// Chrome/Perfetto trace-event JSON. -sim merges a run's simulator trace
-// (the .trace.json the harness writes under -trace-dir) into the same
-// file, so one Perfetto view holds the fleet's request handling and the
-// simulation it triggered.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
-	"time"
 
 	"hintm/internal/classify"
 	"hintm/internal/htm"
-	"hintm/internal/obs"
 	"hintm/internal/profile"
 	"hintm/internal/sim"
 	"hintm/internal/stats"
@@ -141,17 +124,7 @@ func record(args []string) {
 func report(args []string) {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	maxTID := fs.Int("max-worker-tid", 15, "highest worker thread id to include")
-	fleet := fs.String("fleet", "", "fetch the fleet trace for a store key from this node base URL")
-	simPath := fs.String("sim", "", "simulator Chrome trace to merge into -o (fleet mode)")
-	out := fs.String("o", "", "write merged Perfetto trace-event JSON here (fleet mode)")
 	_ = fs.Parse(args)
-	if *fleet != "" {
-		if fs.NArg() != 1 {
-			fatal(fmt.Errorf("report -fleet: exactly one store key required"))
-		}
-		fleetReport(*fleet, fs.Arg(0), *simPath, *out)
-		return
-	}
 	if fs.NArg() != 1 {
 		fatal(fmt.Errorf("report: exactly one trace file required"))
 	}
@@ -236,86 +209,6 @@ func report(args []string) {
 		t2.Row(k, stats.Pct(lim.AbortFracAt[k]))
 	}
 	t2.Render(os.Stdout)
-}
-
-// fleetReport fetches one assembled fleet trace, prints where the
-// request's wall time went, and optionally exports Perfetto JSON —
-// merged with a simulator trace when one is given, so the cross-node
-// request handling and the simulation it triggered share one timeline.
-func fleetReport(node, key, simPath, out string) {
-	u := strings.TrimRight(node, "/") + "/v1/traces/" + key
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Get(u)
-	if err != nil {
-		fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
-	if err != nil {
-		fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("GET %s: HTTP %d: %s", u, resp.StatusCode, strings.TrimSpace(string(body))))
-	}
-	var doc obs.TraceDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		fatal(fmt.Errorf("decode trace: %v", err))
-	}
-	if doc.Schema != obs.TraceSchema {
-		fatal(fmt.Errorf("trace schema %q, want %s", doc.Schema, obs.TraceSchema))
-	}
-
-	nodes := map[string]bool{}
-	for _, s := range doc.Spans {
-		nodes[s.Node] = true
-	}
-	b := obs.Breakdown(doc.Spans)
-	fmt.Printf("fleet trace %s root %s: %d spans across %d nodes\n",
-		doc.Trace, doc.Root, len(doc.Spans), len(nodes))
-	phases := make([]string, 0, len(b.Phases))
-	for p := range b.Phases {
-		phases = append(phases, p)
-	}
-	sort.Strings(phases)
-	t := stats.NewTable("phase", "spans", "time", "share")
-	for _, p := range phases {
-		share := 0.0
-		if b.TotalUs > 0 {
-			share = float64(b.Phases[p]) / float64(b.TotalUs)
-		}
-		t.Row(p, b.Counts[p], time.Duration(b.Phases[p])*time.Microsecond, stats.Pct(share))
-	}
-	t.Render(os.Stdout)
-	// Shares sum the spans of every node, so overlapping local and remote
-	// views can exceed 100%; coverage is the non-overlapping attribution.
-	fmt.Printf("request wall time %v; %s attributed to phases (%d remote spans)\n",
-		time.Duration(b.TotalUs)*time.Microsecond, stats.Pct(b.Coverage()), b.Remote)
-	if out == "" {
-		return
-	}
-
-	events := obs.ChromeSpanEvents(doc.Spans, 100)
-	if simPath != "" {
-		raw, err := os.ReadFile(simPath)
-		if err != nil {
-			fatal(err)
-		}
-		var simDoc struct {
-			TraceEvents []json.RawMessage `json:"traceEvents"`
-		}
-		if err := json.Unmarshal(raw, &simDoc); err != nil {
-			fatal(fmt.Errorf("decode %s: %v", simPath, err))
-		}
-		events = append(events, simDoc.TraceEvents...)
-	}
-	merged, err := json.Marshal(map[string]any{"displayTimeUnit": "ns", "traceEvents": events})
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(out, merged, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s: %d trace events\n", out, len(events))
 }
 
 func fatal(err error) {

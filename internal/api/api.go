@@ -1,41 +1,29 @@
 // Package api is the hintm-served wire format, version hintm-api/v2.
 //
 // Every request and response that crosses the HTTP boundary is spelled
-// here, in one place, so the server (internal/server), the load generator
-// (internal/loadgen), and any external client agree on the bytes. The
+// here, in one place, so the server (internal/server) and any client agree
+// on the bytes. The
 // format is explicitly versioned: responses carry a `schema` field and the
 // X-Hintm-Api header, requests may state the schema they speak (an
 // unrecognized one is rejected rather than misread), and errors are a
 // typed envelope — {code, message, detail} — instead of prose, so clients
 // branch on Code and humans read Message.
-//
-// v1 compatibility: the v1 surface (plain {"error": "..."} bodies) is
-// still reachable by sending `X-Hintm-Api: hintm-api/v1`; such responses
-// carry a Deprecation header. New clients should not use it.
 package api
 
 import "fmt"
 
 // Schema versions the wire format. It appears on every v2 response body
 // and in the X-Hintm-Api response header.
-const (
-	Schema   = "hintm-api/v2"
-	SchemaV1 = "hintm-api/v1"
-)
+const Schema = "hintm-api/v2"
 
 // Header is the API version header. Servers set it on every response;
 // clients may set it on requests to pin a version (unknown values are
 // rejected with CodeBadRequest).
 const Header = "X-Hintm-Api"
 
-// StoreHeader reports how GET /v1/runs/{key} was served: "hit" (local
-// store), "peer" (fetched from a sibling node), or "miss".
+// StoreHeader reports how GET /v1/runs/{key} was served: "hit" (from the
+// store) or "miss".
 const StoreHeader = "X-Hintm-Store"
-
-// TraceHeader carries the fleet trace context between nodes:
-// "trace|root|parentNode|parentSpan|hop" (see obs.SpanContext). Absent or
-// malformed values mean the request is untraced; they are never an error.
-const TraceHeader = "X-Hintm-Trace"
 
 // Error codes. Clients branch on these; Message/Detail are for humans.
 const (
@@ -89,8 +77,7 @@ type RunSpec struct {
 
 // RunStatus is one submitted request's disposition.
 type RunStatus struct {
-	// Key is the request's content address; ResultURL dereferences it on
-	// any node of the fleet.
+	// Key is the request's content address; ResultURL dereferences it.
 	Key       string `json:"key"`
 	Request   string `json:"request"`
 	ResultURL string `json:"resultUrl"`
@@ -98,8 +85,8 @@ type RunStatus struct {
 	// "enqueued" (simulation started), "running" (already in flight),
 	// "failed" (Error has details).
 	Status string `json:"status"`
-	// Source says where a hit/done result came from: "store" (this node's
-	// store), "peer" (fetched from a sibling), "sim" (simulated here).
+	// Source says where a hit/done result came from: "store" (the result
+	// store) or "sim" (simulated now).
 	Source string `json:"source,omitempty"`
 	Error  *Error `json:"error,omitempty"`
 }
@@ -133,13 +120,11 @@ type GridRun struct {
 	RunStatus
 }
 
-// GridSummary totals a grid submission. Hits counts local-store answers,
-// PeerHits results fetched from siblings, Simulated cold runs executed
-// here, Failed runs that errored.
+// GridSummary totals a grid submission. Hits counts store answers,
+// Simulated cold runs executed now, Failed runs that errored.
 type GridSummary struct {
 	Total     int `json:"total"`
 	Hits      int `json:"hits"`
-	PeerHits  int `json:"peerHits"`
 	Simulated int `json:"simulated"`
 	Failed    int `json:"failed"`
 }

@@ -1,6 +1,6 @@
 // Package cli is the shared command-line surface of the hintm binaries.
 //
-// hintm-sim, hintm-bench, hintm-served, and hintm-load configure the same
+// hintm-sim, hintm-bench, hintm-served, and hintm-exp configure the same
 // machinery — input scales, HTM kind and hint mode, seeds, fault plans,
 // the result store, worker counts, timeouts — and before this package each
 // binary re-registered and re-parsed those flags by hand, drifting in
@@ -26,7 +26,6 @@ import (
 
 	"hintm/internal/fault"
 	"hintm/internal/harness"
-	"hintm/internal/server"
 	"hintm/internal/sim"
 	"hintm/internal/store"
 	"hintm/internal/workloads"
@@ -151,68 +150,6 @@ func (f *SimFlags) Config() (sim.Config, error) {
 // Scale parses the -scale flag.
 func (f *SimFlags) Scale() (workloads.Scale, error) {
 	return workloads.ParseScale(*f.scale)
-}
-
-// ---- fleet membership and resilience (hintm-served) ---------------------
-
-// FleetFlags collects the fleet flags: membership (-node, -peers,
-// -replicas) plus the resilience knobs (peer budget, breaker threshold and
-// backoff, replication queue and workers, anti-entropy interval). Register
-// with RegisterFleet, then call Config after flag parsing.
-type FleetFlags struct {
-	node             *string
-	peers            *string
-	replicas         *int
-	peerBudget       *time.Duration
-	breakerThreshold *int
-	breakerBackoff   *time.Duration
-	healthSeed       *uint64
-	replQueue        *int
-	replWorkers      *int
-	antiEntropy      *time.Duration
-}
-
-// RegisterFleet registers the fleet flag group on fs.
-func RegisterFleet(fs *flag.FlagSet) *FleetFlags {
-	f := &FleetFlags{}
-	f.node = fs.String("node", "", "this node's advertised base URL, e.g. http://127.0.0.1:8347")
-	f.peers = fs.String("peers", "", "comma-separated base URLs of every fleet node, including -node")
-	f.replicas = fs.Int("replicas", 0, "ring owners per key (0 = default)")
-	f.peerBudget = fs.Duration("peer-budget", 0, "total peer time one cold miss may spend before simulating locally (0 = 2s default)")
-	f.breakerThreshold = fs.Int("breaker-threshold", 0, "consecutive peer failures that open its circuit breaker (0 = default)")
-	f.breakerBackoff = fs.Duration("breaker-backoff", 0, "initial open-breaker probe backoff, doubled per failed probe (0 = default)")
-	f.healthSeed = fs.Uint64("health-seed", 0, "breaker backoff jitter seed (0 = default)")
-	f.replQueue = fs.Int("repl-queue", 0, "async replication queue capacity; overflow drops oldest (0 = default)")
-	f.replWorkers = fs.Int("repl-workers", 0, "async replication worker count (0 = default)")
-	f.antiEntropy = fs.Duration("anti-entropy", 0, "background repair sweep interval (0 = off)")
-	return f
-}
-
-// Enabled reports whether fleet mode was requested.
-func (f *FleetFlags) Enabled() bool { return *f.peers != "" }
-
-// Config validates the parsed flags into a server.FleetConfig. It errors
-// when -peers is set without -node; the zero config (single node) is
-// returned when fleet mode is off.
-func (f *FleetFlags) Config() (server.FleetConfig, error) {
-	if !f.Enabled() {
-		return server.FleetConfig{}, nil
-	}
-	if *f.node == "" {
-		return server.FleetConfig{}, fmt.Errorf("-peers requires -node (this node's own base URL)")
-	}
-	return server.FleetConfig{
-		Self:             *f.node,
-		Peers:            strings.Split(*f.peers, ","),
-		Replicas:         *f.replicas,
-		PeerBudget:       *f.peerBudget,
-		BreakerThreshold: *f.breakerThreshold,
-		BreakerBackoff:   *f.breakerBackoff,
-		HealthSeed:       *f.healthSeed,
-		ReplQueue:        *f.replQueue,
-		ReplWorkers:      *f.replWorkers,
-		AntiEntropy:      *f.antiEntropy,
-	}, nil
 }
 
 // ---- result store -------------------------------------------------------

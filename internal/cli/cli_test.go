@@ -88,57 +88,6 @@ func TestSimFlagsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFleetFlagsRoundTrip(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := RegisterFleet(fs)
-	err := fs.Parse([]string{
-		"-node", "http://a:1", "-peers", "http://a:1,http://b:2", "-replicas", "3",
-		"-peer-budget", "750ms", "-breaker-threshold", "5", "-breaker-backoff", "200ms",
-		"-health-seed", "9", "-repl-queue", "64", "-repl-workers", "4", "-anti-entropy", "2s",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Enabled() {
-		t.Fatal("fleet flags not enabled with -peers set")
-	}
-	cfg, err := f.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Self != "http://a:1" || len(cfg.Peers) != 2 || cfg.Replicas != 3 {
-		t.Errorf("membership: %+v", cfg)
-	}
-	if cfg.PeerBudget != 750*time.Millisecond || cfg.BreakerThreshold != 5 ||
-		cfg.BreakerBackoff != 200*time.Millisecond || cfg.HealthSeed != 9 {
-		t.Errorf("resilience knobs: %+v", cfg)
-	}
-	if cfg.ReplQueue != 64 || cfg.ReplWorkers != 4 || cfg.AntiEntropy != 2*time.Second {
-		t.Errorf("replication knobs: %+v", cfg)
-	}
-}
-
-func TestFleetFlagsRequireNode(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := RegisterFleet(fs)
-	if err := fs.Parse([]string{"-peers", "http://a:1,http://b:2"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Config(); err == nil {
-		t.Error("-peers without -node accepted")
-	}
-
-	// No fleet flags at all: single-node zero config, no error.
-	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-	f2 := RegisterFleet(fs2)
-	if err := fs2.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if cfg, err := f2.Config(); err != nil || cfg.Self != "" || f2.Enabled() {
-		t.Errorf("zero fleet config: %+v (%v)", cfg, err)
-	}
-}
-
 func TestOpenStore(t *testing.T) {
 	st, err := OpenStore("")
 	if err != nil || st != nil {

@@ -1,5 +1,5 @@
-// Package loadgen is a seeded open-loop synthetic load generator for the
-// hintm-served fleet.
+// Package loadgen is a seeded open-loop synthetic load generator for
+// hintm-served.
 //
 // Open-loop means arrivals are decided by a clock, not by completions: the
 // generator computes the entire arrival schedule up front from a seeded
@@ -74,7 +74,7 @@ func ParseProcess(s string) (Process, error) {
 
 // Config describes one load run.
 type Config struct {
-	// Targets are the node base URLs; request i goes to Targets[i % len].
+	// Targets are the server base URLs; request i goes to Targets[i % len].
 	Targets []string
 	// Specs is the request pool; request i submits Specs[i % len], so a
 	// pass longer than the pool revisits every spec (the warm phase).
@@ -93,7 +93,7 @@ type Config struct {
 	// Timeout bounds each request when Client is nil (0 = 5 minutes — a
 	// load test must observe slow requests by default, not abort them).
 	// Requests that hit it are reported as TimedOut, a distinct category
-	// from other failures: against a degraded fleet, "slow" and "broken"
+	// from other failures: against a degraded server, "slow" and "broken"
 	// are different diagnoses.
 	Timeout time.Duration
 	// Client performs the HTTP calls (nil = a client with Timeout).
@@ -153,7 +153,7 @@ type Result struct {
 	Target  string
 	HTTP    int           // HTTP status code (0 on transport error)
 	Status  string        // RunStatus.Status: hit|done|failed ("" on error)
-	Source  string        // RunStatus.Source: store|peer|sim
+	Source  string        // RunStatus.Source: store|sim
 	Latency time.Duration // request round trip
 	Err     error
 }
@@ -161,15 +161,14 @@ type Result struct {
 // Report aggregates a load run.
 type Report struct {
 	Sent      int
-	Hits      int // answered from a store (local or peer) without simulating
-	PeerHits  int // subset of Hits that crossed the fleet
+	Hits      int // answered from the store without simulating
 	Simulated int
 	Throttled int // 429s — admission control shed the request
 	TimedOut  int // client-side deadline expired before an answer
 	Failed    int // run failures and transport/HTTP errors (excl. timeouts)
 	Results   []Result
 
-	// Server is the fleet-wide serve_request_seconds delta scraped around
+	// Server is the serve_request_seconds delta, summed over targets, scraped around
 	// the run — what the servers measured, as opposed to the client-side
 	// latencies above. Zero unless the caller scraped; see ScrapeServers.
 	Server obs.HistSnapshot
@@ -301,9 +300,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			rep.Failed++
 		case res.Status == "hit":
 			rep.Hits++
-			if res.Source == "peer" {
-				rep.PeerHits++
-			}
 			rep.latencies = append(rep.latencies, res.Latency)
 		case res.Status == "done":
 			rep.Simulated++

@@ -1,4 +1,4 @@
-// scrape.go reads a fleet's server-side latency histograms off /metrics.
+// scrape.go reads the servers' own latency histograms off /metrics.
 //
 // The client-side latencies in a Report measure everything between the
 // generator and the answer — goroutine wakeup jitter, the client HTTP
@@ -6,7 +6,7 @@
 // the server around the resolve path alone. Scraping each target before
 // and after the run and gating on the delta therefore checks what the
 // servers actually did during this run: immune to client-side noise,
-// and immune to whatever traffic hit the fleet before the run started.
+// and immune to whatever traffic hit the servers before the run started.
 package loadgen
 
 import (
@@ -19,16 +19,16 @@ import (
 	"hintm/internal/obs"
 )
 
-// ServerScrape is one scrape of a fleet: each target's aggregated
-// serve_request_seconds histogram (summed across its node/outcome label
-// sets), keyed by target base URL. A target that has never served a
-// request contributes a zero snapshot — normal for the before-scrape of
-// a fresh fleet.
+// ServerScrape is one scrape of the targets: each target's aggregated
+// serve_request_seconds histogram (summed across its label sets), keyed
+// by target base URL. A target that has never served a request
+// contributes a zero snapshot — normal for the before-scrape of a fresh
+// server.
 type ServerScrape map[string]obs.HistSnapshot
 
 // ScrapeServers fetches and parses every target's /metrics. Any
 // unreachable target or invalid exposition is an error: a scrape that
-// silently dropped a node would understate fleet latency, which is the
+// silently dropped a target would understate latency, which is the
 // wrong failure mode for an SLO gate.
 func ScrapeServers(ctx context.Context, client *http.Client, targets []string) (ServerScrape, error) {
 	if client == nil {
@@ -69,7 +69,7 @@ func scrapeOne(ctx context.Context, client *http.Client, target string) (obs.His
 	return f.Histogram()
 }
 
-// Delta returns the fleet-wide serve_request_seconds window between two
+// Delta returns the serve_request_seconds window between two
 // scrapes of the same targets: per-target after-minus-before, summed
 // across targets into one histogram. A target present only in the after
 // scrape (restarted mid-run, say) contributes its full after state.
@@ -86,9 +86,9 @@ func (after ServerScrape) Delta(before ServerScrape) obs.HistSnapshot {
 }
 
 // addHist sums two snapshots bucket-wise. Snapshots with foreign bucket
-// layouts cannot be combined meaningfully and are skipped — every node
-// in a fleet uses obs.DefLatencyBounds, so this only guards against a
-// mixed-version fleet.
+// layouts cannot be combined meaningfully and are skipped — every server
+// uses obs.DefLatencyBounds, so this only guards against targets running
+// different versions.
 func addHist(acc, s obs.HistSnapshot) obs.HistSnapshot {
 	if len(s.Buckets) == 0 {
 		return acc

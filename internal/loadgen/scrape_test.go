@@ -27,8 +27,8 @@ func metricsServer(t *testing.T, m *obs.Metrics) *httptest.Server {
 	return ts
 }
 
-func observe(m *obs.Metrics, node, outcome string, v float64, n int) {
-	h := m.Histogram(obs.MetricServeRequestSec, obs.L("node", node), obs.L("outcome", outcome))
+func observe(m *obs.Metrics, outcome string, v float64, n int) {
+	h := m.Histogram(obs.MetricServeRequestSec, obs.L("outcome", outcome))
 	for i := 0; i < n; i++ {
 		h.Observe(v)
 	}
@@ -41,7 +41,7 @@ func TestScrapeDeltaAcrossFleet(t *testing.T) {
 	ctx := context.Background()
 
 	// Pre-run traffic that the delta must exclude.
-	observe(m1, "node1", "hit-store", 0.0005, 10)
+	observe(m1, "hit-store", 0.0005, 10)
 	before, err := ScrapeServers(ctx, nil, targets)
 	if err != nil {
 		t.Fatalf("before scrape: %v", err)
@@ -50,9 +50,10 @@ func TestScrapeDeltaAcrossFleet(t *testing.T) {
 		t.Fatalf("before counts: %d, %d", before[ts1.URL].Count, before[ts2.URL].Count)
 	}
 
-	// The run: fast hits on node1, two slow simulations on node2.
-	observe(m1, "node1", "hit-store", 0.001, 5)
-	observe(m2, "node2", "sim", 2.0, 2)
+	// The run: fast hits on the first target, two slow simulations on the
+	// second.
+	observe(m1, "hit-store", 0.001, 5)
+	observe(m2, "sim", 2.0, 2)
 	after, err := ScrapeServers(ctx, nil, targets)
 	if err != nil {
 		t.Fatalf("after scrape: %v", err)

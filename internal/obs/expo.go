@@ -10,11 +10,9 @@ import (
 )
 
 // expo.go is a small reader for the Prometheus text exposition format —
-// the inverse of Metrics.Render. It exists for two consumers: the
-// round-trip test that proves /metrics output is valid exposition, and
-// hintm-load, which scrapes server-side histograms before and after a
-// load run to gate SLOs on what the servers measured rather than what the
-// client observed.
+// the inverse of Metrics.Render. It exists for the tests that prove
+// /metrics output is valid exposition: the round trip here and the
+// server's declared-names gate.
 
 // ExpoSeries is one sample line: the series name as written (histogram
 // samples keep their _bucket/_sum/_count suffix), its parsed labels, and
@@ -196,8 +194,7 @@ func parseLabels(in string) (map[string]string, string, error) {
 // family — across all label sets — into one HistSnapshot, validating
 // structure on the way: per-series buckets must be cumulative and their
 // le bounds ascending, and each label set's +Inf bucket must match its
-// _count. This is both the scrape aggregation hintm-load needs (fleet-wide
-// latency across nodes and outcomes) and the round-trip validity check.
+// _count. This is the round-trip validity check for rendered histograms.
 func (f *ExpoFamily) Histogram() (HistSnapshot, error) {
 	if f.Type != "histogram" {
 		return HistSnapshot{}, fmt.Errorf("family %s: type %s, not histogram", f.Name, f.Type)

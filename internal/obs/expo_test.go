@@ -11,11 +11,11 @@ import (
 func TestRenderExpositionRoundTrip(t *testing.T) {
 	m := NewMetrics()
 	m.Counter(MetricServeRequests).Add(3)
-	m.Counter(MetricChaosInjected, L("behavior", "delay")).Inc()
-	m.Counter(MetricChaosInjected, L("behavior", "corrupt")).Add(2)
-	weird := "we\"ird\\node\nx"
-	m.Histogram(MetricServeRequestSec, L("node", weird), L("outcome", "sim")).Observe(0.01)
-	m.Histogram(MetricServeRequestSec, L("node", weird), L("outcome", "hit-store")).Observe(0.0001)
+	m.Counter(MetricServeThrottled, L("endpoint", "runs")).Inc()
+	m.Counter(MetricServeThrottled, L("endpoint", "grids")).Add(2)
+	weird := "we\"ird\\tag\nx"
+	m.Histogram(MetricServeRequestSec, L("tag", weird), L("outcome", "sim")).Observe(0.01)
+	m.Histogram(MetricServeRequestSec, L("tag", weird), L("outcome", "hit-store")).Observe(0.0001)
 
 	var out strings.Builder
 	if err := m.Render(&out); err != nil {
@@ -34,16 +34,16 @@ func TestRenderExpositionRoundTrip(t *testing.T) {
 	if f.Help == "" {
 		t.Error("declared family rendered without HELP text")
 	}
-	inj := fams[MetricChaosInjected]
-	if inj == nil || len(inj.Series) != 2 {
-		t.Fatalf("chaos_injected_total series: %+v", inj)
+	thr := fams[MetricServeThrottled]
+	if thr == nil || len(thr.Series) != 2 {
+		t.Fatalf("serve_throttled_total series: %+v", thr)
 	}
 	sum := 0.0
-	for _, s := range inj.Series {
+	for _, s := range thr.Series {
 		sum += s.Value
 	}
 	if sum != 3 {
-		t.Errorf("chaos_injected_total sum = %v, want 3", sum)
+		t.Errorf("serve_throttled_total sum = %v, want 3", sum)
 	}
 
 	hist := fams[MetricServeRequestSec]
@@ -51,8 +51,8 @@ func TestRenderExpositionRoundTrip(t *testing.T) {
 		t.Fatalf("histogram family missing: %+v", hist)
 	}
 	for _, s := range hist.Series {
-		if strings.HasSuffix(s.Name, "_bucket") && s.Labels["node"] != weird {
-			t.Fatalf("label escaping did not round-trip: %q", s.Labels["node"])
+		if strings.HasSuffix(s.Name, "_bucket") && s.Labels["tag"] != weird {
+			t.Fatalf("label escaping did not round-trip: %q", s.Labels["tag"])
 		}
 	}
 	hs, err := hist.Histogram()

@@ -115,7 +115,7 @@ func TestHistogramConcurrentRender(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			h := m.Histogram(MetricServeRequestSec, L("node", "n1"), L("outcome", "sim"))
+			h := m.Histogram(MetricServeRequestSec, L("outcome", "sim"))
 			for i := 0; i < per; i++ {
 				h.Observe(float64(g+1) * 0.001)
 			}

@@ -18,7 +18,7 @@ import (
 // declarations in names.go, series in sorted order, histogram buckets
 // cumulative and ascending.
 //
-// Metrics may carry labels (L("node", "http://...")); the unlabeled form
+// Metrics may carry labels (L("outcome", "sim")); the unlabeled form
 // is the common case and renders as plain `name value` lines, so awk-style
 // scrapers keep working. A nil *Metrics is the disabled registry: Counter
 // and Histogram return nil handles whose methods are no-ops, so
@@ -130,22 +130,6 @@ func (m *Metrics) Value(name string, labels ...Label) int64 {
 	c := m.vals[id]
 	m.mu.Unlock()
 	return c.Value()
-}
-
-// HistogramValue reads the named histogram series without registering it;
-// the zero snapshot is returned for an unknown series.
-func (m *Metrics) HistogramValue(name string, labels ...Label) HistSnapshot {
-	if m == nil {
-		return HistSnapshot{}
-	}
-	id := seriesID(name, labels)
-	m.mu.Lock()
-	hs := m.hists[id]
-	m.mu.Unlock()
-	if hs == nil {
-		return HistSnapshot{}
-	}
-	return hs.h.Snapshot()
 }
 
 // Snapshot copies every counter/gauge series' current value, keyed by the

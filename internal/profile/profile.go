@@ -27,6 +27,7 @@ func (s threadSet) count() int {
 type regionInfo struct {
 	readers threadSet
 	writers threadSet
+	txReads uint64 // transactional reads that targeted the region
 }
 
 // safe implements the paper's §II-B region criterion: a region is safe if
@@ -49,14 +50,8 @@ type Sharing struct {
 	blocks flat.Tab[regionInfo]
 	pages  flat.Tab[regionInfo]
 
-	txReads        uint64 // transactional reads observed
-	txAccesses     uint64 // all transactional accesses
-	deferredBlocks []access
-}
-
-type access struct {
-	block, page uint64
-	read        bool
+	txReads    uint64 // transactional reads observed
+	txAccesses uint64 // all transactional accesses
 }
 
 // NewSharing returns a profiler accepting worker tids up to maxWorkerTID.
@@ -88,8 +83,8 @@ func (s *Sharing) OnAccess(tid int, addr mem.Addr, write, inTx bool) {
 		s.txAccesses++
 		if !write {
 			s.txReads++
-			s.deferredBlocks = append(s.deferredBlocks, access{
-				block: addr.Block(), page: addr.Page(), read: true})
+			b.txReads++
+			p.txReads++
 		}
 	}
 }
@@ -130,15 +125,21 @@ func (s *Sharing) Report() Report {
 	rep.TxAccesses = s.txAccesses
 	rep.TxReads = s.txReads
 
+	// A transactional read counts as safe when its region ends the run
+	// safe, so summing each safe region's read count equals judging every
+	// read after the fact.
 	safeB, safeP := 0, 0
+	var sb, sp uint64
 	for i, g := range s.blocks.Gens {
 		if g == s.blocks.Gen && s.blocks.Vals[i].safe() {
 			safeB++
+			sb += s.blocks.Vals[i].txReads
 		}
 	}
 	for i, g := range s.pages.Gens {
 		if g == s.pages.Gen && s.pages.Vals[i].safe() {
 			safeP++
+			sp += s.pages.Vals[i].txReads
 		}
 	}
 	if rep.Blocks > 0 {
@@ -148,15 +149,6 @@ func (s *Sharing) Report() Report {
 		rep.SafePageFrac = float64(safeP) / float64(rep.Pages)
 	}
 	if s.txAccesses > 0 {
-		var sb, sp uint64
-		for _, a := range s.deferredBlocks {
-			if bi, ok := s.blocks.Find(a.block); ok && s.blocks.Vals[bi].safe() {
-				sb++
-			}
-			if pi, ok := s.pages.Find(a.page); ok && s.pages.Vals[pi].safe() {
-				sp++
-			}
-		}
 		rep.SafeReadFracBlock = float64(sb) / float64(s.txAccesses)
 		rep.SafeReadFracPage = float64(sp) / float64(s.txAccesses)
 	}

@@ -97,3 +97,23 @@ func TestEmptyReportSafe(t *testing.T) {
 		t.Fatal("empty profiler should report zeros")
 	}
 }
+
+// A transactional read is judged by its region's state at the end of the
+// run, at each granularity: a later write by another thread makes earlier
+// reads of that block, and of every block on its page, unsafe.
+func TestSafeReadsJudgedAtRunEnd(t *testing.T) {
+	s := NewSharing(7)
+	s.OnAccess(0, 0, false, true)
+	s.OnAccess(0, mem.BlockSize, false, true)
+	s.OnAccess(1, mem.BlockSize, true, true)
+	rep := s.Report()
+	if rep.TxAccesses != 3 || rep.TxReads != 2 {
+		t.Fatalf("tx accesses %d reads %d, want 3 and 2", rep.TxAccesses, rep.TxReads)
+	}
+	if want := 1.0 / 3.0; rep.SafeReadFracBlock != want {
+		t.Fatalf("block safe read frac = %f, want %f", rep.SafeReadFracBlock, want)
+	}
+	if rep.SafeReadFracPage != 0 {
+		t.Fatalf("page safe read frac = %f, want 0", rep.SafeReadFracPage)
+	}
+}

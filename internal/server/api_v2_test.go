@@ -30,7 +30,6 @@ func TestV2ErrorEnvelope(t *testing.T) {
 		{"GET", "/v1/runs?htm=p99", "", 400, api.CodeBadRequest},
 		{"GET", "/v1/runs?limit=-3", "", 400, api.CodeBadRequest},
 		{"GET", "/v1/runs?after=xyz", "", 400, api.CodeBadRequest},
-		{"PUT", "/v1/runs/deadbeef", `{"schema":"bogus"}`, 400, api.CodeBadRequest},
 	} {
 		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
 		resp, err := http.DefaultClient.Do(req)
@@ -56,47 +55,21 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestV1CompatShim: a client pinning hintm-api/v1 gets the old
-// {"error": "..."} body plus a Deprecation header.
-func TestV1CompatShim(t *testing.T) {
-	_, ts, _ := newTestServer(t, t.TempDir())
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/runs", strings.NewReader(`{"workload":"no-such"}`))
-	req.Header.Set(api.Header, api.SchemaV1)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("v1 response missing Deprecation header")
-	}
-	if got := resp.Header.Get(api.Header); got != api.SchemaV1 {
-		t.Errorf("%s = %q, want %q", api.Header, got, api.SchemaV1)
-	}
-	var v1 struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v1); err != nil || v1.Error == "" {
-		t.Errorf("v1 body not the legacy shape: %v / %+v", err, v1)
-	}
-}
-
 // TestUnknownVersionRejected: pinning a version the server does not speak
-// is a 400, not a silent misread.
+// is a 400, not a silent misread. That includes the retired hintm-api/v1.
 func TestUnknownVersionRejected(t *testing.T) {
 	_, ts, _ := newTestServer(t, t.TempDir())
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/runs", strings.NewReader(labyrinthSmall))
-	req.Header.Set(api.Header, "hintm-api/v9")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown version: %d, want 400", resp.StatusCode)
+	for _, version := range []string{"hintm-api/v9", "hintm-api/v1"} {
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/runs", strings.NewReader(labyrinthSmall))
+		req.Header.Set(api.Header, version)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("version %q: %d, want 400", version, resp.StatusCode)
+		}
 	}
 }
 
@@ -189,50 +162,4 @@ func TestListPaginationAndFilters(t *testing.T) {
 func itoa64(v uint64) string {
 	b, _ := json.Marshal(v)
 	return string(b)
-}
-
-// TestReplicateEndpoint round-trips PUT /v1/runs/{key} with real object
-// bytes and rejects mis-keyed bodies.
-func TestReplicateEndpoint(t *testing.T) {
-	sA, tsA, _ := newTestServer(t, t.TempDir())
-	_, tsB, mB := newTestServer(t, t.TempDir())
-
-	_, out := postRuns(t, tsA, "?wait=1", labyrinthSmall)
-	key := out.Runs[0].Key
-	_, raw, err := sA.store.Get(key)
-	if err != nil || raw == nil {
-		t.Fatal("source entry missing")
-	}
-
-	req, _ := http.NewRequest("PUT", tsB.URL+"/v1/runs/"+key, strings.NewReader(string(raw)))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replicate: %d", resp.StatusCode)
-	}
-
-	// B now serves the identical bytes without simulating.
-	gcode, hdr, body := getRun(t, tsB, key)
-	if gcode != http.StatusOK || hdr != "hit" || string(body) != string(raw) {
-		t.Errorf("replicated entry differs: code=%d hdr=%q identical=%v", gcode, hdr, string(body) == string(raw))
-	}
-	if mB.Value("runner_sim_runs_total") != 0 {
-		t.Error("replication target simulated")
-	}
-
-	// Mis-keyed PUT: valid bytes under the wrong URL key are refused.
-	req, _ = http.NewRequest("PUT", tsB.URL+"/v1/runs/"+strings.Repeat("ab", 32), strings.NewReader(string(raw)))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env api.ErrorEnvelope
-	json.NewDecoder(resp.Body).Decode(&env)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || env.Error == nil || env.Error.Code != api.CodeBadRequest {
-		t.Errorf("mis-keyed replicate: %d %+v", resp.StatusCode, env)
-	}
 }

@@ -20,7 +20,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"time"
 
 	"hintm/internal/api"
 	"hintm/internal/harness"
@@ -34,42 +33,37 @@ func (s *Server) handleGrids(w http.ResponseWriter, r *http.Request) {
 	}
 	var body api.GridRequest
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
+		writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad request body: %v", err))
 		return
 	}
 	if e := checkSchema(body.Schema); e != nil {
-		s.writeError(w, r, http.StatusBadRequest, e)
+		writeError(w, http.StatusBadRequest, e)
 		return
 	}
 	if len(body.Requests) == 0 {
-		s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "empty grid: requests is required"))
-		return
-	}
-	if len(body.Requests) > MaxGridRuns {
-		e := api.Errorf(api.CodeBadRequest, "grid of %d runs exceeds the %d-run limit", len(body.Requests), MaxGridRuns)
-		e.Detail = "split the submission"
-		s.writeError(w, r, http.StatusBadRequest, e)
+		writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "empty grid: requests is required"))
 		return
 	}
 	reqs, perr := s.parseAll(body.Requests)
+	if perr == nil {
+		perr = s.checkSize(len(reqs))
+	}
 	if perr != nil {
-		s.writeError(w, r, http.StatusBadRequest, perr)
+		writeError(w, http.StatusBadRequest, perr)
 		return
 	}
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		s.writeError(w, r, http.StatusServiceUnavailable,
+		writeError(w, http.StatusServiceUnavailable,
 			api.Errorf(api.CodeDraining, "server is draining; no new work accepted"))
 		return
 	}
-	admitBegin := time.Now()
 	if !s.admit(len(reqs)) {
-		s.throttle(w, r, len(reqs))
+		s.throttle(w, len(reqs))
 		return
 	}
-	admitWait := time.Since(admitBegin)
 
 	w.Header().Set(api.Header, api.Schema)
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -91,7 +85,7 @@ func (s *Server) handleGrids(w http.ResponseWriter, r *http.Request) {
 	results := make(chan api.GridRun)
 	for i, req := range reqs {
 		go func(i int, req harness.Request) {
-			rs := s.resolve(r.Context(), req, admitWait)
+			rs := s.resolve(r.Context(), req)
 			s.release(1)
 			results <- api.GridRun{Index: i, RunStatus: rs}
 		}(i, req)
@@ -112,8 +106,6 @@ func (s *Server) handleGrids(w http.ResponseWriter, r *http.Request) {
 			delete(pending, next)
 			next++
 			switch {
-			case g.Status == "hit" && g.Source == "peer":
-				summary.PeerHits++
 			case g.Status == "hit":
 				summary.Hits++
 			case g.Status == "done":

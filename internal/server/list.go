@@ -2,7 +2,7 @@
 //
 // Before this endpoint, store keys were write-only from a client's view —
 // you could dereference a key you already held, but not discover what a
-// node had computed. The listing is backed by the store index (no object
+// server had computed. The listing is backed by the store index (no object
 // reads), filters on the index's request summaries (?workload=, ?htm=),
 // and paginates by store sequence number: `after` is the previous page's
 // nextAfter, and because seqs are stable across reads a crawl sees every
@@ -34,7 +34,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	var f store.Filter
 	if wl := q.Get("workload"); wl != "" {
 		if _, err := workloads.ByName(wl); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad workload filter: %v", err))
+			writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad workload filter: %v", err))
 			return
 		}
 		f.Workload = wl
@@ -42,7 +42,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if h := q.Get("htm"); h != "" {
 		kind, err := sim.ParseHTMKind(h)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad htm filter: %v", err))
+			writeError(w, http.StatusBadRequest, api.Errorf(api.CodeBadRequest, "bad htm filter: %v", err))
 			return
 		}
 		f.HTM = kind.String()
@@ -51,7 +51,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if lv := q.Get("limit"); lv != "" {
 		n, err := strconv.Atoi(lv)
 		if err != nil || n <= 0 {
-			s.writeError(w, r, http.StatusBadRequest,
+			writeError(w, http.StatusBadRequest,
 				api.Errorf(api.CodeBadRequest, "bad limit %q: want a positive integer", lv))
 			return
 		}
@@ -61,7 +61,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if av := q.Get("after"); av != "" {
 		n, err := strconv.ParseUint(av, 10, 64)
 		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest,
+			writeError(w, http.StatusBadRequest,
 				api.Errorf(api.CodeBadRequest, "bad after cursor %q: want a sequence number", av))
 			return
 		}
@@ -81,5 +81,5 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			ResultURL: "/v1/runs/" + it.Key,
 		}
 	}
-	s.respond(w, http.StatusOK, resp)
+	respond(w, http.StatusOK, resp)
 }

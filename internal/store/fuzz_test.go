@@ -10,10 +10,13 @@ import (
 )
 
 // FuzzStoreEntryDecode feeds arbitrary bytes through the object validation
-// Get, rebuild and PutRaw share. Bytes are either rejected, by validate and
-// PutRaw alike, or they round-trip: PutRaw stores them verbatim, Get returns
-// the same bytes and the entry validate decoded, and a rebuild from the
-// objects directory indexes them again. Nothing may panic.
+// Get and rebuild share. The bytes enter the way every object does on Open:
+// as a file in the objects directory, under the content address of the
+// request they claim (always a 64-hex hash, so no input can name a path
+// outside the store). Bytes are either rejected, leaving the rebuilt index
+// empty, or they round-trip: the rebuild indexes them under that key, and
+// Get returns the same bytes and the entry validate decoded. Nothing may
+// panic.
 func FuzzStoreEntryDecode(f *testing.F) {
 	seeds, err := Open(f.TempDir())
 	if err != nil {
@@ -44,46 +47,42 @@ func FuzzStoreEntryDecode(f *testing.F) {
 
 	root := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var probe Entry
-		_ = json.Unmarshal(data, &probe)
-		want, valid := validate(data, probe.Key)
-
 		dir, err := os.MkdirTemp(root, "store-")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
+		var probe Entry
+		_ = json.Unmarshal(data, &probe)
+		key := Key(probe.Request)
+		want, valid := validate(data, key)
+		shard := filepath.Join(dir, objectsDir, key[:2])
+		if err := os.MkdirAll(shard, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(shard, key+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		s, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, err := s.PutRaw(data)
 		if !valid {
-			if err == nil {
-				t.Fatalf("PutRaw accepted bytes validate rejects: %q", data)
+			if s.Len() != 0 {
+				t.Fatalf("rebuild indexed bytes validate rejects: %q", data)
 			}
 			return
 		}
-		if err != nil || key != want.Key {
-			t.Fatalf("PutRaw rejected valid bytes: key %q, err %v", key, err)
+		if s.Len() != 1 || !s.Contains(key) {
+			t.Fatalf("rebuild did not index valid bytes under %s: %v", key, s.List())
 		}
 		got, raw, err := s.Get(key)
 		if err != nil || got == nil || !bytes.Equal(raw, data) {
-			t.Fatalf("Get after PutRaw: entry %v, err %v, bytes equal %v", got, err, bytes.Equal(raw, data))
+			t.Fatalf("Get after rebuild: entry %v, err %v, bytes equal %v", got, err, bytes.Equal(raw, data))
 		}
 		got.Seq = 0
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded entry changed:\nvalidate: %+v\nGet:      %+v", want, got)
-		}
-		if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
-			t.Fatal(err)
-		}
-		rebuilt, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rebuilt.Len() != 1 || !rebuilt.Contains(key) {
-			t.Fatalf("rebuild lost the entry: %v", rebuilt.List())
 		}
 	})
 }

@@ -30,12 +30,10 @@
 // serves byte-identical bodies for every hit of the same key, which is the
 // determinism property the end-to-end tests assert.
 //
-// Location independence: object files carry no node-local state (the
-// insertion sequence lives only in the index), so the same entry stored on
-// two nodes of a fleet is the same bytes. PutRaw accepts another store's
-// object bytes verbatim — validated, then written unchanged — which is how
-// peer result fetch and result forwarding replicate entries across nodes
-// without breaking byte-identity.
+// Location independence: object files carry no store-local state (the
+// insertion sequence lives only in the index), so the same entry stored in
+// two store directories is the same bytes, and a lost index is rebuilt
+// from the object files alone.
 package store
 
 import (
@@ -81,7 +79,7 @@ type Entry struct {
 	Key    string `json:"key"`
 	// Seq is the store-assigned insertion sequence; GC evicts lowest-first.
 	// It is index-only bookkeeping, deliberately excluded from the object
-	// file so object bytes are location-independent: two nodes holding the
+	// file so object bytes are location-independent: two stores holding the
 	// same key hold byte-identical files.
 	Seq     uint64          `json:"-"`
 	Request json.RawMessage `json:"request"`
@@ -292,43 +290,6 @@ func (s *Store) Put(e Entry) (string, error) {
 		return "", err
 	}
 	s.metrics.Counter(obs.MetricStorePuts).Inc()
-	return key, nil
-}
-
-// PutRaw stores another store's object bytes verbatim: the fleet
-// replication path. The bytes must be a valid object body (schema, and a
-// key that is the content address of its own request); they are written
-// unchanged, so every replica of a key is byte-identical to the original.
-// Re-putting an existing key keeps its sequence number, like Put.
-func (s *Store) PutRaw(data []byte) (string, error) {
-	var probe Entry
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return "", fmt.Errorf("store: put raw: %w", err)
-	}
-	e, ok := validate(data, probe.Key)
-	if !ok {
-		return "", fmt.Errorf("store: put raw: bytes fail validation (schema %q, key %q)", probe.Schema, probe.Key)
-	}
-	key := e.Key
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seq := s.nextSeq
-	if old, ok := s.entries[key]; ok {
-		seq = old.Seq
-	} else {
-		s.nextSeq++
-	}
-	if err := atomicWrite(s.objectPath(key), data); err != nil {
-		return "", fmt.Errorf("store: put raw %s: %w", key, err)
-	}
-	ie := IndexEntry{Key: key, Seq: seq, Size: int64(len(data))}
-	summarize(e.Request, &ie)
-	s.entries[key] = ie
-	if err := s.writeIndexLocked(); err != nil {
-		return "", err
-	}
-	s.metrics.Counter(obs.MetricStorePuts).Inc()
-	s.metrics.Counter(obs.MetricStoreReplicas).Inc()
 	return key, nil
 }
 

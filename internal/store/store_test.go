@@ -218,3 +218,101 @@ func TestMetricsCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectFilterAndPagination exercises the index-backed listing.
+func TestSelectFilterAndPagination(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []string{
+		`{"workload":"labyrinth","scale":"small","htm":"P8","hints":"baseline"}`,
+		`{"workload":"labyrinth","scale":"small","htm":"InfCap","hints":"baseline"}`,
+		`{"workload":"vacation","scale":"small","htm":"P8","hints":"HinTM"}`,
+	}
+	for i, req := range reqs {
+		put(t, s, req, `{"cycles":`+string(rune('1'+i))+`}`)
+	}
+
+	all, next := s.Select(Filter{}, 0, 10)
+	if len(all) != 3 || next != 0 {
+		t.Fatalf("unfiltered: %d items, next %d", len(all), next)
+	}
+	for i := 1; i < len(all); i++ {
+		if all[i].Seq <= all[i-1].Seq {
+			t.Fatalf("Select not seq-ordered: %+v", all)
+		}
+	}
+
+	if got, _ := s.Select(Filter{Workload: "vacation"}, 0, 10); len(got) != 1 || got[0].HTM != "P8" {
+		t.Errorf("workload filter: %+v", got)
+	}
+	if got, _ := s.Select(Filter{HTM: "P8"}, 0, 10); len(got) != 2 {
+		t.Errorf("htm filter: %+v", got)
+	}
+	if got, _ := s.Select(Filter{Workload: "labyrinth", HTM: "InfCap"}, 0, 10); len(got) != 1 {
+		t.Errorf("combined filter: %+v", got)
+	}
+	if got, _ := s.Select(Filter{Workload: "nope"}, 0, 10); len(got) != 0 {
+		t.Errorf("no-match filter: %+v", got)
+	}
+
+	// Pagination: page size 2 → cursor → final page, no overlap, no gap.
+	page1, cursor := s.Select(Filter{}, 0, 2)
+	if len(page1) != 2 || cursor == 0 {
+		t.Fatalf("page1: %d items, cursor %d", len(page1), cursor)
+	}
+	page2, cursor2 := s.Select(Filter{}, cursor, 2)
+	if len(page2) != 1 || cursor2 != 0 {
+		t.Fatalf("page2: %d items, cursor %d", len(page2), cursor2)
+	}
+	seen := map[string]bool{}
+	for _, it := range append(page1, page2...) {
+		if seen[it.Key] {
+			t.Fatalf("key %s in two pages", it.Key)
+		}
+		seen[it.Key] = true
+	}
+	if len(seen) != 3 {
+		t.Errorf("crawl saw %d keys, want 3", len(seen))
+	}
+}
+
+// TestIndexUpgradeRebuild: a version-1 index (no summaries) is rebuilt
+// from object files on Open, and the summaries appear.
+func TestIndexUpgradeRebuild(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := put(t, s, `{"workload":"labyrinth","scale":"small","htm":"P8","hints":"baseline"}`, `{"cycles":1}`)
+
+	// Regress the on-disk index to version 1 with the summaries stripped.
+	var doc indexDoc
+	path := filepath.Join(dir, indexFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc.Version = 1
+	for i := range doc.Entries {
+		doc.Entries[i].Workload, doc.Entries[i].Scale, doc.Entries[i].HTM, doc.Entries[i].Hints = "", "", "", ""
+	}
+	regressed, _ := json.Marshal(doc)
+	if err := os.WriteFile(path, regressed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, _ := s2.Select(Filter{Workload: "labyrinth"}, 0, 10)
+	if len(items) != 1 || items[0].Key != key || items[0].HTM != "P8" {
+		t.Errorf("rebuilt index lacks summaries: %+v", items)
+	}
+}
