@@ -18,26 +18,23 @@ vet:
 
 # race runs the concurrency-sensitive packages under the race detector; the
 # harness determinism tests double as the parallel-scheduler correctness
-# suite, the server package exercises the admission control and NDJSON
-# stream ratchet under concurrent submissions, and the load generator fires
-# its open-loop schedule from concurrent goroutines. The
-# worker-count twin grid and the seed-grid golden make the harness package
-# heavy under -race, so the per-package timeout is raised: concurrent
-# packages on a starved single-CPU runner must wait it out, not flake.
+# suite, and the server package exercises the admission control and NDJSON
+# stream ratchet under concurrent submissions. The worker-count twin grid
+# and the seed-grid golden make the harness package heavy under -race, so
+# the per-package timeout is raised: concurrent packages on a starved
+# single-CPU runner must wait it out, not flake.
 race:
 	$(GO) test -race -timeout 1800s ./internal/harness/... ./internal/sim/... \
-		./internal/server/... ./internal/loadgen/... ./internal/cli/... \
-		./internal/hyp/...
+		./internal/server/... ./internal/cli/... ./internal/hyp/...
 
-# fuzz-short gives the classifier-soundness fuzzer, the TIR
-# parse→print→parse fuzzer, the store-object decoding fuzzer and the TIR2
-# trace-reader fuzzer a 10-second native-fuzzing budget each — enough for CI
-# to catch regressions the seeded corpora miss.
+# fuzz-short gives the three fuzzers — classifier soundness, the TIR
+# parse→print→parse round trip and store-object decoding — a 10-second
+# native-fuzzing budget each, enough for CI to catch regressions the seeded
+# corpora miss.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifierSoundness -fuzztime=10s ./internal/classify
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrintParse -fuzztime=10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzStoreEntryDecode -fuzztime=10s ./internal/store
-	$(GO) test -run='^$$' -fuzz=FuzzTraceReader -fuzztime=10s ./internal/trace
 
 # The full verification artifacts the repository ships with.
 artifacts:

@@ -13,7 +13,8 @@
 //	-htm p8|p8s|l1tm|infcap    baseline HTM (default p8)
 //	-hints none|st|dyn|full    HinTM mode (default none)
 //	-scale small|medium|large  input scale (default medium)
-//	-threads N                 override the paper's thread count
+//	-threads N                 override the paper's thread count (with -module:
+//	                           the module's worker count, to size the machine)
 //	-smt N                     hardware threads per core (default 1)
 //	-seed N                    simulation seed
 //	-sig-bits N                P8S read-signature size in bits (0 = default 1024)
@@ -97,33 +98,9 @@ func main() {
 		fatal(err)
 	}
 
-	var mod *ir.Module
-	var name string
-	n := *threads
-	if *moduleFile != "" {
-		src, err := os.ReadFile(*moduleFile)
-		if err != nil {
-			fatal(err)
-		}
-		mod, err = ir.Parse(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		name = *moduleFile
-	} else {
-		spec, err := workloads.ByName(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		if n == 0 {
-			n = spec.DefaultThreads * cfg.SMT
-		}
-		if n > cfg.Contexts() {
-			cfg.Cores = (n + cfg.SMT - 1) / cfg.SMT
-			cfg.Cache = cache.DefaultConfig(cfg.Cores)
-		}
-		mod = spec.Build(n, scale)
-		name = spec.Name
+	mod, name, n, err := program(&cfg, *moduleFile, flag.Arg(0), *threads, scale)
+	if err != nil {
+		fatal(err)
 	}
 	rep := &classify.Report{}
 	if !*noClassify {
@@ -237,6 +214,41 @@ func main() {
 		ht.Render(os.Stdout)
 	}
 	finishObs()
+}
+
+// program returns what to run: the textual TIR module at path when path is
+// set, else the named workload built for its thread count at scale. threads
+// overrides the workload's paper thread count; for a module it is the worker
+// count its parallel region asks for (0 leaves the machine as configured).
+// Either way cfg grows to the fewest cores whose hardware contexts hold every
+// thread, with the cache hierarchy sized to match. It also returns the
+// display name and the thread count.
+func program(cfg *sim.Config, path, workload string, threads int, scale workloads.Scale) (*ir.Module, string, int, error) {
+	var mod *ir.Module
+	name := path
+	if path != "" {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		if mod, err = ir.Parse(string(src)); err != nil {
+			return nil, "", 0, err
+		}
+	} else {
+		spec, err := workloads.ByName(workload)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		if threads == 0 {
+			threads = spec.DefaultThreads * cfg.SMT
+		}
+		mod, name = spec.Build(threads, scale), spec.Name
+	}
+	if threads > cfg.Contexts() {
+		cfg.Cores = (threads + cfg.SMT - 1) / cfg.SMT
+		cfg.Cache = cache.DefaultConfig(cfg.Cores)
+	}
+	return mod, name, threads, nil
 }
 
 // run executes the machine, recovering panics (e.g. the fault layer's

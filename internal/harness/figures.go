@@ -48,11 +48,16 @@ type Fig1Row struct {
 	// CapacityTime: fraction of P8 runtime attributable to capacity aborts,
 	// derived as 1 - cycles(InfCap)/cycles(P8) (the paper's method).
 	CapacityTime float64
-	// SafePages: fraction of touched pages safe over the execution.
-	SafePages float64
+	// SafePages / SafeBlocks: fraction of touched pages / 64 B blocks safe
+	// over the execution.
+	SafePages, SafeBlocks float64
 	// SafeReadsPage / SafeReadsBlock: fraction of transactional accesses
 	// that are reads to safe regions at 4 KiB / 64 B granularity.
 	SafeReadsPage, SafeReadsBlock float64
+	// Pages, Blocks and TxAccesses are the profiled run's totals: distinct
+	// pages and blocks touched, and transactional accesses made.
+	Pages, Blocks int
+	TxAccesses    uint64
 	// Failed marks a row whose underlying runs failed; value fields are zero.
 	Failed bool
 }
@@ -95,8 +100,12 @@ func (r *Runner) Fig1(ctx context.Context) ([]Fig1Row, error) {
 			App:            spec.Name,
 			CapacityTime:   capTime,
 			SafePages:      prof.SafePageFrac,
+			SafeBlocks:     prof.SafeBlockFrac,
 			SafeReadsPage:  prof.SafeReadFracPage,
 			SafeReadsBlock: prof.SafeReadFracBlock,
+			Pages:          prof.Pages,
+			Blocks:         prof.Blocks,
+			TxAccesses:     prof.TxAccesses,
 		})
 	}
 	return rows, err

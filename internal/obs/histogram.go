@@ -108,65 +108,3 @@ type HistSnapshot struct {
 	Count   uint64
 	Sum     float64
 }
-
-// Sub returns the delta s - before, for before taken earlier from the same
-// histogram (same bounds). Windowed quantiles — e.g. "p99 during this load
-// run" — come from subtracting the pre-run snapshot from the post-run one.
-func (s HistSnapshot) Sub(before HistSnapshot) HistSnapshot {
-	if len(before.Buckets) == 0 {
-		return s
-	}
-	if len(before.Buckets) != len(s.Buckets) {
-		panic("obs: HistSnapshot.Sub across different bucket layouts")
-	}
-	out := HistSnapshot{Bounds: s.Bounds, Buckets: make([]uint64, len(s.Buckets)), Sum: s.Sum - before.Sum}
-	for i := range s.Buckets {
-		out.Buckets[i] = s.Buckets[i] - before.Buckets[i]
-		out.Count += out.Buckets[i]
-	}
-	return out
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear interpolation
-// inside the bucket holding the target rank — the standard Prometheus
-// histogram_quantile estimate. Observations in the +Inf bucket clamp to
-// the largest finite bound. Returns 0 for an empty snapshot. The estimate
-// is monotone in q.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Buckets) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	cum := 0.0
-	for i, c := range s.Buckets {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next || i == len(s.Buckets)-1 {
-			if i == len(s.Buckets)-1 && i == len(s.Bounds) {
-				// +Inf bucket: no upper bound to interpolate toward.
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lower := 0.0
-			if i > 0 {
-				lower = s.Bounds[i-1]
-			}
-			upper := s.Bounds[i]
-			frac := (rank - cum) / float64(c)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lower + frac*(upper-lower)
-		}
-		cum = next
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}

@@ -195,8 +195,8 @@ const (
 )
 
 // TxObserver is an optional extension of Profiler: observers implementing it
-// additionally receive transaction begin/commit/abort events, which the
-// trace recorder needs to delimit transactions offline. Abort events carry
+// additionally receive transaction begin/commit/abort events, which an
+// access recorder needs to delimit transactions. Abort events carry
 // their reason (htm.AbortNone for begin/commit).
 type TxObserver interface {
 	OnTxEvent(tid int, ev TxEventKind, reason htm.AbortReason)

@@ -34,8 +34,8 @@ func (h *Hist) N() uint64 { return h.n }
 // Empty-histogram contract: a Hist with zero observations has no
 // distribution to summarize, so every summary accessor returns its
 // documented zero value — Mean, Max and Percentile return 0, CDF returns
-// all-zero probabilities, FractionAbove returns 0 — rather than whatever
-// the implementation would happen to produce. TestHistEmpty pins this.
+// all-zero probabilities — rather than whatever the implementation would
+// happen to produce. TestHistEmpty pins this.
 
 // Mean returns the average observation, 0 when empty.
 func (h *Hist) Mean() float64 {
@@ -90,14 +90,6 @@ func (h *Hist) CDF(points []int) []float64 {
 	return out
 }
 
-// FractionAbove returns P(X > x).
-func (h *Hist) FractionAbove(x int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return 1 - h.CDF([]int{x})[0]
-}
-
 // Percentile returns the smallest value v with CDF(v) >= p (p in [0,1]),
 // 0 when empty.
 func (h *Hist) Percentile(p float64) int {
@@ -118,14 +110,6 @@ func (h *Hist) Percentile(p float64) int {
 		}
 	}
 	return values[len(values)-1]
-}
-
-// Merge folds other into h.
-func (h *Hist) Merge(other *Hist) {
-	for v, c := range other.counts {
-		h.counts[v] += c
-		h.n += c
-	}
 }
 
 // histEntry is one (value, count) pair of the histogram's canonical JSON
