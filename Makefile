@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff bench-module-build parity trace-check serve-smoke hyp-smoke figures svg ablate export clean
+.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff bench-module-build parity trace-check hyp-smoke figures svg ablate export clean
 
 all: test
 
@@ -18,14 +18,13 @@ vet:
 
 # race runs the concurrency-sensitive packages under the race detector; the
 # harness determinism tests double as the parallel-scheduler correctness
-# suite, and the server package exercises the admission control and NDJSON
-# stream ratchet under concurrent submissions. The worker-count twin grid
+# suite. The worker-count twin grid
 # and the seed-grid golden make the harness package heavy under -race, so
 # the per-package timeout is raised: concurrent packages on a starved
 # single-CPU runner must wait it out, not flake.
 race:
 	$(GO) test -race -timeout 1800s ./internal/harness/... ./internal/sim/... \
-		./internal/server/... ./internal/cli/... ./internal/hyp/...
+		./internal/cli/... ./internal/hyp/...
 
 # fuzz-short gives the three fuzzers — classifier soundness, the TIR
 # parse→print→parse round trip and store-object decoding — a 10-second
@@ -91,12 +90,6 @@ bench-module-build:
 # result, e.g. `make parity REV=HEAD`.
 parity:
 	./scripts/parity.sh $(REV)
-
-# serve-smoke boots hintm-served against a temp store, submits the same
-# seeded run twice over HTTP, and asserts the second is a store hit with a
-# byte-identical body and zero extra simulations — then SIGTERM-drains it.
-serve-smoke:
-	./scripts/serve-smoke.sh
 
 # hyp-smoke re-verifies the committed hypothesis catalogue: a cold
 # `hintm-exp check` (every FINDINGS.md must regenerate byte-identical),

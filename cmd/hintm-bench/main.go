@@ -23,7 +23,7 @@
 //	                            default BENCH_results.json, "" disables)
 //	-store DIR                  recall/persist every run in a content-addressed
 //	                            result store (warm-cache figure regeneration;
-//	                            shared with hintm-served)
+//	                            shared with hintm-exp)
 //	-tolerance F                relative tolerance for the benchdiff target
 //	                            (default 0.05)
 //	-min-wall S                 shortest baseline wall time the benchdiff
@@ -54,7 +54,7 @@ func main() {
 	svgDir := flag.String("svg", "", "also render the figures as SVG files into this directory")
 	results := flag.String("results", "BENCH_results.json", `write machine-readable headline metrics here on the "all" target ("" = off)`)
 	seeds := flag.Int("seeds", 5, `seed count for the "seeds" target (sweeps seeds 1..N)`)
-	storeDir := cli.RegisterStore(flag.CommandLine, "")
+	storeDir := cli.RegisterStore(flag.CommandLine)
 	tolerance := flag.Float64("tolerance", 0.05, `relative headline-metric tolerance for the "benchdiff" target`)
 	minWall := flag.Float64("min-wall", harness.DefaultMinWallSeconds, `shortest baseline wall time (seconds) the "benchdiff" target gates in relative terms`)
 	profiles := cli.RegisterProfiles(flag.CommandLine, "hintm-bench", "harness")
@@ -73,7 +73,7 @@ func main() {
 	}
 	// The content-addressed store makes repeated figure regeneration
 	// warm-cache: any run already stored (by an earlier bench run or by
-	// hintm-served over the same directory) is recalled, not re-run.
+	// hintm-exp over the same directory) is recalled, not re-run.
 	if opts.Store, err = cli.OpenStore(*storeDir); err != nil {
 		fatal(err)
 	}

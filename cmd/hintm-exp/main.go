@@ -51,7 +51,7 @@ func main() {
 	all := flag.Bool("all", false, "run every registered hypothesis")
 	scaleFlag := flag.String("scale", "small", "input scale for every grid cell: small|medium|large")
 	dir := flag.String("dir", "hypotheses", "hypotheses tree root holding <name>/FINDINGS.md")
-	storeDir := cli.RegisterStore(flag.CommandLine, "")
+	storeDir := cli.RegisterStore(flag.CommandLine)
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
 	assertWarm := flag.Bool("assert-warm", false, "exit non-zero if any cell simulated instead of recalling from the store")

@@ -224,6 +224,9 @@ func main() {
 // thread, with the cache hierarchy sized to match. It also returns the
 // display name and the thread count.
 func program(cfg *sim.Config, path, workload string, threads int, scale workloads.Scale) (*ir.Module, string, int, error) {
+	if threads < 0 {
+		return nil, "", 0, fmt.Errorf("-threads %d: must not be negative", threads)
+	}
 	var mod *ir.Module
 	name := path
 	if path != "" {

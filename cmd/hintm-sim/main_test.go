@@ -38,7 +38,8 @@ entry:
 // TestProgramSizesMachine pins the sizing rule that -module and workload
 // runs share: -threads grows the machine to the fewest cores whose contexts
 // hold every thread. The 12-worker module case is also simulated to
-// completion: on too few contexts its parallel region panics.
+// completion: on too few contexts its parallel region panics. A negative
+// -threads is a usage error, for a module and a workload alike.
 func TestProgramSizesMachine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "twelve.tir")
 	if err := os.WriteFile(path, []byte(twelveWorkers), 0o644); err != nil {
@@ -55,10 +56,18 @@ func TestProgramSizesMachine(t *testing.T) {
 		{"", "labyrinth", 1, 12, 12, 12}, // one thread per core
 		{"", "labyrinth", 2, 12, 12, 8},  // 16 contexts already hold 12
 		{"", "labyrinth", 2, 20, 20, 10}, // rounds up to whole cores
+		{path, "", 1, -1, 0, 0},          // negative: a usage error
+		{"", "kmeans", 1, -1, 0, 0},      // likewise for a workload
 	} {
 		cfg := sim.DefaultConfig()
 		cfg.SMT = c.smt
 		mod, _, n, err := program(&cfg, c.path, c.workload, c.threads, workloads.Small)
+		if c.threads < 0 {
+			if err == nil {
+				t.Errorf("%s%s -threads %d: no error", c.path, c.workload, c.threads)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,15 +1,14 @@
 // Package cli is the shared command-line surface of the hintm binaries.
 //
-// hintm-sim, hintm-bench, hintm-served, and hintm-exp configure the same
+// hintm-sim, hintm-bench, and hintm-exp configure the same
 // machinery — input scales, HTM kind and hint mode, seeds, fault plans,
 // the result store, worker counts, timeouts — and before this package each
 // binary re-registered and re-parsed those flags by hand, drifting in
 // defaults and usage text. The flag groups live here once: a binary
 // registers the group(s) it needs on its FlagSet and asks the group for
-// the parsed, validated configuration. Spellings are validated with the
-// same parsers the wire format uses (workloads.ParseScale,
-// sim.ParseHTMKind, sim.ParseHintMode), so `-htm p8s` on a command line
-// and `"htm":"p8s"` in a request body accept exactly the same values.
+// the parsed, validated configuration. Spellings are validated with one
+// parser per kind (workloads.ParseScale, sim.ParseHTMKind,
+// sim.ParseHintMode), so every binary accepts exactly the same values.
 package cli
 
 import (
@@ -31,7 +30,7 @@ import (
 	"hintm/internal/workloads"
 )
 
-// ---- harness options (hintm-bench, hintm-served) -----------------------
+// ---- harness options (hintm-bench) --------------------------------------
 
 // HarnessFlags collects the scheduler-facing flags. Register with
 // RegisterHarness, then call Options after flag parsing.
@@ -154,14 +153,9 @@ func (f *SimFlags) Scale() (workloads.Scale, error) {
 
 // ---- result store -------------------------------------------------------
 
-// RegisterStore registers the -store flag with the binary's default
-// directory ("" = store disabled).
-func RegisterStore(fs *flag.FlagSet, def string) *string {
-	usage := "recall/persist every run in this content-addressed result store directory"
-	if def == "" {
-		usage += ` ("" = off)`
-	}
-	return fs.String("store", def, usage)
+// RegisterStore registers the -store flag; the store is off by default.
+func RegisterStore(fs *flag.FlagSet) *string {
+	return fs.String("store", "", `recall/persist every run in this content-addressed result store directory ("" = off)`)
 }
 
 // OpenStore opens the flagged store directory; "" means no store (nil).

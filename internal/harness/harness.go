@@ -21,7 +21,6 @@ import (
 
 	"hintm/internal/fault"
 	"hintm/internal/ir"
-	"hintm/internal/obs"
 	"hintm/internal/store"
 	"hintm/internal/workloads"
 )
@@ -62,10 +61,6 @@ type Options struct {
 	// a warm store turns figure regeneration into a pure, byte-identical
 	// reduction, and lets separate processes share completed runs.
 	Store *store.Store
-	// Metrics, when non-nil, receives the runner's counters (simulations
-	// executed, in-flight workers, store persistence failures); the
-	// serving layer renders it on /metrics.
-	Metrics *obs.Metrics
 }
 
 // DefaultOptions mirrors the paper's setup.
@@ -88,7 +83,7 @@ type Runner struct {
 	sem chan struct{}
 
 	// execs counts actual result-producing simulator invocations; store
-	// hits and memoized recalls are excluded, so the "warm serve runs
+	// hits and memoized recalls are excluded, so the "warm re-render runs
 	// nothing" assertions and the per-cell accounting both stay exact.
 	execs atomic.Uint64
 	// simCycles totals the simulated cycles of those invocations, the

@@ -27,13 +27,6 @@ import (
 // worker count or completion order — the property the determinism tests
 // assert and every cross-configuration comparison in the figures relies on.
 
-// noteExec records one actual simulator invocation (the counter warm-serve
-// assertions and the runner_sim_runs_total metric read).
-func (r *Runner) noteExec() {
-	r.execs.Add(1)
-	r.opts.Metrics.Counter(obs.MetricSimRuns).Inc()
-}
-
 // moduleKey identifies one built + classified module. Modules are shared
 // across runs that differ only in HTM/hint configuration; after classify
 // they are read-only, so concurrent machines can safely execute the same
@@ -56,12 +49,7 @@ type flight[T any] struct {
 func (r *Runner) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case r.sem <- struct{}{}:
-		inflight := r.opts.Metrics.Counter(obs.MetricInflight)
-		inflight.Add(1)
-		return func() {
-			inflight.Add(-1)
-			<-r.sem
-		}, nil
+		return func() { <-r.sem }, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -223,7 +211,7 @@ func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 		prof = profile.NewSharing(cfg.Contexts() - 1)
 		m.SetProfiler(prof)
 	}
-	r.noteExec()
+	r.execs.Add(1)
 	c.res, err = m.Run(ctx)
 	if c.res != nil {
 		r.simCycles.Add(uint64(c.res.Cycles))
@@ -347,7 +335,7 @@ func (r *Runner) runConfig(ctx context.Context, spec *workloads.Spec, scale work
 		return nil, err
 	}
 	defer m.Release()
-	r.noteExec()
+	r.execs.Add(1)
 	res, err = m.Run(ctx)
 	if res != nil {
 		r.simCycles.Add(uint64(res.Cycles))

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"hintm/internal/htm"
-	"hintm/internal/obs"
 	"hintm/internal/profile"
 	"hintm/internal/sim"
 	"hintm/internal/stats"
@@ -19,7 +18,7 @@ import (
 // result store; after it completes, the result is persisted. A warm store
 // therefore makes figure regeneration a pure reduction — byte-identical to
 // the cold run, asserted by TestStoreWarmRunByteIdentical — and two
-// processes sharing a store directory (hintm-bench and hintm-served, say)
+// processes sharing a store directory (hintm-bench and hintm-exp, say)
 // share one set of simulations.
 
 // runKey is the canonical preimage of a request's store key. It captures
@@ -67,8 +66,7 @@ func (r *Runner) KeyPreimage(req Request) []byte {
 }
 
 // StoreKey returns req's content address under the runner's options. It is
-// derivable with or without a configured store (the serving layer uses it
-// for addressing before deciding whether to run anything).
+// derivable with or without a configured store.
 func (r *Runner) StoreKey(req Request) string {
 	return store.Key(r.KeyPreimage(req))
 }
@@ -113,9 +111,8 @@ func (r *Runner) storeGet(req Request) (cell, bool) {
 }
 
 // storePut persists a completed run. Persistence failures are deliberately
-// non-fatal — the simulation succeeded and its result is correct; a full
-// disk should not fail the figure — but they are counted so a service
-// operator sees them on /metrics.
+// non-fatal: the simulation succeeded and its result is correct; a full
+// disk should not fail the figure, only leave the run to be simulated again.
 func (r *Runner) storePut(req Request, c cell) {
 	st := r.opts.Store
 	if st == nil {
@@ -127,7 +124,6 @@ func (r *Runner) storePut(req Request, c cell) {
 		e.Profile, err = json.Marshal(c.prof)
 	}
 	if err != nil {
-		r.opts.Metrics.Counter(obs.MetricStorePutErrors).Inc()
 		return
 	}
 	if r.opts.TraceDir != "" {
@@ -135,7 +131,5 @@ func (r *Runner) storePut(req Request, c cell) {
 		e.TracePath = base + ".trace.json"
 		e.AutopsyPath = base + ".autopsy.txt"
 	}
-	if _, err := st.Put(e); err != nil {
-		r.opts.Metrics.Counter(obs.MetricStorePutErrors).Inc()
-	}
+	_, _ = st.Put(e)
 }

@@ -16,7 +16,7 @@ import (
 // runs under its own harness.Runner because levels may perturb runner
 // options (seed, fault plan) that are fixed per Runner; the runners share
 // the engine's content-addressed store, so a cell that has ever completed
-// anywhere (an earlier run, hintm-served, CI) is recalled instead of
+// anywhere (an earlier run, hintm-bench, CI) is recalled instead of
 // simulated. Cell execution order is irrelevant to the output: the
 // evaluation is assembled by (level, seed) index and every simulation is
 // self-contained and seeded.

@@ -54,7 +54,7 @@ func (k HTMKind) String() string {
 	return fmt.Sprintf("htm(%d)", uint8(k))
 }
 
-// ParseHTMKind parses the CLI/API spelling of a baseline HTM
+// ParseHTMKind parses the command-line spelling of a baseline HTM
 // ("p8", "p8s", "l1tm", "infcap", "stm").
 func ParseHTMKind(s string) (HTMKind, error) {
 	switch s {
@@ -97,7 +97,7 @@ func (h HintMode) String() string {
 	return fmt.Sprintf("hint(%d)", uint8(h))
 }
 
-// ParseHintMode parses the CLI/API spelling of a hint mode
+// ParseHintMode parses the command-line spelling of a hint mode
 // ("none", "st", "dyn", "full").
 func ParseHintMode(s string) (HintMode, error) {
 	switch s {

@@ -382,6 +382,8 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 }
 
 // startMain lays out the globals and creates the main thread on context 0.
+// Context 0's thread is main whenever no parallel region runs, so a
+// transaction of main aborts and restores like any worker's.
 func (m *Machine) startMain() error {
 	mainFn := m.prog.M.Func("main")
 	if mainFn == nil {
@@ -392,6 +394,7 @@ func (m *Machine) startMain() error {
 	base := m.alloc.StackAlloc(mtid, mainFn.AllocaWords*mem.WordSize)
 	m.mainThread = m.prog.NewThread(mtid, "main", nil, base, m.cfg.Seed)
 	m.byThread[mtid] = m.ctxs[0]
+	m.ctxs[0].thread = m.mainThread
 	return nil
 }
 
@@ -464,6 +467,7 @@ func (m *Machine) stepWorkers() {
 			if m.ctxs[0].cycle < max {
 				m.ctxs[0].cycle = max
 			}
+			m.ctxs[0].thread = m.mainThread
 			m.parallel.finished = true
 			return
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -163,6 +164,88 @@ func TestCapacityAbortAndFallback(t *testing.T) {
 	for tid := int64(0); tid < 2; tid++ {
 		if got := m.memory.ReadWord(base + mem.Addr(tid*8)); got != want {
 			t.Fatalf("out[%d] = %d, want %d", tid, got, want)
+		}
+	}
+}
+
+// overflowMainTxModule: main runs one transaction storing i to word 0 of
+// each of `blocks` distinct cache blocks, with a two-worker counter region
+// before or after it.
+func overflowMainTxModule(blocks int64, parallelFirst bool) *ir.Module {
+	b := ir.NewBuilder("maintx")
+	b.Global("buf", blocks*8)
+	b.Global("ctr", 1)
+
+	w := b.ThreadBody("worker", 1)
+	w.TxBegin()
+	g := w.GlobalAddr("ctr")
+	w.Store(g, 0, w.AddI(w.Load(g, 0), 1))
+	w.TxEnd()
+	w.RetVoid()
+
+	mn := b.Function("main", 0)
+	loop := mn.NewBlock("loop")
+	done := mn.NewBlock("done")
+	if parallelFirst {
+		mn.Parallel(mn.C(2), "worker")
+	}
+	i := mn.C(0)
+	buf := mn.GlobalAddr("buf")
+	mn.TxBegin()
+	mn.Br(loop)
+	mn.SetBlock(loop)
+	mn.Store(mn.Add(buf, mn.MulI(i, 64)), 0, i)
+	mn.MovTo(i, mn.AddI(i, 1))
+	mn.CondBr(mn.Cmp(ir.CmpLT, i, mn.C(blocks)), loop, done)
+	mn.SetBlock(done)
+	mn.TxEnd()
+	if !parallelFirst {
+		mn.Parallel(mn.C(2), "worker")
+	}
+	mn.RetVoid()
+	return b.M
+}
+
+// TestMainThreadTxCapacityAborts: a transaction of main that overflows the
+// 64-entry P8 buffer aborts like any worker's and then commits under the
+// fallback lock, whether it runs before the first parallel region or after
+// one, and with or without run-ahead.
+func TestMainThreadTxCapacityAborts(t *testing.T) {
+	const blocks = 200
+	for _, parallelFirst := range []bool{false, true} {
+		var results [2][]byte
+		for i, runAhead := range []bool{true, false} {
+			m, err := New(DefaultConfig(), overflowMainTxModule(blocks, parallelFirst))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !runAhead {
+				DisableRunAhead(m)
+			}
+			res, err := m.Run(context.Background())
+			if err != nil {
+				t.Fatalf("parallelFirst=%v runAhead=%v: %v", parallelFirst, runAhead, err)
+			}
+			if res.Aborts[htm.AbortCapacity] == 0 || res.FallbackCommits != 1 {
+				t.Errorf("parallelFirst=%v runAhead=%v: want a capacity abort, then one fallback commit: %v",
+					parallelFirst, runAhead, res)
+			}
+			base := m.prog.GlobalAddr("buf")
+			for b := int64(0); b < blocks; b++ {
+				if got := m.memory.ReadWord(base + mem.Addr(b*64)); got != b {
+					t.Fatalf("parallelFirst=%v: buf block %d = %d, want %d", parallelFirst, b, got, b)
+				}
+			}
+			if got := m.memory.ReadWord(m.prog.GlobalAddr("ctr")); got != 2 {
+				t.Errorf("parallelFirst=%v: ctr = %d, want 2", parallelFirst, got)
+			}
+			if results[i], err = json.Marshal(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if string(results[0]) != string(results[1]) {
+			t.Errorf("parallelFirst=%v: run-ahead changes the result:\n on:  %s\n off: %s",
+				parallelFirst, results[0], results[1])
 		}
 	}
 }

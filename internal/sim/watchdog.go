@@ -136,9 +136,6 @@ func (m *Machine) txPending() bool {
 			return true
 		}
 	}
-	if m.mainThread != nil && !m.mainThread.Done && (m.mainThread.InTx || m.mainThread.Fallback) {
-		return true
-	}
 	return false
 }
 
@@ -189,11 +186,7 @@ func (m *Machine) livelockError(now, stall int64) *LivelockError {
 			BackoffUntil: c.backoffUntil,
 			TxStart:      c.txStart,
 		}
-		t := c.thread
-		if c == m.ctxs[0] && (t == nil || t.Done) && m.mainThread != nil && !m.mainThread.Done {
-			t = m.mainThread
-		}
-		if t != nil {
+		if t := c.thread; t != nil {
 			s.Thread = t.ID
 			s.Where = t.Where()
 			s.InTx = t.InTx

@@ -25,10 +25,8 @@
 // fail. A missing or corrupt index is rebuilt by scanning the objects
 // directory, quarantining what cannot be salvaged.
 //
-// Serving byte-identity: Get returns the raw object file bytes alongside
-// the decoded entry. A server that responds with those bytes verbatim
-// serves byte-identical bodies for every hit of the same key, which is the
-// determinism property the end-to-end tests assert.
+// Byte-identity: Get returns the raw object file bytes alongside the
+// decoded entry, so every hit of the same key yields the same bytes.
 //
 // Location independence: object files carry no store-local state (the
 // insertion sequence lives only in the index), so the same entry stored in
@@ -47,8 +45,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"hintm/internal/obs"
 )
 
 // Schema versions the store layout and key derivation. It is part of every
@@ -72,12 +68,12 @@ func Key(preimage []byte) string {
 
 // Entry is one stored run. Request carries the canonical key preimage and
 // Result the run's sim.Result encoding; both stay raw JSON here so the
-// store has no dependency on the simulator's types and served bytes are
+// store has no dependency on the simulator's types and recalled bytes are
 // exactly the stored bytes.
 type Entry struct {
 	Schema string `json:"schema"`
 	Key    string `json:"key"`
-	// Seq is the store-assigned insertion sequence; GC evicts lowest-first.
+	// Seq is the store-assigned insertion sequence, the order List returns.
 	// It is index-only bookkeeping, deliberately excluded from the object
 	// file so object bytes are location-independent: two stores holding the
 	// same key hold byte-identical files.
@@ -94,22 +90,18 @@ type Entry struct {
 	AutopsyPath string `json:"autopsyPath,omitempty"`
 }
 
-// IndexEntry is the index's per-entry summary: identity and size, plus the
-// request coordinates parsed out of the preimage at Put/rebuild time so
-// listings can filter by workload or HTM without opening object files.
+// IndexEntry is the index's per-entry summary: identity, insertion
+// sequence and object size.
 type IndexEntry struct {
-	Key      string `json:"key"`
-	Seq      uint64 `json:"seq"`
-	Size     int64  `json:"size"`
-	Workload string `json:"workload,omitempty"`
-	Scale    string `json:"scale,omitempty"`
-	HTM      string `json:"htm,omitempty"`
-	Hints    string `json:"hints,omitempty"`
+	Key  string `json:"key"`
+	Seq  uint64 `json:"seq"`
+	Size int64  `json:"size"`
 }
 
 // indexVersion versions the index layout (not the key derivation — that is
-// Schema's job). Version 2 added the request-coordinate summaries; an
-// older index is rebuilt from the object files on Open.
+// Schema's job). An index of any other version is rebuilt from the object
+// files on Open. Version 2 indexes written with request-coordinate
+// summaries still load: the extra fields are ignored.
 const indexVersion = 2
 
 // indexDoc is the on-disk index layout.
@@ -120,26 +112,9 @@ type indexDoc struct {
 	Entries []IndexEntry `json:"entries"`
 }
 
-// summarize extracts the filterable request coordinates from a canonical
-// key preimage. Preimages without those fields (foreign request shapes)
-// summarize to empty strings — they simply don't match coordinate filters.
-func summarize(request json.RawMessage, e *IndexEntry) {
-	var s struct {
-		Workload string `json:"workload"`
-		Scale    string `json:"scale"`
-		HTM      string `json:"htm"`
-		Hints    string `json:"hints"`
-	}
-	if json.Unmarshal(request, &s) != nil {
-		return
-	}
-	e.Workload, e.Scale, e.HTM, e.Hints = s.Workload, s.Scale, s.HTM, s.Hints
-}
-
 // Store is safe for concurrent use by any number of goroutines.
 type Store struct {
-	dir     string
-	metrics *obs.Metrics
+	dir string
 
 	mu      sync.Mutex
 	entries map[string]IndexEntry
@@ -159,9 +134,8 @@ func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir, entries: make(map[string]IndexEntry), nextSeq: 1}
 	data, err := os.ReadFile(filepath.Join(dir, indexFile))
 	var idx indexDoc
-	// An index from an older layout version (no request-coordinate
-	// summaries) is not wrong, just incomplete: fall through to a rebuild,
-	// which re-derives the summaries from the object files.
+	// An index from another layout version falls through to a rebuild from
+	// the object files.
 	if err == nil && json.Unmarshal(data, &idx) == nil && idx.Schema == Schema && idx.Version == indexVersion {
 		for _, e := range idx.Entries {
 			s.entries[e.Key] = e
@@ -176,21 +150,6 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// SetMetrics attaches a registry the store feeds hit/miss/put/quarantine
-// counters into (nil detaches).
-func (s *Store) SetMetrics(m *obs.Metrics) {
-	s.mu.Lock()
-	s.metrics = m
-	s.mu.Unlock()
-}
-
-func (s *Store) count(name string) {
-	s.mu.Lock()
-	m := s.metrics
-	s.mu.Unlock()
-	m.Counter(name).Inc()
 }
 
 // rebuild reconstructs the index by scanning the objects directory,
@@ -216,9 +175,7 @@ func (s *Store) rebuild() error {
 			s.moveToQuarantine(path)
 			return nil
 		}
-		ie := IndexEntry{Key: e.Key, Seq: s.nextSeq, Size: int64(len(data))}
-		summarize(e.Request, &ie)
-		s.entries[e.Key] = ie
+		s.entries[e.Key] = IndexEntry{Key: e.Key, Seq: s.nextSeq, Size: int64(len(data))}
 		s.nextSeq++
 		return nil
 	})
@@ -283,13 +240,10 @@ func (s *Store) Put(e Entry) (string, error) {
 	if err := atomicWrite(path, data); err != nil {
 		return "", fmt.Errorf("store: put %s: %w", key, err)
 	}
-	ie := IndexEntry{Key: key, Seq: e.Seq, Size: int64(len(data))}
-	summarize(e.Request, &ie)
-	s.entries[key] = ie
+	s.entries[key] = IndexEntry{Key: key, Seq: e.Seq, Size: int64(len(data))}
 	if err := s.writeIndexLocked(); err != nil {
 		return "", err
 	}
-	s.metrics.Counter(obs.MetricStorePuts).Inc()
 	return key, nil
 }
 
@@ -301,7 +255,6 @@ func (s *Store) Get(key string) (*Entry, []byte, error) {
 	ie, ok := s.entries[key]
 	s.mu.Unlock()
 	if !ok {
-		s.count(obs.MetricStoreMisses)
 		return nil, nil, nil
 	}
 	path := s.objectPath(key)
@@ -310,24 +263,20 @@ func (s *Store) Get(key string) (*Entry, []byte, error) {
 		// Indexed but unreadable: drop the index entry so later calls are
 		// clean misses.
 		s.quarantine(key)
-		s.count(obs.MetricStoreMisses)
 		return nil, nil, nil
 	}
 	e, valid := validate(data, key)
 	if !valid {
 		s.quarantine(key)
-		s.count(obs.MetricStoreMisses)
 		return nil, nil, nil
 	}
 	// Seq is index-only state (object bytes are location-independent);
 	// restore it on the way out so callers still see insertion order.
 	e.Seq = ie.Seq
-	s.count(obs.MetricStoreHits)
 	return e, data, nil
 }
 
-// Contains reports whether key is indexed, without touching the object
-// file or the hit/miss counters (the serving layer's cheap pre-check).
+// Contains reports whether key is indexed, without reading the object file.
 func (s *Store) Contains(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,64 +303,6 @@ func (s *Store) List() []IndexEntry {
 	return out
 }
 
-// Filter selects index entries by request coordinates (canonical display
-// spellings, as recorded in the key preimage); empty fields match anything.
-type Filter struct {
-	Workload string
-	HTM      string
-}
-
-func (f Filter) matches(e IndexEntry) bool {
-	return (f.Workload == "" || f.Workload == e.Workload) &&
-		(f.HTM == "" || f.HTM == e.HTM)
-}
-
-// Select returns up to limit matching entries in insertion order, starting
-// after the given sequence number (0 = from the beginning). The returned
-// cursor is non-zero when more matches remain — pass it back as `after`
-// for the next page. Pagination by sequence number is stable: entries
-// inserted between pages appear at the end, never shift existing pages.
-func (s *Store) Select(f Filter, after uint64, limit int) (items []IndexEntry, next uint64) {
-	if limit <= 0 {
-		return nil, 0
-	}
-	for _, e := range s.List() {
-		if e.Seq <= after || !f.matches(e) {
-			continue
-		}
-		if len(items) == limit {
-			return items, items[len(items)-1].Seq
-		}
-		items = append(items, e)
-	}
-	return items, 0
-}
-
-// GC evicts the oldest entries (lowest sequence first) until at most keep
-// remain, removing their object files. It returns how many were evicted.
-func (s *Store) GC(keep int) (int, error) {
-	if keep < 0 {
-		keep = 0
-	}
-	all := s.List()
-	if len(all) <= keep {
-		return 0, nil
-	}
-	victims := all[:len(all)-keep]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, v := range victims {
-		if err := os.Remove(s.objectPath(v.Key)); err != nil && !os.IsNotExist(err) {
-			return 0, fmt.Errorf("store: gc %s: %w", v.Key, err)
-		}
-		delete(s.entries, v.Key)
-	}
-	if err := s.writeIndexLocked(); err != nil {
-		return 0, err
-	}
-	return len(victims), nil
-}
-
 // quarantine moves key's object file aside and drops it from the index.
 func (s *Store) quarantine(key string) {
 	s.mu.Lock()
@@ -420,7 +311,6 @@ func (s *Store) quarantine(key string) {
 	s.mu.Unlock()
 	_ = err // the index rewrite is best-effort here; the map entry is gone
 	s.moveToQuarantine(s.objectPath(key))
-	s.count(obs.MetricStoreQuarantined)
 }
 
 // moveToQuarantine renames an object file into the quarantine directory.

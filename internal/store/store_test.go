@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"hintm/internal/obs"
 )
 
 func put(t *testing.T, s *Store, req, result string) string {
@@ -100,17 +98,6 @@ func TestListInsertionOrderAndGC(t *testing.T) {
 	if len(got) != 3 || got[0].Key != k1 || got[1].Key != k2 || got[2].Key != k3 {
 		t.Fatalf("List order wrong: %+v", got)
 	}
-
-	n, err := s.GC(1)
-	if err != nil || n != 2 {
-		t.Fatalf("GC: evicted %d err %v, want 2", n, err)
-	}
-	if s.Contains(k1) || s.Contains(k2) || !s.Contains(k3) {
-		t.Error("GC evicted the wrong entries")
-	}
-	if e, _, _ := s.Get(k1); e != nil {
-		t.Error("evicted entry still readable")
-	}
 }
 
 func TestCorruptObjectQuarantinedNotFatal(t *testing.T) {
@@ -121,8 +108,6 @@ func TestCorruptObjectQuarantinedNotFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := obs.NewMetrics()
-	s.SetMetrics(m)
 	e, _, err := s.Get(key)
 	if err != nil || e != nil {
 		t.Fatalf("corrupt Get: entry=%v err=%v, want clean miss", e, err)
@@ -133,9 +118,6 @@ func TestCorruptObjectQuarantinedNotFatal(t *testing.T) {
 	bad, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*.bad"))
 	if len(bad) != 1 {
 		t.Errorf("quarantine holds %d files, want 1", len(bad))
-	}
-	if m.Value("store_quarantined_total") != 1 || m.Value("store_misses_total") != 1 {
-		t.Errorf("metrics: %+v", m.Snapshot())
 	}
 }
 
@@ -196,90 +178,8 @@ func TestNoTempFilesLeftBehind(t *testing.T) {
 	}
 }
 
-func TestMetricsCounters(t *testing.T) {
-	s, _ := Open(t.TempDir())
-	m := obs.NewMetrics()
-	s.SetMetrics(m)
-	key := put(t, s, `{"a":1}`, `{}`)
-	s.Get(key)
-	s.Get(strings.Repeat("00", 32))
-	if m.Value("store_puts_total") != 1 || m.Value("store_hits_total") != 1 || m.Value("store_misses_total") != 1 {
-		t.Errorf("metrics: %+v", m.Snapshot())
-	}
-	var sb strings.Builder
-	if err := m.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	// Render now carries # HELP/# TYPE exposition headers; the sample lines
-	// themselves must keep the plain `name value` form.
-	for _, line := range []string{"store_hits_total 1\n", "store_misses_total 1\n", "store_puts_total 1\n"} {
-		if !strings.Contains(sb.String(), line) {
-			t.Errorf("Render missing %q:\n%s", line, sb.String())
-		}
-	}
-}
-
-// TestSelectFilterAndPagination exercises the index-backed listing.
-func TestSelectFilterAndPagination(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := []string{
-		`{"workload":"labyrinth","scale":"small","htm":"P8","hints":"baseline"}`,
-		`{"workload":"labyrinth","scale":"small","htm":"InfCap","hints":"baseline"}`,
-		`{"workload":"vacation","scale":"small","htm":"P8","hints":"HinTM"}`,
-	}
-	for i, req := range reqs {
-		put(t, s, req, `{"cycles":`+string(rune('1'+i))+`}`)
-	}
-
-	all, next := s.Select(Filter{}, 0, 10)
-	if len(all) != 3 || next != 0 {
-		t.Fatalf("unfiltered: %d items, next %d", len(all), next)
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i].Seq <= all[i-1].Seq {
-			t.Fatalf("Select not seq-ordered: %+v", all)
-		}
-	}
-
-	if got, _ := s.Select(Filter{Workload: "vacation"}, 0, 10); len(got) != 1 || got[0].HTM != "P8" {
-		t.Errorf("workload filter: %+v", got)
-	}
-	if got, _ := s.Select(Filter{HTM: "P8"}, 0, 10); len(got) != 2 {
-		t.Errorf("htm filter: %+v", got)
-	}
-	if got, _ := s.Select(Filter{Workload: "labyrinth", HTM: "InfCap"}, 0, 10); len(got) != 1 {
-		t.Errorf("combined filter: %+v", got)
-	}
-	if got, _ := s.Select(Filter{Workload: "nope"}, 0, 10); len(got) != 0 {
-		t.Errorf("no-match filter: %+v", got)
-	}
-
-	// Pagination: page size 2 → cursor → final page, no overlap, no gap.
-	page1, cursor := s.Select(Filter{}, 0, 2)
-	if len(page1) != 2 || cursor == 0 {
-		t.Fatalf("page1: %d items, cursor %d", len(page1), cursor)
-	}
-	page2, cursor2 := s.Select(Filter{}, cursor, 2)
-	if len(page2) != 1 || cursor2 != 0 {
-		t.Fatalf("page2: %d items, cursor %d", len(page2), cursor2)
-	}
-	seen := map[string]bool{}
-	for _, it := range append(page1, page2...) {
-		if seen[it.Key] {
-			t.Fatalf("key %s in two pages", it.Key)
-		}
-		seen[it.Key] = true
-	}
-	if len(seen) != 3 {
-		t.Errorf("crawl saw %d keys, want 3", len(seen))
-	}
-}
-
-// TestIndexUpgradeRebuild: a version-1 index (no summaries) is rebuilt
-// from object files on Open, and the summaries appear.
+// TestIndexUpgradeRebuild: an index of another layout version is not
+// trusted; Open rebuilds it from the object files.
 func TestIndexUpgradeRebuild(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -287,8 +187,10 @@ func TestIndexUpgradeRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := put(t, s, `{"workload":"labyrinth","scale":"small","htm":"P8","hints":"baseline"}`, `{"cycles":1}`)
+	want := s.List()
 
-	// Regress the on-disk index to version 1 with the summaries stripped.
+	// Regress the on-disk index to version 1 and empty it: only a rebuild
+	// from the object files can find the entry again.
 	var doc indexDoc
 	path := filepath.Join(dir, indexFile)
 	data, err := os.ReadFile(path)
@@ -298,10 +200,7 @@ func TestIndexUpgradeRebuild(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	doc.Version = 1
-	for i := range doc.Entries {
-		doc.Entries[i].Workload, doc.Entries[i].Scale, doc.Entries[i].HTM, doc.Entries[i].Hints = "", "", "", ""
-	}
+	doc.Version, doc.Entries = 1, nil
 	regressed, _ := json.Marshal(doc)
 	if err := os.WriteFile(path, regressed, 0o644); err != nil {
 		t.Fatal(err)
@@ -311,8 +210,7 @@ func TestIndexUpgradeRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items, _ := s2.Select(Filter{Workload: "labyrinth"}, 0, 10)
-	if len(items) != 1 || items[0].Key != key || items[0].HTM != "P8" {
-		t.Errorf("rebuilt index lacks summaries: %+v", items)
+	if got := s2.List(); len(got) != 1 || got[0] != want[0] || got[0].Key != key {
+		t.Errorf("rebuilt index = %+v, want %+v", got, want)
 	}
 }

@@ -41,7 +41,7 @@ func (s Scale) String() string {
 	return fmt.Sprintf("scale(%d)", uint8(s))
 }
 
-// ParseScale parses the CLI/API spelling of an input scale
+// ParseScale parses the command-line spelling of an input scale
 // ("small", "medium", "large").
 func ParseScale(s string) (Scale, error) {
 	switch s {
