@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short bench bench-smoke bench-diff bench-module-build parity trace-check hyp-smoke figures svg ablate export clean
+.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-module-build parity trace-check hyp-smoke figures svg export clean
 
 all: test
 
@@ -47,9 +47,6 @@ figures:
 # Render the figures as SVG files under ./figures/.
 svg:
 	$(GO) run ./cmd/hintm-bench -svg figures svg
-
-ablate:
-	$(GO) run ./cmd/hintm-bench ablate
 
 export:
 	$(GO) run ./cmd/hintm-bench export > results.json

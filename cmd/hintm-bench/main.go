@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	hintm-bench [flags] [table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|ablate|extras|export|seeds|svg|all]
+//	hintm-bench [flags] [table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|extras|export|svg|all]
 //	hintm-bench [-tolerance F] [-min-wall S] benchdiff BASELINE.json CURRENT.json
 //
 // Flags:
@@ -11,8 +11,6 @@
 //	-large small|medium|large   input scale for Fig 7/8 (default large)
 //	-workloads a,b,c            restrict to a workload subset
 //	-seed N                     simulation seed
-//	-seeds N                    seed count for the "seeds" sweep target
-//	                            (runs seeds 1..N; default 5)
 //	-workers N                  concurrent simulations (0 = GOMAXPROCS)
 //	-timeout D                  abort the whole run after D (e.g. 10m)
 //	-faults SPEC                fault-injection plan, e.g. "spurious=0.01,storm=0.001"
@@ -53,7 +51,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
 	svgDir := flag.String("svg", "", "also render the figures as SVG files into this directory")
 	results := flag.String("results", "BENCH_results.json", `write machine-readable headline metrics here on the "all" target ("" = off)`)
-	seeds := flag.Int("seeds", 5, `seed count for the "seeds" target (sweeps seeds 1..N)`)
 	storeDir := cli.RegisterStore(flag.CommandLine)
 	tolerance := flag.Float64("tolerance", 0.05, `relative headline-metric tolerance for the "benchdiff" target`)
 	minWall := flag.Float64("min-wall", harness.DefaultMinWallSeconds, `shortest baseline wall time (seconds) the "benchdiff" target gates in relative terms`)
@@ -100,18 +97,10 @@ func main() {
 		if ctx.Err() == nil {
 			r.RenderRunSummary(os.Stdout, target, r.Stats().Sub(before))
 		}
-	case "ablate":
-		err = r.RenderAblations(ctx, os.Stdout)
 	case "extras":
 		err = r.RenderExtras(ctx, os.Stdout)
 	case "export":
 		err = r.ExportAll(ctx, os.Stdout)
-	case "seeds":
-		// Multi-seed robustness sweep: re-runs the headline comparison for
-		// seeds 1..N and prints the across-seed table (mean/median/min/max/
-		// stddev), so seed sensitivity is visible outside the hypothesis
-		// framework too.
-		err = harness.RenderSeedSweep(ctx, os.Stdout, opts, harness.Seeds(*seeds))
 	case "benchdiff":
 		// benchdiff never simulates: it loads two BENCH_results.json files
 		// and exits non-zero when the new one regresses the baseline's
@@ -147,7 +136,7 @@ func main() {
 			}
 		}
 	default:
-		err = fmt.Errorf("unknown target %q (want table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|ablate|extras|export|seeds|svg|benchdiff|all)", target)
+		err = fmt.Errorf("unknown target %q (want table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|extras|export|svg|benchdiff|all)", target)
 	}
 	if err != nil {
 		fatal(err)

@@ -36,6 +36,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -47,34 +48,50 @@ import (
 )
 
 func main() {
-	names := flag.String("hypothesis", "", "comma-separated hypothesis names (default: all)")
-	all := flag.Bool("all", false, "run every registered hypothesis")
-	scaleFlag := flag.String("scale", "small", "input scale for every grid cell: small|medium|large")
-	dir := flag.String("dir", "hypotheses", "hypotheses tree root holding <name>/FINDINGS.md")
-	storeDir := cli.RegisterStore(flag.CommandLine)
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
-	assertWarm := flag.Bool("assert-warm", false, "exit non-zero if any cell simulated instead of recalling from the store")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "hintm-exp:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, then lists, runs, checks or writes the selected
+// hypotheses, printing to w. The target is validated before any hypothesis
+// is resolved or simulated.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hintm-exp", flag.ExitOnError)
+	names := fs.String("hypothesis", "", "comma-separated hypothesis names (default: all)")
+	all := fs.Bool("all", false, "run every registered hypothesis")
+	scaleFlag := fs.String("scale", "small", "input scale for every grid cell: small|medium|large")
+	dir := fs.String("dir", "hypotheses", "hypotheses tree root holding <name>/FINDINGS.md")
+	storeDir := cli.RegisterStore(fs)
+	workers := fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	timeout := fs.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
+	assertWarm := fs.Bool("assert-warm", false, "exit non-zero if any cell simulated instead of recalling from the store")
+	fs.Parse(args)
 
 	target := "list"
-	if flag.NArg() > 0 {
-		target = flag.Arg(0)
+	if fs.NArg() > 0 {
+		target = fs.Arg(0)
+	}
+	switch target {
+	case "list", "run", "check", "write":
+	default:
+		return fmt.Errorf("unknown target %q (want list|run|check|write)", target)
 	}
 
-	specs, err := selectSpecs(*names, *all, target)
+	specs, err := selectSpecs(*names, *all)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if target == "list" {
-		list(specs)
-		return
+		list(w, specs)
+		return nil
 	}
 
 	eng, err := newEngine(*scaleFlag, *storeDir, *workers)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
@@ -84,40 +101,38 @@ func main() {
 	for _, spec := range specs {
 		e, err := eng.Run(ctx, spec)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", spec.Name, err))
+			return fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		simRuns += e.SimRuns
-		fmt.Printf("%-28s %-12s sim-runs=%-3d %s\n", spec.Name, e.Outcome.Verdict, e.SimRuns, e.Outcome.Reason)
+		fmt.Fprintf(w, "%-28s %-12s sim-runs=%-3d %s\n", spec.Name, e.Outcome.Verdict, e.SimRuns, e.Outcome.Reason)
 		switch target {
-		case "run":
 		case "write":
 			if err := hyp.Write(e, *dir); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%-28s wrote %s\n", "", hyp.Path(*dir, spec))
+			fmt.Fprintf(w, "%-28s wrote %s\n", "", hyp.Path(*dir, spec))
 		case "check":
 			if err := hyp.Check(e, *dir); err != nil {
 				failures = append(failures, err.Error())
 			}
-		default:
-			fatal(fmt.Errorf("unknown target %q (want list|run|check|write)", target))
 		}
 	}
-	fmt.Printf("total sim-runs: %d (store recalls excluded)\n", simRuns)
+	fmt.Fprintf(w, "total sim-runs: %d (store recalls excluded)\n", simRuns)
 	if len(failures) > 0 {
-		fatal(fmt.Errorf("%d hypothesis findings drifted:\n%s", len(failures), strings.Join(failures, "\n")))
+		return fmt.Errorf("%d hypothesis findings drifted:\n%s", len(failures), strings.Join(failures, "\n"))
 	}
 	if target == "check" {
-		fmt.Printf("check: %d hypotheses byte-identical to committed findings\n", len(specs))
+		fmt.Fprintf(w, "check: %d hypotheses byte-identical to committed findings\n", len(specs))
 	}
 	if *assertWarm && simRuns > 0 {
-		fatal(fmt.Errorf("assert-warm: %d cells simulated instead of recalling from the store", simRuns))
+		return fmt.Errorf("assert-warm: %d cells simulated instead of recalling from the store", simRuns)
 	}
+	return nil
 }
 
 // selectSpecs resolves -hypothesis/-all into a concrete spec list. With
-// neither flag, non-list targets default to the full catalogue.
-func selectSpecs(names string, all bool, target string) ([]*hyp.Spec, error) {
+// neither flag, every target gets the full catalogue.
+func selectSpecs(names string, all bool) ([]*hyp.Spec, error) {
 	if names != "" && all {
 		return nil, fmt.Errorf("-hypothesis and -all are mutually exclusive")
 	}
@@ -135,9 +150,9 @@ func selectSpecs(names string, all bool, target string) ([]*hyp.Spec, error) {
 	return specs, nil
 }
 
-func list(specs []*hyp.Spec) {
+func list(w io.Writer, specs []*hyp.Spec) {
 	for _, s := range specs {
-		fmt.Printf("%s\n  variable: %s; levels: %d; seeds: %d\n  %s\n", s.Name, s.Variable, len(s.Levels), len(s.Seeds), s.Claim)
+		fmt.Fprintf(w, "%s\n  variable: %s; levels: %d; seeds: %d\n  %s\n", s.Name, s.Variable, len(s.Levels), len(s.Seeds), s.Claim)
 	}
 }
 
@@ -154,9 +169,4 @@ func newEngine(scale, storeDir string, workers int) (*hyp.Engine, error) {
 		return nil, err
 	}
 	return &hyp.Engine{Opts: opts}, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hintm-exp:", err)
-	os.Exit(1)
 }

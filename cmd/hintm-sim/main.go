@@ -227,6 +227,9 @@ func program(cfg *sim.Config, path, workload string, threads int, scale workload
 	if threads < 0 {
 		return nil, "", 0, fmt.Errorf("-threads %d: must not be negative", threads)
 	}
+	if cfg.SMT < 1 {
+		return nil, "", 0, fmt.Errorf("-smt %d: must be at least 1", cfg.SMT)
+	}
 	var mod *ir.Module
 	name := path
 	if path != "" {

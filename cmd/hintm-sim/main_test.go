@@ -39,7 +39,8 @@ entry:
 // runs share: -threads grows the machine to the fewest cores whose contexts
 // hold every thread. The 12-worker module case is also simulated to
 // completion: on too few contexts its parallel region panics. A negative
-// -threads is a usage error, for a module and a workload alike.
+// -threads and an -smt below 1 are usage errors, for a module and a
+// workload alike.
 func TestProgramSizesMachine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "twelve.tir")
 	if err := os.WriteFile(path, []byte(twelveWorkers), 0o644); err != nil {
@@ -58,13 +59,16 @@ func TestProgramSizesMachine(t *testing.T) {
 		{"", "labyrinth", 2, 20, 20, 10}, // rounds up to whole cores
 		{path, "", 1, -1, 0, 0},          // negative: a usage error
 		{"", "kmeans", 1, -1, 0, 0},      // likewise for a workload
+		{path, "", 0, 12, 0, 0},          // -smt 0: a usage error
+		{"", "kmeans", 0, 0, 0, 0},       // likewise for a workload
+		{"", "kmeans", -1, 0, 0, 0},      // and for a negative -smt
 	} {
 		cfg := sim.DefaultConfig()
 		cfg.SMT = c.smt
 		mod, _, n, err := program(&cfg, c.path, c.workload, c.threads, workloads.Small)
-		if c.threads < 0 {
+		if c.threads < 0 || c.smt < 1 {
 			if err == nil {
-				t.Errorf("%s%s -threads %d: no error", c.path, c.workload, c.threads)
+				t.Errorf("%s%s -smt %d -threads %d: no error", c.path, c.workload, c.smt, c.threads)
 			}
 			continue
 		}

@@ -37,31 +37,9 @@ func (s State) String() string {
 	return "?"
 }
 
-// Protocol selects the coherence protocol variant.
-type Protocol uint8
-
-// Coherence protocols.
-const (
-	// MESI grants a silent Exclusive state to sole readers (the paper's
-	// machine): a later write upgrades E→M without a bus transaction,
-	// invisible to other HTM controllers.
-	MESI Protocol = iota
-	// MSI has no Exclusive state: every first write is a bus upgrade, so
-	// HTM conflict detection sees strictly more traffic.
-	MSI
-)
-
-func (p Protocol) String() string {
-	if p == MSI {
-		return "MSI"
-	}
-	return "MESI"
-}
-
 // Config sizes the hierarchy. Counts are in cache blocks (64 B).
 type Config struct {
-	Cores    int
-	Protocol Protocol
+	Cores int
 	// L1Sets × L1Ways blocks per core (32 KiB 8-way => 64 sets × 8 ways).
 	// Set counts must be powers of two.
 	L1Sets, L1Ways int
@@ -348,7 +326,7 @@ func (h *Hierarchy) Access(core int, block uint64, write bool) AccessResult {
 	switch {
 	case write:
 		st = Modified
-	case !othersHold && dirtyOwner < 0 && h.cfg.Protocol == MESI:
+	case !othersHold && dirtyOwner < 0:
 		st = Exclusive
 	}
 	if ev, _, did := l1.insert(block, st); did {

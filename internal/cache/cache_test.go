@@ -191,27 +191,3 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
-
-func TestMSIProtocolNoExclusive(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Protocol = MSI
-	h := New(cfg)
-	h.Access(0, 100, false)
-	if h.StateOf(0, 100) != Shared {
-		t.Fatalf("MSI sole reader state = %v, want S", h.StateOf(0, 100))
-	}
-	// First write must be a visible bus upgrade under MSI.
-	res := h.Access(0, 100, true)
-	if !res.BusOp {
-		t.Fatal("MSI first write must hit the bus")
-	}
-	// Under MESI the same sequence is silent.
-	h2 := New(DefaultConfig(2))
-	h2.Access(0, 100, false)
-	if res2 := h2.Access(0, 100, true); res2.BusOp {
-		t.Fatal("MESI E->M upgrade must be silent")
-	}
-	if MESI.String() == MSI.String() {
-		t.Fatal("protocol names collide")
-	}
-}

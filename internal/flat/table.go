@@ -1,7 +1,7 @@
 // Package flat provides the open-addressed, linear-probe hash table over
 // uint64 keys that replaces the Go maps on the simulator's per-access hot
-// paths (HTM tracker read/write sets, the controller's touched-page set and
-// lazy write buffer, TLB and page-table indexes, the memory page index).
+// paths (HTM tracker read/write sets, the controller's touched-page set,
+// TLB and page-table indexes, the memory page index).
 // Probes touch parallel slices instead of chasing map buckets, and Reset is
 // O(1): it bumps a generation stamp instead of deleting keys, so the same
 // backing arrays are reused across every transaction of a run. Not safe for
@@ -9,7 +9,7 @@
 package flat
 
 // Tab is the table. A slot is live iff Gens[i] == Gen. Keys/Vals/Gens are
-// exported so callers can iterate live slots directly (statistics, drains);
+// exported so callers can iterate live slots directly (statistics);
 // mutate only through Add/Del/Reset.
 //
 // Bounded tables (the P8 buffer, TLBs) are sized at 2× capacity up front and

@@ -3,10 +3,7 @@ package harness
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"hintm/internal/stats"
 )
 
 // Export is the machine-readable bundle of every figure's data, for
@@ -53,95 +50,4 @@ func (r *Runner) ExportAll(ctx context.Context, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&ex)
-}
-
-// SeedSweepRow summarizes headline metrics across seeds for one workload.
-type SeedSweepRow struct {
-	App string
-	// SpeedupMean/Median/Min/Max/StdDev are HinTM-vs-P8 speedups across
-	// the seeds.
-	SpeedupMean, SpeedupMedian, SpeedupMin, SpeedupMax, SpeedupStdDev float64
-	// CapRedMean is the mean full-HinTM capacity-abort reduction.
-	CapRedMean float64
-	Seeds      int
-}
-
-// Seeds returns the canonical seed list {1..n} the multi-seed sweeps use
-// (n <= 0 yields the single default seed).
-func Seeds(n int) []uint64 {
-	if n <= 0 {
-		n = 1
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = uint64(i + 1)
-	}
-	return out
-}
-
-// SeedSweep re-runs the Fig.-4 comparison for each seed and aggregates,
-// quantifying how sensitive the headline result is to the PRNG streams
-// (i.e. to input/interleaving variation).
-func SeedSweep(ctx context.Context, opts Options, seeds []uint64) ([]SeedSweepRow, error) {
-	type acc struct {
-		speedups []float64
-		capreds  []float64
-	}
-	byApp := map[string]*acc{}
-	var order []string
-	for _, seed := range seeds {
-		o := opts
-		o.Seed = seed
-		rows, err := NewRunner(o).Fig4(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range rows {
-			a := byApp[row.App]
-			if a == nil {
-				a = &acc{}
-				byApp[row.App] = a
-				order = append(order, row.App)
-			}
-			a.speedups = append(a.speedups, row.SpeedupFull)
-			a.capreds = append(a.capreds, row.CapRedFull)
-		}
-	}
-	var out []SeedSweepRow
-	for _, app := range order {
-		a := byApp[app]
-		sum := stats.Summarize(a.speedups)
-		out = append(out, SeedSweepRow{
-			App:           app,
-			Seeds:         sum.N,
-			SpeedupMean:   sum.Mean,
-			SpeedupMedian: sum.Median,
-			SpeedupMin:    sum.Min,
-			SpeedupMax:    sum.Max,
-			SpeedupStdDev: sum.StdDev,
-			CapRedMean:    stats.Mean(a.capreds),
-		})
-	}
-	return out, nil
-}
-
-// RenderSeedSweep prints the robustness table.
-func RenderSeedSweep(ctx context.Context, w io.Writer, opts Options, seeds []uint64) error {
-	rows, err := SeedSweep(ctx, opts, seeds)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, Title(fmt.Sprintf("Seed sweep: HinTM speedup across %d seeds", len(seeds))))
-	t := stats.NewTable("app", "mean", "median", "min", "max", "stddev", "cap-red-mean")
-	for _, row := range rows {
-		t.Row(row.App,
-			fmt.Sprintf("%.2fx", row.SpeedupMean),
-			fmt.Sprintf("%.2fx", row.SpeedupMedian),
-			fmt.Sprintf("%.2fx", row.SpeedupMin),
-			fmt.Sprintf("%.2fx", row.SpeedupMax),
-			fmt.Sprintf("%.3f", row.SpeedupStdDev),
-			fmt.Sprintf("%.0f%%", row.CapRedMean*100))
-	}
-	t.Render(w)
-	return nil
 }

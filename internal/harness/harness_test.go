@@ -257,3 +257,25 @@ func TestExtrasSweep(t *testing.T) {
 		}
 	}
 }
+
+func TestDefaultOptions(t *testing.T) {
+	opts := DefaultOptions()
+	if opts.Seed == 0 {
+		t.Fatal("default seed must be nonzero")
+	}
+	if opts.Scale == opts.LargeScale {
+		t.Fatal("default scales should differ")
+	}
+}
+
+func TestRenderExtras(t *testing.T) {
+	var sb strings.Builder
+	if err := NewRunner(QuickOptions()).RenderExtras(context.Background(), &sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"intset-ll", "intset-hash", "honest negative"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("extras output missing %q", want)
+		}
+	}
+}

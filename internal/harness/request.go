@@ -31,6 +31,20 @@ type Request struct {
 	// false conflicts. Zero keeps the store-key preimage unchanged, so
 	// every pre-existing store entry stays addressable.
 	SigBits uint64
+	// P8Entries overrides the P8/P8S transactional buffer's entry count
+	// (0 = Table II's 64).
+	P8Entries int
+	// CapacityRetries grants a capacity-aborted transaction this many HTM
+	// retries before it falls back to the lock (0 = the paper's policy:
+	// fall back at once).
+	CapacityRetries int
+	// PageCostPct scales the page-mode transition costs — the minor fault
+	// and both TLB-shootdown costs — to this percentage of Table II's
+	// (0 = 100%, the Table II costs).
+	//
+	// Like SigBits, the three overrides above only enter the store-key
+	// preimage and String when set.
+	PageCostPct int
 }
 
 // Result is the statistics bundle one simulation produces. It aliases
@@ -54,14 +68,23 @@ func (q Request) profiled() bool {
 	return q.normalize() == req(q.Workload, q.Scale, sim.HTMInfCap, sim.HintNone)
 }
 
-// String renders the request for error messages and logs. The signature
-// override only appears when set, so default-signature requests render (and
-// name their trace artifacts) exactly as before.
+// String renders the request for error messages and logs. Each override
+// only appears when set, so default requests render (and name their trace
+// artifacts) exactly as before.
 func (q Request) String() string {
 	q = q.normalize()
 	s := fmt.Sprintf("%s/%v/%v/%v/smt%d", q.Workload, q.Scale, q.HTM, q.Hints, q.SMT)
 	if q.SigBits != 0 {
 		s += fmt.Sprintf("/sig%d", q.SigBits)
+	}
+	if q.P8Entries != 0 {
+		s += fmt.Sprintf("/p8e%d", q.P8Entries)
+	}
+	if q.CapacityRetries != 0 {
+		s += fmt.Sprintf("/capretry%d", q.CapacityRetries)
+	}
+	if q.PageCostPct != 0 {
+		s += fmt.Sprintf("/pagecost%dpct", q.PageCostPct)
 	}
 	return s
 }

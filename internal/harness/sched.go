@@ -301,6 +301,15 @@ func (r *Runner) configFor(spec *workloads.Spec, req Request) sim.Config {
 	if req.SigBits != 0 {
 		cfg.SigBits = req.SigBits
 	}
+	if req.P8Entries != 0 {
+		cfg.P8Entries = req.P8Entries
+	}
+	cfg.CapacityRetries = req.CapacityRetries
+	if pct := int64(req.PageCostPct); pct != 0 {
+		cfg.VM.MinorFault = cfg.VM.MinorFault * pct / 100
+		cfg.VM.ShootdownInitiator = cfg.VM.ShootdownInitiator * pct / 100
+		cfg.VM.ShootdownSlave = cfg.VM.ShootdownSlave * pct / 100
+	}
 	if req.SMT > 1 {
 		cfg.Cores = spec.DefaultThreads
 		cfg.Cache = cache.DefaultConfig(cfg.Cores)
@@ -310,57 +319,4 @@ func (r *Runner) configFor(spec *workloads.Spec, req Request) sim.Config {
 	cfg.WatchdogCycles = r.opts.WatchdogCycles
 	cfg.MaxCycles = r.opts.MaxCycles
 	return cfg
-}
-
-// runConfig executes one custom-config run under the worker pool — the
-// ablation path, where each sweep point perturbs fields Request does not
-// carry. Never memoized; panics are recovered like Run's.
-func (r *Runner) runConfig(ctx context.Context, spec *workloads.Spec, scale workloads.Scale, cfg sim.Config) (res *sim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			res, err = nil, &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	release, err := r.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	mod, err := r.module(ctx, spec, spec.DefaultThreads*cfg.SMT, scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err := sim.New(cfg, mod)
-	if err != nil {
-		return nil, err
-	}
-	defer m.Release()
-	r.execs.Add(1)
-	res, err = m.Run(ctx)
-	if res != nil {
-		r.simCycles.Add(uint64(res.Cycles))
-	}
-	return res, err
-}
-
-// runConfigs executes a batch of custom-config runs concurrently and
-// returns results index-aligned with cfgs.
-func (r *Runner) runConfigs(ctx context.Context, spec *workloads.Spec, scale workloads.Scale, cfgs []sim.Config) ([]*sim.Result, error) {
-	out := make([]*sim.Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		wg.Add(1)
-		go func(i int, cfg sim.Config) {
-			defer wg.Done()
-			out[i], errs[i] = r.runConfig(ctx, spec, scale, cfg)
-		}(i, cfg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }

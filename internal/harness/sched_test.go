@@ -283,17 +283,18 @@ func TestPrefixTwinGrid(t *testing.T) {
 	}
 }
 
-// TestProfiledForkMatchesCold pins the premise that lets Fig. 1's sharing
-// report ride the grid's own InfCap cell: for every Fig. 1 app, the InfCap
-// cell run as Fig. 1 submits it (paired with its P8 cell in one RunAll)
-// reports exactly what a lone cold Run reports, and the profiler, a passive
-// observer, leaves the result JSON byte-identical to an unprofiled run's.
-func TestProfiledForkMatchesCold(t *testing.T) {
+// TestProfiledMatchesUnprofiled pins the premise that lets Fig. 1's
+// sharing report ride the grid's own InfCap cell: for every Fig. 1 app, the
+// InfCap cell run as Fig. 1 submits it (paired with its P8 cell in one
+// RunAll) reports exactly what a lone Run reports, and the profiler, a
+// passive observer, leaves the result JSON byte-identical to that of a
+// machine built from the same config without one.
+func TestProfiledMatchesUnprofiled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every Fig. 1 app three ways; skipped in -short mode")
 	}
 	ctx := context.Background()
-	cold := NewRunner(QuickOptions())
+	lone := NewRunner(QuickOptions())
 	paired := NewRunner(QuickOptions())
 	for _, spec := range workloads.All() {
 		p8 := req(spec.Name, workloads.Small, sim.HTMP8, sim.HintNone)
@@ -307,24 +308,33 @@ func TestProfiledForkMatchesCold(t *testing.T) {
 		if d := paired.Stats().Sub(before); d.SimRuns != 2 || d.ForkedRuns != 0 {
 			t.Fatalf("%s: Fig. 1 pair: %+v, want 2 cold sims", spec.Name, d)
 		}
-		coldRes, err := cold.Run(ctx, inf)
+		loneRes, err := lone.Run(ctx, inf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := cold.runConfig(ctx, spec, workloads.Small, cold.configFor(spec, inf))
+		mod, err := lone.module(ctx, spec, spec.DefaultThreads, workloads.Small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sim.New(lone.configFor(spec, inf), mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := m.Run(ctx)
+		m.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		pairRep, coldRep := paired.report(inf), cold.report(inf)
-		if pairRep == nil || coldRep == nil {
-			t.Fatalf("%s: missing report: paired %v, cold %v", spec.Name, pairRep, coldRep)
+		pairRep, loneRep := paired.report(inf), lone.report(inf)
+		if pairRep == nil || loneRep == nil {
+			t.Fatalf("%s: missing report: paired %v, lone %v", spec.Name, pairRep, loneRep)
 		}
-		if *pairRep != *coldRep {
-			t.Errorf("%s: paired report differs from cold:\npaired: %+v\ncold:   %+v", spec.Name, *pairRep, *coldRep)
+		if *pairRep != *loneRep {
+			t.Errorf("%s: paired report differs from lone:\npaired: %+v\nlone:   %+v", spec.Name, *pairRep, *loneRep)
 		}
 		want, _ := json.Marshal(plain)
-		for name, res := range map[string]*sim.Result{"paired": out[1], "cold": coldRes} {
+		for name, res := range map[string]*sim.Result{"paired": out[1], "lone": loneRes} {
 			if got, _ := json.Marshal(res); !bytes.Equal(got, want) {
 				t.Errorf("%s: %s profiled result JSON differs from the unprofiled run's", spec.Name, name)
 			}
@@ -405,5 +415,29 @@ func TestFig1SimulatesOnlyItsCells(t *testing.T) {
 	}
 	if st := r.Stats(); st.SimRuns != 4 {
 		t.Fatalf("Fig. 1 over 2 apps: %+v, want 4 simulations", st)
+	}
+}
+
+// TestConfigForAppliesOverrides: each Request override reaches the machine
+// configuration, and a zero override leaves the Table II value.
+func TestConfigForAppliesOverrides(t *testing.T) {
+	r := NewRunner(QuickOptions())
+	spec, err := workloads.ByName("vacation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Request{Workload: "vacation", Scale: workloads.Small}
+	def, got := sim.DefaultConfig(), r.configFor(spec, q)
+	if got.P8Entries != def.P8Entries || got.CapacityRetries != def.CapacityRetries || got.VM != def.VM {
+		t.Fatalf("zero overrides moved the config: %+v", got)
+	}
+	q.P8Entries, q.CapacityRetries, q.PageCostPct = 16, 2, 50
+	got = r.configFor(spec, q)
+	if got.P8Entries != 16 || got.CapacityRetries != 2 {
+		t.Errorf("P8Entries/CapacityRetries = %d/%d, want 16/2", got.P8Entries, got.CapacityRetries)
+	}
+	if got.VM.MinorFault != def.VM.MinorFault/2 || got.VM.ShootdownInitiator != def.VM.ShootdownInitiator/2 ||
+		got.VM.ShootdownSlave != def.VM.ShootdownSlave/2 || got.VM.TLBMiss != def.VM.TLBMiss {
+		t.Errorf("PageCostPct 50: costs %+v, want the page-mode costs of %+v halved", got.VM, def.VM)
 	}
 }

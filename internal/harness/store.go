@@ -27,17 +27,20 @@ import (
 // stable string forms, prefixed with the store schema version. Field order
 // is fixed by the struct, so json.Marshal is a canonical encoding.
 type runKey struct {
-	Schema         string `json:"schema"`
-	Workload       string `json:"workload"`
-	Scale          string `json:"scale"`
-	HTM            string `json:"htm"`
-	Hints          string `json:"hints"`
-	SMT            int    `json:"smt"`
-	SigBits        uint64 `json:"sigBits,omitempty"`
-	Seed           uint64 `json:"seed"`
-	Faults         string `json:"faults,omitempty"`
-	WatchdogCycles int64  `json:"watchdogCycles,omitempty"`
-	MaxCycles      int64  `json:"maxCycles,omitempty"`
+	Schema          string `json:"schema"`
+	Workload        string `json:"workload"`
+	Scale           string `json:"scale"`
+	HTM             string `json:"htm"`
+	Hints           string `json:"hints"`
+	SMT             int    `json:"smt"`
+	SigBits         uint64 `json:"sigBits,omitempty"`
+	P8Entries       int    `json:"p8Entries,omitempty"`
+	CapacityRetries int    `json:"capacityRetries,omitempty"`
+	PageCostPct     int    `json:"pageCostPct,omitempty"`
+	Seed            uint64 `json:"seed"`
+	Faults          string `json:"faults,omitempty"`
+	WatchdogCycles  int64  `json:"watchdogCycles,omitempty"`
+	MaxCycles       int64  `json:"maxCycles,omitempty"`
 }
 
 // KeyPreimage returns the canonical JSON encoding of req under the
@@ -45,17 +48,20 @@ type runKey struct {
 func (r *Runner) KeyPreimage(req Request) []byte {
 	req = req.normalize()
 	k := runKey{
-		Schema:         store.Schema,
-		Workload:       req.Workload,
-		Scale:          req.Scale.String(),
-		HTM:            req.HTM.String(),
-		Hints:          req.Hints.String(),
-		SMT:            req.SMT,
-		SigBits:        req.SigBits,
-		Seed:           r.opts.Seed,
-		Faults:         r.opts.Faults.String(),
-		WatchdogCycles: r.opts.WatchdogCycles,
-		MaxCycles:      r.opts.MaxCycles,
+		Schema:          store.Schema,
+		Workload:        req.Workload,
+		Scale:           req.Scale.String(),
+		HTM:             req.HTM.String(),
+		Hints:           req.Hints.String(),
+		SMT:             req.SMT,
+		SigBits:         req.SigBits,
+		P8Entries:       req.P8Entries,
+		CapacityRetries: req.CapacityRetries,
+		PageCostPct:     req.PageCostPct,
+		Seed:            r.opts.Seed,
+		Faults:          r.opts.Faults.String(),
+		WatchdogCycles:  r.opts.WatchdogCycles,
+		MaxCycles:       r.opts.MaxCycles,
 	}
 	data, err := json.Marshal(k)
 	if err != nil {

@@ -200,6 +200,28 @@ func TestStoreKeyCoversRunDeterminants(t *testing.T) {
 	if key(base, req) != k0 {
 		t.Error("zero SigBits shifted the key")
 	}
+	// The configuration overrides follow the same rule: set, each moves
+	// the key; zero, the key is the pre-override one.
+	for name, set := range map[string]func(*Request){
+		"P8Entries":       func(q *Request) { q.P8Entries = 16 },
+		"CapacityRetries": func(q *Request) { q.CapacityRetries = 2 },
+		"PageCostPct":     func(q *Request) { q.PageCostPct = 50 },
+	} {
+		q := req
+		set(&q)
+		if key(base, q) == k0 {
+			t.Errorf("%s change did not change the key", name)
+		}
+		if q.String() == req.String() {
+			t.Errorf("%s change did not change the request's name", name)
+		}
+	}
+	pre := string(NewRunner(base).KeyPreimage(req))
+	for _, field := range []string{"p8Entries", "capacityRetries", "pageCostPct"} {
+		if strings.Contains(pre, field) {
+			t.Errorf("zero override %s appears in the preimage %s", field, pre)
+		}
+	}
 
 	// Options that do NOT reach the simulator must not shift addresses —
 	// a wider worker pool serves the same cache.

@@ -333,73 +333,3 @@ func TestTrackerContractParity(t *testing.T) {
 		})
 	}
 }
-
-// --- versioning unit tests ---
-
-func TestVersioningBufferSemantics(t *testing.T) {
-	c := NewController(NewInfTracker())
-	c.SetVersioning(VersionLazy)
-	if !c.Lazy() || c.Versioning() != VersionLazy {
-		t.Fatal("versioning selection broken")
-	}
-	c.Begin()
-	c.BufferWrite(0x100, 7)
-	c.BufferWrite(0x108, 8)
-	c.BufferWrite(0x100, 9) // overwrite: final value wins
-	if v, ok := c.ForwardRead(0x100); !ok || v != 9 {
-		t.Fatalf("forward = %d,%v", v, ok)
-	}
-	if _, ok := c.ForwardRead(0x999); ok {
-		t.Fatal("unbuffered address forwarded")
-	}
-	if c.BufferedWrites() != 2 {
-		t.Fatalf("buffered = %d", c.BufferedWrites())
-	}
-	buf := make(map[uint64]int64)
-	n := c.Drain(func(a uint64, v int64) { buf[a] = v })
-	if n != 2 || len(buf) != 2 || buf[0x100] != 9 || buf[0x108] != 8 {
-		t.Fatalf("drain = %d %v", n, buf)
-	}
-	if c.BufferedWrites() != 0 {
-		t.Fatal("drain did not clear")
-	}
-	c.Commit()
-}
-
-func TestVersioningAbortDiscardsBuffer(t *testing.T) {
-	c := NewController(NewInfTracker())
-	c.SetVersioning(VersionLazy)
-	c.Begin()
-	c.BufferWrite(0x100, 7)
-	undo := c.Abort()
-	if len(undo) != 0 {
-		t.Fatal("lazy abort should have no undo records")
-	}
-	c.Begin()
-	if _, ok := c.ForwardRead(0x100); ok {
-		t.Fatal("abort leaked buffered write into next TX")
-	}
-	c.Commit()
-}
-
-func TestSetVersioningMidTxPanics(t *testing.T) {
-	c := NewController(NewInfTracker())
-	c.Begin()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic switching versioning mid-TX")
-		}
-	}()
-	c.SetVersioning(VersionLazy)
-}
-
-func TestBufferWriteOutsideTxPanics(t *testing.T) {
-	c := NewController(NewInfTracker())
-	c.SetVersioning(VersionLazy)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic buffering outside TX")
-		}
-	}()
-	c.BufferWrite(1, 1)
-}

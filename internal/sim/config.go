@@ -12,7 +12,6 @@ import (
 
 	"hintm/internal/cache"
 	"hintm/internal/fault"
-	"hintm/internal/htm"
 	"hintm/internal/obs"
 	"hintm/internal/vmem"
 )
@@ -127,10 +126,6 @@ type Config struct {
 
 	HTM   HTMKind
 	Hints HintMode
-	// Versioning selects eager (undo log, POWER8-style) or lazy (write
-	// buffer, TSX-style) store versioning. Conflict detection is eager in
-	// both. HinTM hints behave identically under either.
-	Versioning htm.Versioning
 
 	// P8Entries sizes the dedicated transactional buffer.
 	P8Entries int
@@ -147,8 +142,8 @@ type Config struct {
 	MaxConflictRetries int
 	// CapacityRetries lets a capacity-aborted TX retry in HTM mode before
 	// falling back. The paper argues this is futile (the TX will overflow
-	// again); the default of 0 follows the paper, and the ablation
-	// quantifies the claim.
+	// again); the default of 0 follows the paper, and the
+	// capacity-retry-futility hypothesis tests the claim.
 	CapacityRetries int
 	// BackoffBase is the exponential-backoff unit after conflict aborts.
 	BackoffBase int64

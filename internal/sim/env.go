@@ -21,13 +21,6 @@ func (m *Machine) Load(t *interp.Thread, addr mem.Addr, staticSafe bool) (int64,
 	if ctrl := m.access(c, t, addr, false, staticSafe); ctrl != interp.CtrlOK {
 		return 0, ctrl
 	}
-	// Lazy versioning: the transaction's own buffered stores forward to its
-	// loads; memory still holds pre-transaction values.
-	if c.txActive && c.ctrl.Lazy() {
-		if v, ok := c.ctrl.ForwardRead(uint64(addr)); ok {
-			return v, interp.CtrlOK
-		}
-	}
 	return m.memory.ReadWord(addr), interp.CtrlOK
 }
 
@@ -42,11 +35,6 @@ func (m *Machine) Store(t *interp.Thread, addr mem.Addr, val int64, staticSafe b
 		return ctrl
 	}
 	if c.txActive && !c.suspended && !safe {
-		if c.ctrl.Lazy() {
-			// Lazy versioning: buffer the store; memory is written at commit.
-			c.ctrl.BufferWrite(uint64(addr), val)
-			return interp.CtrlOK
-		}
 		c.ctrl.RecordUndo(uint64(addr), m.memory.ReadWord(addr))
 	}
 	m.memory.WriteWord(addr, val)
@@ -416,14 +404,6 @@ func (m *Machine) TxEnd(t *interp.Thread) interp.Ctrl {
 			Tracked:     c.ctrl.FootprintBlocks(),
 			SafeSkipped: len(c.intro.skipped),
 		}
-	}
-	if c.ctrl.Lazy() {
-		// Drain the write buffer: the lines are already owned (conflict
-		// detection acquired them eagerly), so the drain is local.
-		n := c.ctrl.Drain(func(a uint64, v int64) {
-			m.memory.WriteWord(mem.Addr(a), v)
-		})
-		c.cycle += int64(n) * m.cfg.Cache.L1Latency
 	}
 	c.ctrl.Commit()
 	c.txActive = false

@@ -299,7 +299,6 @@ func New(cfg Config, mod *ir.Module) (*Machine, error) {
 	}
 	for i := 0; i < cfg.Contexts(); i++ {
 		ctrl := htm.NewController(m.newTracker())
-		ctrl.SetVersioning(cfg.Versioning)
 		m.ctxs = append(m.ctxs, &hwContext{
 			id: i,
 			// Contexts are spread across cores first, so SMT siblings are
@@ -727,7 +726,7 @@ func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
 	switch reason {
 	case htm.AbortCapacity:
 		// Retrying a capacity abort is futile (paper §I): fall back — unless
-		// the ablation knob grants retries to quantify that futility.
+		// CapacityRetries grants retries to test that futility.
 		c.retries++
 		if c.retries > m.cfg.CapacityRetries {
 			c.fallbackNext = true

@@ -68,12 +68,12 @@ func FuzzStoreEntryDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !valid {
-			if s.Len() != 0 {
+			if len(s.List()) != 0 {
 				t.Fatalf("rebuild indexed bytes validate rejects: %q", data)
 			}
 			return
 		}
-		if s.Len() != 1 || !s.Contains(key) {
+		if len(s.List()) != 1 || !indexed(s, key) {
 			t.Fatalf("rebuild did not index valid bytes under %s: %v", key, s.List())
 		}
 		got, raw, err := s.Get(key)

@@ -276,21 +276,6 @@ func (s *Store) Get(key string) (*Entry, []byte, error) {
 	return e, data, nil
 }
 
-// Contains reports whether key is indexed, without reading the object file.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
-}
-
-// Len returns the number of indexed entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // List returns the index in insertion order (ascending sequence).
 func (s *Store) List() []IndexEntry {
 	s.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hintm/internal/classify"
-	"hintm/internal/htm"
 	"hintm/internal/sim"
 )
 
@@ -61,20 +60,17 @@ func TestSemanticInvariantsAcrossConfigs(t *testing.T) {
 	checks := invariantChecks
 
 	configs := []struct {
-		name       string
-		kind       sim.HTMKind
-		hints      sim.HintMode
-		versioning htm.Versioning
+		name  string
+		kind  sim.HTMKind
+		hints sim.HintMode
 	}{
-		{"P8/baseline", sim.HTMP8, sim.HintNone, htm.VersionEager},
-		{"P8/st", sim.HTMP8, sim.HintStatic, htm.VersionEager},
-		{"P8/dyn", sim.HTMP8, sim.HintDynamic, htm.VersionEager},
-		{"P8/full", sim.HTMP8, sim.HintFull, htm.VersionEager},
-		{"P8/lazy", sim.HTMP8, sim.HintNone, htm.VersionLazy},
-		{"P8/lazy+full", sim.HTMP8, sim.HintFull, htm.VersionLazy},
-		{"P8S/full", sim.HTMP8S, sim.HintFull, htm.VersionEager},
-		{"L1TM/full", sim.HTML1TM, sim.HintFull, htm.VersionEager},
-		{"InfCap/baseline", sim.HTMInfCap, sim.HintNone, htm.VersionEager},
+		{"P8/baseline", sim.HTMP8, sim.HintNone},
+		{"P8/st", sim.HTMP8, sim.HintStatic},
+		{"P8/dyn", sim.HTMP8, sim.HintDynamic},
+		{"P8/full", sim.HTMP8, sim.HintFull},
+		{"P8S/full", sim.HTMP8S, sim.HintFull},
+		{"L1TM/full", sim.HTML1TM, sim.HintFull},
+		{"InfCap/baseline", sim.HTMInfCap, sim.HintNone},
 	}
 
 	for _, c := range checks {
@@ -93,7 +89,6 @@ func TestSemanticInvariantsAcrossConfigs(t *testing.T) {
 				cfg := sim.DefaultConfig()
 				cfg.HTM = cfgDesc.kind
 				cfg.Hints = cfgDesc.hints
-				cfg.Versioning = cfgDesc.versioning
 				m, err := sim.New(cfg, mod)
 				if err != nil {
 					t.Fatal(err)
