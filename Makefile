@@ -13,8 +13,12 @@ test: vet
 	$(GO) test ./...
 	$(MAKE) race
 
+# vet also fails when any Go file in the tree (the benchmark module
+# included) is not gofmt-formatted, listing the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # race runs the concurrency-sensitive packages under the race detector; the
 # harness determinism tests double as the parallel-scheduler correctness

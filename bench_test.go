@@ -281,34 +281,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "sim-instrs/s")
 }
 
-// BenchmarkProfiledThroughput is BenchmarkSimulatorThroughput with
-// per-instruction execution counting enabled — the delta between the two is
-// the profiling overhead (a presized-slice increment per step; see
-// DESIGN.md's hot-path notes).
-func BenchmarkProfiledThroughput(b *testing.B) {
-	spec, _ := workloads.ByName("kmeans")
-	mod := spec.BuildDefault(workloads.Small)
-	if _, err := classify.Run(mod); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var steps int64
-	for i := 0; i < b.N; i++ {
-		m, err := sim.New(sim.DefaultConfig(), mod)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.EnableProfile()
-		res, err := m.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		steps += res.Steps
-		m.Release()
-	}
-	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "sim-instrs/s")
-}
-
 func pow(x, y float64) float64 {
 	if x <= 0 {
 		return 0

@@ -144,7 +144,15 @@ func main() {
 }
 
 // runBenchDiff compares two headline-metric files and fails on regressions.
+// A negative or NaN tolerance or minimum wall time is a usage error: the
+// first flags identical files as regressed, the second gates nothing.
 func runBenchDiff(basePath, curPath string, o harness.DiffOptions) error {
+	if !(o.Tolerance >= 0) {
+		return fmt.Errorf("-tolerance %v: must be a non-negative number", o.Tolerance)
+	}
+	if !(o.MinWallSeconds >= 0) {
+		return fmt.Errorf("-min-wall %v: must be a non-negative number", o.MinWallSeconds)
+	}
 	load := func(path string) (*harness.BenchResults, error) {
 		f, err := os.Open(path)
 		if err != nil {

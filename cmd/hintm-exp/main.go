@@ -164,6 +164,9 @@ func newEngine(scale, storeDir string, workers int) (*hyp.Engine, error) {
 	if opts.Scale, err = workloads.ParseScale(scale); err != nil {
 		return nil, err
 	}
+	if workers < 0 {
+		return nil, fmt.Errorf("-workers %d: must not be negative", workers)
+	}
 	opts.Workers = workers
 	if opts.Store, err = cli.OpenStore(storeDir); err != nil {
 		return nil, err

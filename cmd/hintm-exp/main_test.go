@@ -25,3 +25,17 @@ func TestUnknownTargetRunsNoSimulation(t *testing.T) {
 		t.Errorf("store directory exists (%v): the grid ran before the target was checked", err)
 	}
 }
+
+// TestNegativeWorkersIsUsageError: -workers below zero fails before the
+// store is opened or any hypothesis grid runs.
+func TestNegativeWorkersIsUsageError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	var out bytes.Buffer
+	err := run([]string{"-hypothesis", "dyn-recovers-infcap", "-store", dir, "-workers", "-3", "run"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-workers -3") {
+		t.Fatalf("err = %v, want a -workers usage error", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("store directory exists (%v): the grid ran before -workers was checked", err)
+	}
+}

@@ -19,7 +19,7 @@
 //	-seed N                    simulation seed
 //	-sig-bits N                P8S read-signature size in bits (0 = default 1024)
 //	-timeout D                 abort the simulation after D (e.g. 30s)
-//	-faults SPEC               fault-injection plan, e.g. "spurious=0.01,storm=0.001"
+//	-faults SPEC               fault-injection plan, e.g. "spurious=0.01,spurious-window=8"
 //	-watchdog N                livelock watchdog: fail after N cycles without progress
 //	-max-cycles N              hard cap on simulated cycles
 //	-trace-out FILE            write a Chrome trace-event JSON (ui.perfetto.dev)
@@ -59,7 +59,6 @@ func main() {
 	list := flag.Bool("list", false, "list workloads and exit")
 	moduleFile := flag.String("module", "", "run a hand-written textual TIR module instead of a workload")
 	noClassify := flag.Bool("no-classify", false, "skip the static classification pass")
-	hot := flag.Int("hot", 0, "print the N most-executed instructions")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
 	autopsy := flag.Bool("autopsy", false, "print the capacity-abort autopsy report after the run")
 	sampleCycles := flag.Int64("sample-cycles", 10000, "counter-sample period in cycles for traced runs (0 = off)")
@@ -153,9 +152,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *hot > 0 {
-		m.EnableProfile()
-	}
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 	res, err := run(ctx, m)
@@ -197,22 +193,7 @@ func main() {
 		float64(res.Cache.L1Hits+res.Cache.L1Misses))))
 	t.Row("TLB misses", res.VM.TLBMisses)
 	t.Row("page transitions", res.VM.Transitions)
-	if cfg.Faults.Enabled() {
-		t.Row("faults/spurious aborts", res.Faults.SpuriousAborts)
-		t.Row("faults/storms forced", res.Faults.StormsForced)
-		t.Row("faults/invals held", res.Faults.InvalsHeld)
-		t.Row("faults/inval bursts", res.Faults.InvalBursts)
-	}
 	t.Render(os.Stdout)
-
-	if *hot > 0 {
-		fmt.Printf("\nhottest %d instructions:\n", *hot)
-		ht := stats.NewTable("count", "function", "instruction")
-		for _, h := range m.HotInstructions(*hot) {
-			ht.Row(h.Count, h.Func, h.Text)
-		}
-		ht.Render(os.Stdout)
-	}
 	finishObs()
 }
 

@@ -19,13 +19,11 @@ import (
 
 	"hintm/internal/classify"
 	"hintm/internal/ir"
-	"hintm/internal/opt"
 	"hintm/internal/workloads"
 )
 
 func main() {
 	doClassify := flag.Bool("classify", false, "run the static classification passes before dumping")
-	optimize := flag.Bool("O", false, "run the optimizer pipeline before classification")
 	input := flag.String("i", "", "parse a textual TIR file instead of building a workload")
 	funcName := flag.String("func", "", "dump only this function")
 	scaleFlag := flag.String("scale", "small", "input scale: small|medium|large")
@@ -66,13 +64,6 @@ func main() {
 			n = *threads
 		}
 		mod = spec.Build(n, scale)
-	}
-	if *optimize {
-		st, err := opt.Run(mod)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "opt: %v\n", st)
 	}
 	if *doClassify {
 		rep, err := classify.Run(mod)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hintm/internal/ir"
-	"hintm/internal/opt"
 	"hintm/internal/sim"
 )
 
@@ -152,23 +151,15 @@ func runFuzz(t *testing.T, mod *ir.Module, kind sim.HTMKind, hints sim.HintMode)
 	return outputs(m), res
 }
 
-// checkSoundness generates the program for one seed, optionally optimizes
-// it, classifies it, and compares every configuration's outputs against the
+// checkSoundness generates the program for one seed, classifies it, and compares every configuration's outputs against the
 // InfCap golden run. It reports what the seed exercised so callers can
 // assert corpus strength.
-func checkSoundness(t *testing.T, seed int64, useOpt bool) (sawAborts, sawSafeMarks bool) {
+func checkSoundness(t *testing.T, seed int64) (sawAborts, sawSafeMarks bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	mod := genProgram(rng)
 	if err := mod.Verify(); err != nil {
 		t.Fatalf("seed %d: generated invalid module: %v", seed, err)
-	}
-	if useOpt {
-		// The optimized half of the corpus fuzzes the whole
-		// opt → classify → simulate pipeline.
-		if _, err := opt.Run(mod); err != nil {
-			t.Fatalf("seed %d: opt: %v", seed, err)
-		}
 	}
 	rep, err := Run(mod)
 	if err != nil {
@@ -200,7 +191,7 @@ func TestClassifierSoundnessFuzz(t *testing.T) {
 	}
 	var sawAborts, sawSafeMarks bool
 	for seed := 0; seed < seeds; seed++ {
-		aborts, marks := checkSoundness(t, int64(seed), seed%2 == 0)
+		aborts, marks := checkSoundness(t, int64(seed))
 		sawAborts = sawAborts || aborts
 		sawSafeMarks = sawSafeMarks || marks
 	}
@@ -213,14 +204,14 @@ func TestClassifierSoundnessFuzz(t *testing.T) {
 }
 
 // FuzzClassifierSoundness is the native-fuzzing entry point over the same
-// property: the engine mutates the generator seed (and the optimize bit),
-// searching for programs where hint-marked accesses change semantics.
+// property: the engine mutates the generator seed, searching for programs
+// where hint-marked accesses change semantics.
 // `make fuzz-short` runs it for 10s as part of CI.
 func FuzzClassifierSoundness(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, seed%2 == 0)
+		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, useOpt bool) {
-		checkSoundness(t, seed, useOpt)
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkSoundness(t, seed)
 	})
 }

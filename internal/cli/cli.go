@@ -57,7 +57,7 @@ func RegisterHarness(fs *flag.FlagSet) *HarnessFlags {
 	h.workloads = fs.String("workloads", "", "comma-separated workload subset")
 	h.seed = fs.Uint64("seed", 1, "simulation seed (part of every store key)")
 	h.workers = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	h.faults = fs.String("faults", "", `fault-injection plan, e.g. "spurious=0.01,storm=0.001"`)
+	h.faults = fs.String("faults", "", `fault-injection plan, e.g. "spurious=0.01,spurious-window=8"`)
 	h.watchdog = fs.Int64("watchdog", 0, "fail a run after this many cycles without forward progress (0 = off)")
 	h.maxCycles = fs.Int64("max-cycles", 0, "hard cap on each run's simulated cycles (0 = none)")
 	h.traceDir = fs.String("trace-dir", "", "write per-run Chrome traces and abort autopsies into this directory")
@@ -79,6 +79,19 @@ func (h *HarnessFlags) Options() (harness.Options, error) {
 		opts.Filter = strings.Split(*h.workloads, ",")
 	}
 	opts.Seed = *h.seed
+	// Negative counts are usage errors here, before any run: the simulator
+	// would reject each request's config and fail every cell instead.
+	for _, n := range []struct {
+		flag string
+		v    int64
+	}{
+		{"workers", int64(*h.workers)}, {"watchdog", *h.watchdog},
+		{"max-cycles", *h.maxCycles}, {"sample-cycles", *h.sampleCycles},
+	} {
+		if n.v < 0 {
+			return opts, fmt.Errorf("-%s %d: must not be negative", n.flag, n.v)
+		}
+	}
 	opts.Workers = *h.workers
 	if opts.Faults, err = fault.ParsePlan(*h.faults); err != nil {
 		return opts, err
@@ -116,7 +129,7 @@ func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	f.smt = fs.Int("smt", 1, "hardware threads per core")
 	f.seed = fs.Uint64("seed", 1, "simulation seed")
 	f.sigBits = fs.Uint64("sig-bits", 0, "P8S read-signature size in bits (0 = config default, 1024)")
-	f.faults = fs.String("faults", "", `fault-injection plan, e.g. "spurious=0.01,storm=0.001,inval-delay=200"`)
+	f.faults = fs.String("faults", "", `fault-injection plan, e.g. "spurious=0.01,spurious-window=8"`)
 	f.watchdog = fs.Int64("watchdog", 0, "fail after this many cycles without forward progress (0 = off)")
 	f.maxCycles = fs.Int64("max-cycles", 0, "hard cap on simulated cycles (0 = none)")
 	return f

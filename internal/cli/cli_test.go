@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,5 +107,23 @@ func TestContextTimeout(t *testing.T) {
 	case <-ctx.Done():
 	case <-time.After(2 * time.Second):
 		t.Fatal("timeout context never expired")
+	}
+}
+
+func TestHarnessFlagsRejectNegativeCounts(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workers", "-3"},
+		{"-watchdog", "-5"},
+		{"-max-cycles", "-5"},
+		{"-trace-dir", "traces", "-sample-cycles", "-1"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		h := RegisterHarness(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Options(); err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
+			t.Errorf("%v: err = %v, want a usage error naming %s", args, err, args[len(args)-2])
+		}
 	}
 }

@@ -1,15 +1,15 @@
 // Package fault implements a deterministic, seeded fault-injection engine
 // for the simulator. Real HTMs suffer aborts the paper's clean model never
 // generates — POWER8 and TSX transactions die on timer interrupts and TLB
-// misses, page-mode classification can be perturbed by hostile sharing, and
-// coherence traffic arrives late and in bursts under heavy load. The engine
-// injects those hostile events into a run the same way the classify fuzzer
-// injects hostile programs into the compiler: as a validation harness for
-// the abort/rollback/fallback recovery machinery.
+// misses. The engine injects those aborts into a run the same way the
+// classify fuzzer injects hostile programs into the compiler: as a
+// validation harness for the abort/rollback/fallback recovery machinery.
 //
 // Every decision is drawn from per-context xorshift streams seeded from the
 // simulation seed, so a fault campaign replays bit-identically: same plan +
-// same seed + same program ⇒ same injected faults, same statistics.
+// same seed + same program ⇒ same injected faults. Each context draws only
+// at its own transaction begins and transactional accesses, so the
+// decisions do not depend on how the scheduler interleaves contexts.
 //
 // Fault classes:
 //
@@ -17,15 +17,6 @@
 //     per-attempt probability, a transaction is doomed at begin to abort
 //     after a bounded random number of transactional accesses, modeling
 //     interrupt- and TLB-miss-induced aborts (htm.AbortSpurious).
-//   - Page-mode abort storms (Plan.StormProb): per-access, the touched page
-//     is forced safe→unsafe, triggering the full shootdown + page-mode-abort
-//     path on hot pages (requires dynamic classification).
-//   - Delayed/bursty invalidation delivery (Plan.InvalDelaySteps /
-//     Plan.InvalBurst): bus invalidations destined for remote contexts are
-//     held in per-context queues and delivered late — in bursts once a queue
-//     fills — stressing eager conflict detection. Delivery is always forced
-//     before the receiver commits, so atomicity is preserved (the hardware
-//     analogue: a coherence response is on the commit critical path).
 //   - Injected worker panic (Plan.PanicTx): the engine panics at the Nth
 //     transaction begin, machine-wide — the hook the harness degradation
 //     tests use to prove one crashed run cannot take down a figure grid.
@@ -33,7 +24,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -47,17 +37,6 @@ type Plan struct {
 	// SpuriousWindow bounds how many transactional accesses a doomed attempt
 	// performs before the injected abort fires (0 = default 32).
 	SpuriousWindow int
-	// StormProb is the per-access probability in [0,1] of forcing the
-	// accessed page safe→unsafe (a page-mode abort storm). Only meaningful
-	// when dynamic classification is on; otherwise pages have no safe modes
-	// and the draw is a no-op.
-	StormProb float64
-	// InvalDelaySteps holds every bus invalidation for this many machine
-	// steps before delivering it to remote HTM controllers (0 = immediate).
-	InvalDelaySteps int64
-	// InvalBurst additionally flushes a context's whole queue once it holds
-	// this many invalidations, making delivery bursty (0 = delay only).
-	InvalBurst int
 	// PanicTx, when non-zero, panics at the PanicTx-th transaction begin
 	// counted machine-wide — deterministic worker-crash injection.
 	PanicTx uint64
@@ -65,18 +44,15 @@ type Plan struct {
 
 // Enabled reports whether the plan injects anything.
 func (p Plan) Enabled() bool {
-	return p.SpuriousProb > 0 || p.StormProb > 0 || p.InvalDelaySteps > 0 || p.PanicTx > 0
+	return p.SpuriousProb > 0 || p.PanicTx > 0
 }
 
-// Validate rejects out-of-range probabilities and negative knobs.
+// Validate rejects out-of-range (or NaN) probabilities and negative knobs.
 func (p Plan) Validate() error {
-	if p.SpuriousProb < 0 || p.SpuriousProb > 1 {
+	if !(p.SpuriousProb >= 0 && p.SpuriousProb <= 1) {
 		return fmt.Errorf("fault: spurious probability %v outside [0,1]", p.SpuriousProb)
 	}
-	if p.StormProb < 0 || p.StormProb > 1 {
-		return fmt.Errorf("fault: storm probability %v outside [0,1]", p.StormProb)
-	}
-	if p.SpuriousWindow < 0 || p.InvalDelaySteps < 0 || p.InvalBurst < 0 {
+	if p.SpuriousWindow < 0 {
 		return fmt.Errorf("fault: negative plan knob: %+v", p)
 	}
 	return nil
@@ -92,15 +68,6 @@ func (p Plan) String() string {
 	if p.SpuriousWindow > 0 {
 		add("spurious-window", strconv.Itoa(p.SpuriousWindow))
 	}
-	if p.StormProb > 0 {
-		add("storm", strconv.FormatFloat(p.StormProb, 'g', -1, 64))
-	}
-	if p.InvalDelaySteps > 0 {
-		add("inval-delay", strconv.FormatInt(p.InvalDelaySteps, 10))
-	}
-	if p.InvalBurst > 0 {
-		add("inval-burst", strconv.Itoa(p.InvalBurst))
-	}
 	if p.PanicTx > 0 {
 		add("panic-tx", strconv.FormatUint(p.PanicTx, 10))
 	}
@@ -108,7 +75,7 @@ func (p Plan) String() string {
 }
 
 // ParsePlan parses the CLI fault spec: comma-separated key=value pairs, e.g.
-// "spurious=0.01,storm=0.001,inval-delay=200,inval-burst=8,panic-tx=500".
+// "spurious=0.01,spurious-window=8,panic-tx=500".
 // The empty string is the zero (disabled) plan.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
@@ -126,43 +93,16 @@ func ParsePlan(spec string) (Plan, error) {
 			p.SpuriousProb, err = strconv.ParseFloat(v, 64)
 		case "spurious-window":
 			p.SpuriousWindow, err = strconv.Atoi(v)
-		case "storm":
-			p.StormProb, err = strconv.ParseFloat(v, 64)
-		case "inval-delay":
-			p.InvalDelaySteps, err = strconv.ParseInt(v, 10, 64)
-		case "inval-burst":
-			p.InvalBurst, err = strconv.Atoi(v)
 		case "panic-tx":
 			p.PanicTx, err = strconv.ParseUint(v, 10, 64)
 		default:
-			keys := []string{"spurious", "spurious-window", "storm", "inval-delay", "inval-burst", "panic-tx"}
-			sort.Strings(keys)
-			return Plan{}, fmt.Errorf("fault: unknown spec key %q (have %v)", k, keys)
+			return Plan{}, fmt.Errorf("fault: unknown spec key %q (have [panic-tx spurious spurious-window])", k)
 		}
 		if err != nil {
 			return Plan{}, fmt.Errorf("fault: bad value for %q: %v", k, err)
 		}
 	}
 	return p, p.Validate()
-}
-
-// Stats counts what the engine actually injected, so campaigns can assert
-// they were not vacuous.
-type Stats struct {
-	// SpuriousAborts fired; StormsForced succeeded in turning a page unsafe
-	// (draws on already-unsafe pages do not count); InvalsHeld were delayed,
-	// of which InvalBursts whole-queue flushes were burst-triggered.
-	SpuriousAborts uint64
-	StormsForced   uint64
-	InvalsHeld     uint64
-	InvalBursts    uint64
-}
-
-// Inval is one held bus invalidation awaiting delivery to a remote context.
-type Inval struct {
-	Block uint64
-	Write bool
-	due   int64
 }
 
 // InjectedPanic is the value the engine panics with at Plan.PanicTx, typed
@@ -179,8 +119,7 @@ func (p InjectedPanic) Error() string {
 // Engine draws injection decisions for one machine. It is not safe for
 // concurrent use; the simulator is single-goroutine by construction.
 type Engine struct {
-	plan  Plan
-	stats Stats
+	plan Plan
 
 	// streams holds one xorshift64 state per hardware context, decoupled
 	// from the interpreter's per-thread streams so injecting faults never
@@ -189,9 +128,6 @@ type Engine struct {
 	// countdown[ctx] is the number of transactional accesses until the armed
 	// spurious abort fires (0 = not armed).
 	countdown []int64
-	// inbox[ctx] queues invalidations held for that context, in arrival
-	// (deterministic) order.
-	inbox [][]Inval
 
 	txCount uint64
 }
@@ -204,7 +140,6 @@ func NewEngine(plan Plan, seed uint64, nContexts int) *Engine {
 		plan:      plan,
 		streams:   make([]uint64, nContexts),
 		countdown: make([]int64, nContexts),
-		inbox:     make([][]Inval, nContexts),
 	}
 	if e.plan.SpuriousWindow <= 0 {
 		e.plan.SpuriousWindow = 32
@@ -214,9 +149,6 @@ func NewEngine(plan Plan, seed uint64, nContexts int) *Engine {
 	}
 	return e
 }
-
-// Stats returns a copy of the injection counters.
-func (e *Engine) Stats() Stats { return e.stats }
 
 func (e *Engine) next(ctx int) uint64 {
 	x := e.streams[ctx]
@@ -228,8 +160,7 @@ func (e *Engine) next(ctx int) uint64 {
 }
 
 // draw returns true with probability p on ctx's stream. A probability of 0
-// consumes no randomness, keeping disabled fault classes free and plans
-// with one class enabled independent of the others.
+// consumes no randomness, so a plan without spurious aborts draws nothing.
 func (e *Engine) draw(ctx int, p float64) bool {
 	if p <= 0 {
 		return false
@@ -258,64 +189,5 @@ func (e *Engine) SpuriousAbortNow(ctx int) bool {
 		return false
 	}
 	e.countdown[ctx]--
-	if e.countdown[ctx] == 0 {
-		e.stats.SpuriousAborts++
-		return true
-	}
-	return false
-}
-
-// ForceUnsafe reports whether this access should force its page unsafe.
-func (e *Engine) ForceUnsafe(ctx int) bool {
-	return e.draw(ctx, e.plan.StormProb)
-}
-
-// StormForced records that a forced transition actually happened (the page
-// was in a safe mode).
-func (e *Engine) StormForced() { e.stats.StormsForced++ }
-
-// HoldInval queues a bus invalidation for the target context instead of
-// delivering it now. It returns false when delayed delivery is disabled.
-func (e *Engine) HoldInval(target int, block uint64, write bool, now int64) bool {
-	if e.plan.InvalDelaySteps <= 0 {
-		return false
-	}
-	e.inbox[target] = append(e.inbox[target], Inval{Block: block, Write: write, due: now + e.plan.InvalDelaySteps})
-	e.stats.InvalsHeld++
-	return true
-}
-
-// DueInvals pops the target's deliverable invalidations: everything, once
-// the queue reaches the burst threshold (a bursty flush), else the prefix
-// whose delay has expired.
-func (e *Engine) DueInvals(target int, now int64) []Inval {
-	q := e.inbox[target]
-	if len(q) == 0 {
-		return nil
-	}
-	if e.plan.InvalBurst > 0 && len(q) >= e.plan.InvalBurst {
-		e.stats.InvalBursts++
-		e.inbox[target] = nil
-		return q
-	}
-	n := 0
-	for n < len(q) && q[n].due <= now {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	due := q[:n:n]
-	e.inbox[target] = q[n:]
-	return due
-}
-
-// FlushInvals pops everything held for the target, regardless of due time.
-// The machine calls it before the target commits: a transaction may never
-// commit past a pending invalidation, which is what keeps delayed delivery
-// semantics-preserving.
-func (e *Engine) FlushInvals(target int) []Inval {
-	q := e.inbox[target]
-	e.inbox[target] = nil
-	return q
+	return e.countdown[ctx] == 0
 }

@@ -10,10 +10,8 @@ func TestParsePlanRoundTrip(t *testing.T) {
 		"",
 		"spurious=0.01",
 		"spurious=0.25,spurious-window=8",
-		"storm=0.001",
-		"inval-delay=200",
-		"inval-delay=200,inval-burst=8",
-		"spurious=0.01,storm=0.001,inval-delay=200,inval-burst=8,panic-tx=500",
+		"panic-tx=500",
+		"spurious=0.01,spurious-window=8,panic-tx=500",
 	}
 	for _, spec := range specs {
 		p, err := ParsePlan(spec)
@@ -33,14 +31,18 @@ func TestParsePlanRoundTrip(t *testing.T) {
 
 func TestParsePlanErrors(t *testing.T) {
 	for _, spec := range []string{
-		"spurious",          // no value
-		"spurious=x",        // bad float
-		"spurious=1.5",      // out of [0,1]
-		"storm=-0.1",        // negative probability
-		"inval-delay=-5",    // negative knob
-		"frobnicate=1",      // unknown key
-		"spurious=0.1,,",    // empty entry
-		"panic-tx=notanint", // bad uint
+		"spurious",           // no value
+		"spurious=x",         // bad float
+		"spurious=1.5",       // out of [0,1]
+		"spurious=-0.1",      // negative probability
+		"spurious=NaN",       // not a probability at all
+		"spurious-window=-5", // negative knob
+		"frobnicate=1",       // unknown key
+		"storm=0.001",        // removed fault class
+		"inval-delay=200",    // removed fault class
+		"inval-burst=8",      // removed fault class
+		"spurious=0.1,,",     // empty entry
+		"panic-tx=notanint",  // bad uint
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", spec)
@@ -57,8 +59,6 @@ func TestPlanEnabled(t *testing.T) {
 	}
 	for _, p := range []Plan{
 		{SpuriousProb: 0.1},
-		{StormProb: 0.1},
-		{InvalDelaySteps: 10},
 		{PanicTx: 1},
 	} {
 		if !p.Enabled() {
@@ -70,14 +70,16 @@ func TestPlanEnabled(t *testing.T) {
 // Engines with the same (plan, seed) must make identical decisions, and
 // different seeds must diverge — the property campaign replay rests on.
 func TestEngineDeterminism(t *testing.T) {
-	plan := Plan{SpuriousProb: 0.3, StormProb: 0.2}
+	plan := Plan{SpuriousProb: 0.3, SpuriousWindow: 4}
 	drawSeq := func(seed uint64) []bool {
 		e := NewEngine(plan, seed, 4)
 		var out []bool
 		for i := 0; i < 256; i++ {
 			ctx := i % 4
 			e.TxBegun(ctx)
-			out = append(out, e.SpuriousAbortNow(ctx), e.ForceUnsafe(ctx))
+			for j := 0; j < 4; j++ {
+				out = append(out, e.SpuriousAbortNow(ctx))
+			}
 		}
 		return out
 	}
@@ -100,9 +102,19 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// A zero probability must not consume randomness: a spurious-only plan and a
-// combined plan must agree on the spurious stream.
+// A zero probability must not consume randomness, and arming panic-tx must
+// not perturb the spurious stream.
 func TestDisabledClassConsumesNoRandomness(t *testing.T) {
+	z := NewEngine(Plan{PanicTx: 1 << 40}, 3, 1)
+	before := z.streams[0]
+	for i := 0; i < 128; i++ {
+		z.TxBegun(0)
+		z.SpuriousAbortNow(0)
+	}
+	if z.streams[0] != before {
+		t.Fatal("a zero spurious probability advanced the stream")
+	}
+
 	seq := func(plan Plan) []bool {
 		e := NewEngine(plan, 3, 1)
 		var out []bool
@@ -117,9 +129,9 @@ func TestDisabledClassConsumesNoRandomness(t *testing.T) {
 		return out
 	}
 	only := seq(Plan{SpuriousProb: 0.5})
-	withStorm := seq(Plan{SpuriousProb: 0.5}) // storm disabled: same stream
+	withPanic := seq(Plan{SpuriousProb: 0.5, PanicTx: 1 << 40})
 	for i := range only {
-		if only[i] != withStorm[i] {
+		if only[i] != withPanic[i] {
 			t.Fatalf("spurious stream diverged at tx %d", i)
 		}
 	}
@@ -140,15 +152,18 @@ func TestSpuriousProbabilityBounds(t *testing.T) {
 		if !fired {
 			t.Fatalf("tx %d: p=1 did not fire within the window", i)
 		}
-	}
-	if got := e.Stats().SpuriousAborts; got != 50 {
-		t.Errorf("spurious aborts = %d, want 50", got)
+		// A fired abort disarms the attempt: no second abort follows.
+		for j := 0; j < 64; j++ {
+			if e.SpuriousAbortNow(0) {
+				t.Fatalf("tx %d: fired twice in one attempt", i)
+			}
+		}
 	}
 
-	z := NewEngine(Plan{SpuriousProb: 0, StormProb: 0}, 1, 1)
+	z := NewEngine(Plan{SpuriousProb: 0}, 1, 1)
 	for i := 0; i < 50; i++ {
 		z.TxBegun(0)
-		if z.SpuriousAbortNow(0) || z.ForceUnsafe(0) {
+		if z.SpuriousAbortNow(0) {
 			t.Fatal("p=0 fired")
 		}
 	}
@@ -168,59 +183,6 @@ func TestSpuriousWindowBoundsCountdown(t *testing.T) {
 		if fired < 0 || fired >= 4 {
 			t.Fatalf("tx %d: abort fired at access %d, want within [0,4)", i, fired)
 		}
-	}
-}
-
-func TestInvalQueueDelayAndBurst(t *testing.T) {
-	e := NewEngine(Plan{InvalDelaySteps: 100, InvalBurst: 3}, 1, 2)
-
-	if e.HoldInval(0, 1, false, 0) != true {
-		t.Fatal("HoldInval refused with delay enabled")
-	}
-	// Nothing due before the delay expires and below the burst threshold.
-	if got := e.DueInvals(0, 50); got != nil {
-		t.Fatalf("premature delivery: %v", got)
-	}
-	// Due-prefix pop after the delay.
-	if got := e.DueInvals(0, 100); len(got) != 1 || got[0].Block != 1 {
-		t.Fatalf("due pop = %v, want block 1", got)
-	}
-	// Filling to the burst threshold flushes everything regardless of due
-	// times.
-	e.HoldInval(0, 2, true, 10)
-	e.HoldInval(0, 3, false, 10)
-	e.HoldInval(0, 4, true, 10)
-	got := e.DueInvals(0, 11)
-	if len(got) != 3 {
-		t.Fatalf("burst flush returned %d invals, want 3", len(got))
-	}
-	if got[0].Block != 2 || !got[0].Write || got[2].Block != 4 {
-		t.Fatalf("burst order/content wrong: %v", got)
-	}
-	if e.DueInvals(0, 1<<40) != nil {
-		t.Fatal("queue not empty after burst")
-	}
-
-	// FlushInvals drains everything immediately.
-	e.HoldInval(1, 7, false, 0)
-	e.HoldInval(1, 8, true, 0)
-	if got := e.FlushInvals(1); len(got) != 2 {
-		t.Fatalf("flush returned %d, want 2", len(got))
-	}
-	if e.FlushInvals(1) != nil {
-		t.Fatal("double flush returned invals")
-	}
-
-	st := e.Stats()
-	if st.InvalsHeld != 6 || st.InvalBursts != 1 {
-		t.Errorf("stats = %+v, want 6 held / 1 burst", st)
-	}
-}
-
-func TestHoldInvalDisabled(t *testing.T) {
-	e := NewEngine(Plan{SpuriousProb: 0.5}, 1, 1)
-	if e.HoldInval(0, 1, false, 0) {
-		t.Fatal("HoldInval held with delay disabled")
 	}
 }
 

@@ -134,7 +134,7 @@ func TestFaultCampaignThroughHarnessIsDeterministic(t *testing.T) {
 	run := func() []Fig4Row {
 		opts := QuickOptions()
 		opts.Filter = []string{"ssca2"}
-		opts.Faults = fault.Plan{SpuriousProb: 0.05, InvalDelaySteps: 100, InvalBurst: 4}
+		opts.Faults = fault.Plan{SpuriousProb: 0.05}
 		r := NewRunner(opts)
 		rows, err := r.Fig4(context.Background())
 		if err != nil {

@@ -67,8 +67,8 @@ type Env interface {
 // dinstr is one pre-decoded instruction: branch targets resolved to block
 // indices, callees and globals to side-table indices, so Exec dispatches
 // with array indexing only. The struct is kept to 32 bytes (half a cache
-// line) — per-op cold payloads (call sites, parallel sites, profile IDs)
-// live in dfunc side tables reached through aux.
+// line) — per-op cold payloads (call sites, parallel sites) live in dfunc
+// side tables reached through aux.
 //
 // Field use by op: aux is the target block (Br, CondBr — else target in
 // imm), the global slot (GlobalAddr), or the side-table index (Call,
@@ -100,11 +100,8 @@ type parSite struct {
 type dfunc struct {
 	fn     *ir.Func
 	blocks [][]dinstr
-	// ids mirrors blocks with each instruction's module-wide ID; only the
-	// profiling path (Program.counts != nil) reads it.
-	ids   [][]int32
-	calls []callSite
-	pars  []parSite
+	calls  []callSite
+	pars   []parSite
 }
 
 // Program wraps a verified module with its pre-decoded executable form.
@@ -116,37 +113,6 @@ type Program struct {
 	// Module.Globals order; globalsLaid flips when LayoutGlobals ran.
 	globalAddrs []mem.Addr
 	globalsLaid bool
-	// counts, when non-nil, accumulates per-instruction execution counts
-	// indexed by instruction ID — the simulator's profiling hook. A dense
-	// slice (IDs are module-sequential), so the per-instruction overhead when
-	// enabled is one bounds-checked increment; nil costs one branch.
-	counts []uint64
-	maxID  int
-}
-
-// EnableProfile turns on per-instruction execution counting. The count
-// store is presized to the module's instruction-ID range, so profiled runs
-// pay one slice increment per step and no map growth.
-func (p *Program) EnableProfile() {
-	p.counts = make([]uint64, p.maxID+1)
-}
-
-// Profiling reports whether per-instruction execution counting is on.
-func (p *Program) Profiling() bool { return p.counts != nil }
-
-// ProfileCounts returns the execution counts keyed by instruction ID (nil
-// unless enabled). Built on demand; call once per run, not per step.
-func (p *Program) ProfileCounts() map[int]uint64 {
-	if p.counts == nil {
-		return nil
-	}
-	out := make(map[int]uint64)
-	for id, c := range p.counts {
-		if c != 0 {
-			out[id] = c
-		}
-	}
-	return out
 }
 
 // NewProgram prepares m for execution. The module must verify.
@@ -169,7 +135,6 @@ func NewProgram(m *ir.Module) (*Program, error) {
 		p.dfuncs[f.Name] = &dfunc{
 			fn:     f,
 			blocks: make([][]dinstr, len(f.Blocks)),
-			ids:    make([][]int32, len(f.Blocks)),
 		}
 	}
 	for _, f := range m.Funcs {
@@ -180,12 +145,7 @@ func NewProgram(m *ir.Module) (*Program, error) {
 		}
 		for bi, b := range f.Blocks {
 			code := make([]dinstr, len(b.Instrs))
-			ids := make([]int32, len(b.Instrs))
 			for ii, in := range b.Instrs {
-				if in.ID > p.maxID {
-					p.maxID = in.ID
-				}
-				ids[ii] = int32(in.ID)
 				d := dinstr{
 					op:   in.Op,
 					safe: in.Safe,
@@ -225,7 +185,6 @@ func NewProgram(m *ir.Module) (*Program, error) {
 				code[ii] = d
 			}
 			df.blocks[bi] = code
-			df.ids[bi] = ids
 		}
 	}
 	return p, nil
@@ -476,9 +435,6 @@ func (p *Program) Exec(env Env, t *Thread, max int) (n int, ok bool) {
 	code, regs, pc := f.code, f.Regs, f.PC
 	for {
 		in := &code[pc]
-		if p.counts != nil {
-			p.counts[f.df.ids[f.Block][pc]]++
-		}
 		n++
 		switch in.op {
 		case ir.OpConst:

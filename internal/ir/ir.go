@@ -145,15 +145,6 @@ func (f *Func) addBlock(b *Block) *Block {
 	return b
 }
 
-// RebuildBlockIndex recomputes the name→block lookup after a transform has
-// added or removed blocks directly (the optimizer does).
-func (f *Func) RebuildBlockIndex() {
-	f.blockByName = make(map[string]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		f.blockByName[b.Name] = b
-	}
-}
-
 // Entry returns the function's entry block.
 func (f *Func) Entry() *Block {
 	if len(f.Blocks) == 0 {

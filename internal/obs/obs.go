@@ -45,11 +45,6 @@ const (
 	EvEviction
 	// EvFaultSpurious: the fault layer fired an injected spurious abort.
 	EvFaultSpurious
-	// EvFaultStorm: the fault layer forced a page unsafe. Arg is the page.
-	EvFaultStorm
-	// EvFaultInvalHeld: the fault layer delayed a bus invalidation bound
-	// for this context. Arg is the block.
-	EvFaultInvalHeld
 
 	numEventKinds
 )
@@ -66,10 +61,6 @@ func (k EventKind) String() string {
 		return "l1-eviction"
 	case EvFaultSpurious:
 		return "fault-spurious"
-	case EvFaultStorm:
-		return "fault-storm"
-	case EvFaultInvalHeld:
-		return "fault-inval-held"
 	}
 	return fmt.Sprintf("event(%d)", uint8(k))
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"hintm/internal/fault"
 	"hintm/internal/htm"
 	"hintm/internal/interp"
 	"hintm/internal/mem"
@@ -52,20 +51,14 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 		m.profiler.OnAccess(t.ID, addr, write, c.txActive || t.Fallback)
 	}
 
-	// 0. Fault layer: invalidations held for this context come due at its
-	// next access, and an armed spurious abort (interrupt/TLB-miss model)
+	// 0. Fault layer: an armed spurious abort (interrupt/TLB-miss model)
 	// fires before the access takes architectural effect.
-	if m.faults != nil {
-		if m.deliverHeldInvals(c, false) {
-			return interp.CtrlAbort
+	if m.faults != nil && c.txActive && !c.suspended && m.faults.SpuriousAbortNow(c.id) {
+		if m.tracer != nil {
+			m.tracer.Instant(c.id, c.cycle, obs.EvFaultSpurious, uint64(block))
 		}
-		if c.txActive && !c.suspended && m.faults.SpuriousAbortNow(c.id) {
-			if m.tracer != nil {
-				m.tracer.Instant(c.id, c.cycle, obs.EvFaultSpurious, uint64(block))
-			}
-			m.abortTx(c, htm.AbortSpurious)
-			return interp.CtrlAbort
-		}
+		m.abortTx(c, htm.AbortSpurious)
+		return interp.CtrlAbort
 	}
 
 	// 1. Translation and dynamic classification (paper §IV-B). Statically
@@ -78,21 +71,6 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 	if out.Transition != nil {
 		if selfAborted := m.pageModeTransition(c, out); selfAborted {
 			return interp.CtrlAbort
-		}
-	}
-
-	// 1b. Fault layer: page-mode abort storm — force the touched page
-	// unsafe, triggering the full shootdown + page-mode-abort path.
-	if m.faults != nil && m.faults.ForceUnsafe(c.id) {
-		if tr := m.vm.ForceUnsafe(c.id, page); tr != nil {
-			m.faults.StormForced()
-			if m.tracer != nil {
-				m.tracer.Instant(c.id, c.cycle, obs.EvFaultStorm, uint64(page))
-			}
-			c.cycle += tr.InitiatorCycles
-			if selfAborted := m.pageModeTransition(c, vmem.Outcome{Transition: tr}); selfAborted {
-				return interp.CtrlAbort
-			}
 		}
 	}
 
@@ -145,37 +123,12 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 	// 5. Conflict detection: bus snoops reach contexts on other cores; SMT
 	// siblings observe every access through the shared L1.
 	if res.BusOp {
-		if m.faults != nil {
-			for _, o := range m.ctxs {
-				if o.core == c.core {
-					continue
-				}
-				// Fault layer: hold delivery only when the op misses the
-				// victim's write set (probed with a remote-read check). An op
-				// hitting it cannot be delayed — the ownership transfer is on
-				// this access's critical path, and skipping the immediate abort
-				// would let an undo-log restore clobber our write (eager) or
-				// let us read uncommitted data. HoldInval fires for idle
-				// contexts too, so this path cannot take the txActive shortcut.
-				if o.ctrl.OnRemoteOp(block, false) == htm.AbortNone &&
-					m.faults.HoldInval(o.id, block, write, m.res.Steps) {
-					if m.tracer != nil {
-						m.tracer.Instant(o.id, o.cycle, obs.EvFaultInvalHeld, block)
-					}
-					continue
-				}
-				if r := o.ctrl.OnRemoteOp(block, write); r != htm.AbortNone {
-					m.abortTx(o, r)
-				}
+		for _, o := range m.ctxs {
+			if o.core == c.core || !o.txActive {
+				continue
 			}
-		} else {
-			for _, o := range m.ctxs {
-				if o.core == c.core || !o.txActive {
-					continue
-				}
-				if r := o.ctrl.OnRemoteOp(block, write); r != htm.AbortNone {
-					m.abortTx(o, r)
-				}
+			if r := o.ctrl.OnRemoteOp(block, write); r != htm.AbortNone {
+				m.abortTx(o, r)
 			}
 		}
 	}
@@ -251,27 +204,6 @@ func (m *Machine) pageModeTransition(c *hwContext, out vmem.Outcome) (selfAborte
 	if c.ctrl.Active() && c.ctrl.TouchedPage(tr.Page) {
 		m.abortTx(c, htm.AbortPageMode)
 		return true
-	}
-	return false
-}
-
-// deliverHeldInvals offers context c its held bus invalidations: the due
-// prefix (or a burst) normally, everything when flush is set (pre-commit).
-// It reports whether the delivery aborted c's own transaction; any
-// invalidations popped after the abort are dropped, which is equivalent to
-// delivering them while no transaction is active.
-func (m *Machine) deliverHeldInvals(c *hwContext, flush bool) (selfAborted bool) {
-	var pend []fault.Inval
-	if flush {
-		pend = m.faults.FlushInvals(c.id)
-	} else {
-		pend = m.faults.DueInvals(c.id, m.res.Steps)
-	}
-	for _, iv := range pend {
-		if r := c.ctrl.OnRemoteOp(iv.Block, iv.Write); r != htm.AbortNone {
-			m.abortTx(c, r)
-			return true
-		}
 	}
 	return false
 }
@@ -368,13 +300,6 @@ func (m *Machine) TxResume(t *interp.Thread) interp.Ctrl {
 // TxEnd implements interp.Env.
 func (m *Machine) TxEnd(t *interp.Thread) interp.Ctrl {
 	c := m.ctxOf(t)
-	// Fault layer: a transaction may never commit past a pending
-	// invalidation — flush the whole inbox first. This is what keeps
-	// delayed delivery semantics-preserving: the worst it can do is turn an
-	// early abort into a late one.
-	if m.faults != nil && m.deliverHeldInvals(c, true) {
-		return interp.CtrlAbort
-	}
 	c.suspended = false
 	c.cycle += m.cfg.TxCommitCost
 	if t.Fallback {

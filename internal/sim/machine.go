@@ -158,10 +158,9 @@ type Machine struct {
 	lastProgressCycle int64
 
 	// runAhead enables run-ahead scheduling and main-thread batches for this
-	// run (batch): off when the run carries a tracer, the fault engine or
-	// per-instruction profiling, all of which read other contexts' clocks or
-	// the global step count mid-run. noRunAhead forces it off (tests compare
-	// both schedules).
+	// run (batch): off when the run carries a tracer, whose events and
+	// counter samples read other contexts' clocks mid-run. noRunAhead forces
+	// it off (tests compare both schedules).
 	runAhead, noRunAhead bool
 	// actClock and actID are the (clock, id) scheduling key of the
 	// instruction executing now; settle splits run-ahead against it.
@@ -211,45 +210,6 @@ func (m *Machine) notifyTx(tid int, ev TxEventKind, reason htm.AbortReason) {
 
 // SetProfiler attaches an access observer (call before Run).
 func (m *Machine) SetProfiler(p Profiler) { m.profiler = p }
-
-// EnableProfile turns on per-instruction execution counting (call before
-// Run); HotInstructions reports the results.
-func (m *Machine) EnableProfile() { m.prog.EnableProfile() }
-
-// HotInstr is one row of the execution-count profile.
-type HotInstr struct {
-	Count uint64
-	Func  string
-	Text  string
-}
-
-// HotInstructions returns the n most-executed instructions, hottest first.
-func (m *Machine) HotInstructions(n int) []HotInstr {
-	counts := m.prog.ProfileCounts()
-	if counts == nil {
-		return nil
-	}
-	where := make(map[int]HotInstr, len(counts))
-	m.prog.M.ForEachInstr(func(f *ir.Func, _ *ir.Block, in *ir.Instr) {
-		if c, ok := counts[in.ID]; ok {
-			where[in.ID] = HotInstr{Count: c, Func: f.Name, Text: in.String()}
-		}
-	})
-	out := make([]HotInstr, 0, len(where))
-	for _, h := range where {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Func+out[i].Text < out[j].Func+out[j].Text
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
 
 // ReadGlobal returns word wordIdx of the named global after (or during) a
 // run — the way tests and examples inspect a program's final state.
@@ -374,9 +334,6 @@ func (m *Machine) Run(ctx context.Context) (*Result, error) {
 	}
 	m.res.Cache = m.caches.Stats()
 	m.res.VM = m.vm.Stats()
-	if m.faults != nil {
-		m.res.Faults = m.faults.Stats()
-	}
 	return m.res, nil
 }
 
@@ -407,7 +364,7 @@ func (m *Machine) runMain(ctx context.Context) error {
 	}
 	m.stepCap = maxSteps
 	m.sampling = m.tracer != nil && m.cfg.SampleCycles > 0
-	m.runAhead = !m.noRunAhead && m.tracer == nil && m.faults == nil && !m.prog.Profiling()
+	m.runAhead = !m.noRunAhead && m.tracer == nil
 
 	for !m.mainThread.Done {
 		if m.res.Steps&ctxCheckMask == 0 {

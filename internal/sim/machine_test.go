@@ -174,32 +174,6 @@ type countingProfiler struct{ n int }
 
 func (p *countingProfiler) OnAccess(tid int, addr mem.Addr, write, inTx bool) { p.n++ }
 
-// TestHotInstructions: the execution profile surfaces the hottest code.
-func TestHotInstructions(t *testing.T) {
-	mod := counterModule(2, 5)
-	m, err := New(DefaultConfig(), mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.HotInstructions(3) != nil {
-		t.Fatal("profile should be nil before EnableProfile")
-	}
-	m.EnableProfile()
-	if _, err := m.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	hot := m.HotInstructions(3)
-	if len(hot) != 3 {
-		t.Fatalf("hot rows = %d", len(hot))
-	}
-	if hot[0].Count < hot[1].Count || hot[1].Count < hot[2].Count {
-		t.Fatal("profile not sorted")
-	}
-	if hot[0].Count == 0 || hot[0].Func == "" || hot[0].Text == "" {
-		t.Fatalf("bad row: %+v", hot[0])
-	}
-}
-
 // TestCapacityRetryFutility: granting capacity retries must not recover any
 // commits — the transaction overflows again every time (paper §I).
 func TestCapacityRetryFutility(t *testing.T) {

@@ -52,17 +52,20 @@ func TestChromeTraceDeterministic(t *testing.T) {
 }
 
 // The fault campaign draws from seeded PRNG streams, so even a run full of
-// injected aborts and page storms must trace byte-identically.
+// injected aborts must trace byte-identically.
 func TestChromeTraceDeterministicUnderFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Hints = HintFull
 	cfg.SampleCycles = 500
-	cfg.Faults = fault.Plan{SpuriousProb: 0.05, StormProb: 0.002}
+	cfg.Faults = fault.Plan{SpuriousProb: 0.05}
 	build := func() *ir.Module { return classified(t, bigTxModule(4, 5, 80)) }
 	a := chromeRun(t, build, cfg)
 	b := chromeRun(t, build, cfg)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same-seed fault-campaign runs produced different traces")
+	}
+	if !bytes.Contains(a, []byte(obs.EvFaultSpurious.String())) {
+		t.Fatal("campaign vacuous: the trace holds no injected abort")
 	}
 	if !json.Valid(a) {
 		t.Fatalf("trace is not valid JSON:\n%s", a)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"hintm/internal/cache"
-	"hintm/internal/fault"
 	"hintm/internal/htm"
 	"hintm/internal/stats"
 	"hintm/internal/vmem"
@@ -42,9 +41,6 @@ type Result struct {
 
 	Cache cache.Stats
 	VM    vmem.Stats
-	// Faults counts injected events when a fault plan was active (zero
-	// otherwise) — campaigns assert on it to prove they were not vacuous.
-	Faults fault.Stats
 }
 
 func newResult() *Result {

@@ -15,6 +15,8 @@ import (
 
 	"hintm/internal/cache"
 	"hintm/internal/classify"
+	"hintm/internal/fault"
+	"hintm/internal/htm"
 	"hintm/internal/ir"
 	"hintm/internal/profile"
 	"hintm/internal/sim"
@@ -145,6 +147,74 @@ func TestRunAheadExact(t *testing.T) {
 	for i := range lines {
 		if lines[i] != wantLines[i] {
 			t.Errorf("result drift:\n got:  %s\n want: %s", lines[i], wantLines[i])
+		}
+	}
+}
+
+// TestRunAheadExactUnderFaults extends the exactness pin to fault
+// campaigns, which run ahead like any untraced run: every workload under
+// every configuration gives byte-identical results with run-ahead on and off
+// under spurious-abort plans, and a panic-tx plan panics at the same
+// transaction, executed by the same context at the same clock, both ways.
+func TestRunAheadExactUnderFaults(t *testing.T) {
+	var spurious uint64
+	for _, spec := range workloads.All() {
+		for _, c := range runAheadConfigs {
+			mod, cfg := runAheadCell(t, spec, c.htm, c.hints, c.smt)
+			for _, plan := range []fault.Plan{
+				{SpuriousProb: 0.2},
+				{SpuriousProb: 0.5, SpuriousWindow: 8},
+				{SpuriousProb: 0.9},
+			} {
+				name := fmt.Sprintf("%s/%v/%v/smt%d/%v", spec.Name, c.htm, c.hints, c.smt, plan)
+				cfg.Faults = plan
+				_, ref, _ := runScheduled(t, mod, cfg, false, false)
+				_, got, _ := runScheduled(t, mod, cfg, true, false)
+				if string(got) != string(ref) {
+					t.Errorf("%s: run-ahead result differs:\n off: %s\n on:  %s", name, ref, got)
+				}
+				var res sim.Result
+				if err := json.Unmarshal(got, &res); err != nil {
+					t.Fatal(err)
+				}
+				spurious += res.Aborts[htm.AbortSpurious]
+			}
+		}
+	}
+	if spurious == 0 {
+		t.Error("campaigns vacuous: no spurious abort fired")
+	}
+
+	panicSite := func(mod *ir.Module, cfg sim.Config, runAhead bool) (site [3]int64) {
+		t.Helper()
+		m, err := sim.New(cfg, mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Release()
+		if !runAhead {
+			sim.DisableRunAhead(m)
+		}
+		defer func() {
+			ip, ok := recover().(fault.InjectedPanic)
+			if !ok {
+				t.Fatalf("run did not panic with fault.InjectedPanic")
+			}
+			clock, id := sim.Acting(m)
+			site = [3]int64{int64(ip.Tx), clock, int64(id)}
+		}()
+		m.Run(context.Background())
+		return
+	}
+	for _, name := range []string{"kmeans", "vacation"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, cfg := runAheadCell(t, spec, sim.HTMP8, sim.HintFull, 1)
+		cfg.Faults = fault.Plan{PanicTx: 40}
+		if off, on := panicSite(mod, cfg, false), panicSite(mod, cfg, true); off != on {
+			t.Errorf("%s: panic-tx site (tx, clock, context) differs: off %v, on %v", name, off, on)
 		}
 	}
 }

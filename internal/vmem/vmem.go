@@ -412,30 +412,6 @@ func (m *Manager) transition(ctx int, page uint64, pe *pageEntry, out *Outcome) 
 	m.stats.Transitions++
 }
 
-// ForceUnsafe forces page straight to shared-rw on behalf of hardware
-// context ctx — the fault layer's page-mode abort storm. It returns the
-// resulting Transition, or nil when there is nothing to force: dynamic
-// classification disabled, the page untouched, or already shared-rw. The
-// initiator's own TLB entry is invalidated too, so later reads re-walk and
-// observe the unsafe mode instead of a stale safe hit.
-func (m *Manager) ForceUnsafe(ctx int, page uint64) *Transition {
-	if !m.enabled {
-		return nil
-	}
-	i, ok := m.pt.Find(page)
-	if !ok {
-		return nil
-	}
-	pe := &m.arena[m.pt.Vals[i]]
-	if pe.mode == Untouched || pe.mode == SharedRW {
-		return nil
-	}
-	var out Outcome
-	m.transition(ctx, page, pe, &out)
-	m.tlbs[ctx].invalidate(page)
-	return out.Transition
-}
-
 // SlaveCost returns the per-slave shootdown cost for charging by the machine.
 func (m *Manager) SlaveCost() int64 { return m.costs.ShootdownSlave }
 
