@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-module-build parity trace-check hyp-smoke figures svg export clean
+.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-module-build parity trace-check hyp-smoke figures export clean
 
 all: test
 
@@ -48,21 +48,19 @@ artifacts:
 figures:
 	$(GO) run ./cmd/hintm-bench all
 
-# Render the figures as SVG files under ./figures/.
-svg:
-	$(GO) run ./cmd/hintm-bench -svg figures svg
-
 export:
 	$(GO) run ./cmd/hintm-bench export > results.json
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke runs every benchmark exactly once with -benchmem, plus the
-# zero-allocation pin tests (testing.AllocsPerRun over the step loop, the
-# main-thread batch and worker scheduling loops, tracker probe/insert, TLB
-# hit, checkpoint capture/restore) — the CI gate that the benchmark harness
-# still works and the hot paths stay alloc-free.
+# bench-smoke runs every simulator and component benchmark exactly once
+# with -benchmem (the figures themselves are pinned by the harness tests and
+# the seed-grid golden, not re-rendered here), plus the zero-allocation pin
+# tests (testing.AllocsPerRun over the step loop, the main-thread batch and
+# worker scheduling loops, tracker probe/insert, TLB hit, checkpoint
+# capture/restore) — the CI gate that the benchmarks still run and the hot
+# paths stay alloc-free.
 bench-smoke:
 	$(GO) test -run='Alloc' -bench=. -benchtime=1x -benchmem ./...
 
@@ -111,4 +109,4 @@ trace-check:
 	rm -rf .trace-check
 
 clean:
-	rm -rf figures results.json BENCH_results.json .trace-check .bench-current.json .hintm-store
+	rm -rf results.json BENCH_results.json .trace-check .bench-current.json .hintm-store

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	hintm-bench [flags] [table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|extras|export|svg|all]
+//	hintm-bench [flags] [table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|export|all]
 //	hintm-bench [-tolerance F] [-min-wall S] benchdiff BASELINE.json CURRENT.json
 //
 // Flags:
@@ -13,7 +13,7 @@
 //	-seed N                     simulation seed
 //	-workers N                  concurrent simulations (0 = GOMAXPROCS)
 //	-timeout D                  abort the whole run after D (e.g. 10m)
-//	-faults SPEC                fault-injection plan, e.g. "spurious=0.01,storm=0.001"
+//	-faults SPEC                fault-injection plan, e.g. "spurious=0.01"
 //	-watchdog N                 livelock watchdog: fail a run after N cycles without progress
 //	-max-cycles N               hard cap on each run's simulated cycles
 //	-trace-dir DIR              write per-run Chrome traces + abort autopsies into DIR
@@ -47,42 +47,63 @@ import (
 )
 
 func main() {
-	hf := cli.RegisterHarness(flag.CommandLine)
-	timeout := flag.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
-	svgDir := flag.String("svg", "", "also render the figures as SVG files into this directory")
-	results := flag.String("results", "BENCH_results.json", `write machine-readable headline metrics here on the "all" target ("" = off)`)
-	storeDir := cli.RegisterStore(flag.CommandLine)
-	tolerance := flag.Float64("tolerance", 0.05, `relative headline-metric tolerance for the "benchdiff" target`)
-	minWall := flag.Float64("min-wall", harness.DefaultMinWallSeconds, `shortest baseline wall time (seconds) the "benchdiff" target gates in relative terms`)
-	profiles := cli.RegisterProfiles(flag.CommandLine, "hintm-bench", "harness")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// run parses args and renders the selected target to w. An unknown target
+// fails before any simulation runs.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hintm-bench", flag.ExitOnError)
+	hf := cli.RegisterHarness(fs)
+	timeout := fs.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
+	results := fs.String("results", "BENCH_results.json", `write machine-readable headline metrics here on the "all" target ("" = off)`)
+	storeDir := cli.RegisterStore(fs)
+	tolerance := fs.Float64("tolerance", 0.05, `relative headline-metric tolerance for the "benchdiff" target`)
+	minWall := fs.Float64("min-wall", harness.DefaultMinWallSeconds, `shortest baseline wall time (seconds) the "benchdiff" target gates in relative terms`)
+	profiles := cli.RegisterProfiles(fs, "hintm-bench", "harness")
+	fs.Parse(args)
+
+	target := "all"
+	if fs.NArg() > 0 {
+		target = fs.Arg(0)
+	}
+	switch target {
+	case "table1", "table2", "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "export", "all":
+	case "benchdiff":
+		// benchdiff never simulates: it loads two BENCH_results.json files
+		// and exits non-zero when the new one regresses the baseline's
+		// headline metrics beyond -tolerance.
+		if fs.NArg() != 3 {
+			return fmt.Errorf("usage: hintm-bench [-tolerance F] [-min-wall S] benchdiff BASELINE.json CURRENT.json")
+		}
+		return runBenchDiff(fs.Arg(1), fs.Arg(2), harness.DiffOptions{Tolerance: *tolerance, MinWallSeconds: *minWall})
+	default:
+		return fmt.Errorf("unknown target %q (want table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|export|benchdiff|all)", target)
+	}
 
 	stopProfiles, err := profiles.Start()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	cleanup = stopProfiles
 	defer stopProfiles()
 
 	opts, err := hf.Options()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	// The content-addressed store makes repeated figure regeneration
 	// warm-cache: any run already stored (by an earlier bench run or by
 	// hintm-exp over the same directory) is recalled, not re-run.
 	if opts.Store, err = cli.OpenStore(*storeDir); err != nil {
-		fatal(err)
+		return err
 	}
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 
 	r := harness.NewRunner(opts)
-	target := "all"
-	if flag.NArg() > 0 {
-		target = flag.Arg(0)
-	}
 	switch target {
 	case "fig1", "fig4", "fig5", "fig6", "fig7", "fig8":
 		render := map[string]func(context.Context, io.Writer) error{
@@ -90,44 +111,22 @@ func main() {
 			"fig6": r.RenderFig6, "fig7": r.RenderFig7, "fig8": r.RenderFig8,
 		}[target]
 		before := r.Stats()
-		err = render(ctx, os.Stdout)
+		err = render(ctx, w)
 		// Every run gets the production breakdown, not just "all": a
 		// single-figure render shows its own cold/store-hit split the
 		// same way.
 		if ctx.Err() == nil {
-			r.RenderRunSummary(os.Stdout, target, r.Stats().Sub(before))
+			r.RenderRunSummary(w, target, r.Stats().Sub(before))
 		}
-	case "extras":
-		err = r.RenderExtras(ctx, os.Stdout)
 	case "export":
-		err = r.ExportAll(ctx, os.Stdout)
-	case "benchdiff":
-		// benchdiff never simulates: it loads two BENCH_results.json files
-		// and exits non-zero when the new one regresses the baseline's
-		// headline metrics beyond -tolerance.
-		if flag.NArg() != 3 {
-			fatal(fmt.Errorf("usage: hintm-bench [-tolerance F] [-min-wall S] benchdiff BASELINE.json CURRENT.json"))
-		}
-		err = runBenchDiff(flag.Arg(1), flag.Arg(2), harness.DiffOptions{Tolerance: *tolerance, MinWallSeconds: *minWall})
+		err = r.ExportAll(ctx, w)
 	case "table1":
-		harness.RenderTable1(os.Stdout)
+		harness.RenderTable1(w)
 	case "table2":
-		harness.RenderTable2(os.Stdout)
-	case "svg":
-		if *svgDir == "" {
-			*svgDir = "figures"
-		}
-		err = r.WriteSVGs(ctx, *svgDir)
+		harness.RenderTable2(w)
 	case "all":
 		start := time.Now()
-		err = r.RenderAll(ctx, os.Stdout)
-		if *svgDir != "" && ctx.Err() == nil {
-			// Degraded text figures still produce SVGs for the cells that
-			// succeeded; keep the first error for the exit summary.
-			if serr := r.WriteSVGs(ctx, *svgDir); err == nil {
-				err = serr
-			}
-		}
+		err = r.RenderAll(ctx, w)
 		if *results != "" && ctx.Err() == nil {
 			// The memoized scheduler recalls every figure's runs, so the
 			// summary is a pure reduction at this point.
@@ -135,12 +134,8 @@ func main() {
 				err = rerr
 			}
 		}
-	default:
-		err = fmt.Errorf("unknown target %q (want table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|extras|export|svg|benchdiff|all)", target)
 	}
-	if err != nil {
-		fatal(err)
-	}
+	return err
 }
 
 // runBenchDiff compares two headline-metric files and fails on regressions.
@@ -205,10 +200,7 @@ func writeResults(ctx context.Context, r *harness.Runner, path string, wall time
 	return nil
 }
 
-var cleanup = func() {}
-
 func fatal(err error) {
-	cleanup()
 	// Joined errors (one per failed run) print one per line under a single
 	// summary header, so a degraded campaign reads as a failure list.
 	lines := strings.Split(err.Error(), "\n")

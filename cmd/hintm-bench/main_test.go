@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -29,6 +30,21 @@ func TestBenchDiffRejectsBadGates(t *testing.T) {
 		err := runBenchDiff(base, base, c.o)
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
 			t.Errorf("%+v: err = %v, want a %s usage error", c.o, err, c.flag)
+		}
+	}
+}
+
+// TestRemovedTargetsAreUnknown: the SVG renderer and the intset extras
+// sweep are gone, so their targets fail as unknown before anything runs.
+func TestRemovedTargetsAreUnknown(t *testing.T) {
+	for _, target := range []string{"extras", "svg"} {
+		var out bytes.Buffer
+		err := run([]string{target}, &out)
+		if err == nil || !strings.Contains(err.Error(), `unknown target "`+target+`"`) {
+			t.Errorf("%s: err = %v, want an unknown-target error", target, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed before failing:\n%s", target, out.String())
 		}
 	}
 }

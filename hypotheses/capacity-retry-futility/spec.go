@@ -76,6 +76,16 @@ func judge(e *hyp.Evaluation) hyp.Outcome {
 			Reason:  "no capacity aborts without retries — nothing to retry at this scale.",
 		}
 	}
+	// Every growth factor below divides by a control mean; a zero one (at
+	// large scale bayes/P8 commits nothing in hardware) leaves it undefined.
+	for m, metric := range e.Spec.Metrics {
+		if _, ok := e.GrowthVsControl(1, m); !ok {
+			return hyp.Outcome{
+				Verdict: hyp.Inconclusive,
+				Reason:  fmt.Sprintf("%s: the no-retry control's mean is 0, so the growth factor is undefined.", metric.Name),
+			}
+		}
+	}
 	verdict := hyp.Supported
 	reason := ""
 	for i, n := range retries {

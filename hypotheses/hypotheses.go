@@ -10,6 +10,7 @@ import (
 	_ "hintm/hypotheses/dyn-recovers-infcap"
 	_ "hintm/hypotheses/fallback-lock-convoy"
 	_ "hintm/hypotheses/hints-multiply-capacity"
+	_ "hintm/hypotheses/hints-need-safety"
 	_ "hintm/hypotheses/hints-remove-false-conflicts"
 	_ "hintm/hypotheses/htm-vs-stm"
 	_ "hintm/hypotheses/page-cost-lever"
@@ -23,6 +24,7 @@ var Names = []string{
 	"dyn-recovers-infcap",
 	"fallback-lock-convoy",
 	"hints-multiply-capacity",
+	"hints-need-safety",
 	"hints-remove-false-conflicts",
 	"htm-vs-stm",
 	"page-cost-lever",

@@ -158,29 +158,14 @@ type Fig4Row struct {
 	Failed bool
 }
 
-// Fig4 runs the P8 capacity-abort-reduction and speedup study.
+// Fig4 runs the P8 capacity-abort-reduction and speedup study: the
+// {baseline, st, dyn, full, InfCap} sweep over the selected workloads.
 func (r *Runner) Fig4(ctx context.Context) ([]Fig4Row, error) {
-	return r.figOnHTM(ctx, sim.HTMP8, r.opts.Scale, nil)
-}
-
-// figOnHTM runs the {baseline, st, dyn, full, InfCap} sweep on one HTM
-// kind. With apps == nil the sweep covers the runner's selected workloads;
-// otherwise exactly the named ones.
-func (r *Runner) figOnHTM(ctx context.Context, kind sim.HTMKind, scale workloads.Scale, apps []string) ([]Fig4Row, error) {
 	specs, err := r.specs()
 	if err != nil {
 		return nil, err
 	}
-	if apps != nil {
-		specs = make([]*workloads.Spec, 0, len(apps))
-		for _, name := range apps {
-			spec, err := workloads.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, spec)
-		}
-	}
+	kind, scale := sim.HTMP8, r.opts.Scale
 	var reqs []Request
 	for _, spec := range specs {
 		reqs = append(reqs,
@@ -228,14 +213,7 @@ func (r *Runner) RenderFig4(ctx context.Context, w io.Writer) error {
 	if rows == nil {
 		return err
 	}
-	renderHTMSweep(w, rows,
-		"Fig 4a: capacity-abort reduction vs P8",
-		"Fig 4b: speedup over P8 (and page-mode cycle fraction)")
-	return err
-}
-
-func renderHTMSweep(w io.Writer, rows []Fig4Row, titleA, titleB string) {
-	fmt.Fprint(w, Title(titleA))
+	fmt.Fprint(w, Title("Fig 4a: capacity-abort reduction vs P8"))
 	ta := stats.NewTable("app", "base-cap-aborts", "HinTM-st", "HinTM-dyn", "HinTM")
 	var rs, rd, rf []float64
 	for _, row := range rows {
@@ -254,7 +232,7 @@ func renderHTMSweep(w io.Writer, rows []Fig4Row, titleA, titleB string) {
 	ta.Row("MEAN", "-", stats.Pct(mean(rs)), stats.Pct(mean(rd)), stats.Pct(mean(rf)))
 	ta.Render(w)
 
-	fmt.Fprint(w, Title(titleB))
+	fmt.Fprint(w, Title("Fig 4b: speedup over P8 (and page-mode cycle fraction)"))
 	tb := stats.NewTable("app", "HinTM-st", "HinTM-dyn", "HinTM", "InfCap", "pagemode-cycles")
 	chart := stats.NewBarChart("x")
 	var ss, sd, sf, si []float64
@@ -284,6 +262,7 @@ func renderHTMSweep(w io.Writer, rows []Fig4Row, titleA, titleB string) {
 	tb.Render(w)
 	fmt.Fprintln(w, "\nHinTM speedup:")
 	chart.Render(w)
+	return err
 }
 
 // Fig5Row reproduces paper Fig. 5: the transactional access breakdown.
@@ -636,23 +615,6 @@ func (r *Runner) RenderFig8(ctx context.Context, w io.Writer) error {
 	}
 	t.Row("GEOMEAN", "-", "-", "-", "-", fmt.Sprintf("%.2fx", geomean(sf)), "-", "-")
 	t.Render(w)
-	return err
-}
-
-// Extras runs the Fig.-4-style sweep over the non-paper microbenchmarks.
-func (r *Runner) Extras(ctx context.Context) ([]Fig4Row, error) {
-	return r.figOnHTM(ctx, sim.HTMP8, r.opts.Scale, []string{"intset-ll", "intset-hash"})
-}
-
-// RenderExtras prints the microbenchmark sweep.
-func (r *Runner) RenderExtras(ctx context.Context, w io.Writer) error {
-	rows, err := r.Extras(ctx)
-	if rows == nil {
-		return err
-	}
-	renderHTMSweep(w, rows,
-		"Extras: capacity-abort reduction vs P8 (intset microbenchmarks)",
-		"Extras: speedup over P8 — note the honest negative: pointer chasing over shared RW nodes defeats both classifiers")
 	return err
 }
 

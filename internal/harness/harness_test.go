@@ -239,25 +239,6 @@ func TestFigureDeterminism(t *testing.T) {
 	}
 }
 
-// TestExtrasSweep exercises the microbenchmark target.
-func TestExtrasSweep(t *testing.T) {
-	rows, err := NewRunner(QuickOptions()).Extras(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("extras rows = %d", len(rows))
-	}
-	for _, row := range rows {
-		if row.App == "intset-ll" && row.CapRedFull > 0.5 {
-			t.Errorf("intset-ll should resist classification: %+v", row)
-		}
-		if row.App == "intset-hash" && row.BaseCapacity != 0 {
-			t.Errorf("intset-hash should have no capacity aborts: %+v", row)
-		}
-	}
-}
-
 func TestDefaultOptions(t *testing.T) {
 	opts := DefaultOptions()
 	if opts.Seed == 0 {
@@ -265,17 +246,5 @@ func TestDefaultOptions(t *testing.T) {
 	}
 	if opts.Scale == opts.LargeScale {
 		t.Fatal("default scales should differ")
-	}
-}
-
-func TestRenderExtras(t *testing.T) {
-	var sb strings.Builder
-	if err := NewRunner(QuickOptions()).RenderExtras(context.Background(), &sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"intset-ll", "intset-hash", "honest negative"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("extras output missing %q", want)
-		}
 	}
 }

@@ -238,7 +238,7 @@ func (h *FigureHeadline) count(failed bool) {
 	}
 }
 
-// sweepHeadline reduces a Fig.-4-shaped sweep (also used by extras).
+// sweepHeadline reduces a Fig.-4-shaped sweep.
 func sweepHeadline(rows []Fig4Row) *FigureHeadline {
 	h := &FigureHeadline{}
 	var sp, si, cr []float64

@@ -53,10 +53,6 @@ type Env interface {
 	TxBegin(t *Thread) Ctrl
 	// TxEnd commits (or, under fallback, releases the lock).
 	TxEnd(t *Thread) Ctrl
-	// TxSuspend/TxResume toggle escape-action mode (paper §VII): between
-	// them, memory accesses bypass transactional tracking entirely.
-	TxSuspend(t *Thread) Ctrl
-	TxResume(t *Thread) Ctrl
 	// Parallel forks n threads of fn(tid, args...); it stalls the caller
 	// until all children finish, then returns CtrlOK exactly once.
 	Parallel(t *Thread, n int64, fn string, args []int64) Ctrl
@@ -545,16 +541,6 @@ func (p *Program) Exec(env Env, t *Thread, max int) (n int, ok bool) {
 			pc++
 		case ir.OpTxEnd:
 			if env.TxEnd(t) != CtrlOK {
-				return n, false
-			}
-			pc++
-		case ir.OpTxSuspend:
-			if env.TxSuspend(t) != CtrlOK {
-				return n, false
-			}
-			pc++
-		case ir.OpTxResume:
-			if env.TxResume(t) != CtrlOK {
 				return n, false
 			}
 			pc++

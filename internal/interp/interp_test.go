@@ -70,9 +70,6 @@ func (e *plainEnv) TxBegin(t *Thread) Ctrl {
 	return CtrlOK
 }
 
-func (e *plainEnv) TxSuspend(t *Thread) Ctrl { return CtrlOK }
-func (e *plainEnv) TxResume(t *Thread) Ctrl  { return CtrlOK }
-
 func (e *plainEnv) TxEnd(t *Thread) Ctrl {
 	t.InTx = false
 	return CtrlOK

@@ -242,13 +242,6 @@ func (fb *FuncBuilder) TxBegin() { fb.emit(&Instr{Op: OpTxBegin}) }
 // TxEnd commits the open transaction.
 func (fb *FuncBuilder) TxEnd() { fb.emit(&Instr{Op: OpTxEnd}) }
 
-// TxSuspend pauses transactional tracking (escape action); accesses until
-// TxResume are non-transactional.
-func (fb *FuncBuilder) TxSuspend() { fb.emit(&Instr{Op: OpTxSuspend}) }
-
-// TxResume re-enables transactional tracking after TxSuspend.
-func (fb *FuncBuilder) TxResume() { fb.emit(&Instr{Op: OpTxResume}) }
-
 // Parallel forks nThreads (a register) threads running body(tid, args...).
 func (fb *FuncBuilder) Parallel(nThreads Reg, body string, args ...Reg) {
 	fb.emit(&Instr{Op: OpParallel, A: nThreads, Sym: body, Args: args})

@@ -45,12 +45,6 @@ const (
 	// OpTxBegin opens a transaction; OpTxEnd commits it.
 	OpTxBegin
 	OpTxEnd
-	// OpTxSuspend/OpTxResume are the escape actions some HTMs provide
-	// (paper §VII): accesses between them execute non-transactionally —
-	// untracked, unlogged, invisible to conflict detection. A
-	// coarse-grained alternative to per-instruction safety hints.
-	OpTxSuspend
-	OpTxResume
 
 	// OpParallel: fork A threads each running Sym(tid, Args...); barrier.
 	OpParallel
@@ -259,10 +253,6 @@ func (in *Instr) String() string {
 		return "txbegin"
 	case OpTxEnd:
 		return "txend"
-	case OpTxSuspend:
-		return "txsuspend"
-	case OpTxResume:
-		return "txresume"
 	case OpParallel:
 		return fmt.Sprintf("parallel %v x @%s%v", in.A, in.Sym, in.Args)
 	case OpRand:

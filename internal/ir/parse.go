@@ -370,10 +370,6 @@ func (p *parser) parseInstr(line string) (*Instr, error) {
 		return &Instr{Op: OpTxBegin}, nil
 	case "txend":
 		return &Instr{Op: OpTxEnd}, nil
-	case "txsuspend":
-		return &Instr{Op: OpTxSuspend}, nil
-	case "txresume":
-		return &Instr{Op: OpTxResume}, nil
 	case "parallel":
 		// "parallel rN x @fn[args]"
 		nStr, callPart, ok := strings.Cut(rest, " x ")

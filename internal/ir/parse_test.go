@@ -104,6 +104,8 @@ var parseErrorCases = []struct {
 	{"no module", "func @f() regs=0 frame=0w {\n}\n", "expected 'module"},
 	{"bad global", "module m\nglobal @g oops\n", "expected [N words]"},
 	{"bad instr", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\tfrobnicate r1\n}\n", "unknown instruction"},
+	{"txsuspend", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\ttxsuspend\n}\n", "unknown instruction"},
+	{"txresume", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\ttxresume\n}\n", "unknown instruction"},
 	{"instr before label", "module m\nfunc @main() regs=1 frame=0w {\n\tret\n}\n", "before any label"},
 	{"eof in func", "module m\nfunc @main() regs=0 frame=0w {\nentry:\n\tret\n", "unexpected EOF"},
 	{"invalid module", "module m\nfunc @f() regs=0 frame=0w {\nentry:\n\tret\n}\n", "no main"},

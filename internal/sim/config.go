@@ -149,8 +149,6 @@ type Config struct {
 	BackoffBase int64
 	// TxBeginCost/TxCommitCost are the begin/commit instruction overheads.
 	TxBeginCost, TxCommitCost int64
-	// EscapeCost is the per-TxSuspend/TxResume overhead (pipeline drain).
-	EscapeCost int64
 	// STMReadBarrier/STMWriteBarrier are the per-access software
 	// instrumentation costs under the HTMSTM baseline.
 	STMReadBarrier, STMWriteBarrier int64
@@ -208,7 +206,6 @@ func DefaultConfig() Config {
 		BackoffBase:        64,
 		TxBeginCost:        4,
 		TxCommitCost:       8,
-		EscapeCost:         10,
 		STMReadBarrier:     12,
 		STMWriteBarrier:    20,
 		AbortFixedCost:     40,

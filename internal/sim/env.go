@@ -33,7 +33,7 @@ func (m *Machine) Store(t *interp.Thread, addr mem.Addr, val int64, staticSafe b
 	if ctrl := m.access(c, t, addr, true, staticSafe); ctrl != interp.CtrlOK {
 		return ctrl
 	}
-	if c.txActive && !c.suspended && !safe {
+	if c.txActive && !safe {
 		c.ctrl.RecordUndo(uint64(addr), m.memory.ReadWord(addr))
 	}
 	m.memory.WriteWord(addr, val)
@@ -53,7 +53,7 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 
 	// 0. Fault layer: an armed spurious abort (interrupt/TLB-miss model)
 	// fires before the access takes architectural effect.
-	if m.faults != nil && c.txActive && !c.suspended && m.faults.SpuriousAbortNow(c.id) {
+	if m.faults != nil && c.txActive && m.faults.SpuriousAbortNow(c.id) {
 		if m.tracer != nil {
 			m.tracer.Instant(c.id, c.cycle, obs.EvFaultSpurious, uint64(block))
 		}
@@ -79,9 +79,7 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 	safe := useStatic || useDyn
 
 	// 2. Access-class accounting (paper Fig. 5), transactional accesses only.
-	if c.suspended {
-		m.res.SuspendedAccesses++
-	} else if c.txActive || t.Fallback {
+	if c.txActive || t.Fallback {
 		switch {
 		case useStatic:
 			m.res.StaticSafeAccesses++
@@ -141,10 +139,8 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 		}
 	}
 
-	// 6. Transactional tracking with the safety hint. Escape-action mode
-	// (TxSuspend) bypasses tracking entirely, like a blanket safe hint that
-	// also covers stores and skips the undo log.
-	if c.txActive && !c.suspended {
+	// 6. Transactional tracking with the safety hint.
+	if c.txActive {
 		if c.intro != nil {
 			c.intro.counts[block]++
 			if safe {
@@ -276,31 +272,9 @@ func (m *Machine) TxBegin(t *interp.Thread) interp.Ctrl {
 	return interp.CtrlOK
 }
 
-// TxSuspend implements interp.Env: enter escape-action mode (paper §VII).
-// Real HTMs charge a pipeline drain for suspend/resume; EscapeCost models it.
-func (m *Machine) TxSuspend(t *interp.Thread) interp.Ctrl {
-	c := m.ctxOf(t)
-	if c.ctrl.Active() {
-		c.suspended = true
-		c.cycle += m.cfg.EscapeCost
-	}
-	return interp.CtrlOK
-}
-
-// TxResume implements interp.Env: leave escape-action mode.
-func (m *Machine) TxResume(t *interp.Thread) interp.Ctrl {
-	c := m.ctxOf(t)
-	if c.suspended {
-		c.suspended = false
-		c.cycle += m.cfg.EscapeCost
-	}
-	return interp.CtrlOK
-}
-
 // TxEnd implements interp.Env.
 func (m *Machine) TxEnd(t *interp.Thread) interp.Ctrl {
 	c := m.ctxOf(t)
-	c.suspended = false
 	c.cycle += m.cfg.TxCommitCost
 	if t.Fallback {
 		m.fallbackHolder = nil

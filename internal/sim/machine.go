@@ -43,9 +43,6 @@ type hwContext struct {
 	// txActive mirrors ctrl.Active() so snoop loops can skip idle contexts
 	// with one field load; maintained at TxBegin/commit/abort.
 	txActive bool
-	// suspended marks escape-action mode (TxSuspend..TxResume): accesses
-	// bypass transactional tracking entirely.
-	suspended bool
 	// ahead counts the thread-local instructions this context executed past
 	// min-clock order (run-ahead, see stepWorkers); the first started at
 	// clock aheadFrom and each cost one cycle, so cycle = aheadFrom+ahead.
@@ -665,7 +662,6 @@ func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
 
 	cp := c.thread.Restore()
 	m.alloc.StackRelease(c.thread.ID, cp.StackTop)
-	c.suspended = false
 	if m.profiler != nil {
 		m.notifyTx(c.thread.ID, TxEventAbort, reason)
 	}

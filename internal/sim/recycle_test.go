@@ -245,7 +245,12 @@ func TestSnapshotForkAllocsSteadyState(t *testing.T) {
 		t.Errorf("machine allocations grew with machine count: early %.0f, late %.0f", early, late)
 	}
 	// Released backings are reused: a machine costs far fewer bytes than
-	// its L2 line backing (8-byte tags alone would fill this bound).
+	// its L2 line backing (8-byte tags alone would fill this bound). The
+	// race detector's sync.Pool drops Puts at random, so the bound holds
+	// only in non-race builds.
+	if raceEnabled {
+		return
+	}
 	var before, after runtime.MemStats
 	const builds = 32
 	runtime.ReadMemStats(&before)

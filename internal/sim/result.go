@@ -32,8 +32,6 @@ type Result struct {
 	DynSafeAccesses    uint64
 	UnsafeTxAccesses   uint64
 	NonTxAccesses      uint64
-	// SuspendedAccesses ran between TxSuspend/TxResume escape actions.
-	SuspendedAccesses uint64
 
 	// TxFootprints is the committed-TX tracked-footprint histogram in
 	// cache blocks (paper Fig. 6).

@@ -23,7 +23,7 @@ type CoreSnapshot struct {
 	// Where locates the thread ("fn/block:pc").
 	Where string
 
-	InTx, Fallback, Suspended bool
+	InTx, Fallback bool
 	// FallbackNext marks a context that will take the lock at its next
 	// TxBegin; HoldsLock marks the current lock holder.
 	FallbackNext, HoldsLock bool
@@ -66,9 +66,6 @@ func (e *LivelockError) Snapshot() string {
 		}
 		if c.Fallback {
 			st = append(st, "fallback")
-		}
-		if c.Suspended {
-			st = append(st, "suspended")
 		}
 		if c.FallbackNext {
 			st = append(st, "lock-next")
@@ -180,7 +177,6 @@ func (m *Machine) livelockError(now, stall int64) *LivelockError {
 			Where:        "-",
 			FallbackNext: c.fallbackNext,
 			HoldsLock:    m.fallbackHolder == c,
-			Suspended:    c.suspended,
 			Retries:      c.retries,
 			Cycle:        c.committedCycle(),
 			BackoffUntil: c.backoffUntil,

@@ -2,35 +2,21 @@ package workloads
 
 import "hintm/internal/ir"
 
-// Integer-set microbenchmarks — the classic TM kernels (sorted linked list,
-// open-addressed hash set) used throughout the TM literature to stress
-// specific HTM behaviours. They are Extra workloads: not part of the paper's
-// evaluation suite, but useful probes of HinTM's limits.
-//
-//   - intset-ll: a sorted linked list of heap nodes shared by all threads.
-//     Every operation pointer-chases half the list inside its transaction:
-//     large readsets over genuinely shared, genuinely written memory. This
-//     is HinTM's honest worst case — neither classifier can prove anything
-//     (the nodes are shared-reachable and their pages turn read-write), so
-//     capacity aborts persist with hints enabled. InfCap shows what a truly
-//     larger HTM would buy.
-//
-//   - intset-hash: an open-addressed hash set with short probe sequences:
-//     tiny transactions, negligible capacity pressure, conflicts only on
-//     bucket collisions. A control workload like kmeans/ssca2.
+// intset-ll is the classic TM sorted-linked-list microbenchmark: a list of
+// heap nodes shared by all threads, where every operation pointer-chases
+// half the list inside its transaction — large readsets over genuinely
+// shared, genuinely written memory. It is an Extra workload, not part of
+// the paper's evaluation suite, and HinTM's honest worst case: neither
+// classifier can prove anything (the nodes are shared-reachable and their
+// pages turn read-write), so capacity aborts persist with hints enabled,
+// while P8S and InfCap show what a truly larger HTM would buy. The
+// hints-need-safety hypothesis checks exactly that.
 func init() {
 	register(&Spec{
 		Name:           "intset-ll",
 		DefaultThreads: 8,
 		Description:    "sorted linked-list set; pointer-chasing readsets HinTM cannot classify",
 		Build:          buildIntsetLL,
-		Extra:          true,
-	})
-	register(&Spec{
-		Name:           "intset-hash",
-		DefaultThreads: 8,
-		Description:    "open-addressed hash set; tiny TXs, control workload",
-		Build:          buildIntsetHash,
 		Extra:          true,
 	})
 }
@@ -111,42 +97,5 @@ func buildIntsetLL(threads int, scale Scale) *ir.Module {
 			m.Store(next, 16, m.C(0))
 		})
 	})
-	return b.M
-}
-
-func buildIntsetHash(threads int, scale Scale) *ir.Module {
-	buckets := scale.pick(512, 2048, 8192)
-	opsPerThread := scale.pick(32, 256, 512)
-
-	b := ir.NewBuilder("intset-hash")
-	b.GlobalPageAligned("buckets", buckets) // one word per bucket
-
-	w := newFn(b.ThreadBody("worker", 1))
-	tbl := w.GlobalAddr("buckets")
-
-	w.ForI(opsPerThread, func(op ir.Reg) {
-		key := w.AddI(w.RandI(1<<20), 1)
-		slot := w.Hash(key, buckets)
-		w.TxBegin()
-		inserted := w.Mov(w.C(0))
-		w.ForI(4, func(p ir.Reg) { // bounded linear probe
-			pending := w.Cmp(ir.CmpEQ, inserted, w.C(0))
-			w.If(pending, func() {
-				idx := w.Mod(w.Add(slot, p), w.C(buckets))
-				v := w.LoadIdx(tbl, idx, 8)
-				empty := w.Cmp(ir.CmpEQ, v, w.C(0))
-				match := w.Cmp(ir.CmpEQ, v, key)
-				hit := w.Bin(ir.BinOr, empty, match)
-				w.If(hit, func() {
-					w.StoreIdx(tbl, idx, 8, key)
-					w.MovTo(inserted, w.C(1))
-				}, nil)
-			}, nil)
-		})
-		w.TxEnd()
-	})
-	w.RetVoid()
-
-	buildMain(b, int64(threads), nil)
 	return b.M
 }

@@ -44,17 +44,6 @@ func All() []*Spec {
 	return out
 }
 
-// AllWithExtras returns every registered workload including the
-// microbenchmarks.
-func AllWithExtras() []*Spec {
-	out := make([]*Spec, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Names returns the sorted workload names.
 func Names() []string {
 	all := All()

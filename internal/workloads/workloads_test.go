@@ -250,13 +250,18 @@ func TestExtraWorkloadsExcludedFromPaperSuite(t *testing.T) {
 	if len(All()) != 10 {
 		t.Fatalf("paper suite = %d workloads, want 10", len(All()))
 	}
-	if len(AllWithExtras()) != 12 {
-		t.Fatalf("with extras = %d workloads, want 12", len(AllWithExtras()))
+	if len(registry) != 11 {
+		t.Fatalf("registry = %d workloads, want the paper's 10 plus intset-ll", len(registry))
 	}
 	for _, s := range All() {
 		if s.Extra {
 			t.Errorf("%s marked Extra but in paper suite", s.Name)
 		}
+	}
+	// Extra workloads stay reachable by name for direct runs and
+	// hypotheses, only the paper sweeps skip them.
+	if ll, err := ByName("intset-ll"); err != nil || !ll.Extra {
+		t.Fatalf("intset-ll: %v, want a registered Extra workload", err)
 	}
 }
 
@@ -282,15 +287,5 @@ func TestIntsetLLIsHinTMWorstCase(t *testing.T) {
 	}
 	if inf.Cycles >= base.Cycles {
 		t.Errorf("InfCap should beat P8: %d vs %d", inf.Cycles, base.Cycles)
-	}
-}
-
-func TestIntsetHashTinyTxs(t *testing.T) {
-	_, res := runSmall(t, "intset-hash", sim.DefaultConfig())
-	if res.Aborts[htm.AbortCapacity] != 0 {
-		t.Fatalf("intset-hash must not capacity-abort: %v", res)
-	}
-	if res.Commits == 0 {
-		t.Fatal("no commits")
 	}
 }
