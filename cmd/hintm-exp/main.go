@@ -29,8 +29,9 @@
 //	                  simulated (CI uses this to prove the store made the
 //	                  second pass free)
 //
-// Every hypothesis is a one-variable-at-a-time grid executed through the
-// harness scheduler, so all cells share single-flight dedup and the store.
+// Every hypothesis is a one-variable-at-a-time grid, and every grid runs on
+// one harness Runner, so all cells share its single-flight dedup (a cell
+// two hypotheses share simulates once) and the store.
 package main
 
 import (

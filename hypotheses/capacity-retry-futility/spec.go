@@ -34,8 +34,8 @@ const (
 	commitSlack = 1.01
 )
 
-func budget(n int) func(*harness.Request, *harness.Options) {
-	return func(q *harness.Request, o *harness.Options) { q.CapacityRetries = n }
+func budget(n int) func(*harness.Request) {
+	return func(q *harness.Request) { q.CapacityRetries = n }
 }
 
 var spec = &hyp.Spec{

@@ -46,8 +46,8 @@ var spec = &hyp.Spec{
 	Variable: "HTM/hint configuration",
 	Levels: []hyp.Level{
 		{Name: "P8"}, // control: bounded baseline, no hints
-		{Name: "P8+dyn", Apply: func(q *harness.Request, o *harness.Options) { q.Hints = sim.HintDynamic }},
-		{Name: "InfCap", Apply: func(q *harness.Request, o *harness.Options) { q.HTM = sim.HTMInfCap }},
+		{Name: "P8+dyn", Apply: func(q *harness.Request) { q.Hints = sim.HintDynamic }},
+		{Name: "InfCap", Apply: func(q *harness.Request) { q.HTM = sim.HTMInfCap }},
 	},
 	Seeds: []uint64{1, 2, 3, 4, 5},
 	Metrics: []hyp.Metric{

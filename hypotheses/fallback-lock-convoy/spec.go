@@ -48,14 +48,14 @@ var spec = &hyp.Spec{
 	Variable: "injected spurious-abort probability",
 	Levels: []hyp.Level{
 		{Name: "clean"}, // control: no fault plan
-		{Name: "p=0.2", Apply: func(q *harness.Request, o *harness.Options) {
-			o.Faults = fault.Plan{SpuriousProb: 0.2}
+		{Name: "p=0.2", Apply: func(q *harness.Request) {
+			q.Faults = fault.Plan{SpuriousProb: 0.2}
 		}},
-		{Name: "p=0.5", Apply: func(q *harness.Request, o *harness.Options) {
-			o.Faults = fault.Plan{SpuriousProb: 0.5}
+		{Name: "p=0.5", Apply: func(q *harness.Request) {
+			q.Faults = fault.Plan{SpuriousProb: 0.5}
 		}},
-		{Name: "p=0.9", Apply: func(q *harness.Request, o *harness.Options) {
-			o.Faults = fault.Plan{SpuriousProb: 0.9}
+		{Name: "p=0.9", Apply: func(q *harness.Request) {
+			q.Faults = fault.Plan{SpuriousProb: 0.9}
 		}},
 	},
 	Seeds: []uint64{1, 2, 3, 4, 5},

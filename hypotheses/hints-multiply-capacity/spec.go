@@ -38,17 +38,17 @@ const (
 // and level 2i+1 the same size with HinTM.
 var sizes = []int{64, 16, 32, 128}
 
-func entries(n int) func(*harness.Request, *harness.Options) {
-	return func(q *harness.Request, o *harness.Options) {
+func entries(n int) func(*harness.Request) {
+	return func(q *harness.Request) {
 		if n != 64 { // 64 is Table II's size: keep the default request
 			q.P8Entries = n
 		}
 	}
 }
 
-func hinted(n int) func(*harness.Request, *harness.Options) {
-	return func(q *harness.Request, o *harness.Options) {
-		entries(n)(q, o)
+func hinted(n int) func(*harness.Request) {
+	return func(q *harness.Request) {
+		entries(n)(q)
 		q.Hints = sim.HintFull
 	}
 }

@@ -63,9 +63,9 @@ var spec = &hyp.Spec{
 	Variable: "HTM/hint configuration",
 	Levels: []hyp.Level{
 		lP8:      {Name: "P8"}, // control: bounded baseline, no hints
-		lP8Hints: {Name: "P8+HinTM", Apply: func(q *harness.Request, o *harness.Options) { q.Hints = sim.HintFull }},
-		lP8S:     {Name: "P8S", Apply: func(q *harness.Request, o *harness.Options) { q.HTM = sim.HTMP8S }},
-		lInfCap:  {Name: "InfCap", Apply: func(q *harness.Request, o *harness.Options) { q.HTM = sim.HTMInfCap }},
+		lP8Hints: {Name: "P8+HinTM", Apply: func(q *harness.Request) { q.Hints = sim.HintFull }},
+		lP8S:     {Name: "P8S", Apply: func(q *harness.Request) { q.HTM = sim.HTMP8S }},
+		lInfCap:  {Name: "InfCap", Apply: func(q *harness.Request) { q.HTM = sim.HTMInfCap }},
 	},
 	Seeds: []uint64{1, 2, 3, 4, 5},
 	Metrics: []hyp.Metric{

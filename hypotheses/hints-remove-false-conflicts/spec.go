@@ -31,8 +31,8 @@ const removalFloor = 0.90
 // unhinted and level 2i+1 the same size with HinTM.
 var bits = []uint64{1024, 256, 128}
 
-func sig(b uint64, hints sim.HintMode) func(*harness.Request, *harness.Options) {
-	return func(q *harness.Request, o *harness.Options) {
+func sig(b uint64, hints sim.HintMode) func(*harness.Request) {
+	return func(q *harness.Request) {
 		if b != 1024 { // 1024 is the architectural default: keep the default request
 			q.SigBits = b
 		}

@@ -50,12 +50,12 @@ var spec = &hyp.Spec{
 	Variable: "TM system",
 	Levels: []hyp.Level{
 		{Name: "P8"}, // control: the bounded HTM
-		{Name: "P8+HinTM", Apply: func(q *harness.Request, o *harness.Options) { q.Hints = sim.HintFull }},
-		{Name: "STM", Apply: func(q *harness.Request, o *harness.Options) { q.HTM = sim.HTMSTM }},
-		{Name: "STM+HinTM", Apply: func(q *harness.Request, o *harness.Options) {
+		{Name: "P8+HinTM", Apply: func(q *harness.Request) { q.Hints = sim.HintFull }},
+		{Name: "STM", Apply: func(q *harness.Request) { q.HTM = sim.HTMSTM }},
+		{Name: "STM+HinTM", Apply: func(q *harness.Request) {
 			q.HTM, q.Hints = sim.HTMSTM, sim.HintFull
 		}},
-		{Name: "InfCap", Apply: func(q *harness.Request, o *harness.Options) { q.HTM = sim.HTMInfCap }},
+		{Name: "InfCap", Apply: func(q *harness.Request) { q.HTM = sim.HTMInfCap }},
 	},
 	Seeds: []uint64{1, 2, 3, 4, 5},
 	Metrics: []hyp.Metric{

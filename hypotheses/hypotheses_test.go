@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"hintm/internal/harness"
 	"hintm/internal/hyp"
 	"hintm/internal/workloads"
 )
@@ -49,9 +48,9 @@ func TestSpecsAreRunnable(t *testing.T) {
 			t.Errorf("%s: base workload: %v", s.Name, err)
 		}
 		for _, l := range s.Levels {
-			req, opts := s.Base, harness.QuickOptions()
+			req := s.Base
 			if l.Apply != nil {
-				l.Apply(&req, &opts)
+				l.Apply(&req)
 			}
 			if req.Workload != s.Base.Workload {
 				t.Errorf("%s/%s: a level must not change the workload (one variable at a time)", s.Name, l.Name)

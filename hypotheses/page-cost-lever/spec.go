@@ -33,8 +33,8 @@ const (
 // costs must recover.
 const recoveryFloor = 1.0 / 3
 
-func cost(pct int) func(*harness.Request, *harness.Options) {
-	return func(q *harness.Request, o *harness.Options) { q.PageCostPct = pct }
+func cost(pct int) func(*harness.Request) {
+	return func(q *harness.Request) { q.PageCostPct = pct }
 }
 
 var spec = &hyp.Spec{

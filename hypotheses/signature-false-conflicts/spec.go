@@ -42,9 +42,9 @@ var spec = &hyp.Spec{
 	Variable: "read-signature size (bits)",
 	Levels: []hyp.Level{
 		{Name: "1024b"}, // control: the architectural default
-		{Name: "256b", Apply: func(q *harness.Request, o *harness.Options) { q.SigBits = 256 }},
-		{Name: "128b", Apply: func(q *harness.Request, o *harness.Options) { q.SigBits = 128 }},
-		{Name: "64b", Apply: func(q *harness.Request, o *harness.Options) { q.SigBits = 64 }},
+		{Name: "256b", Apply: func(q *harness.Request) { q.SigBits = 256 }},
+		{Name: "128b", Apply: func(q *harness.Request) { q.SigBits = 128 }},
+		{Name: "64b", Apply: func(q *harness.Request) { q.SigBits = 64 }},
 	},
 	Seeds: []uint64{1, 2, 3, 4, 5},
 	Metrics: []hyp.Metric{

@@ -50,11 +50,7 @@ func ReadBenchResults(r io.Reader) (*BenchResults, error) {
 	if err := json.NewDecoder(r).Decode(&b); err != nil {
 		return nil, fmt.Errorf("bench results: %w", err)
 	}
-	// Older baselines stay readable: fields a later schema added decode as
-	// zero and every check skips zero baselines.
-	switch b.Schema {
-	case BenchResultsSchema, benchResultsSchemaV3, benchResultsSchemaV2, benchResultsSchemaV1:
-	default:
+	if b.Schema != BenchResultsSchema {
 		return nil, fmt.Errorf("bench results: schema %q, want %q (re-run hintm-bench to regenerate)",
 			b.Schema, BenchResultsSchema)
 	}

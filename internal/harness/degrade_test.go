@@ -112,7 +112,7 @@ func TestRenderFig4DegradesWithFailedCells(t *testing.T) {
 }
 
 func TestFaultCampaignThroughHarnessIsDeterministic(t *testing.T) {
-	run := func() []Fig4Row {
+	run := func() []SweepRow {
 		opts := QuickOptions()
 		opts.Filter = []string{"ssca2"}
 		opts.Faults = fault.Plan{SpuriousProb: 0.05}

@@ -15,11 +15,11 @@ type Export struct {
 		Seed       uint64 `json:"seed"`
 	} `json:"options"`
 	Fig1 []Fig1Row    `json:"fig1"`
-	Fig4 []Fig4Row    `json:"fig4"`
+	Fig4 []SweepRow   `json:"fig4"`
 	Fig5 []Fig5Row    `json:"fig5"`
 	Fig6 []Fig6Series `json:"fig6"`
-	Fig7 []Fig7Row    `json:"fig7"`
-	Fig8 []Fig8Row    `json:"fig8"`
+	Fig7 []SweepRow   `json:"fig7"`
+	Fig8 []SweepRow   `json:"fig8"`
 }
 
 // ExportAll runs every figure and serializes the raw rows as indented JSON.

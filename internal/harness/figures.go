@@ -135,68 +135,100 @@ func (r *Runner) RenderFig1(ctx context.Context, w io.Writer) error {
 		srb = append(srb, row.SafeReadsBlock)
 		chart.Bar(row.App, row.CapacityTime*100)
 	}
-	t.Row("MEAN", stats.Pct(mean(ct)), stats.Pct(mean(sp)), stats.Pct(mean(srp)), stats.Pct(mean(srb)))
+	t.Row("MEAN", stats.Pct(stats.Mean(ct)), stats.Pct(stats.Mean(sp)), stats.Pct(stats.Mean(srp)), stats.Pct(stats.Mean(srb)))
 	t.Render(w)
 	fmt.Fprintln(w, "\nruntime lost to capacity aborts:")
 	chart.Render(w)
 	return err
 }
 
-// Fig4Row reproduces one application of paper Fig. 4 (P8 baseline).
-type Fig4Row struct {
-	App               string
-	BaseCapacity      uint64
-	CapRedSt          float64
-	CapRedDyn         float64
-	CapRedFull        float64
-	SpeedupSt         float64
-	SpeedupDyn        float64
-	SpeedupFull       float64
-	SpeedupInf        float64
-	PageModeCycleFrac float64 // under HinTM (full), Fig. 4b secondary axis
+// SweepRow is one application of the hint sweep behind paper Figs. 4, 7
+// and 8: HinTM-st, HinTM-dyn, HinTM and InfCap, each against one baseline
+// HTM (P8, P8S, or L1TM with 2-way SMT).
+type SweepRow struct {
+	App          string
+	BaseCapacity uint64
+	BaseFalse    uint64
+	CapRedSt     float64
+	CapRedDyn    float64
+	CapRedFull   float64
+	FalseRedFull float64
+	SpeedupSt    float64
+	SpeedupDyn   float64
+	SpeedupFull  float64
+	SpeedupInf   float64
+	// PageModeCycleFrac is the page-mode cycle fraction under HinTM (full),
+	// Fig. 4b's secondary axis.
+	PageModeCycleFrac float64
 	// Failed marks a row whose underlying runs failed; value fields are zero.
 	Failed bool
 }
 
-// Fig4 runs the P8 capacity-abort-reduction and speedup study: the
-// {baseline, st, dyn, full, InfCap} sweep over the selected workloads.
-func (r *Runner) Fig4(ctx context.Context) ([]Fig4Row, error) {
+// Fig4 runs the P8 capacity-abort-reduction and speedup study.
+func (r *Runner) Fig4(ctx context.Context) ([]SweepRow, error) {
+	return r.sweep(ctx, nil, r.opts.Scale, sim.HTMP8, 1)
+}
+
+// Fig7 runs the P8S study on larger inputs.
+func (r *Runner) Fig7(ctx context.Context) ([]SweepRow, error) {
+	return r.sweep(ctx, fig7Apps, r.opts.LargeScale, sim.HTMP8S, 1)
+}
+
+// Fig8 runs the L1TM study with 2-way SMT on larger inputs.
+func (r *Runner) Fig8(ctx context.Context) ([]SweepRow, error) {
+	return r.sweep(ctx, fig7Apps, r.opts.LargeScale, sim.HTML1TM, 2)
+}
+
+// sweep runs the {baseline, st, dyn, full, InfCap} hint sweep over kind at
+// the given scale and SMT width, for the selected workloads that apps
+// names (nil = every selected workload), in selection order.
+func (r *Runner) sweep(ctx context.Context, apps []string, scale workloads.Scale, kind sim.HTMKind, smt int) ([]SweepRow, error) {
 	specs, err := r.specs()
 	if err != nil {
 		return nil, err
 	}
-	kind, scale := sim.HTMP8, r.opts.Scale
+	at := func(app string, kind sim.HTMKind, hints sim.HintMode) Request {
+		return Request{Workload: app, Scale: scale, HTM: kind, Hints: hints, SMT: smt}
+	}
+	var keep []string
 	var reqs []Request
 	for _, spec := range specs {
+		if apps != nil && !contains(apps, spec.Name) {
+			continue
+		}
+		keep = append(keep, spec.Name)
 		reqs = append(reqs,
-			req(spec.Name, scale, kind, sim.HintNone),
-			req(spec.Name, scale, kind, sim.HintStatic),
-			req(spec.Name, scale, kind, sim.HintDynamic),
-			req(spec.Name, scale, kind, sim.HintFull),
-			req(spec.Name, scale, sim.HTMInfCap, sim.HintNone))
+			at(spec.Name, kind, sim.HintNone),
+			at(spec.Name, kind, sim.HintStatic),
+			at(spec.Name, kind, sim.HintDynamic),
+			at(spec.Name, kind, sim.HintFull),
+			at(spec.Name, sim.HTMInfCap, sim.HintNone))
 	}
 	byReq, err := r.gather(ctx, reqs)
 	if byReq == nil {
 		return nil, err
 	}
-	var rows []Fig4Row
-	for _, spec := range specs {
-		base := byReq[req(spec.Name, scale, kind, sim.HintNone)]
-		st := byReq[req(spec.Name, scale, kind, sim.HintStatic)]
-		dyn := byReq[req(spec.Name, scale, kind, sim.HintDynamic)]
-		full := byReq[req(spec.Name, scale, kind, sim.HintFull)]
-		inf := byReq[req(spec.Name, scale, sim.HTMInfCap, sim.HintNone)]
+	var rows []SweepRow
+	for _, app := range keep {
+		base := byReq[at(app, kind, sim.HintNone)]
+		st := byReq[at(app, kind, sim.HintStatic)]
+		dyn := byReq[at(app, kind, sim.HintDynamic)]
+		full := byReq[at(app, kind, sim.HintFull)]
+		inf := byReq[at(app, sim.HTMInfCap, sim.HintNone)]
 		if anyNil(base, st, dyn, full, inf) {
-			rows = append(rows, Fig4Row{App: spec.Name, Failed: true})
+			rows = append(rows, SweepRow{App: app, Failed: true})
 			continue
 		}
 		baseCap := base.Aborts[htm.AbortCapacity]
-		rows = append(rows, Fig4Row{
-			App:               spec.Name,
+		baseFalse := base.Aborts[htm.AbortFalseConflict]
+		rows = append(rows, SweepRow{
+			App:               app,
 			BaseCapacity:      baseCap,
+			BaseFalse:         baseFalse,
 			CapRedSt:          reduction(baseCap, st.Aborts[htm.AbortCapacity]),
 			CapRedDyn:         reduction(baseCap, dyn.Aborts[htm.AbortCapacity]),
 			CapRedFull:        reduction(baseCap, full.Aborts[htm.AbortCapacity]),
+			FalseRedFull:      reduction(baseFalse, full.Aborts[htm.AbortFalseConflict]),
 			SpeedupSt:         speedup(base.Cycles, st.Cycles),
 			SpeedupDyn:        speedup(base.Cycles, dyn.Cycles),
 			SpeedupFull:       speedup(base.Cycles, full.Cycles),
@@ -229,7 +261,7 @@ func (r *Runner) RenderFig4(ctx context.Context, w io.Writer) error {
 			rf = append(rf, row.CapRedFull)
 		}
 	}
-	ta.Row("MEAN", "-", stats.Pct(mean(rs)), stats.Pct(mean(rd)), stats.Pct(mean(rf)))
+	ta.Row("MEAN", "-", stats.Pct(stats.Mean(rs)), stats.Pct(stats.Mean(rd)), stats.Pct(stats.Mean(rf)))
 	ta.Render(w)
 
 	fmt.Fprint(w, Title("Fig 4b: speedup over P8 (and page-mode cycle fraction)"))
@@ -332,7 +364,7 @@ func (r *Runner) RenderFig5(ctx context.Context, w io.Writer) error {
 		sf = append(sf, row.StaticFrac)
 		df = append(df, row.DynFrac)
 	}
-	t.Row("MEAN", stats.Pct(mean(sf)), stats.Pct(mean(df)), stats.Pct(1-mean(sf)-mean(df)))
+	t.Row("MEAN", stats.Pct(stats.Mean(sf)), stats.Pct(stats.Mean(df)), stats.Pct(1-stats.Mean(sf)-stats.Mean(df)))
 	t.Render(w)
 	return err
 }
@@ -353,15 +385,18 @@ var fig6Apps = []string{"genome", "labyrinth", "bayes", "vacation"}
 // Fig6 collects the CDFs.
 func (r *Runner) Fig6(ctx context.Context) ([]Fig6Series, error) {
 	points := []int{4, 8, 16, 24, 32, 40, 48, 56, 64}
+	specs, err := r.specs()
+	if err != nil {
+		return nil, err
+	}
 	var apps []string
 	for _, name := range fig6Apps {
-		if len(r.opts.Filter) > 0 && !contains(r.opts.Filter, name) {
-			continue
+		for _, spec := range specs {
+			if spec.Name == name {
+				apps = append(apps, name)
+				break
+			}
 		}
-		if _, err := workloads.ByName(name); err != nil {
-			return nil, err
-		}
-		apps = append(apps, name)
 	}
 	var reqs []Request
 	for _, name := range apps {
@@ -415,77 +450,6 @@ func (r *Runner) RenderFig6(ctx context.Context, w io.Writer) error {
 	return err
 }
 
-// Fig7Row reproduces one application of paper Fig. 7 (P8S baseline).
-type Fig7Row struct {
-	App          string
-	BaseCapacity uint64
-	BaseFalse    uint64
-	CapRedSt     float64
-	CapRedDyn    float64
-	CapRedFull   float64
-	FalseRedFull float64
-	SpeedupSt    float64
-	SpeedupDyn   float64
-	SpeedupFull  float64
-	SpeedupInf   float64
-	// Failed marks a row whose underlying runs failed; value fields are zero.
-	Failed bool
-}
-
-// Fig7 runs the P8S study on larger inputs.
-func (r *Runner) Fig7(ctx context.Context) ([]Fig7Row, error) {
-	specs, err := r.specs()
-	if err != nil {
-		return nil, err
-	}
-	var keep []*workloads.Spec
-	var reqs []Request
-	for _, spec := range specs {
-		if !contains(fig7Apps, spec.Name) {
-			continue
-		}
-		keep = append(keep, spec)
-		reqs = append(reqs,
-			req(spec.Name, r.opts.LargeScale, sim.HTMP8S, sim.HintNone),
-			req(spec.Name, r.opts.LargeScale, sim.HTMP8S, sim.HintStatic),
-			req(spec.Name, r.opts.LargeScale, sim.HTMP8S, sim.HintDynamic),
-			req(spec.Name, r.opts.LargeScale, sim.HTMP8S, sim.HintFull),
-			req(spec.Name, r.opts.LargeScale, sim.HTMInfCap, sim.HintNone))
-	}
-	byReq, err := r.gather(ctx, reqs)
-	if byReq == nil {
-		return nil, err
-	}
-	var rows []Fig7Row
-	for _, spec := range keep {
-		base := byReq[req(spec.Name, r.opts.LargeScale, sim.HTMP8S, sim.HintNone)]
-		st := byReq[req(spec.Name, r.opts.LargeScale, sim.HTMP8S, sim.HintStatic)]
-		dyn := byReq[req(spec.Name, r.opts.LargeScale, sim.HTMP8S, sim.HintDynamic)]
-		full := byReq[req(spec.Name, r.opts.LargeScale, sim.HTMP8S, sim.HintFull)]
-		inf := byReq[req(spec.Name, r.opts.LargeScale, sim.HTMInfCap, sim.HintNone)]
-		if anyNil(base, st, dyn, full, inf) {
-			rows = append(rows, Fig7Row{App: spec.Name, Failed: true})
-			continue
-		}
-		baseCap := base.Aborts[htm.AbortCapacity]
-		baseFalse := base.Aborts[htm.AbortFalseConflict]
-		rows = append(rows, Fig7Row{
-			App:          spec.Name,
-			BaseCapacity: baseCap,
-			BaseFalse:    baseFalse,
-			CapRedSt:     reduction(baseCap, st.Aborts[htm.AbortCapacity]),
-			CapRedDyn:    reduction(baseCap, dyn.Aborts[htm.AbortCapacity]),
-			CapRedFull:   reduction(baseCap, full.Aborts[htm.AbortCapacity]),
-			FalseRedFull: reduction(baseFalse, full.Aborts[htm.AbortFalseConflict]),
-			SpeedupSt:    speedup(base.Cycles, st.Cycles),
-			SpeedupDyn:   speedup(base.Cycles, dyn.Cycles),
-			SpeedupFull:  speedup(base.Cycles, full.Cycles),
-			SpeedupInf:   speedup(base.Cycles, inf.Cycles),
-		})
-	}
-	return rows, err
-}
-
 // RenderFig7 prints the P8S study.
 func (r *Runner) RenderFig7(ctx context.Context, w io.Writer) error {
 	rows, err := r.Fig7(ctx)
@@ -522,73 +486,6 @@ func (r *Runner) RenderFig7(ctx context.Context, w io.Writer) error {
 	tb.Row("GEOMEAN", "-", "-", fmt.Sprintf("%.2fx", geomean(sf)), "-")
 	tb.Render(w)
 	return err
-}
-
-// Fig8Row reproduces paper Fig. 8 (L1TM with 2-way SMT, large inputs).
-type Fig8Row struct {
-	App               string
-	BaseCapacity      uint64
-	CapRedFull        float64
-	SpeedupSt         float64
-	SpeedupDyn        float64
-	SpeedupFull       float64
-	SpeedupInf        float64
-	PageModeCycleFrac float64
-	// Failed marks a row whose underlying runs failed; value fields are zero.
-	Failed bool
-}
-
-// Fig8 runs the L1TM/SMT study.
-func (r *Runner) Fig8(ctx context.Context) ([]Fig8Row, error) {
-	specs, err := r.specs()
-	if err != nil {
-		return nil, err
-	}
-	smt2 := func(app string, kind sim.HTMKind, hints sim.HintMode) Request {
-		return Request{Workload: app, Scale: r.opts.LargeScale, HTM: kind, Hints: hints, SMT: 2}
-	}
-	var keep []*workloads.Spec
-	var reqs []Request
-	for _, spec := range specs {
-		if !contains(fig7Apps, spec.Name) {
-			continue
-		}
-		keep = append(keep, spec)
-		reqs = append(reqs,
-			smt2(spec.Name, sim.HTML1TM, sim.HintNone),
-			smt2(spec.Name, sim.HTML1TM, sim.HintStatic),
-			smt2(spec.Name, sim.HTML1TM, sim.HintDynamic),
-			smt2(spec.Name, sim.HTML1TM, sim.HintFull),
-			smt2(spec.Name, sim.HTMInfCap, sim.HintNone))
-	}
-	byReq, err := r.gather(ctx, reqs)
-	if byReq == nil {
-		return nil, err
-	}
-	var rows []Fig8Row
-	for _, spec := range keep {
-		base := byReq[smt2(spec.Name, sim.HTML1TM, sim.HintNone)]
-		st := byReq[smt2(spec.Name, sim.HTML1TM, sim.HintStatic)]
-		dyn := byReq[smt2(spec.Name, sim.HTML1TM, sim.HintDynamic)]
-		full := byReq[smt2(spec.Name, sim.HTML1TM, sim.HintFull)]
-		inf := byReq[smt2(spec.Name, sim.HTMInfCap, sim.HintNone)]
-		if anyNil(base, st, dyn, full, inf) {
-			rows = append(rows, Fig8Row{App: spec.Name, Failed: true})
-			continue
-		}
-		baseCap := base.Aborts[htm.AbortCapacity]
-		rows = append(rows, Fig8Row{
-			App:               spec.Name,
-			BaseCapacity:      baseCap,
-			CapRedFull:        reduction(baseCap, full.Aborts[htm.AbortCapacity]),
-			SpeedupSt:         speedup(base.Cycles, st.Cycles),
-			SpeedupDyn:        speedup(base.Cycles, dyn.Cycles),
-			SpeedupFull:       speedup(base.Cycles, full.Cycles),
-			SpeedupInf:        speedup(base.Cycles, inf.Cycles),
-			PageModeCycleFrac: full.PageModeCycleFraction(),
-		})
-	}
-	return rows, err
 }
 
 // RenderFig8 prints the L1TM study.
@@ -672,17 +569,6 @@ func (r *Runner) renderRunSummary(w io.Writer, names []string, spans []RunStats)
 	}
 	tb.Row("TOTAL", total.SimRuns, total.StoreHits)
 	tb.Render(w)
-}
-
-func mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
 }
 
 func contains(list []string, s string) bool {

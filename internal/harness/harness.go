@@ -34,15 +34,16 @@ type Options struct {
 	LargeScale workloads.Scale
 	// Filter restricts to the named workloads (nil = all).
 	Filter []string
-	// Seed drives every simulation's PRNG streams.
+	// Seed drives the PRNG streams of every request that leaves its own
+	// Request.Seed zero.
 	Seed uint64
 	// Workers bounds how many simulations run concurrently
 	// (0 = runtime.GOMAXPROCS(0)). Results are deterministic for any
 	// worker count: each simulation is self-contained and seeded.
 	Workers int
-	// Faults is the fault-injection plan applied to every simulation (zero
-	// value = no injection); campaigns replay bit-identically for a given
-	// (plan, Seed) pair.
+	// Faults is the fault-injection plan of every request that leaves its
+	// own Request.Faults zero (zero value = no injection); campaigns replay
+	// bit-identically for a given (plan, seed) pair.
 	Faults fault.Plan
 	// WatchdogCycles arms the sim livelock watchdog per run (0 = off).
 	WatchdogCycles int64

@@ -112,6 +112,22 @@ func TestFig6Series(t *testing.T) {
 	}
 }
 
+// TestFig6KeepsSubplotOrder: the filter selects Fig. 6's subplots but does
+// not reorder them.
+func TestFig6KeepsSubplotOrder(t *testing.T) {
+	series, err := quick("vacation", "kmeans", "genome").Fig6(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range series {
+		got = append(got, s.App)
+	}
+	if strings.Join(got, ",") != "genome,vacation" {
+		t.Errorf("Fig. 6 subplots = %v, want [genome vacation]", got)
+	}
+}
+
 func TestFig7And8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-HTM sweeps are slow")
@@ -189,10 +205,22 @@ func TestRunMemoization(t *testing.T) {
 	}
 }
 
+// TestUnknownWorkloadErrors: every figure builder rejects an unknown
+// -workloads name instead of rendering an empty figure.
 func TestUnknownWorkloadErrors(t *testing.T) {
 	r := quick("no-such-app")
-	if _, err := r.Fig1(context.Background()); err == nil {
-		t.Fatal("expected error for unknown workload")
+	ctx := context.Background()
+	for name, build := range map[string]func() error{
+		"fig1": func() error { _, err := r.Fig1(ctx); return err },
+		"fig4": func() error { _, err := r.Fig4(ctx); return err },
+		"fig5": func() error { _, err := r.Fig5(ctx); return err },
+		"fig6": func() error { _, err := r.Fig6(ctx); return err },
+		"fig7": func() error { _, err := r.Fig7(ctx); return err },
+		"fig8": func() error { _, err := r.Fig8(ctx); return err },
+	} {
+		if err := build(); err == nil {
+			t.Errorf("%s: expected error for unknown workload", name)
+		}
 	}
 }
 

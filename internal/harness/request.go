@@ -3,17 +3,18 @@ package harness
 import (
 	"fmt"
 
+	"hintm/internal/fault"
 	"hintm/internal/sim"
 	"hintm/internal/workloads"
 )
 
 // Request identifies one simulation the harness can run: a point in the
-// (workload × scale × HTM × hint-mode × SMT) grid. It is a comparable value
-// type and is used directly as the scheduler's memoization key — two
-// figures asking for the same Request share a single run. Adding a config
-// dimension means adding a field here; the compiler then points at every
-// construction site, where the old fmt.Sprintf string keys would silently
-// collide.
+// (workload × scale × HTM × hint-mode × SMT) grid plus the seed and fault
+// plan it runs under — a run's whole identity. It is a comparable value
+// type and, once resolved against the Runner's options, is used directly as
+// the scheduler's memoization key — two figures or hypotheses asking for
+// the same Request share a single run. Adding a config dimension means
+// adding a field here; the compiler then points at every construction site.
 type Request struct {
 	// Workload names a registered workload (see workloads.ByName).
 	Workload string
@@ -45,6 +46,14 @@ type Request struct {
 	// Like SigBits, the three overrides above only enter the store-key
 	// preimage and String when set.
 	PageCostPct int
+	// Seed drives the run's PRNG streams (0 = the Runner's Options.Seed).
+	Seed uint64
+	// Faults is the run's fault-injection plan (the zero plan = the
+	// Runner's Options.Faults).
+	//
+	// Seed and Faults never appear in String: a trace file is named after
+	// the request's coordinates alone.
+	Faults fault.Plan
 }
 
 // Result is the statistics bundle one simulation produces. It aliases
@@ -60,11 +69,27 @@ func (q Request) normalize() Request {
 	return q
 }
 
+// resolve normalizes q and fills a zero Seed or Faults from the Runner's
+// options, so Request{Seed: 0} and Request{Seed: opts.Seed} share one
+// flight, one store key and one result.
+func (r *Runner) resolve(q Request) Request {
+	q = q.normalize()
+	if q.Seed == 0 {
+		q.Seed = r.opts.Seed
+	}
+	if q.Faults == (fault.Plan{}) {
+		q.Faults = r.opts.Faults
+	}
+	return q
+}
+
 // profiled reports whether q is Fig. 1's opportunity cell for its workload
 // and scale (InfCap, baseline hints, SMT 1): the one request whose run
 // carries the sharing profiler and whose report is memoized and stored
-// with its result, whichever figure or client asks for it first.
+// with its result, whichever figure or client asks for it first. It
+// compares coordinates only: the cell is profiled under any seed or plan.
 func (q Request) profiled() bool {
+	q.Seed, q.Faults = 0, fault.Plan{}
 	return q.normalize() == req(q.Workload, q.Scale, sim.HTMInfCap, sim.HintNone)
 }
 

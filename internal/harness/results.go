@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+
+	"hintm/internal/stats"
 )
 
 // BenchResultsSchema versions the BENCH_results.json layout; bump it when a
@@ -12,14 +14,8 @@ import (
 // v3 added the run-production breakdown (cold / store-hit counts) per figure
 // and for the whole run; v4 dropped the per-figure wall time (the grid is
 // submitted up front, so it timed only a reduction) and the prefix-sharing
-// counters. Older files remain readable: removed fields are ignored, added
-// ones decode as zero and the diff checks skip zero baselines.
-const (
-	BenchResultsSchema   = "hintm-bench-results/v4"
-	benchResultsSchemaV3 = "hintm-bench-results/v3"
-	benchResultsSchemaV2 = "hintm-bench-results/v2"
-	benchResultsSchemaV1 = "hintm-bench-results/v1"
-)
+// counters. ReadBenchResults accepts only the current schema.
+const BenchResultsSchema = "hintm-bench-results/v4"
 
 // FigureHeadline is one figure's machine-readable summary: the headline
 // aggregate numbers a regression checker or dashboard wants, without the
@@ -113,8 +109,8 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 				srb = append(srb, row.SafeReadsBlock)
 			}
 		}
-		h.MeanCapacityTime = mean(ct)
-		h.MeanSafeReadsBlock = mean(srb)
+		h.MeanCapacityTime = stats.Mean(ct)
+		h.MeanSafeReadsBlock = stats.Mean(srb)
 		h.stamp(figStats, r.Stats())
 		out.Figures["fig1"] = h
 	}
@@ -137,8 +133,8 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 				df = append(df, row.DynFrac)
 			}
 		}
-		h.MeanStaticSafeFrac = mean(sf)
-		h.MeanDynSafeFrac = mean(df)
+		h.MeanStaticSafeFrac = stats.Mean(sf)
+		h.MeanDynSafeFrac = stats.Mean(df)
 		h.stamp(figStats, r.Stats())
 		out.Figures["fig5"] = h
 	}
@@ -153,49 +149,21 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 				over = append(over, 1-s.Full[len(s.Full)-1])
 			}
 		}
-		h.MeanFracOverP8Full = mean(over)
+		h.MeanFracOverP8Full = stats.Mean(over)
 		h.stamp(figStats, r.Stats())
 		out.Figures["fig6"] = h
 	}
 
 	figStats = r.Stats()
 	if rows, err := r.Fig7(ctx); !out.note(ctx, "fig7", err) {
-		h := &FigureHeadline{}
-		var sp, si, cr []float64
-		for _, row := range rows {
-			h.count(row.Failed)
-			if !row.Failed {
-				sp = append(sp, row.SpeedupFull)
-				si = append(si, row.SpeedupInf)
-				if row.BaseCapacity > 0 {
-					cr = append(cr, row.CapRedFull)
-				}
-			}
-		}
-		h.GeomeanSpeedup = geomean(sp)
-		h.GeomeanSpeedupInf = geomean(si)
-		h.MeanCapAbortReduction = mean(cr)
+		h := sweepHeadline(rows)
 		h.stamp(figStats, r.Stats())
 		out.Figures["fig7"] = h
 	}
 
 	figStats = r.Stats()
 	if rows, err := r.Fig8(ctx); !out.note(ctx, "fig8", err) {
-		h := &FigureHeadline{}
-		var sp, si, cr []float64
-		for _, row := range rows {
-			h.count(row.Failed)
-			if !row.Failed {
-				sp = append(sp, row.SpeedupFull)
-				si = append(si, row.SpeedupInf)
-				if row.BaseCapacity > 0 {
-					cr = append(cr, row.CapRedFull)
-				}
-			}
-		}
-		h.GeomeanSpeedup = geomean(sp)
-		h.GeomeanSpeedupInf = geomean(si)
-		h.MeanCapAbortReduction = mean(cr)
+		h := sweepHeadline(rows)
 		h.stamp(figStats, r.Stats())
 		out.Figures["fig8"] = h
 	}
@@ -238,8 +206,8 @@ func (h *FigureHeadline) count(failed bool) {
 	}
 }
 
-// sweepHeadline reduces a Fig.-4-shaped sweep.
-func sweepHeadline(rows []Fig4Row) *FigureHeadline {
+// sweepHeadline reduces a hint sweep (Figs. 4, 7 and 8).
+func sweepHeadline(rows []SweepRow) *FigureHeadline {
 	h := &FigureHeadline{}
 	var sp, si, cr []float64
 	for _, row := range rows {
@@ -254,7 +222,7 @@ func sweepHeadline(rows []Fig4Row) *FigureHeadline {
 	}
 	h.GeomeanSpeedup = geomean(sp)
 	h.GeomeanSpeedupInf = geomean(si)
-	h.MeanCapAbortReduction = mean(cr)
+	h.MeanCapAbortReduction = stats.Mean(cr)
 	return h
 }
 

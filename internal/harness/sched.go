@@ -66,7 +66,7 @@ type cell struct {
 // its cached result. Identical Requests — from any goroutine, any figure —
 // share one underlying run.
 func (r *Runner) Run(ctx context.Context, req Request) (*sim.Result, error) {
-	req = req.normalize()
+	req = r.resolve(req)
 	r.mu.Lock()
 	if f, ok := r.runs[req]; ok {
 		r.mu.Unlock()
@@ -130,11 +130,13 @@ func (r *Runner) RunAll(ctx context.Context, reqs []Request) ([]*sim.Result, err
 	return out, joinErrors(errs)
 }
 
-// gather runs the grid and indexes the successful results by (normalized)
-// Request — the shape figure builders consume. On failure the map still
-// carries every request that succeeded (failed requests are simply absent)
-// alongside the joined error; builders mark the missing cells failed. Only
-// a cancelled context returns a nil map: nothing can be salvaged.
+// gather runs the grid and indexes the successful results by normalized,
+// unresolved Request — the shape figure builders consume: they look cells
+// up by the same seedless requests they submitted. On failure the map
+// still carries every request that succeeded (failed requests are simply
+// absent) alongside the joined error; builders mark the missing cells
+// failed. Only a cancelled context returns a nil map: nothing can be
+// salvaged.
 func (r *Runner) gather(ctx context.Context, reqs []Request) (map[Request]*sim.Result, error) {
 	res, err := r.RunAll(ctx, reqs)
 	if err != nil && ctx.Err() != nil {
@@ -153,7 +155,7 @@ func (r *Runner) gather(ctx context.Context, reqs []Request) (map[Request]*sim.R
 // nil when req has not completed, failed, or is not profiled.
 func (r *Runner) report(req Request) *profile.Report {
 	r.mu.Lock()
-	f := r.runs[req.normalize()]
+	f := r.runs[r.resolve(req)]
 	r.mu.Unlock()
 	if f == nil {
 		return nil
@@ -294,6 +296,7 @@ func (r *Runner) module(ctx context.Context, spec *workloads.Spec, threads int, 
 // paper's Fig.-8 methodology relies on (8 threads of genome/yada run on 4
 // dual-threaded cores).
 func (r *Runner) configFor(spec *workloads.Spec, req Request) sim.Config {
+	req = r.resolve(req)
 	cfg := sim.DefaultConfig()
 	cfg.HTM = req.HTM
 	cfg.Hints = req.Hints
@@ -314,8 +317,8 @@ func (r *Runner) configFor(spec *workloads.Spec, req Request) sim.Config {
 		cfg.Cores = spec.DefaultThreads
 		cfg.Cache = cache.DefaultConfig(cfg.Cores)
 	}
-	cfg.Seed = r.opts.Seed
-	cfg.Faults = r.opts.Faults
+	cfg.Seed = req.Seed
+	cfg.Faults = req.Faults
 	cfg.WatchdogCycles = r.opts.WatchdogCycles
 	cfg.MaxCycles = r.opts.MaxCycles
 	return cfg

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"hintm/internal/fault"
 	"hintm/internal/sim"
 	"hintm/internal/store"
 	"hintm/internal/workloads"
@@ -180,6 +181,35 @@ func TestRequestNormalization(t *testing.T) {
 	}
 	if s := a.String(); !strings.Contains(s, "x/") || !strings.Contains(s, "smt1") {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// TestZeroSeedIsRunnerSeed: a request that leaves Seed and Faults zero
+// resolves to the runner's options before the memo lookup, so it shares
+// one flight, one store key and one result with the request that spells
+// them out; another seed is another run.
+func TestZeroSeedIsRunnerSeed(t *testing.T) {
+	ctx := context.Background()
+	opts := QuickOptions()
+	opts.Faults = fault.Plan{SpuriousProb: 0.01}
+	r := NewRunner(opts)
+	implicit := Request{Workload: "kmeans", Scale: workloads.Small}
+	explicit := implicit
+	explicit.Seed, explicit.Faults = opts.Seed, opts.Faults
+	if r.StoreKey(implicit) != r.StoreKey(explicit) {
+		t.Error("zero and explicit runner seed have different store keys")
+	}
+	res, err := r.RunAll(ctx, []Request{implicit, explicit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0] != res[1] || r.SimRuns() != 1 {
+		t.Fatalf("zero and explicit runner seed: %d sims, shared result %v; want 1, true", r.SimRuns(), res[0] == res[1])
+	}
+	other := explicit
+	other.Seed = opts.Seed + 1
+	if res2, err := r.Run(ctx, other); err != nil || res2 == res[0] || r.SimRuns() != 2 {
+		t.Fatalf("another seed: err %v, shared result %v, %d sims; want a second run", err, res2 == res[0], r.SimRuns())
 	}
 }
 
@@ -431,8 +461,15 @@ func TestConfigForAppliesOverrides(t *testing.T) {
 	if got.P8Entries != def.P8Entries || got.CapacityRetries != def.CapacityRetries || got.VM != def.VM {
 		t.Fatalf("zero overrides moved the config: %+v", got)
 	}
+	if got.Seed != r.opts.Seed || got.Faults != r.opts.Faults {
+		t.Errorf("zero Seed/Faults gave %d/%+v, want the runner's %d/%+v", got.Seed, got.Faults, r.opts.Seed, r.opts.Faults)
+	}
 	q.P8Entries, q.CapacityRetries, q.PageCostPct = 16, 2, 50
+	q.Seed, q.Faults = 7, fault.Plan{SpuriousProb: 0.5}
 	got = r.configFor(spec, q)
+	if got.Seed != 7 || got.Faults != q.Faults {
+		t.Errorf("Seed/Faults = %d/%+v, want 7/%+v", got.Seed, got.Faults, q.Faults)
+	}
 	if got.P8Entries != 16 || got.CapacityRetries != 2 {
 		t.Errorf("P8Entries/CapacityRetries = %d/%d, want 16/2", got.P8Entries, got.CapacityRetries)
 	}

@@ -22,8 +22,9 @@ import (
 // share one set of simulations.
 
 // runKey is the canonical preimage of a request's store key. It captures
-// every input that determines the run's result: the request coordinates
-// plus the runner options that reach sim.Config, all spelled as their
+// every input that determines the run's result: the resolved request
+// (seed and fault plan included) plus the runner options that still reach
+// sim.Config (watchdog, cycle cap), all spelled as their
 // stable string forms, prefixed with the store schema version. Field order
 // is fixed by the struct, so json.Marshal is a canonical encoding.
 type runKey struct {
@@ -46,7 +47,7 @@ type runKey struct {
 // KeyPreimage returns the canonical JSON encoding of req under the
 // runner's options — the bytes whose SHA-256 is the request's store key.
 func (r *Runner) KeyPreimage(req Request) []byte {
-	req = req.normalize()
+	req = r.resolve(req)
 	k := runKey{
 		Schema:          store.Schema,
 		Workload:        req.Workload,
@@ -58,8 +59,8 @@ func (r *Runner) KeyPreimage(req Request) []byte {
 		P8Entries:       req.P8Entries,
 		CapacityRetries: req.CapacityRetries,
 		PageCostPct:     req.PageCostPct,
-		Seed:            r.opts.Seed,
-		Faults:          r.opts.Faults.String(),
+		Seed:            req.Seed,
+		Faults:          req.Faults.String(),
 		WatchdogCycles:  r.opts.WatchdogCycles,
 		MaxCycles:       r.opts.MaxCycles,
 	}

@@ -223,6 +223,28 @@ func TestStoreKeyCoversRunDeterminants(t *testing.T) {
 		}
 	}
 
+	// A request's own seed and fault plan are run determinants like the
+	// options': set, each moves the key to exactly the one the same option
+	// gives; zero, each resolves to the runner's, so the key is k0.
+	reqSeeded := req
+	reqSeeded.Seed = 99
+	if key(base, reqSeeded) != key(seeded, req) || key(base, reqSeeded) == k0 {
+		t.Error("Request.Seed 99 did not address the Options.Seed 99 run")
+	}
+	reqFaulty := req
+	reqFaulty.Faults = faulty.Faults
+	if key(base, reqFaulty) != key(faulty, req) || key(base, reqFaulty) == k0 {
+		t.Error("Request.Faults did not address the Options.Faults run")
+	}
+	explicit := req
+	explicit.Seed, explicit.Faults = base.Seed, base.Faults
+	if key(base, explicit) != k0 || key(seeded, req) != key(seeded, Request{Workload: "labyrinth", Scale: workloads.Small, HTM: sim.HTMP8, Seed: 99}) {
+		t.Error("an explicit runner seed shifted the key")
+	}
+	if reqSeeded.String() != req.String() || reqFaulty.String() != req.String() {
+		t.Error("seed or fault plan changed the request's name")
+	}
+
 	// Options that do NOT reach the simulator must not shift addresses —
 	// a wider worker pool serves the same cache.
 	wide := base

@@ -3,7 +3,6 @@ package hyp
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"hintm/internal/harness"
@@ -12,27 +11,33 @@ import (
 	"hintm/internal/workloads"
 )
 
-// Engine executes hypothesis grids. Each cell — one (level, seed) pair —
-// runs under its own harness.Runner because levels may perturb runner
-// options (seed, fault plan) that are fixed per Runner; the runners share
-// the engine's content-addressed store, so a cell that has ever completed
-// anywhere (an earlier run, hintm-bench, CI) is recalled instead of
-// simulated. Cell execution order is irrelevant to the output: the
-// evaluation is assembled by (level, seed) index and every simulation is
-// self-contained and seeded.
+// Engine executes hypothesis grids on one harness.Runner for its whole
+// life. Each cell — one (level, seed) pair — is a harness.Request that
+// names its own seed (and, for fault sweeps, its own fault plan), so a
+// spec's whole grid is one RunAll: the Runner's worker pool runs it, and
+// its single-flight memo simulates a cell shared by two specs once. With a
+// content-addressed store, a cell that has ever completed anywhere (an
+// earlier run, hintm-bench, CI) is recalled instead of simulated. Cell
+// execution order is irrelevant to the output: the evaluation is assembled
+// by (level, seed) index and every simulation is self-contained and seeded.
 type Engine struct {
-	// Opts carries the scale, store, trace, and worker configuration.
-	// Seed and Faults act as the base the levels perturb (hypothesis specs
-	// override Seed per cell from their seed list).
+	// Opts carries the scale, store, trace, and worker configuration of
+	// the engine's Runner, built on first use. Every cell sets its spec's
+	// seed, so Opts.Seed never reaches a cell; Opts.Faults is the plan of
+	// every cell whose level sets none.
 	Opts harness.Options
+
+	once   sync.Once
+	runner *harness.Runner
 }
 
 // Cell is one measured grid point.
 type Cell struct {
 	Level string
 	Seed  uint64
-	// Request is the cell's resolved simulation request (after the level's
-	// Apply), recorded for the findings' method section.
+	// Request is the cell's simulation request — the base at the engine's
+	// scale and the cell's seed, after the level's Apply — recorded for the
+	// findings' method section.
 	Request harness.Request
 	// Result is the simulation result the metrics were extracted from.
 	Result *sim.Result
@@ -46,8 +51,9 @@ type Evaluation struct {
 	Scale workloads.Scale
 	// Cells is indexed [level][seed-position].
 	Cells [][]Cell
-	// SimRuns counts actual simulator invocations across the grid — 0 on
-	// a fully warm store, the property the check workflow asserts.
+	// SimRuns counts the simulator invocations this Run added to the
+	// engine's Runner — 0 on a fully warm store (the property the check
+	// workflow asserts), and 0 for a cell an earlier spec already ran.
 	SimRuns uint64
 	// Outcome is the judge's verdict over the measured grid.
 	Outcome Outcome
@@ -98,81 +104,44 @@ func (g *Engine) Run(ctx context.Context, spec *Spec) (*Evaluation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Evaluation{Spec: spec, Scale: g.Opts.Scale}
-	e.Cells = make([][]Cell, len(spec.Levels))
-	for l := range spec.Levels {
-		e.Cells[l] = make([]Cell, len(spec.Seeds))
-	}
-
-	// One bounded pool for the whole grid; each cell's private Runner gets
-	// a single worker slot so total concurrency is the engine's -workers.
-	workers := g.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(spec.Levels)*len(spec.Seeds))
-	var simRuns sync.Mutex
-	var wg sync.WaitGroup
-	for l, level := range spec.Levels {
-		for s, seed := range spec.Seeds {
-			wg.Add(1)
-			go func(l, s int, level Level, seed uint64) {
-				defer wg.Done()
-				select {
-				case sem <- struct{}{}:
-					defer func() { <-sem }()
-				case <-ctx.Done():
-					errs[l*len(spec.Seeds)+s] = ctx.Err()
-					return
-				}
-				cell, runs, err := g.runCell(ctx, spec, level, seed)
-				if err != nil {
-					errs[l*len(spec.Seeds)+s] = fmt.Errorf("%s: level %s seed %d: %w", spec.Name, level.Name, seed, err)
-					return
-				}
-				simRuns.Lock()
-				e.SimRuns += runs
-				simRuns.Unlock()
-				e.Cells[l][s] = cell
-			}(l, s, level, seed)
+	n := len(spec.Seeds)
+	reqs := make([]harness.Request, 0, len(spec.Levels)*n)
+	for _, level := range spec.Levels {
+		for _, seed := range spec.Seeds {
+			q := spec.Base
+			q.Scale = g.Opts.Scale
+			q.Seed = seed
+			if level.Apply != nil {
+				level.Apply(&q)
+			}
+			reqs = append(reqs, q)
 		}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	g.once.Do(func() { g.runner = harness.NewRunner(g.Opts) })
+	before := g.runner.SimRuns()
+	res, err := g.runner.RunAll(ctx, reqs)
+	e := &Evaluation{Spec: spec, Scale: g.Opts.Scale, SimRuns: g.runner.SimRuns() - before}
+	e.Cells = make([][]Cell, len(spec.Levels))
+	for l, level := range spec.Levels {
+		e.Cells[l] = make([]Cell, n)
+		for s, seed := range spec.Seeds {
+			i := l*n + s
+			if res[i] == nil {
+				// RunAll joins failures in submission order, so the first
+				// is this cell's.
+				if j, ok := err.(interface{ Unwrap() []error }); ok {
+					err = j.Unwrap()[0]
+				}
+				return nil, fmt.Errorf("%s: level %s seed %d: %w", spec.Name, level.Name, seed, err)
+			}
+			cell := Cell{Level: level.Name, Seed: seed, Request: reqs[i], Result: res[i],
+				Values: make([]float64, len(spec.Metrics))}
+			for m, metric := range spec.Metrics {
+				cell.Values[m] = metric.Extract(res[i])
+			}
+			e.Cells[l][s] = cell
 		}
 	}
 	e.Outcome = spec.Judge(e)
 	return e, nil
-}
-
-// runCell executes one grid point through a dedicated single-worker
-// harness.Runner sharing the engine's store.
-func (g *Engine) runCell(ctx context.Context, spec *Spec, level Level, seed uint64) (Cell, uint64, error) {
-	opts := g.Opts
-	opts.Seed = seed
-	opts.Workers = 1
-	req := spec.Base
-	req.Scale = g.Opts.Scale
-	if level.Apply != nil {
-		level.Apply(&req, &opts)
-	}
-	r := harness.NewRunner(opts)
-	res, err := r.Run(ctx, req)
-	if err != nil {
-		return Cell{}, 0, err
-	}
-	cell := Cell{
-		Level:   level.Name,
-		Seed:    seed,
-		Request: req,
-		Result:  res,
-		Values:  make([]float64, len(spec.Metrics)),
-	}
-	for m, metric := range spec.Metrics {
-		cell.Values[m] = metric.Extract(res)
-	}
-	return cell, r.SimRuns(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hintm/internal/harness"
@@ -82,6 +83,43 @@ func TestEngineGridShapeAndDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(Render(e1), Render(e2)) {
 		t.Error("warm rerun rendered different findings bytes")
+	}
+}
+
+// TestEngineSharesCellsAcrossSpecs: two specs with the same control cell,
+// run through one engine with no store, simulate that cell once.
+func TestEngineSharesCellsAcrossSpecs(t *testing.T) {
+	ctx := context.Background()
+	g := &Engine{Opts: harness.QuickOptions()}
+	a := engineSpec()
+	b := engineSpec()
+	b.Name = "test-spec-p8s"
+	b.Levels[1] = Level{Name: "P8S", Apply: func(q *harness.Request) { q.HTM = sim.HTMP8S }}
+	b.Seeds = b.Seeds[:1]
+	ea, err := g.Run(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := g.Run(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ea.SimRuns != 4 || eb.SimRuns != 1 {
+		t.Errorf("SimRuns = %d then %d, want 4 then 1 (the shared control cell runs once)", ea.SimRuns, eb.SimRuns)
+	}
+	if eb.Cells[0][0].Result != ea.Cells[0][0].Result {
+		t.Error("the shared control cell was not one result")
+	}
+}
+
+// TestEngineErrorNamesCell: a failed cell fails the evaluation, and the
+// error names the spec, the level and the seed.
+func TestEngineErrorNamesCell(t *testing.T) {
+	s := engineSpec()
+	s.Levels[1].Apply = func(q *harness.Request) { q.Workload = "no-such-workload" }
+	_, err := (&Engine{Opts: harness.QuickOptions()}).Run(context.Background(), s)
+	if err == nil || !strings.Contains(err.Error(), "test-spec: level treatment seed 1: ") {
+		t.Errorf("err = %v, want it to name level treatment seed 1", err)
 	}
 }
 

@@ -28,15 +28,18 @@ import (
 )
 
 // Level is one value of a hypothesis's swept variable. Apply mutates the
-// cell's request and/or runner options relative to the base — exactly one
-// conceptual variable may move across a Spec's levels (one-variable-at-a-
-// time is what makes the comparison table causal rather than correlational).
+// cell's request relative to the base — exactly one conceptual variable may
+// move across a Spec's levels (one-variable-at-a-time is what makes the
+// comparison table causal rather than correlational). A request is a run's
+// whole identity, so a level can sweep a configuration override, the HTM,
+// the hint mode or the fault plan, and nothing outside the request.
 type Level struct {
 	// Name labels the level in tables and verdicts (e.g. "sig=256").
 	Name string
-	// Apply perturbs the base request/options for this level. The control
-	// level's Apply may be nil (run the base unchanged).
-	Apply func(req *harness.Request, opts *harness.Options)
+	// Apply perturbs the base request for this level; the engine has
+	// already set the request's Scale and Seed. The control level's Apply
+	// may be nil (run the base unchanged).
+	Apply func(req *harness.Request)
 }
 
 // Metric is one headline metric extracted from each cell's simulation
@@ -105,7 +108,8 @@ type Spec struct {
 	// Levels are the variable's values; Levels[0] is the control every
 	// effect size is measured against.
 	Levels []Level
-	// Seeds are the simulation seeds; every level runs once per seed.
+	// Seeds are the simulation seeds, all nonzero; every level runs once
+	// per seed.
 	Seeds []uint64
 	// Metrics are the per-cell headline extractors.
 	Metrics []Metric
@@ -142,6 +146,11 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("hyp: %s: duplicate level %q", s.Name, l.Name)
 		}
 		seen[l.Name] = true
+	}
+	for _, seed := range s.Seeds {
+		if seed == 0 {
+			return fmt.Errorf("hyp: %s: seed 0 would mean the runner's seed; name every seed", s.Name)
+		}
 	}
 	for i, m := range s.Metrics {
 		if m.Name == "" || m.Format == "" || m.Extract == nil {

@@ -17,7 +17,7 @@ func validSpec() *Spec {
 		Variable: "htm",
 		Levels: []Level{
 			{Name: "control"},
-			{Name: "treatment", Apply: func(q *harness.Request, o *harness.Options) { q.HTM = sim.HTMInfCap }},
+			{Name: "treatment", Apply: func(q *harness.Request) { q.HTM = sim.HTMInfCap }},
 		},
 		Seeds: []uint64{1, 2},
 		Metrics: []Metric{
@@ -42,6 +42,7 @@ func TestSpecValidate(t *testing.T) {
 		{"no-variable", func(s *Spec) { s.Variable = "" }, "swept variable"},
 		{"one-level", func(s *Spec) { s.Levels = s.Levels[:1] }, "control and at least one treatment"},
 		{"no-seeds", func(s *Spec) { s.Seeds = nil }, "no seeds"},
+		{"zero-seed", func(s *Spec) { s.Seeds = []uint64{1, 0} }, "seed 0"},
 		{"no-metrics", func(s *Spec) { s.Metrics = nil }, "no metrics"},
 		{"no-judge", func(s *Spec) { s.Judge = nil }, "no judge"},
 		{"unnamed-level", func(s *Spec) { s.Levels[1].Name = "" }, "has no name"},

@@ -1,7 +1,8 @@
 package ir
 
-// EvalBin computes a binary operation on concrete values — the single
-// semantic definition shared by the interpreter and the constant folder.
+// EvalBin computes a binary operation on concrete values — the semantic
+// definition the interpreter executes (its hot path open-codes the common
+// kinds).
 // Division and modulo by zero yield 0 (the simulated machine's convention).
 func EvalBin(k BinKind, a, b int64) int64 {
 	switch k {
