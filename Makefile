@@ -30,14 +30,15 @@ race:
 	$(GO) test -race -timeout 1800s ./internal/harness/... ./internal/sim/... \
 		./internal/cli/... ./internal/hyp/...
 
-# fuzz-short gives the three fuzzers — classifier soundness, the TIR
-# parse→print→parse round trip and store-object decoding — a 10-second
-# native-fuzzing budget each, enough for CI to catch regressions the seeded
-# corpora miss.
+# fuzz-short gives the four fuzzers — classifier soundness, the TIR
+# parse→print→parse round trip, store-object decoding and the cache's LRU
+# recency word against the stamp-based model — a 10-second native-fuzzing
+# budget each, enough for CI to catch regressions the seeded corpora miss.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifierSoundness -fuzztime=10s ./internal/classify
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrintParse -fuzztime=10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzStoreEntryDecode -fuzztime=10s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzLRUMatchesStamps -fuzztime=10s ./internal/cache
 
 # The full verification artifacts the repository ships with.
 artifacts:

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -45,6 +47,26 @@ func TestRemovedTargetsAreUnknown(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("%s: printed before failing:\n%s", target, out.String())
+		}
+	}
+}
+
+// TestUnknownWorkloadRunsNoSimulation: a misspelled -workloads name fails
+// before the store is opened or any figure renders, so nothing is printed
+// (no all-zero "Run summary" table) and no store directory is created.
+func TestUnknownWorkloadRunsNoSimulation(t *testing.T) {
+	for _, target := range []string{"fig4", "all"} {
+		dir := filepath.Join(t.TempDir(), "store")
+		var out bytes.Buffer
+		err := run([]string{"-scale", "small", "-results", "", "-store", dir, "-workloads", "bogus", target}, &out)
+		if err == nil || !strings.Contains(err.Error(), `-workloads: workloads: unknown workload "bogus"`) {
+			t.Errorf("%s: err = %v, want an unknown-workload usage error", target, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed before failing:\n%s", target, out.String())
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: store directory exists (%v): the filter was checked after the store opened", target, err)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -59,135 +60,159 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// Validate reports whether cfg's set counts are powers of two, as New
-// requires: a block's set is its low bits.
+// Validate reports whether cfg's geometry is one New can build: set counts
+// must be powers of two (a block's set is its low bits) and associativity
+// 1..16 (a set's recency word holds one 4-bit way index per way).
 func (c Config) Validate() error {
 	for _, sets := range [...]int{c.L1Sets, c.L2Sets} {
 		if sets <= 0 || sets&(sets-1) != 0 {
 			return fmt.Errorf("cache: %d sets is not a power of two", sets)
 		}
 	}
+	for _, ways := range [...]int{c.L1Ways, c.L2Ways} {
+		if ways < 1 || ways > maxWays {
+			return fmt.Errorf("cache: %d ways is outside 1..%d", ways, maxWays)
+		}
+	}
 	return nil
 }
 
-// line is one cache line's bookkeeping.
-type line struct {
-	block uint64
-	state State
-	lru   uint64
-}
+// maxWays is the associativity limit: a set's recency word holds one 4-bit
+// way index per way.
+const maxWays = 16
 
-// array is a set-associative structure. All lines live in one flat backing
-// slice — set s occupies lines[s*ways : s*ways+used[s]] — so building an
-// array is two allocations regardless of geometry (the paper's L2 has 8192
-// sets; a slice per set made machine construction the dominant cost of
-// short simulations).
+// array is a set-associative structure. Each slot is one tag word,
+// block<<2 | state, so an Invalid slot has a zero state field. All tags
+// live in one flat backing slice — set s occupies tags[s*ways :
+// s*ways+used[s]] — so building an array is three allocations regardless
+// of geometry (the paper's L2 has 8192 sets; a slice per set made
+// machine construction the dominant cost of short simulations).
 type array struct {
-	lines []line
+	tags []uint64
 	// used[s] counts the populated slots of set s; slots fill in append
 	// order, preserving the set-internal visit order of the per-set-slice
 	// representation this replaces.
 	used []int32
+	// recency[s] lists set s's populated way indices from most to least
+	// recently used, one nibble each (nibble 0 = MRU). Nibbles at and past
+	// used[s] are meaningless.
+	recency []uint64
 	// mask is len(used)-1: set counts are powers of two, so a block's set
 	// is its low bits.
 	mask uint64
 	ways int
-	tick uint64
 }
 
-// linePools recycles line backings by size, because zeroing the L2's backing
-// (8192 sets x 16 ways x 24 B) dominates hierarchy construction for short
-// runs. A recycled backing holds stale lines, which is safe: no reader ever
-// looks past used[s], and used is freshly zeroed per array.
-var linePools sync.Map // map[int]*sync.Pool of *[]line
+func tag(block uint64, st State) uint64 { return block<<2 | uint64(st) }
 
-func getLines(n int) []line {
-	if p, ok := linePools.Load(n); ok {
+// tagPools recycles tag backings by size, because zeroing the L2's backing
+// (8192 sets x 16 ways x 8 B) dominates hierarchy construction for short
+// runs. A recycled backing holds stale tags, which is safe: no reader ever
+// looks past used[s], and used and recency are freshly allocated per array.
+var tagPools sync.Map // map[int]*sync.Pool of *[]uint64
+
+func getTags(n int) []uint64 {
+	if p, ok := tagPools.Load(n); ok {
 		if v := p.(*sync.Pool).Get(); v != nil {
-			return *(v.(*[]line))
+			return *(v.(*[]uint64))
 		}
 	}
-	return make([]line, n)
+	return make([]uint64, n)
 }
 
-func putLines(s []line) {
+func putTags(s []uint64) {
 	if s == nil {
 		return
 	}
-	p, ok := linePools.Load(len(s))
+	p, ok := tagPools.Load(len(s))
 	if !ok {
-		p, _ = linePools.LoadOrStore(len(s), &sync.Pool{})
+		p, _ = tagPools.LoadOrStore(len(s), &sync.Pool{})
 	}
 	p.(*sync.Pool).Put(&s)
 }
 
 func newArray(sets, ways int) *array {
 	return &array{
-		lines: getLines(sets * ways),
-		used:  make([]int32, sets),
-		mask:  uint64(sets - 1),
-		ways:  ways,
+		tags:    getTags(sets * ways),
+		used:    make([]int32, sets),
+		recency: make([]uint64, sets),
+		mask:    uint64(sets - 1),
+		ways:    ways,
 	}
 }
 
 func (a *array) setOf(block uint64) int { return int(block & a.mask) }
 
 // set returns the populated portion of block's set.
-func (a *array) set(block uint64) []line {
+func (a *array) set(block uint64) []uint64 {
 	si := a.setOf(block)
-	return a.lines[si*a.ways : si*a.ways+int(a.used[si])]
+	return a.tags[si*a.ways : si*a.ways+int(a.used[si])]
 }
 
-// find returns the line holding block, or nil.
-func (a *array) find(block uint64) *line {
-	set := a.set(block)
-	for i := range set {
-		if set[i].block == block && set[i].state != Invalid {
-			a.tick++
-			set[i].lru = a.tick
-			return &set[i]
+// holds reports whether tag t is a valid copy of block.
+func holds(t, block uint64) bool { return t>>2 == block && t&3 != 0 }
+
+// touch makes way the most recently used of set si.
+func (a *array) touch(si, way int) {
+	r := a.recency[si]
+	// Find way's nibble: the lowest zero nibble of r ^ way-in-every-nibble.
+	// way occurs exactly once below nibble used[si], and the borrow trick
+	// flags false zeros only above a true one, so the lowest flag is way's.
+	const ones, highs = 0x1111111111111111, 0x8888888888888888
+	x := r ^ uint64(way)*ones
+	pos := uint(bits.TrailingZeros64((x-ones)&^x&highs)) / 4 * 4
+	below := uint64(1)<<pos - 1
+	a.recency[si] = r&^(below|0xF<<pos) | (r&below)<<4 | uint64(way)
+}
+
+// find returns the index in a.tags of the slot holding block, or -1. A hit
+// makes the slot its set's most recently used.
+func (a *array) find(block uint64) int {
+	si := a.setOf(block)
+	base := si * a.ways
+	for i, t := range a.tags[base : base+int(a.used[si])] {
+		if holds(t, block) {
+			a.touch(si, i)
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // insert places block (replacing the LRU victim if the set is full) and
 // returns the evicted block and its state, if any.
 func (a *array) insert(block uint64, st State) (evicted uint64, evictedState State, didEvict bool) {
 	si := a.setOf(block)
-	set := a.lines[si*a.ways : si*a.ways+int(a.used[si])]
-	a.tick++
+	base, n := si*a.ways, int(a.used[si])
 	// Reuse an invalid slot first.
-	for i := range set {
-		if set[i].state == Invalid {
-			set[i] = line{block: block, state: st, lru: a.tick}
+	for i, t := range a.tags[base : base+n] {
+		if t&3 == 0 {
+			a.tags[base+i] = tag(block, st)
+			a.touch(si, i)
 			return 0, Invalid, false
 		}
 	}
-	if int(a.used[si]) < a.ways {
-		a.lines[si*a.ways+int(a.used[si])] = line{block: block, state: st, lru: a.tick}
+	if n < a.ways {
+		a.tags[base+n] = tag(block, st)
 		a.used[si]++
+		a.recency[si] = a.recency[si]<<4 | uint64(n)
 		return 0, Invalid, false
 	}
-	victim := 0
-	for i := range set {
-		if set[i].lru < set[victim].lru {
-			victim = i
-		}
-	}
-	ev, evSt := set[victim].block, set[victim].state
-	set[victim] = line{block: block, state: st, lru: a.tick}
-	return ev, evSt, true
+	victim := int(a.recency[si] >> (4 * uint(n-1)) & 0xF)
+	old := a.tags[base+victim]
+	a.tags[base+victim] = tag(block, st)
+	a.touch(si, victim)
+	return old >> 2, State(old & 3), true
 }
 
 // invalidate drops block if present, returning its previous state.
 func (a *array) invalidate(block uint64) State {
-	set := a.set(block)
-	for i := range set {
-		if set[i].block == block && set[i].state != Invalid {
-			st := set[i].state
-			set[i].state = Invalid
-			return st
+	si := a.setOf(block)
+	base := si * a.ways
+	for i, t := range a.tags[base : base+int(a.used[si])] {
+		if holds(t, block) {
+			a.tags[base+i] = t &^ 3
+			return State(t & 3)
 		}
 	}
 	return Invalid
@@ -233,22 +258,22 @@ func New(cfg Config) *Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	h := &Hierarchy{cfg: cfg, l2: newArray(cfg.L2Sets, cfg.L2Ways)}
-	for i := 0; i < cfg.Cores; i++ {
-		h.l1 = append(h.l1, newArray(cfg.L1Sets, cfg.L1Ways))
+	h := &Hierarchy{cfg: cfg, l1: make([]*array, cfg.Cores), l2: newArray(cfg.L2Sets, cfg.L2Ways)}
+	for i := range h.l1 {
+		h.l1[i] = newArray(cfg.L1Sets, cfg.L1Ways)
 	}
 	return h
 }
 
-// Release returns the hierarchy's line backings to the recycle pool. The
+// Release returns the hierarchy's tag backings to the recycle pool. The
 // hierarchy must not be used afterwards. Optional: skipping it only forfeits
 // backing reuse for the next hierarchy of the same geometry.
 func (h *Hierarchy) Release() {
-	putLines(h.l2.lines)
-	h.l2.lines = nil
+	putTags(h.l2.tags)
+	h.l2.tags = nil
 	for _, a := range h.l1 {
-		putLines(a.lines)
-		a.lines = nil
+		putTags(a.tags)
+		a.tags = nil
 	}
 }
 
@@ -265,20 +290,20 @@ func (h *Hierarchy) Access(core int, block uint64, write bool) AccessResult {
 		panic(fmt.Sprintf("cache: core %d out of range", core))
 	}
 	l1 := h.l1[core]
-	if ln := l1.find(block); ln != nil {
+	if i := l1.find(block); i >= 0 {
 		if !write {
 			h.stats.L1Hits++
 			return AccessResult{Latency: h.cfg.L1Latency}
 		}
-		switch ln.state {
+		switch State(l1.tags[i] & 3) {
 		case Modified, Exclusive:
-			ln.state = Modified
+			l1.tags[i] |= uint64(Modified)
 			h.stats.L1Hits++
 			return AccessResult{Latency: h.cfg.L1Latency}
 		case Shared:
 			// Upgrade: invalidate every other copy via the bus.
 			h.invalidateOthers(core, block)
-			ln.state = Modified
+			l1.tags[i] |= uint64(Modified)
 			h.stats.L1Hits++
 			h.stats.BusOps++
 			h.stats.UpgradeTransaction++
@@ -299,13 +324,18 @@ func (h *Hierarchy) Access(core int, block uint64, write bool) AccessResult {
 		if write {
 			h.invalidateOthers(core, block)
 			othersHold = false
-		} else if ln := h.l1[dirtyOwner].find(block); ln != nil {
-			ln.state = Shared // owner downgrades, line now clean in L2
+		} else {
+			// The owner downgrades; the line is now clean in L2. find
+			// also makes it the owner's most recently used line.
+			owner := h.l1[dirtyOwner]
+			if i := owner.find(block); i >= 0 {
+				owner.tags[i] = tag(block, Shared)
+			}
 		}
 		// The (possibly downgraded) line is now present in L2 as well.
 		h.l2.insert(block, Shared)
 	default:
-		if h.l2.find(block) != nil {
+		if h.l2.find(block) >= 0 {
 			res.Latency = h.cfg.L2Latency
 			h.stats.L2Hits++
 		} else {
@@ -345,11 +375,10 @@ func (h *Hierarchy) probeOthers(core int, block uint64) (held bool, dirtyOwner i
 		if c == core {
 			continue
 		}
-		set := l1.set(block)
-		for i := range set {
-			if set[i].block == block && set[i].state != Invalid {
+		for _, t := range l1.set(block) {
+			if holds(t, block) {
 				held = true
-				if set[i].state == Modified {
+				if State(t&3) == Modified {
 					dirtyOwner = c
 				}
 			}
@@ -366,9 +395,9 @@ func (h *Hierarchy) downgradeOthers(core int, block uint64) {
 			continue
 		}
 		set := l1.set(block)
-		for i := range set {
-			if set[i].block == block && set[i].state == Exclusive {
-				set[i].state = Shared
+		for i, t := range set {
+			if t == tag(block, Exclusive) {
+				set[i] = tag(block, Shared)
 			}
 		}
 	}
@@ -388,19 +417,12 @@ func (h *Hierarchy) invalidateOthers(core int, block uint64) {
 	}
 }
 
-// HasBlock reports whether core's L1 currently holds block (any valid
-// state). HTM trackers that keep transactional state in the L1 use it.
-func (h *Hierarchy) HasBlock(core int, block uint64) bool {
-	return h.l1[core].find(block) != nil
-}
-
 // StateOf returns core's L1 state for block (Invalid if absent). Exposed
-// for tests and diagnostics.
+// for tests and diagnostics; unlike an access, it leaves LRU order alone.
 func (h *Hierarchy) StateOf(core int, block uint64) State {
-	set := h.l1[core].set(block)
-	for i := range set {
-		if set[i].block == block {
-			return set[i].state
+	for _, t := range h.l1[core].set(block) {
+		if t>>2 == block {
+			return State(t & 3)
 		}
 	}
 	return Invalid

@@ -114,7 +114,7 @@ func TestEvictionOnSetOverflow(t *testing.T) {
 	if len(res.Evicted) != 1 || res.Evicted[0] != 0 {
 		t.Fatalf("evicted = %v, want [0] (LRU)", res.Evicted)
 	}
-	if !h.HasBlock(0, 2) || !h.HasBlock(0, 4) {
+	if h.StateOf(0, 2) == Invalid || h.StateOf(0, 4) == Invalid {
 		t.Fatal("resident set wrong after eviction")
 	}
 }

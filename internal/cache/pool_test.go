@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// The tests in this file pin Release and the line pools: a hierarchy built
+// The tests in this file pin Release and the tag pools: a hierarchy built
 // after another's Release runs on recycled backings that still hold the
-// previous hierarchy's lines. Their names are kept from the Clone tests they
+// previous hierarchy's tags. Their names are kept from the Clone tests they
 // grew out of; a clone's arrays drew from the same pools.
 
 func poolConfig() Config {
@@ -20,19 +20,19 @@ func poolConfig() Config {
 	}
 }
 
-// drainLinePools empties the line pools: sync.Pool drops its contents over
+// drainTagPools empties the tag pools: sync.Pool drops its contents over
 // two garbage collections, so the next hierarchy gets fresh backings.
-func drainLinePools() {
+func drainTagPools() {
 	runtime.GC()
 	runtime.GC()
 }
 
 // A hierarchy on recycled backings replayed against an access sequence must
 // behave exactly like one on fresh backings: same latencies, same bus ops,
-// same evictions, same stats. The stale lines fill every set, so a reader
+// same evictions, same stats. The stale tags fill every set, so a reader
 // that looked past a set's populated prefix would diverge.
 func TestHierarchyCloneReplaysIdentically(t *testing.T) {
-	drainLinePools()
+	drainTagPools()
 	fresh := New(poolConfig())
 	rng := rand.New(rand.NewSource(7))
 	dirty := New(poolConfig())

@@ -77,6 +77,13 @@ func (h *HarnessFlags) Options() (harness.Options, error) {
 	}
 	if *h.workloads != "" {
 		opts.Filter = strings.Split(*h.workloads, ",")
+		// An unknown name is a usage error here, before any store is
+		// opened or any figure renders a table.
+		for _, name := range opts.Filter {
+			if _, err := workloads.ByName(name); err != nil {
+				return opts, fmt.Errorf("-workloads: %w", err)
+			}
+		}
 	}
 	opts.Seed = *h.seed
 	// Negative counts are usage errors here, before any run: the simulator

@@ -127,3 +127,20 @@ func TestHarnessFlagsRejectNegativeCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestHarnessFlagsRejectUnknownWorkloads: every -workloads name must be a
+// registered workload; a misspelling fails in Options, before any figure
+// could render its table over an empty selection.
+func TestHarnessFlagsRejectUnknownWorkloads(t *testing.T) {
+	for _, list := range []string{"bogus", "labyrinth,bogus", "labyrinth,"} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		h := RegisterHarness(fs)
+		if err := fs.Parse([]string{"-workloads", list}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Options(); err == nil || !strings.Contains(err.Error(), "-workloads: ") ||
+			!strings.Contains(err.Error(), "unknown workload") {
+			t.Errorf("-workloads %q: err = %v, want an unknown-workload usage error", list, err)
+		}
+	}
+}

@@ -214,7 +214,7 @@ func (m *Machine) ReadGlobal(name string, wordIdx int64) int64 {
 	return m.memory.ReadWord(m.prog.GlobalAddr(name) + mem.Addr(wordIdx*mem.WordSize))
 }
 
-// Release recycles the machine's pooled resources (currently the cache line
+// Release recycles the machine's pooled resources (currently the cache tag
 // backings). The machine must not be used afterwards. Optional but worthwhile
 // for callers that construct many machines, e.g. experiment sweeps.
 func (m *Machine) Release() {

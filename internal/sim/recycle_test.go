@@ -11,9 +11,9 @@ import (
 	"hintm/internal/ir"
 )
 
-// The tests in this file pin Machine.Release and the cache line pools it
-// feeds: a machine built after another's Release runs on recycled line
-// backings that still hold the previous run's lines, and must behave exactly
+// The tests in this file pin Machine.Release and the cache tag pools it
+// feeds: a machine built after another's Release runs on recycled tag
+// backings that still hold the previous run's tags, and must behave exactly
 // like one built on fresh backings. Their names are kept from the snapshot
 // forks they once compared with cold runs; a forked machine's caches drew
 // from the same pools.
@@ -107,9 +107,9 @@ func mainTxModule(words int64) *ir.Module {
 	return b.M
 }
 
-// drainLinePools empties the cache line pools: sync.Pool drops its contents
+// drainTagPools empties the cache tag pools: sync.Pool drops its contents
 // over two garbage collections, so the next machines get fresh backings.
-func drainLinePools() {
+func drainTagPools() {
 	runtime.GC()
 	runtime.GC()
 }
@@ -143,7 +143,7 @@ func TestForkMatchesColdAcrossGrid(t *testing.T) {
 	}
 
 	// Cold pass: nothing is released, so every machine's backings are fresh.
-	drainLinePools()
+	drainTagPools()
 	colds := make([]*Machine, len(cfgs))
 	results := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
@@ -169,7 +169,7 @@ func TestForkMatchesColdAcrossGrid(t *testing.T) {
 func TestForkMatchesColdMainThreadTx(t *testing.T) {
 	mod := mainTxModule(256)
 	cfg := DefaultConfig()
-	drainLinePools()
+	drainTagPools()
 	cold, rc := runModule(t, mod, cfg)
 	if rc.Commits+rc.FallbackCommits == 0 {
 		t.Fatalf("main-thread transaction did not commit: %v", rc)
@@ -225,7 +225,7 @@ func TestConcurrentForksAreIndependent(t *testing.T) {
 // TestSnapshotForkAllocsSteadyState pins the cost shape of building and
 // releasing a machine: allocations per machine are a constant for a fixed
 // module and configuration, and do NOT grow with the number of machines
-// already built (no hidden accumulation in the line pools).
+// already built (no hidden accumulation in the tag pools).
 func TestSnapshotForkAllocsSteadyState(t *testing.T) {
 	mod := setupModule(4, 512)
 	cfg := DefaultConfig()
@@ -237,15 +237,16 @@ func TestSnapshotForkAllocsSteadyState(t *testing.T) {
 		m.Release()
 	}
 	for i := 0; i < 16; i++ {
-		build() // warm line pools
+		build() // warm tag pools
 	}
 	early := testing.AllocsPerRun(32, build)
 	late := testing.AllocsPerRun(32, build)
 	if late > early*1.1+8 {
 		t.Errorf("machine allocations grew with machine count: early %.0f, late %.0f", early, late)
 	}
-	// Released backings are reused: a machine costs far fewer bytes than
-	// its L2 line backing (8-byte tags alone would fill this bound). The
+	// Released backings are reused: a machine costs fewer bytes than its
+	// L2 tag backing (8 B per line), which a build without recycling
+	// allocates in full on top of the per-set recency and used words. The
 	// race detector's sync.Pool drops Puts at random, so the bound holds
 	// only in non-race builds.
 	if raceEnabled {
@@ -260,6 +261,6 @@ func TestSnapshotForkAllocsSteadyState(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perBuild := (after.TotalAlloc - before.TotalAlloc) / builds
 	if bound := uint64(cfg.Cache.L2Sets*cfg.Cache.L2Ways) * 8; perBuild > bound {
-		t.Errorf("building a machine allocates %d bytes, want < %d: line backings not recycled", perBuild, bound)
+		t.Errorf("building a machine allocates %d bytes, want < %d: tag backings not recycled", perBuild, bound)
 	}
 }

@@ -495,6 +495,29 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("48 cache sets: err = %v, want a power-of-two error", err)
 		}
 	}
+	// A set's LRU recency word holds at most 16 ways; a zero-way cache
+	// used to pass validation and panic on its first access.
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"L1Ways=0", func(c *Config) { c.Cache.L1Ways = 0 }},
+		{"L1Ways=17", func(c *Config) { c.Cache.L1Ways = 17 }},
+		{"L2Ways=0", func(c *Config) { c.Cache.L2Ways = 0 }},
+		{"L2Ways=-1", func(c *Config) { c.Cache.L2Ways = -1 }},
+		{"L2Ways=17", func(c *Config) { c.Cache.L2Ways = 17 }},
+	} {
+		cfg = DefaultConfig()
+		c.set(&cfg)
+		if _, err := New(cfg, counterModule(1, 1)); err == nil || !strings.Contains(err.Error(), "ways is outside 1..16") {
+			t.Errorf("%s: err = %v, want an associativity error", c.name, err)
+		}
+	}
+	cfg = DefaultConfig()
+	cfg.Cache.L1Ways, cfg.Cache.L2Ways = 1, 16
+	if _, err := New(cfg, counterModule(1, 1)); err != nil {
+		t.Errorf("1-way L1, 16-way L2 rejected: %v", err)
+	}
 }
 
 func TestHTMKindAndHintModeStrings(t *testing.T) {
