@@ -57,7 +57,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("hintm-bench", flag.ExitOnError)
 	hf := cli.RegisterHarness(fs)
-	timeout := fs.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
+	timeout := cli.RegisterTimeout(fs, "the whole run")
 	results := fs.String("results", "BENCH_results.json", `write machine-readable headline metrics here on the "all" target ("" = off)`)
 	storeDir := cli.RegisterStore(fs)
 	tolerance := fs.Float64("tolerance", 0.05, `relative headline-metric tolerance for the "benchdiff" target`)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -68,5 +70,36 @@ func TestUnknownWorkloadRunsNoSimulation(t *testing.T) {
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
 			t.Errorf("%s: store directory exists (%v): the filter was checked after the store opened", target, err)
 		}
+	}
+}
+
+// TestNegativeTimeoutIsUsageError: a negative -timeout is a usage error
+// (exit 2) before the store opens or anything runs, not "no timeout". The
+// command runs in a child process, since the flag package exits it.
+func TestNegativeTimeoutIsUsageError(t *testing.T) {
+	if args := os.Getenv("HINTM_BENCH_ARGS"); args != "" {
+		if err := run(strings.Fields(args), os.Stdout); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTimeoutIsUsageError$")
+	cmd.Env = append(os.Environ(), "HINTM_BENCH_ARGS=-scale small -workloads kmeans -results= -timeout -1s -store "+dir+" fig4")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("hintm-bench -timeout -1s: err = %v, want exit status 2\nstdout:\n%s", err, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "-timeout: must not be negative") {
+		t.Errorf("stderr does not name the -timeout usage error:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("printed before failing:\n%s", stdout.String())
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("store directory exists (%v): -timeout was checked after the store opened", err)
 	}
 }

@@ -26,8 +26,9 @@
 //	-workers N        concurrent simulations (0 = GOMAXPROCS)
 //	-timeout D        abort the whole run after D (e.g. 10m)
 //	-assert-warm      after running, exit non-zero if any cell actually
-//	                  simulated (CI uses this to prove the store made the
-//	                  second pass free)
+//	                  simulated or was derived from another cell's run
+//	                  instead of recalled (CI uses this to prove the store
+//	                  made the second pass free)
 //
 // Every hypothesis is a one-variable-at-a-time grid, and every grid runs on
 // one harness Runner, so all cells share its single-flight dedup (a cell
@@ -66,8 +67,8 @@ func run(args []string, w io.Writer) error {
 	dir := fs.String("dir", "hypotheses", "hypotheses tree root holding <name>/FINDINGS.md")
 	storeDir := cli.RegisterStore(fs)
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	timeout := fs.Duration("timeout", 0, "abort the whole run after this duration (0 = none)")
-	assertWarm := fs.Bool("assert-warm", false, "exit non-zero if any cell simulated instead of recalling from the store")
+	timeout := cli.RegisterTimeout(fs, "the whole run")
+	assertWarm := fs.Bool("assert-warm", false, "exit non-zero if any cell simulated or was derived instead of recalling from the store")
 	fs.Parse(args)
 
 	target := "list"
@@ -98,14 +99,15 @@ func run(args []string, w io.Writer) error {
 	defer stop()
 
 	var failures []string
-	var simRuns uint64
+	var simRuns, derived uint64
 	for _, spec := range specs {
 		e, err := eng.Run(ctx, spec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		simRuns += e.SimRuns
-		fmt.Fprintf(w, "%-28s %-12s sim-runs=%-3d %s\n", spec.Name, e.Outcome.Verdict, e.SimRuns, e.Outcome.Reason)
+		derived += e.Derived
+		fmt.Fprintf(w, "%-28s %-12s sim-runs=%-3d derived=%-3d %s\n", spec.Name, e.Outcome.Verdict, e.SimRuns, e.Derived, e.Outcome.Reason)
 		switch target {
 		case "write":
 			if err := hyp.Write(e, *dir); err != nil {
@@ -118,15 +120,25 @@ func run(args []string, w io.Writer) error {
 			}
 		}
 	}
-	fmt.Fprintf(w, "total sim-runs: %d (store recalls excluded)\n", simRuns)
+	fmt.Fprintf(w, "total sim-runs: %d derived=%d (store recalls excluded)\n", simRuns, derived)
 	if len(failures) > 0 {
 		return fmt.Errorf("%d hypothesis findings drifted:\n%s", len(failures), strings.Join(failures, "\n"))
 	}
 	if target == "check" {
 		fmt.Fprintf(w, "check: %d hypotheses byte-identical to committed findings\n", len(specs))
 	}
-	if *assertWarm && simRuns > 0 {
-		return fmt.Errorf("assert-warm: %d cells simulated instead of recalling from the store", simRuns)
+	if *assertWarm {
+		return warm(simRuns, derived)
+	}
+	return nil
+}
+
+// warm is the -assert-warm check: a warm pass recalls every cell from the
+// store, so it neither simulates a cell nor derives one (a derived cell
+// missing from the store is not warm either).
+func warm(simRuns, derived uint64) error {
+	if simRuns > 0 || derived > 0 {
+		return fmt.Errorf("assert-warm: %d cells simulated and %d derived instead of recalling from the store", simRuns, derived)
 	}
 	return nil
 }

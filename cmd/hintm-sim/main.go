@@ -54,7 +54,7 @@ import (
 func main() {
 	sf := cli.RegisterSim(flag.CommandLine)
 	threads := flag.Int("threads", 0, "thread count (0 = paper default)")
-	timeout := flag.Duration("timeout", 0, "abort the simulation after this duration (0 = none)")
+	timeout := cli.RegisterTimeout(flag.CommandLine, "the simulation")
 	printConfig := flag.Bool("print-config", false, "print the Table-II machine parameters and exit")
 	list := flag.Bool("list", false, "list workloads and exit")
 	moduleFile := flag.String("module", "", "run a hand-written textual TIR module instead of a workload")

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hintm/internal/sim"
@@ -95,5 +99,31 @@ func TestProgramSizesMachine(t *testing.T) {
 		if got := res.Commits + res.FallbackCommits; got != 12 {
 			t.Errorf("commits = %d, want one per worker (12)", got)
 		}
+	}
+}
+
+// TestNegativeTimeoutIsUsageError: a negative -timeout is a usage error
+// (exit 2) before anything runs, not "no timeout". The command runs in a
+// child process, since the flag package exits it.
+func TestNegativeTimeoutIsUsageError(t *testing.T) {
+	if args := os.Getenv("HINTM_SIM_ARGS"); args != "" {
+		os.Args = append([]string{"hintm-sim"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTimeoutIsUsageError$")
+	cmd.Env = append(os.Environ(), "HINTM_SIM_ARGS=-scale small -timeout -1s kmeans")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("hintm-sim -timeout -1s: err = %v, want exit status 2\nstdout:\n%s", err, stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "-timeout: must not be negative") {
+		t.Errorf("stderr does not name the -timeout usage error:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("printed before failing:\n%s", stdout.String())
 	}
 }

@@ -188,6 +188,33 @@ func OpenStore(dir string) (*store.Store, error) {
 
 // ---- lifecycle ----------------------------------------------------------
 
+// RegisterTimeout registers -timeout on fs: abort what (e.g. "the whole
+// run") after this duration, 0 meaning never. A negative duration is
+// rejected while fs parses, so with flag.ExitOnError it exits 2 before any
+// store opens or any simulation starts.
+func RegisterTimeout(fs *flag.FlagSet, what string) *time.Duration {
+	d := new(time.Duration)
+	fs.Var((*durationFlag)(d), "timeout", "abort "+what+" after this `duration` (0 = none)")
+	return d
+}
+
+// durationFlag is a flag.Value for a non-negative time.Duration.
+type durationFlag time.Duration
+
+func (t *durationFlag) String() string { return time.Duration(*t).String() }
+
+func (t *durationFlag) Set(s string) error {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	if d < 0 {
+		return fmt.Errorf("must not be negative")
+	}
+	*t = durationFlag(d)
+	return nil
+}
+
 // Context returns a context cancelled by SIGINT/SIGTERM — containerized
 // and service-managed runs get the same graceful path as an interactive
 // ^C — and additionally by the timeout when it is > 0.

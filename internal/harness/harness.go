@@ -7,7 +7,8 @@
 // parallel scheduler (see sched.go): figures submit their whole request
 // grid up front via RunAll, a bounded worker pool runs the grid
 // concurrently, and single-flight deduplication guarantees each distinct
-// Request simulates exactly once per Runner. The hintm-bench CLI and the
+// Request simulates at most once per Runner (a request whose run an
+// equivalent request's run proves is derived, not simulated). The hintm-bench CLI and the
 // repository's benchmark suite are thin wrappers around this package.
 package harness
 
@@ -84,8 +85,9 @@ type Runner struct {
 	sem chan struct{}
 
 	// execs counts actual result-producing simulator invocations; store
-	// hits and memoized recalls are excluded, so the "warm re-render runs
-	// nothing" assertions and the per-cell accounting both stay exact.
+	// hits, memoized recalls and derived cells are excluded, so the "warm
+	// re-render runs nothing" assertions and the per-cell accounting both
+	// stay exact.
 	execs atomic.Uint64
 	// simCycles totals the simulated cycles of those invocations, the
 	// numerator of the BENCH_results.json simulated-cycles-per-second
@@ -94,10 +96,16 @@ type Runner struct {
 	// storeHits counts requests answered from the content-addressed store
 	// (the RenderAll run summary reads it through Stats).
 	storeHits atomic.Uint64
+	// derived counts requests answered by another request's run (see
+	// Runner.derive).
+	derived atomic.Uint64
 
 	mu   sync.Mutex
 	mods map[moduleKey]*flight[*ir.Module]
 	runs map[Request]*flight[cell]
+	// fams lists each family's registered requests in registration order,
+	// keyed by Request.family.
+	fams map[Request][]member
 }
 
 // RunStats is a point-in-time snapshot of the runner's execution counters.
@@ -105,9 +113,11 @@ type Runner struct {
 // and BenchResults use that for their per-figure breakdowns).
 type RunStats struct {
 	// SimRuns counts simulations executed; StoreHits counts requests
-	// answered from the content-addressed store.
+	// answered from the content-addressed store; Derived counts requests
+	// answered by an equivalent run of their family without simulating.
 	SimRuns   uint64
 	StoreHits uint64
+	Derived   uint64
 
 	// PrefixRuns, ForkedRuns, ForkSeconds and SharedCycles are always zero,
 	// and ColdRuns always equals SimRuns. They exist only so the benchmark
@@ -119,21 +129,22 @@ type RunStats struct {
 	SharedCycles uint64
 }
 
-// ColdRuns returns SimRuns; see the note on RunStats.PrefixRuns.
+// ColdRuns returns SimRuns, the simulations executed (derived cells are
+// not among them); see the note on RunStats.PrefixRuns.
 func (s RunStats) ColdRuns() uint64 { return s.SimRuns }
 
 // Sub returns the counter deltas s - o (s taken after o).
 func (s RunStats) Sub(o RunStats) RunStats {
-	return RunStats{SimRuns: s.SimRuns - o.SimRuns, StoreHits: s.StoreHits - o.StoreHits}
+	return RunStats{SimRuns: s.SimRuns - o.SimRuns, StoreHits: s.StoreHits - o.StoreHits, Derived: s.Derived - o.Derived}
 }
 
 // Stats snapshots the runner's execution counters.
 func (r *Runner) Stats() RunStats {
-	return RunStats{SimRuns: r.execs.Load(), StoreHits: r.storeHits.Load()}
+	return RunStats{SimRuns: r.execs.Load(), StoreHits: r.storeHits.Load(), Derived: r.derived.Load()}
 }
 
 // SimRuns reports how many simulator invocations the runner has performed
-// (memoized recalls and store hits do not count).
+// (memoized recalls, store hits and derived cells do not count).
 func (r *Runner) SimRuns() uint64 { return r.execs.Load() }
 
 // NewRunner returns a runner for the given options.
@@ -147,6 +158,7 @@ func NewRunner(opts Options) *Runner {
 		sem:  make(chan struct{}, workers),
 		mods: make(map[moduleKey]*flight[*ir.Module]),
 		runs: make(map[Request]*flight[cell]),
+		fams: make(map[Request][]member),
 	}
 }
 

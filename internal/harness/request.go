@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hintm/internal/fault"
+	"hintm/internal/htm"
 	"hintm/internal/sim"
 	"hintm/internal/workloads"
 )
@@ -112,4 +113,56 @@ func (q Request) String() string {
 		s += fmt.Sprintf("/pagecost%dpct", q.PageCostPct)
 	}
 	return s
+}
+
+// family maps q to the key of its family: the requests whose runs may be
+// one and the same run (see proves). Members are equal in every field
+// except the static bit of Hints and, among the tracker kinds whose only
+// bound is the P8 buffer (P8, P8S, InfCap), HTM with its P8Entries and
+// SigBits. q must be resolved.
+func (q Request) family() Request {
+	switch q.Hints {
+	case sim.HintStatic:
+		q.Hints = sim.HintNone
+	case sim.HintFull:
+		q.Hints = sim.HintDynamic
+	}
+	switch q.HTM {
+	case sim.HTMP8, sim.HTMP8S, sim.HTMInfCap:
+		q.HTM, q.P8Entries, q.SigBits = sim.HTMInfCap, 0, 0
+	}
+	return q
+}
+
+// entries is the P8 buffer size q's machine gets.
+func (q Request) entries() int {
+	if q.P8Entries != 0 {
+		return q.P8Entries
+	}
+	return sim.DefaultConfig().P8Entries
+}
+
+// proves reports whether src's completed run — its result and facts — is
+// also dst's run, for two members of one family. Two conditions make it so
+// (DESIGN.md §9 gives the induction):
+//
+//   - the static bits match, or src executed no static-safe access inside a
+//     transaction or under the fallback lock, the only place the static
+//     hint acts; and
+//   - the trackers match, or src never met a bound (InfCap, or a P8/P8S
+//     with no capacity abort whose attempts all fit its buffer) and dst's
+//     buffer holds every attempt src tracked (InfCap, or a P8/P8S with at
+//     least MaxTracked entries): a buffer that never fills behaves as
+//     InfCap's unbounded precise set, and a signature that never receives
+//     a block matches nothing.
+func proves(src, dst Request, res *sim.Result, f sim.Facts) bool {
+	if src.Hints.Static() != dst.Hints.Static() && f.StaticHintUses != 0 {
+		return false
+	}
+	if src.HTM == dst.HTM && src.P8Entries == dst.P8Entries && src.SigBits == dst.SigBits {
+		return true
+	}
+	unbound := src.HTM == sim.HTMInfCap ||
+		(res.Aborts[htm.AbortCapacity] == 0 && f.MaxTracked <= src.entries())
+	return unbound && (dst.HTM == sim.HTMInfCap || dst.entries() >= f.MaxTracked)
 }

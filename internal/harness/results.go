@@ -28,13 +28,15 @@ type FigureHeadline struct {
 	Failed int `json:"failed"`
 
 	// Production breakdown (v3): how this figure's simulations were obtained
-	// while it rendered — full cold runs and content-addressed store recalls.
-	// These are deltas over the figure's span (≈0 when an earlier figure
-	// already ran the cells: shared runs attribute to the first figure that
-	// needed them) and are measurement metadata, never part of the
-	// deterministic result bytes.
+	// while it rendered — cold runs the simulator executed, content-addressed
+	// store recalls, and cells derived from an equivalent run without
+	// simulating (ColdRuns never counts those). These are deltas over the
+	// figure's span (≈0 when an earlier figure already ran the cells: shared
+	// runs attribute to the first figure that needed them) and are
+	// measurement metadata, never part of the deterministic result bytes.
 	ColdRuns  uint64 `json:"coldRuns,omitempty"`
 	StoreHits uint64 `json:"storeHits,omitempty"`
+	Derived   uint64 `json:"derived,omitempty"`
 
 	// GeomeanSpeedup is the HinTM-full speedup geomean over the figure's
 	// baseline HTM; GeomeanSpeedupInf the InfCap upper bound.
@@ -67,15 +69,18 @@ type BenchResults struct {
 	// (the harness itself avoids wall-clock reads for determinism).
 	WallSeconds float64 `json:"wallSeconds"`
 	// SimCycles is the total simulated cycles this process actually executed
-	// (store recalls contribute nothing); SimCyclesPerSec divides it by
-	// WallSeconds — the v2 throughput headline the perf CI watches.
+	// (store recalls and derived cells contribute nothing); SimCyclesPerSec
+	// divides it by WallSeconds — the v2 throughput headline the perf CI
+	// watches.
 	SimCycles       uint64  `json:"simCycles,omitempty"`
 	SimCyclesPerSec float64 `json:"simCyclesPerSec,omitempty"`
 
 	// Whole-run production breakdown (v3): runner-global totals over every
-	// simulation this process performed.
+	// cell this process produced. ColdRuns counts executed simulations only;
+	// Derived counts the cells answered by an equivalent run instead.
 	ColdRuns  uint64 `json:"coldRuns,omitempty"`
 	StoreHits uint64 `json:"storeHits,omitempty"`
+	Derived   uint64 `json:"derived,omitempty"`
 
 	// Figures maps figure name → headline metrics.
 	Figures map[string]*FigureHeadline `json:"figures"`
@@ -178,6 +183,7 @@ func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
 	st := r.Stats()
 	out.ColdRuns = st.SimRuns
 	out.StoreHits = st.StoreHits
+	out.Derived = st.Derived
 	return out, nil
 }
 
@@ -187,6 +193,7 @@ func (h *FigureHeadline) stamp(before, after RunStats) {
 	d := after.Sub(before)
 	h.ColdRuns = d.SimRuns
 	h.StoreHits = d.StoreHits
+	h.Derived = d.Derived
 }
 
 // note records a figure failure; it reports whether the figure must be

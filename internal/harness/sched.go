@@ -20,12 +20,18 @@ import (
 )
 
 // The scheduler executes simulation Requests on a bounded worker pool with
-// single-flight deduplication: every distinct Request runs exactly once per
+// single-flight deduplication: every distinct Request runs at most once per
 // Runner, concurrent duplicates wait for the first flight, and completed
 // results are cached for the Runner's lifetime. Each sim.Machine is fully
 // self-contained and seeded, so results are deterministic regardless of the
 // worker count or completion order — the property the determinism tests
 // assert and every cross-configuration comparison in the figures relies on.
+//
+// A request the store does not hold may still not simulate: when an
+// earlier-registered member of its family (Request.family) that this runner
+// simulated proves the two runs identical (proves), the request is derived
+// — answered with that run's result, stored under its own key, and counted
+// in RunStats.Derived instead of SimRuns.
 
 // moduleKey identifies one built + classified module. Modules are shared
 // across runs that differ only in HTM/hint configuration; after classify
@@ -45,6 +51,12 @@ type flight[T any] struct {
 	err  error
 }
 
+// member is one registered request of a family, in registration order.
+type member struct {
+	req Request
+	f   *flight[cell]
+}
+
 // acquire takes one worker-pool slot, honouring cancellation while queued.
 func (r *Runner) acquire(ctx context.Context) (release func(), err error) {
 	select {
@@ -55,38 +67,71 @@ func (r *Runner) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// cell is one request's memoized output: the run's result and, for a
-// profiled request (see Request.profiled), the sharing profiler's report.
+// cell is one request's memoized output: the run's result, for a profiled
+// request (see Request.profiled) the sharing profiler's report, and, for a
+// run this runner simulated or derived, the facts that prove which family
+// members it answers (nil for a store recall, which never answers another).
 type cell struct {
-	res  *sim.Result
-	prof *profile.Report
+	res   *sim.Result
+	prof  *profile.Report
+	facts *sim.Facts
 }
 
-// Run executes (or joins, or recalls) the simulation for req and returns
-// its cached result. Identical Requests — from any goroutine, any figure —
-// share one underlying run.
-func (r *Runner) Run(ctx context.Context, req Request) (*sim.Result, error) {
-	req = r.resolve(req)
-	r.mu.Lock()
+// register returns the flight of the resolved request req and whether the
+// caller created it, and so must fly it. A created flight joins req's
+// family last. The caller holds r.mu.
+func (r *Runner) register(req Request) (*flight[cell], bool) {
 	if f, ok := r.runs[req]; ok {
-		r.mu.Unlock()
-		select {
-		case <-f.done:
-			return f.val.res, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		return f, false
 	}
 	f := &flight[cell]{done: make(chan struct{})}
 	r.runs[req] = f
-	r.mu.Unlock()
+	fam := req.family()
+	r.fams[fam] = append(r.fams[fam], member{req, f})
+	return f, true
+}
 
+// await flies f when the caller owns it, or waits for it otherwise, and
+// returns its result.
+func (r *Runner) await(ctx context.Context, req Request, f *flight[cell], own bool) (*sim.Result, error) {
+	if own {
+		r.fly(ctx, req, f)
+		return f.val.res, f.err
+	}
+	select {
+	case <-f.done:
+		return f.val.res, f.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// Run executes (or joins, or recalls, or derives) the simulation for req
+// and returns its cached result. Identical Requests — from any goroutine,
+// any figure — share one underlying run.
+func (r *Runner) Run(ctx context.Context, req Request) (*sim.Result, error) {
+	req = r.resolve(req)
+	r.mu.Lock()
+	f, own := r.register(req)
+	r.mu.Unlock()
+	return r.await(ctx, req, f, own)
+}
+
+// fly produces the owned flight f of req and closes it.
+func (r *Runner) fly(ctx context.Context, req Request, f *flight[cell]) {
 	// Store hook: a warm entry answers without simulating (and without a
 	// worker slot); a cold run is persisted the moment it completes, so the
-	// next process — or the next figure regeneration — recalls it.
+	// next process — or the next figure regeneration — recalls it. A
+	// derived cell is persisted like a simulated one.
 	if c, ok := r.storeGet(req); ok {
 		r.storeHits.Add(1)
 		f.val = c
+	} else if c, ok, err := r.derive(ctx, req, f); err != nil {
+		f.err = err
+	} else if ok {
+		r.derived.Add(1)
+		f.val = c
+		r.storePut(req, c)
 	} else {
 		f.val, f.err = r.execute(ctx, req)
 		if f.err == nil {
@@ -106,25 +151,66 @@ func (r *Runner) Run(ctx context.Context, req Request) (*sim.Result, error) {
 		}
 	}
 	close(f.done)
-	return f.val.res, f.err
+}
+
+// derive answers req from the first earlier-registered member of its
+// family whose run proves it (see proves), waiting — without a worker slot
+// — on members still in flight. Requests only wait on earlier ones, so
+// waits cannot cycle. A member that failed, was recalled from the store or
+// ran under another context's cancellation answers nothing. A profiled
+// request is never derived (its run carries the sharing profiler), nor is
+// any request of a traced runner (each traced run writes its own trace and
+// autopsy). A derived cell carries its source's facts.
+func (r *Runner) derive(ctx context.Context, req Request, self *flight[cell]) (cell, bool, error) {
+	if r.opts.TraceDir != "" || req.profiled() {
+		return cell{}, false, nil
+	}
+	r.mu.Lock()
+	fam := r.fams[req.family()]
+	r.mu.Unlock()
+	for _, m := range fam {
+		if m.f == self {
+			break
+		}
+		select {
+		case <-m.f.done:
+		case <-ctx.Done():
+			return cell{}, false, ctx.Err()
+		}
+		if src := m.f.val; m.f.err == nil && src.facts != nil && proves(m.req, req, src.res, *src.facts) {
+			return cell{res: src.res, facts: src.facts}, true, nil
+		}
+	}
+	return cell{}, false, nil
 }
 
 // RunAll submits the whole grid at once and waits for every request. The
-// returned slice is index-aligned with reqs (duplicates resolve to the same
-// *sim.Result). Failures degrade, not abort: every other request still runs
-// to completion, failed slots stay nil, and the returned error joins one
-// RequestError per distinct failure — so callers both get the partial
-// results and learn exactly which requests died.
+// requests register in slice order before any runs, so a request is only
+// ever derived from one listed before it (figure builders list sources
+// first). The returned slice is index-aligned with reqs (duplicates resolve
+// to the same *sim.Result). Failures degrade, not abort: every other
+// request still runs to completion, failed slots stay nil, and the returned
+// error joins one RequestError per distinct failure — so callers both get
+// the partial results and learn exactly which requests died.
 func (r *Runner) RunAll(ctx context.Context, reqs []Request) ([]*sim.Result, error) {
 	out := make([]*sim.Result, len(reqs))
 	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
+	resolved := make([]Request, len(reqs))
+	flights := make([]*flight[cell], len(reqs))
+	own := make([]bool, len(reqs))
+	r.mu.Lock()
 	for i, req := range reqs {
+		resolved[i] = r.resolve(req)
+		flights[i], own[i] = r.register(resolved[i])
+	}
+	r.mu.Unlock()
+	var wg sync.WaitGroup
+	for i := range reqs {
 		wg.Add(1)
-		go func(i int, req Request) {
+		go func(i int) {
 			defer wg.Done()
-			out[i], errs[i] = r.Run(ctx, req)
-		}(i, req)
+			out[i], errs[i] = r.await(ctx, resolved[i], flights[i], own[i])
+		}(i)
 	}
 	wg.Wait()
 	return out, joinErrors(errs)
@@ -217,6 +303,10 @@ func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 	c.res, err = m.Run(ctx)
 	if c.res != nil {
 		r.simCycles.Add(uint64(c.res.Cycles))
+	}
+	if err == nil {
+		facts := m.Facts()
+		c.facts = &facts
 	}
 	if prof != nil && err == nil {
 		rep := prof.Report()

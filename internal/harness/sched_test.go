@@ -203,13 +203,13 @@ func TestZeroSeedIsRunnerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0] != res[1] || r.SimRuns() != 1 {
-		t.Fatalf("zero and explicit runner seed: %d sims, shared result %v; want 1, true", r.SimRuns(), res[0] == res[1])
+	if st := r.Stats(); res[0] != res[1] || st.SimRuns != 1 || st.Derived != 0 {
+		t.Fatalf("zero and explicit runner seed: %+v, shared result %v; want 1 sim, true", st, res[0] == res[1])
 	}
 	other := explicit
 	other.Seed = opts.Seed + 1
-	if res2, err := r.Run(ctx, other); err != nil || res2 == res[0] || r.SimRuns() != 2 {
-		t.Fatalf("another seed: err %v, shared result %v, %d sims; want a second run", err, res2 == res[0], r.SimRuns())
+	if res2, err := r.Run(ctx, other); err != nil || res2 == res[0] || r.SimRuns() != 2 || r.Stats().Derived != 0 {
+		t.Fatalf("another seed: err %v, shared result %v, %+v; want a second run", err, res2 == res[0], r.Stats())
 	}
 }
 
@@ -276,8 +276,8 @@ func storeLines(t *testing.T, st *store.Store) []string {
 
 // TestPrefixTwinGrid is the grid-level byte-identity pin for the parallel
 // scheduler: the twin grid run with one worker and with two must persist
-// exactly the same store keys and result payloads, simulating each distinct
-// request once and sharing no warm-up prefix. Run under -race by the
+// exactly the same store keys and result payloads, simulating or deriving
+// each distinct request once and sharing no warm-up prefix. Run under -race by the
 // Makefile's race target.
 func TestPrefixTwinGrid(t *testing.T) {
 	if testing.Short() {
@@ -297,8 +297,8 @@ func TestPrefixTwinGrid(t *testing.T) {
 		if _, err := r.RunAll(context.Background(), reqs); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if st := r.Stats(); st.SimRuns != uint64(len(reqs)) || st.PrefixRuns != 0 || st.ForkedRuns != 0 {
-			t.Fatalf("workers=%d: %+v, want %d cold sims", workers, st, len(reqs))
+		if st := r.Stats(); st.SimRuns != 60 || st.Derived != 28 || st.PrefixRuns != 0 || st.ForkedRuns != 0 {
+			t.Fatalf("workers=%d: %+v, want 60 cold sims and 28 derived cells of %d", workers, st, len(reqs))
 		}
 		return storeLines(t, st)
 	}
@@ -335,7 +335,7 @@ func TestProfiledMatchesUnprofiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := paired.Stats().Sub(before); d.SimRuns != 2 || d.ForkedRuns != 0 {
+		if d := paired.Stats().Sub(before); d.SimRuns != 2 || d.Derived != 0 || d.ForkedRuns != 0 {
 			t.Fatalf("%s: Fig. 1 pair: %+v, want 2 cold sims", spec.Name, d)
 		}
 		loneRes, err := lone.Run(ctx, inf)
@@ -384,13 +384,15 @@ func TestSingleRunNeverSharesPrefix(t *testing.T) {
 	if st.PrefixRuns != 0 || st.ForkedRuns != 0 {
 		t.Fatalf("lone Run shared a prefix: %+v", st)
 	}
-	if st.SimRuns != 1 || st.ColdRuns() != 1 {
+	if st.SimRuns != 1 || st.Derived != 0 || st.ColdRuns() != 1 {
 		t.Fatalf("lone Run accounting: %+v", st)
 	}
 }
 
 // Re-submitting a completed grid must do no new work: every request is
-// already satisfied, so nothing is simulated or planned.
+// already satisfied, so nothing is simulated, derived or planned. Of the
+// grid's 8 requests, 3 are derived: labyrinth's hinted transactions fit the
+// P8 buffer, so each hinted InfCap cell repeats its P8 twin's run.
 func TestPrefixPlanningSkipsSatisfiedRequests(t *testing.T) {
 	r := NewRunner(QuickOptions())
 	ctx := context.Background()
@@ -399,8 +401,8 @@ func TestPrefixPlanningSkipsSatisfiedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := r.Stats()
-	if first.SimRuns != uint64(len(grid)) {
-		t.Fatalf("first submission: %+v, want %d sims", first, len(grid))
+	if first.SimRuns != 5 || first.Derived != 3 {
+		t.Fatalf("first submission: %+v, want 5 sims and 3 derived cells", first)
 	}
 	if _, err := r.RunAll(ctx, grid); err != nil {
 		t.Fatal(err)
@@ -423,8 +425,8 @@ func TestPrefixSharingDisabledPaths(t *testing.T) {
 	if st.PrefixRuns != 0 || st.ForkedRuns != 0 || st.ForkSeconds != 0 || st.SharedCycles != 0 {
 		t.Fatalf("grid runner shared: %+v", st)
 	}
-	if st.SimRuns != 8 || st.ColdRuns() != st.SimRuns {
-		t.Fatalf("cold grid: %+v, want 8 cold sims", st)
+	if st.SimRuns != 5 || st.Derived != 3 || st.ColdRuns() != st.SimRuns {
+		t.Fatalf("cold grid: %+v, want 5 cold sims and 3 derived cells", st)
 	}
 
 	fig := quick("labyrinth")
@@ -437,14 +439,16 @@ func TestPrefixSharingDisabledPaths(t *testing.T) {
 }
 
 // TestFig1SimulatesOnlyItsCells: a cold Fig. 1 runs exactly its P8 and
-// InfCap cells; the sharing reports cost no separate run.
+// InfCap cells; the sharing reports cost no separate run. kmeans's
+// transactions fit the P8 buffer, so its P8 cell is derived from the
+// profiled InfCap run.
 func TestFig1SimulatesOnlyItsCells(t *testing.T) {
 	r := quick("labyrinth", "kmeans")
 	if _, err := r.Fig1(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := r.Stats(); st.SimRuns != 4 {
-		t.Fatalf("Fig. 1 over 2 apps: %+v, want 4 simulations", st)
+	if st := r.Stats(); st.SimRuns != 3 || st.Derived != 1 {
+		t.Fatalf("Fig. 1 over 2 apps: %+v, want 3 simulations and 1 derived cell", st)
 	}
 }
 

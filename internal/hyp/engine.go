@@ -54,7 +54,10 @@ type Evaluation struct {
 	// SimRuns counts the simulator invocations this Run added to the
 	// engine's Runner — 0 on a fully warm store (the property the check
 	// workflow asserts), and 0 for a cell an earlier spec already ran.
+	// Derived counts the cells this Run answered with an equivalent run of
+	// another cell instead of simulating (see harness.RunStats.Derived).
 	SimRuns uint64
+	Derived uint64
 	// Outcome is the judge's verdict over the measured grid.
 	Outcome Outcome
 }
@@ -118,9 +121,10 @@ func (g *Engine) Run(ctx context.Context, spec *Spec) (*Evaluation, error) {
 		}
 	}
 	g.once.Do(func() { g.runner = harness.NewRunner(g.Opts) })
-	before := g.runner.SimRuns()
+	before := g.runner.Stats()
 	res, err := g.runner.RunAll(ctx, reqs)
-	e := &Evaluation{Spec: spec, Scale: g.Opts.Scale, SimRuns: g.runner.SimRuns() - before}
+	d := g.runner.Stats().Sub(before)
+	e := &Evaluation{Spec: spec, Scale: g.Opts.Scale, SimRuns: d.SimRuns, Derived: d.Derived}
 	e.Cells = make([][]Cell, len(spec.Levels))
 	for l, level := range spec.Levels {
 		e.Cells[l] = make([]Cell, n)

@@ -47,9 +47,11 @@ func TestEngineGridShapeAndDeterminism(t *testing.T) {
 	if len(e1.Cells) != 2 || len(e1.Cells[0]) != 2 {
 		t.Fatalf("grid shape: %d levels × %d seeds", len(e1.Cells), len(e1.Cells[0]))
 	}
-	// Cold grid: every distinct (level, seed) cell simulates exactly once.
-	if e1.SimRuns != 4 {
-		t.Errorf("cold SimRuns = %d, want 4", e1.SimRuns)
+	// Cold grid: every distinct (level, seed) cell simulates exactly once;
+	// an InfCap baseline cell is Fig. 1's profiled cell, which is never
+	// derived.
+	if e1.SimRuns != 4 || e1.Derived != 0 {
+		t.Errorf("cold SimRuns = %d, Derived = %d, want 4 and 0", e1.SimRuns, e1.Derived)
 	}
 	for l, cells := range e1.Cells {
 		for s, c := range cells {
@@ -78,8 +80,8 @@ func TestEngineGridShapeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e2.SimRuns != 0 {
-		t.Errorf("warm SimRuns = %d, want 0", e2.SimRuns)
+	if e2.SimRuns != 0 || e2.Derived != 0 {
+		t.Errorf("warm SimRuns = %d, Derived = %d, want 0 and 0", e2.SimRuns, e2.Derived)
 	}
 	if !bytes.Equal(Render(e1), Render(e2)) {
 		t.Error("warm rerun rendered different findings bytes")
@@ -87,7 +89,9 @@ func TestEngineGridShapeAndDeterminism(t *testing.T) {
 }
 
 // TestEngineSharesCellsAcrossSpecs: two specs with the same control cell,
-// run through one engine with no store, simulate that cell once.
+// run through one engine with no store, simulate that cell once. The second
+// spec's P8S cell repeats that control run: ssca2's transactions fit the
+// P8 buffer, so a P8S buffer of the same size never spills.
 func TestEngineSharesCellsAcrossSpecs(t *testing.T) {
 	ctx := context.Background()
 	g := &Engine{Opts: harness.QuickOptions()}
@@ -104,8 +108,9 @@ func TestEngineSharesCellsAcrossSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ea.SimRuns != 4 || eb.SimRuns != 1 {
-		t.Errorf("SimRuns = %d then %d, want 4 then 1 (the shared control cell runs once)", ea.SimRuns, eb.SimRuns)
+	if ea.SimRuns != 4 || ea.Derived != 0 || eb.SimRuns != 0 || eb.Derived != 1 {
+		t.Errorf("SimRuns = %d then %d, Derived = %d then %d, want 4 then 0 and 0 then 1 (the shared control cell runs once)",
+			ea.SimRuns, eb.SimRuns, ea.Derived, eb.Derived)
 	}
 	if eb.Cells[0][0].Result != ea.Cells[0][0].Result {
 		t.Error("the shared control cell was not one result")

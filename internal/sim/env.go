@@ -79,7 +79,12 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 	safe := useStatic || useDyn
 
 	// 2. Access-class accounting (paper Fig. 5), transactional accesses only.
+	// A static-safe instruction counts toward the run's StaticHintUses under
+	// every hint mode: this branch is the only place the static hint acts.
 	if c.txActive || t.Fallback {
+		if staticSafe {
+			m.facts.StaticHintUses++
+		}
 		switch {
 		case useStatic:
 			m.res.StaticSafeAccesses++
@@ -291,7 +296,9 @@ func (m *Machine) TxEnd(t *interp.Thread) interp.Ctrl {
 		}
 		return interp.CtrlOK
 	}
-	m.res.TxFootprints.Add(c.ctrl.FootprintBlocks())
+	tracked := c.ctrl.FootprintBlocks()
+	m.res.TxFootprints.Add(tracked)
+	m.facts.MaxTracked = max(m.facts.MaxTracked, tracked)
 	// Commit spans are captured before Commit() resets the tracker.
 	var span obs.TxAttempt
 	if m.tracer != nil {
@@ -300,7 +307,7 @@ func (m *Machine) TxEnd(t *interp.Thread) interp.Ctrl {
 			Outcome:     obs.OutcomeCommit,
 			ReadSet:     c.ctrl.ReadSetSize(),
 			WriteSet:    c.ctrl.WriteSetSize(),
-			Tracked:     c.ctrl.FootprintBlocks(),
+			Tracked:     tracked,
 			SafeSkipped: len(c.intro.skipped),
 		}
 	}

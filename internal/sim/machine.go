@@ -134,6 +134,7 @@ type Machine struct {
 
 	fallbackHolder *hwContext
 	res            *Result
+	facts          Facts
 	profiler       Profiler
 	// stepCap is Run's effective MaxSteps; stepWorkers consults it so that
 	// batched stepping stops exactly where the single-step loop would.
@@ -213,6 +214,9 @@ func (m *Machine) SetProfiler(p Profiler) { m.profiler = p }
 func (m *Machine) ReadGlobal(name string, wordIdx int64) int64 {
 	return m.memory.ReadWord(m.prog.GlobalAddr(name) + mem.Addr(wordIdx*mem.WordSize))
 }
+
+// Facts returns the run's facts (see Facts); read them after Run.
+func (m *Machine) Facts() Facts { return m.facts }
 
 // Release recycles the machine's pooled resources (currently the cache tag
 // backings). The machine must not be used afterwards. Optional but worthwhile
@@ -653,6 +657,7 @@ func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
 			}
 		}
 	}
+	m.facts.MaxTracked = max(m.facts.MaxTracked, c.ctrl.FootprintBlocks())
 	undo := c.ctrl.Abort()
 	c.txActive = false
 	for _, e := range undo {

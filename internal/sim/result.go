@@ -93,3 +93,19 @@ func (r *Result) String() string {
 	}
 	return sb.String()
 }
+
+// Facts are two properties of a run that the Machine keeps outside Result,
+// so no stored byte depends on them. They prove when another configuration
+// would execute the very same run (the harness's derived cells, DESIGN.md
+// §9): with no static-safe access inside a transaction, the static hint
+// changes nothing; with no attempt tracking more blocks than a buffer
+// holds, that buffer never binds.
+type Facts struct {
+	// StaticHintUses counts accesses by statically safe instructions
+	// executed in a transaction or under the fallback lock, whether or not
+	// the hint mode honours the static hint.
+	StaticHintUses uint64
+	// MaxTracked is the most distinct blocks any transaction attempt
+	// tracked, read when the attempt committed or aborted.
+	MaxTracked int
+}
