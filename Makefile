@@ -22,13 +22,14 @@ vet:
 
 # race runs the concurrency-sensitive packages under the race detector; the
 # harness determinism tests double as the parallel-scheduler correctness
-# suite. The worker-count twin grid
+# suite, and the store's tests put from many Store values at once. The
+# worker-count twin grid
 # and the seed-grid golden make the harness package heavy under -race, so
 # the per-package timeout is raised: concurrent packages on a starved
 # single-CPU runner must wait it out, not flake.
 race:
 	$(GO) test -race -timeout 1800s ./internal/harness/... ./internal/sim/... \
-		./internal/cli/... ./internal/hyp/...
+		./internal/cli/... ./internal/hyp/... ./internal/store/...
 
 # fuzz-short gives the four fuzzers — classifier soundness, the TIR
 # parse→print→parse round trip, store-object decoding and the cache's LRU
@@ -92,9 +93,10 @@ parity:
 	./scripts/parity.sh $(REV)
 
 # hyp-smoke re-verifies the committed hypothesis catalogue: a cold
-# `hintm-exp check` (every FINDINGS.md must regenerate byte-identical),
-# then a warm check with -assert-warm (every cell must be a store recall —
-# zero simulations).
+# `hintm-exp check` as two concurrent processes over disjoint halves of the
+# catalogue sharing one store (every FINDINGS.md must regenerate
+# byte-identical), then a warm check with -assert-warm (every cell must be
+# a store recall — zero simulations, zero derived).
 hyp-smoke:
 	./scripts/hyp-smoke.sh
 

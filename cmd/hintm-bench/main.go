@@ -17,6 +17,8 @@
 //	-watchdog N                 livelock watchdog: fail a run after N cycles without progress
 //	-max-cycles N               hard cap on each run's simulated cycles
 //	-trace-dir DIR              write per-run Chrome traces + abort autopsies into DIR
+//	-sample-cycles N            counter-sample period for traced runs
+//	                            (default 10000, 0 = off)
 //	-results FILE               write machine-readable headline metrics ("all" target;
 //	                            default BENCH_results.json, "" disables)
 //	-store DIR                  recall/persist every run in a content-addressed
@@ -164,7 +166,7 @@ func runBenchDiff(basePath, curPath string, o harness.DiffOptions) error {
 	if err != nil {
 		return err
 	}
-	regressions := harness.DiffBenchResultsOpts(base, cur, o)
+	regressions := harness.DiffBenchResults(base, cur, o)
 	if len(regressions) == 0 {
 		fmt.Printf("benchdiff: %s vs %s: no regressions beyond %.1f%% tolerance\n",
 			basePath, curPath, o.Tolerance*100)

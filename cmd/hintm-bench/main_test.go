@@ -73,9 +73,10 @@ func TestUnknownWorkloadRunsNoSimulation(t *testing.T) {
 	}
 }
 
-// TestNegativeTimeoutIsUsageError: a negative -timeout is a usage error
-// (exit 2) before the store opens or anything runs, not "no timeout". The
-// command runs in a child process, since the flag package exits it.
+// TestNegativeTimeoutIsUsageError: a negative -timeout, and a negative
+// count, is a usage error (exit 2) before the store opens or anything
+// runs, not "no timeout". The command runs in a child process, since the
+// flag package exits it.
 func TestNegativeTimeoutIsUsageError(t *testing.T) {
 	if args := os.Getenv("HINTM_BENCH_ARGS"); args != "" {
 		if err := run(strings.Fields(args), os.Stdout); err != nil {
@@ -83,23 +84,32 @@ func TestNegativeTimeoutIsUsageError(t *testing.T) {
 		}
 		return
 	}
-	dir := filepath.Join(t.TempDir(), "store")
-	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTimeoutIsUsageError$")
-	cmd.Env = append(os.Environ(), "HINTM_BENCH_ARGS=-scale small -workloads kmeans -results= -timeout -1s -store "+dir+" fig4")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("hintm-bench -timeout -1s: err = %v, want exit status 2\nstdout:\n%s", err, stdout.String())
-	}
-	if !strings.Contains(stderr.String(), "-timeout: must not be negative") {
-		t.Errorf("stderr does not name the -timeout usage error:\n%s", stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("printed before failing:\n%s", stdout.String())
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Errorf("store directory exists (%v): -timeout was checked after the store opened", err)
+	for _, c := range []struct{ flag, args string }{
+		{"-timeout", "-timeout -1s"},
+		{"-workers", "-workers -3"},
+		{"-watchdog", "-watchdog -5"},
+		{"-max-cycles", "-max-cycles -5"},
+		{"-sample-cycles", "-sample-cycles -5"},
+	} {
+		dir := filepath.Join(t.TempDir(), "store")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTimeoutIsUsageError$")
+		cmd.Env = append(os.Environ(), "HINTM_BENCH_ARGS=-scale small -workloads kmeans -results= "+c.args+" -store "+dir+" fig4")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("hintm-bench %s: err = %v, want exit status 2\nstdout:\n%s", c.args, err, stdout.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), c.flag+": must not be negative") {
+			t.Errorf("stderr does not name the %s usage error:\n%s", c.flag, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: printed before failing:\n%s", c.args, stdout.String())
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: store directory exists (%v): the flag was checked after the store opened", c.args, err)
+		}
 	}
 }

@@ -66,7 +66,7 @@ func run(args []string, w io.Writer) error {
 	scaleFlag := fs.String("scale", "small", "input scale for every grid cell: small|medium|large")
 	dir := fs.String("dir", "hypotheses", "hypotheses tree root holding <name>/FINDINGS.md")
 	storeDir := cli.RegisterStore(fs)
-	workers := fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	workers := cli.RegisterCount(fs, "workers", 0, "run at most `N` simulations at once (0 = GOMAXPROCS)")
 	timeout := cli.RegisterTimeout(fs, "the whole run")
 	assertWarm := fs.Bool("assert-warm", false, "exit non-zero if any cell simulated or was derived instead of recalling from the store")
 	fs.Parse(args)
@@ -91,7 +91,7 @@ func run(args []string, w io.Writer) error {
 		return nil
 	}
 
-	eng, err := newEngine(*scaleFlag, *storeDir, *workers)
+	eng, err := newEngine(*scaleFlag, *storeDir, int(*workers))
 	if err != nil {
 		return err
 	}
@@ -176,9 +176,6 @@ func newEngine(scale, storeDir string, workers int) (*hyp.Engine, error) {
 	var err error
 	if opts.Scale, err = workloads.ParseScale(scale); err != nil {
 		return nil, err
-	}
-	if workers < 0 {
-		return nil, fmt.Errorf("-workers %d: must not be negative", workers)
 	}
 	opts.Workers = workers
 	if opts.Store, err = cli.OpenStore(storeDir); err != nil {

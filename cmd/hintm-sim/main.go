@@ -25,6 +25,7 @@
 //	-trace-out FILE            write a Chrome trace-event JSON (ui.perfetto.dev)
 //	-autopsy                   print the capacity-abort autopsy after the run
 //	-sample-cycles N           counter-sample period for traced runs
+//	                           (default 10000, 0 = off)
 //	-cpuprofile/-memprofile    write Go pprof profiles of the simulator itself
 //
 // A watchdog trip prints a per-core diagnostic snapshot (thread positions,
@@ -61,7 +62,7 @@ func main() {
 	noClassify := flag.Bool("no-classify", false, "skip the static classification pass")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
 	autopsy := flag.Bool("autopsy", false, "print the capacity-abort autopsy report after the run")
-	sampleCycles := flag.Int64("sample-cycles", 10000, "counter-sample period in cycles for traced runs (0 = off)")
+	sampleCycles := cli.RegisterSampleCycles(flag.CommandLine)
 	profiles := cli.RegisterProfiles(flag.CommandLine, "hintm-sim", "simulator")
 	flag.Parse()
 

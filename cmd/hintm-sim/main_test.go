@@ -102,28 +102,37 @@ func TestProgramSizesMachine(t *testing.T) {
 	}
 }
 
-// TestNegativeTimeoutIsUsageError: a negative -timeout is a usage error
-// (exit 2) before anything runs, not "no timeout". The command runs in a
-// child process, since the flag package exits it.
+// TestNegativeTimeoutIsUsageError: a negative -timeout, and a negative
+// count, is a usage error (exit 2) before anything runs, not "no timeout"
+// or a simulator config error. The command runs in a child process, since
+// the flag package exits it.
 func TestNegativeTimeoutIsUsageError(t *testing.T) {
 	if args := os.Getenv("HINTM_SIM_ARGS"); args != "" {
 		os.Args = append([]string{"hintm-sim"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTimeoutIsUsageError$")
-	cmd.Env = append(os.Environ(), "HINTM_SIM_ARGS=-scale small -timeout -1s kmeans")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("hintm-sim -timeout -1s: err = %v, want exit status 2\nstdout:\n%s", err, stdout.String())
-	}
-	if !strings.Contains(stderr.String(), "-timeout: must not be negative") {
-		t.Errorf("stderr does not name the -timeout usage error:\n%s", stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("printed before failing:\n%s", stdout.String())
+	for _, c := range []struct{ flag, args string }{
+		{"-timeout", "-timeout -1s"},
+		{"-watchdog", "-watchdog -5"},
+		{"-max-cycles", "-max-cycles -5"},
+		{"-sample-cycles", "-sample-cycles -5"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTimeoutIsUsageError$")
+		cmd.Env = append(os.Environ(), "HINTM_SIM_ARGS=-scale small "+c.args+" kmeans")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("hintm-sim %s: err = %v, want exit status 2\nstdout:\n%s", c.args, err, stdout.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), c.flag+": must not be negative") {
+			t.Errorf("stderr does not name the %s usage error:\n%s", c.flag, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: printed before failing:\n%s", c.args, stdout.String())
+		}
 	}
 }

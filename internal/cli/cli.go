@@ -19,6 +19,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -39,7 +40,7 @@ type HarnessFlags struct {
 	large        *string
 	workloads    *string
 	seed         *uint64
-	workers      *int
+	workers      *int64
 	faults       *string
 	watchdog     *int64
 	maxCycles    *int64
@@ -56,12 +57,12 @@ func RegisterHarness(fs *flag.FlagSet) *HarnessFlags {
 	h.large = fs.String("large", "large", "input scale for Fig 7/8: small|medium|large")
 	h.workloads = fs.String("workloads", "", "comma-separated workload subset")
 	h.seed = fs.Uint64("seed", 1, "simulation seed (part of every store key)")
-	h.workers = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	h.workers = RegisterCount(fs, "workers", 0, "run at most `N` simulations at once (0 = GOMAXPROCS)")
 	h.faults = fs.String("faults", "", `fault-injection plan, e.g. "spurious=0.01,spurious-window=8"`)
-	h.watchdog = fs.Int64("watchdog", 0, "fail a run after this many cycles without forward progress (0 = off)")
-	h.maxCycles = fs.Int64("max-cycles", 0, "hard cap on each run's simulated cycles (0 = none)")
+	h.watchdog = RegisterCount(fs, "watchdog", 0, "fail a run after `N` cycles without forward progress (0 = off)")
+	h.maxCycles = RegisterCount(fs, "max-cycles", 0, "hard cap of `N` simulated cycles on each run (0 = none)")
 	h.traceDir = fs.String("trace-dir", "", "write per-run Chrome traces and abort autopsies into this directory")
-	h.sampleCycles = fs.Int64("sample-cycles", 0, "counter-sample period for traced runs (0 = 10000-cycle default)")
+	h.sampleCycles = RegisterSampleCycles(fs)
 	return h
 }
 
@@ -86,20 +87,7 @@ func (h *HarnessFlags) Options() (harness.Options, error) {
 		}
 	}
 	opts.Seed = *h.seed
-	// Negative counts are usage errors here, before any run: the simulator
-	// would reject each request's config and fail every cell instead.
-	for _, n := range []struct {
-		flag string
-		v    int64
-	}{
-		{"workers", int64(*h.workers)}, {"watchdog", *h.watchdog},
-		{"max-cycles", *h.maxCycles}, {"sample-cycles", *h.sampleCycles},
-	} {
-		if n.v < 0 {
-			return opts, fmt.Errorf("-%s %d: must not be negative", n.flag, n.v)
-		}
-	}
-	opts.Workers = *h.workers
+	opts.Workers = int(*h.workers)
 	if opts.Faults, err = fault.ParsePlan(*h.faults); err != nil {
 		return opts, err
 	}
@@ -137,8 +125,8 @@ func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	f.seed = fs.Uint64("seed", 1, "simulation seed")
 	f.sigBits = fs.Uint64("sig-bits", 0, "P8S read-signature size in bits (0 = config default, 1024)")
 	f.faults = fs.String("faults", "", `fault-injection plan, e.g. "spurious=0.01,spurious-window=8"`)
-	f.watchdog = fs.Int64("watchdog", 0, "fail after this many cycles without forward progress (0 = off)")
-	f.maxCycles = fs.Int64("max-cycles", 0, "hard cap on simulated cycles (0 = none)")
+	f.watchdog = RegisterCount(fs, "watchdog", 0, "fail after `N` cycles without forward progress (0 = off)")
+	f.maxCycles = RegisterCount(fs, "max-cycles", 0, "hard cap of `N` simulated cycles (0 = none)")
 	return f
 }
 
@@ -169,6 +157,41 @@ func (f *SimFlags) Config() (sim.Config, error) {
 // Scale parses the -scale flag.
 func (f *SimFlags) Scale() (workloads.Scale, error) {
 	return workloads.ParseScale(*f.scale)
+}
+
+// ---- counts -------------------------------------------------------------
+
+// RegisterCount registers a non-negative integer flag on fs. A negative
+// value is rejected while fs parses, like a negative -timeout: with
+// flag.ExitOnError it exits 2 before any store opens or any run starts,
+// where the simulator would otherwise reject each run's config.
+func RegisterCount(fs *flag.FlagSet, name string, value int64, usage string) *int64 {
+	n := value
+	fs.Var((*countFlag)(&n), name, usage)
+	return &n
+}
+
+// RegisterSampleCycles registers -sample-cycles, the counter-sample period
+// of traced runs; 0 turns counter sampling off.
+func RegisterSampleCycles(fs *flag.FlagSet) *int64 {
+	return RegisterCount(fs, "sample-cycles", 10000, "sample counters every `N` cycles in traced runs (0 = off)")
+}
+
+// countFlag is a flag.Value for a non-negative int64.
+type countFlag int64
+
+func (c *countFlag) String() string { return strconv.FormatInt(int64(*c), 10) }
+
+func (c *countFlag) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, 64)
+	if err != nil {
+		return err
+	}
+	if n < 0 {
+		return fmt.Errorf("must not be negative")
+	}
+	*c = countFlag(n)
+	return nil
 }
 
 // ---- result store -------------------------------------------------------

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -110,20 +111,44 @@ func TestContextTimeout(t *testing.T) {
 	}
 }
 
+// TestHarnessFlagsRejectNegativeCounts: a negative count is rejected while
+// the flag set parses, in the harness and the simulator flag groups alike,
+// so a binary exits 2 before it opens a store or runs anything.
 func TestHarnessFlagsRejectNegativeCounts(t *testing.T) {
-	for _, args := range [][]string{
-		{"-workers", "-3"},
-		{"-watchdog", "-5"},
-		{"-max-cycles", "-5"},
-		{"-trace-dir", "traces", "-sample-cycles", "-1"},
+	harness := func(fs *flag.FlagSet) { RegisterHarness(fs) }
+	simulator := func(fs *flag.FlagSet) { RegisterSim(fs) }
+	for _, c := range []struct {
+		register func(*flag.FlagSet)
+		args     []string
+	}{
+		{harness, []string{"-workers", "-3"}},
+		{harness, []string{"-watchdog", "-5"}},
+		{harness, []string{"-max-cycles", "-5"}},
+		{harness, []string{"-trace-dir", "traces", "-sample-cycles", "-1"}},
+		{simulator, []string{"-watchdog", "-5"}},
+		{simulator, []string{"-max-cycles", "-5"}},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		c.register(fs)
+		name := c.args[len(c.args)-2]
+		if err := fs.Parse(c.args); err == nil || !strings.Contains(err.Error(), name+": must not be negative") {
+			t.Errorf("%v: err = %v, want a parse error naming %s", c.args, err, name)
+		}
+	}
+}
+
+// TestSampleCyclesDefault: -sample-cycles defaults to a 10000-cycle period
+// and 0 turns counter sampling off, in hintm-bench as in hintm-sim.
+func TestSampleCyclesDefault(t *testing.T) {
+	for args, want := range map[string]int64{"": 10000, "-sample-cycles 0": 0, "-sample-cycles 500": 500} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		h := RegisterHarness(fs)
-		if err := fs.Parse(args); err != nil {
+		if err := fs.Parse(strings.Fields(args)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Options(); err == nil || !strings.Contains(err.Error(), args[len(args)-2]) {
-			t.Errorf("%v: err = %v, want a usage error naming %s", args, err, args[len(args)-2])
+		if opts, err := h.Options(); err != nil || opts.SampleCycles != want {
+			t.Errorf("%q: SampleCycles = %d (%v), want %d", args, opts.SampleCycles, err, want)
 		}
 	}
 }

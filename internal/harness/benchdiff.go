@@ -31,7 +31,7 @@ func wallTolerance(tolerance float64) float64 {
 // scheduler jitter, not performance.
 const DefaultMinWallSeconds = 0.05
 
-// DiffOptions tunes DiffBenchResultsOpts.
+// DiffOptions tunes DiffBenchResults.
 type DiffOptions struct {
 	// Tolerance is the relative gate on the deterministic headline metrics:
 	// a higher-is-better metric regresses when cur < base*(1-Tolerance); a
@@ -81,15 +81,9 @@ var drifting = []struct {
 	{"meanFracOverP8Full", func(h *FigureHeadline) float64 { return h.MeanFracOverP8Full }},
 }
 
-// DiffBenchResults compares cur against base with default options; see
-// DiffBenchResultsOpts.
-func DiffBenchResults(base, cur *BenchResults, tolerance float64) []string {
-	return DiffBenchResultsOpts(base, cur, DiffOptions{Tolerance: tolerance})
-}
-
-// DiffBenchResultsOpts compares cur against base and returns one line per
+// DiffBenchResults compares cur against base and returns one line per
 // regression (empty = clean).
-func DiffBenchResultsOpts(base, cur *BenchResults, o DiffOptions) []string {
+func DiffBenchResults(base, cur *BenchResults, o DiffOptions) []string {
 	tolerance := o.Tolerance
 	minWall := o.MinWallSeconds
 	if minWall <= 0 {

@@ -55,8 +55,8 @@ type Options struct {
 	// leaves a Chrome trace-event JSON file and an abort-autopsy text report
 	// named after the request.
 	TraceDir string
-	// SampleCycles is the counter-sample period for traced runs
-	// (0 = a 10000-cycle default; only meaningful with TraceDir set).
+	// SampleCycles is the counter-sample period for traced runs (0 = no
+	// counter samples; only meaningful with TraceDir set).
 	SampleCycles int64
 	// Store, when non-nil, is the content-addressed result store the
 	// scheduler consults before simulating and persists into afterwards:
@@ -142,10 +142,6 @@ func (s RunStats) Sub(o RunStats) RunStats {
 func (r *Runner) Stats() RunStats {
 	return RunStats{SimRuns: r.execs.Load(), StoreHits: r.storeHits.Load(), Derived: r.derived.Load()}
 }
-
-// SimRuns reports how many simulator invocations the runner has performed
-// (memoized recalls, store hits and derived cells do not count).
-func (r *Runner) SimRuns() uint64 { return r.execs.Load() }
 
 // NewRunner returns a runner for the given options.
 func NewRunner(opts Options) *Runner {

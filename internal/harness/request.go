@@ -57,10 +57,6 @@ type Request struct {
 	Faults fault.Plan
 }
 
-// Result is the statistics bundle one simulation produces. It aliases
-// sim.Result so harness callers can stay within this package's vocabulary.
-type Result = sim.Result
-
 // normalize maps the zero SMT value to 1 so that Request{..., SMT: 0} and
 // the equivalent explicit single-threaded request share one cache slot.
 func (q Request) normalize() Request {

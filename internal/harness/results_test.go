@@ -106,7 +106,7 @@ func baseSummary() *BenchResults {
 }
 
 func TestDiffBenchResultsCleanOnIdentical(t *testing.T) {
-	if regs := DiffBenchResults(baseSummary(), baseSummary(), 0.05); len(regs) != 0 {
+	if regs := DiffBenchResults(baseSummary(), baseSummary(), DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
 		t.Errorf("identical summaries flagged: %v", regs)
 	}
 }
@@ -127,7 +127,7 @@ func TestDiffBenchResultsFlagsRegressions(t *testing.T) {
 	for _, tc := range cases {
 		cur := baseSummary()
 		tc.mutate(cur)
-		regs := DiffBenchResults(baseSummary(), cur, 0.05)
+		regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05})
 		if len(regs) == 0 || !strings.Contains(strings.Join(regs, "\n"), tc.want) {
 			t.Errorf("%s: regressions = %v, want mention of %q", tc.name, regs, tc.want)
 		}
@@ -139,7 +139,7 @@ func TestDiffBenchResultsFlagsRegressions(t *testing.T) {
 	for _, v := range []float64{0.30, 0.10} {
 		cur := baseSummary()
 		cur.Figures["fig4"].MeanCapacityTime = v
-		regs := DiffBenchResults(base, cur, 0.05)
+		regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05})
 		if !strings.Contains(strings.Join(regs, "\n"), "drifted") {
 			t.Errorf("capacity-time %v -> %v not flagged: %v", 0.20, v, regs)
 		}
@@ -149,15 +149,15 @@ func TestDiffBenchResultsFlagsRegressions(t *testing.T) {
 func TestDiffBenchResultsRespectsTolerance(t *testing.T) {
 	cur := baseSummary()
 	cur.Figures["fig4"].GeomeanSpeedup = 1.5 * 0.97 // a 3% dip
-	if regs := DiffBenchResults(baseSummary(), cur, 0.05); len(regs) != 0 {
+	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
 		t.Errorf("3%% dip flagged at 5%% tolerance: %v", regs)
 	}
-	if regs := DiffBenchResults(baseSummary(), cur, 0.01); len(regs) == 0 {
+	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.01}); len(regs) == 0 {
 		t.Error("3% dip not flagged at 1% tolerance")
 	}
 	// An improvement is never a regression.
 	cur.Figures["fig4"].GeomeanSpeedup = 2.0
-	if regs := DiffBenchResults(baseSummary(), cur, 0.01); len(regs) != 0 {
+	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.01}); len(regs) != 0 {
 		t.Errorf("improvement flagged: %v", regs)
 	}
 }
@@ -169,20 +169,20 @@ func TestDiffBenchResultsFlagsWallTimeRegression(t *testing.T) {
 	// Within the wide wall gate (50% at default tolerance): clean.
 	cur := baseSummary()
 	cur.WallSeconds = 13
-	if regs := DiffBenchResults(base, cur, 0.05); len(regs) != 0 {
+	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
 		t.Errorf("sub-gate wall noise flagged: %v", regs)
 	}
 
 	// Beyond it: flagged.
 	cur.WallSeconds = 16
-	regs := strings.Join(DiffBenchResults(base, cur, 0.05), "\n")
+	regs := strings.Join(DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}), "\n")
 	if !strings.Contains(regs, "wallSeconds 10.00 -> 16.00") {
 		t.Errorf("whole-run wall regression not flagged: %v", regs)
 	}
 
 	// Wall improvements are never regressions.
 	cur.WallSeconds = 2
-	if regs := DiffBenchResults(base, cur, 0.05); len(regs) != 0 {
+	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
 		t.Errorf("wall improvement flagged: %v", regs)
 	}
 }
@@ -196,28 +196,22 @@ func TestDiffOptionsMinWallSeconds(t *testing.T) {
 	cur.WallSeconds = 10
 
 	// Default floor: a 0.02s baseline is noise, never gated.
-	if regs := DiffBenchResultsOpts(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
+	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
 		t.Errorf("sub-default-floor baseline gated: %v", regs)
 	}
 	// Lowered floor: the same move is now a real regression.
 	o := DiffOptions{Tolerance: 0.05, MinWallSeconds: 0.01}
-	if regs := DiffBenchResultsOpts(base, cur, o); len(regs) == 0 {
+	if regs := DiffBenchResults(base, cur, o); len(regs) == 0 {
 		t.Error("lowered floor did not gate a 500x wall regression")
 	}
 	// Raised floor: baselines under it are exempt even when the default
 	// would have gated them.
 	base.WallSeconds = 1
 	cur.WallSeconds = 100
-	if regs := DiffBenchResultsOpts(base, cur, DiffOptions{Tolerance: 0.05, MinWallSeconds: 5}); len(regs) != 0 {
+	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05, MinWallSeconds: 5}); len(regs) != 0 {
 		t.Errorf("raised floor still gated a 1s baseline: %v", regs)
 	}
-	if regs := DiffBenchResultsOpts(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) == 0 {
+	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) == 0 {
 		t.Error("default floor missed a 100x regression on a 1s baseline")
-	}
-
-	// The wrapper keeps the default floor.
-	base.WallSeconds, cur.WallSeconds = 0.02, 10
-	if regs := DiffBenchResults(base, cur, 0.05); len(regs) != 0 {
-		t.Errorf("DiffBenchResults changed its floor: %v", regs)
 	}
 }

@@ -335,9 +335,6 @@ func (r *Runner) attachTrace(cfg *sim.Config, req Request) (finish func(error) e
 	col := obs.NewCollector()
 	cfg.Tracer = obs.Multi(chrome, col)
 	cfg.SampleCycles = r.opts.SampleCycles
-	if cfg.SampleCycles == 0 {
-		cfg.SampleCycles = 10000
-	}
 	return func(runErr error) error {
 		errs := []error{runErr, chrome.Close(), f.Close()}
 		af, err := os.Create(base + ".autopsy.txt")

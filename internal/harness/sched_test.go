@@ -208,7 +208,7 @@ func TestZeroSeedIsRunnerSeed(t *testing.T) {
 	}
 	other := explicit
 	other.Seed = opts.Seed + 1
-	if res2, err := r.Run(ctx, other); err != nil || res2 == res[0] || r.SimRuns() != 2 || r.Stats().Derived != 0 {
+	if res2, err := r.Run(ctx, other); err != nil || res2 == res[0] || r.Stats().SimRuns != 2 || r.Stats().Derived != 0 {
 		t.Fatalf("another seed: err %v, shared result %v, %+v; want a second run", err, res2 == res[0], r.Stats())
 	}
 }

@@ -3,8 +3,6 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
-	"path/filepath"
-	"strings"
 
 	"hintm/internal/htm"
 	"hintm/internal/profile"
@@ -132,11 +130,6 @@ func (r *Runner) storePut(req Request, c cell) {
 	}
 	if err != nil {
 		return
-	}
-	if r.opts.TraceDir != "" {
-		base := filepath.Join(r.opts.TraceDir, strings.ReplaceAll(req.String(), "/", "_"))
-		e.TracePath = base + ".trace.json"
-		e.AutopsyPath = base + ".autopsy.txt"
 	}
 	_, _ = st.Put(e)
 }

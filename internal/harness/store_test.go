@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"hintm/internal/fault"
@@ -149,6 +150,59 @@ func TestStoreHealsEntryWithoutProfile(t *testing.T) {
 	}
 	if healOut != coldOut || warmOut != coldOut {
 		t.Errorf("figure text moved:\n--- cold ---\n%s--- healed ---\n%s--- warm ---\n%s", coldOut, healOut, warmOut)
+	}
+}
+
+// TestRunnersShareOneStoreDirectory: two runners, each on its own Store
+// value over one directory, run disjoint grids at the same time. A fresh
+// runner over that directory then recalls both grids, simulating and
+// deriving nothing: every cell either runner simulated or derived reached
+// the shared directory.
+func TestRunnersShareOneStoreDirectory(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	var grids [][]Request
+	for _, wl := range []string{"labyrinth", "genome"} {
+		var g []Request
+		for _, kind := range []sim.HTMKind{sim.HTMP8, sim.HTMInfCap} {
+			for _, hints := range []sim.HintMode{sim.HintNone, sim.HintStatic, sim.HintDynamic, sim.HintFull} {
+				g = append(g, req(wl, workloads.Small, kind, hints))
+			}
+		}
+		grids = append(grids, g)
+	}
+	runners := []*Runner{NewRunner(storeOpts(t, dir)), NewRunner(storeOpts(t, dir))}
+	var wg sync.WaitGroup
+	for i, r := range runners {
+		wg.Add(1)
+		go func(r *Runner, g []Request) {
+			defer wg.Done()
+			if _, err := r.RunAll(ctx, g); err != nil {
+				t.Error(err)
+			}
+		}(r, grids[i])
+	}
+	wg.Wait()
+	if runners[0].Stats().Derived == 0 || runners[1].Stats().Derived == 0 {
+		t.Fatalf("cold runners: %+v, %+v; want each grid to derive a cell", runners[0].Stats(), runners[1].Stats())
+	}
+
+	warm := NewRunner(storeOpts(t, dir))
+	for i, g := range grids {
+		cold, err := runners[i].RunAll(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recalled, err := warm.RunAll(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold, recalled) {
+			t.Errorf("grid %d: recalled results differ from the cold runner's", i)
+		}
+	}
+	if st := warm.Stats(); st.SimRuns != 0 || st.Derived != 0 || st.StoreHits != uint64(len(grids[0])+len(grids[1])) {
+		t.Errorf("warm runner: %+v, want every cell a store hit", st)
 	}
 }
 

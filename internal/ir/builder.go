@@ -72,9 +72,6 @@ func (fb *FuncBuilder) NewBlock(name string) *Block {
 // SetBlock moves the emission cursor.
 func (fb *FuncBuilder) SetBlock(blk *Block) { fb.cur = blk }
 
-// Cur returns the cursor block.
-func (fb *FuncBuilder) Cur() *Block { return fb.cur }
-
 func (fb *FuncBuilder) newReg() Reg {
 	r := fb.nextReg
 	fb.nextReg++

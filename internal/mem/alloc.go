@@ -199,9 +199,6 @@ func (al *Allocator) StackTop(tid int) Addr {
 	return sp
 }
 
-// HeapBytes reports the total bytes carved from the heap segment so far.
-func (al *Allocator) HeapBytes() int64 { return int64(al.heapNext - HeapBase) }
-
 func roundWords(size int64) int64 {
 	return (size + WordSize - 1) &^ (WordSize - 1)
 }

@@ -63,15 +63,6 @@ func (r *Result) TxAccesses() uint64 {
 	return r.StaticSafeAccesses + r.DynSafeAccesses + r.UnsafeTxAccesses
 }
 
-// SafeFraction returns the fraction of transactional accesses hinted safe.
-func (r *Result) SafeFraction() float64 {
-	total := r.TxAccesses()
-	if total == 0 {
-		return 0
-	}
-	return float64(r.StaticSafeAccesses+r.DynSafeAccesses) / float64(total)
-}
-
 // PageModeCycleFraction returns page-mode transition cost relative to the
 // run length (Fig. 4b secondary axis).
 func (r *Result) PageModeCycleFraction() float64 {

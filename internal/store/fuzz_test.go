@@ -9,14 +9,14 @@ import (
 	"testing"
 )
 
-// FuzzStoreEntryDecode feeds arbitrary bytes through the object validation
-// Get and rebuild share. The bytes enter the way every object does on Open:
-// as a file in the objects directory, under the content address of the
-// request they claim (always a 64-hex hash, so no input can name a path
-// outside the store). Bytes are either rejected, leaving the rebuilt index
-// empty, or they round-trip: the rebuild indexes them under that key, and
-// Get returns the same bytes and the entry validate decoded. Nothing may
-// panic.
+// FuzzStoreEntryDecode feeds arbitrary bytes through Get's object
+// validation. The bytes enter the way every object another process wrote
+// does: as a file in the objects directory, under the content address of
+// the request they claim (always a 64-hex hash, so no input can name a path
+// outside the store). Bytes are either rejected, a Get miss that
+// quarantines them and leaves List empty, or they round-trip: List names
+// them under that key with their size, and Get returns the same bytes and
+// the entry validate decoded. Nothing may panic.
 func FuzzStoreEntryDecode(f *testing.F) {
 	seeds, err := Open(f.TempDir())
 	if err != nil {
@@ -29,7 +29,7 @@ func FuzzStoreEntryDecode(f *testing.F) {
 			Result:  json.RawMessage(`{"cycles":7}`),
 			Profile: json.RawMessage(`{"SafePageFrac":0.5,"Pages":3}`),
 		},
-		{Request: json.RawMessage(`{"workload":"yada"}`), Result: json.RawMessage(`{}`), TracePath: "t.json", AutopsyPath: "a.txt"},
+		{Request: json.RawMessage(`{"workload":"yada"}`), Result: json.RawMessage(`{}`)},
 	} {
 		key, err := seeds.Put(e)
 		if err != nil {
@@ -67,20 +67,19 @@ func FuzzStoreEntryDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		got, raw, err := s.Get(key)
 		if !valid {
-			if len(s.List()) != 0 {
-				t.Fatalf("rebuild indexed bytes validate rejects: %q", data)
+			if got != nil || raw != nil || err != nil || len(s.List()) != 0 {
+				t.Fatalf("bytes validate rejects were served or left listed: %q", data)
 			}
 			return
 		}
-		if len(s.List()) != 1 || !indexed(s, key) {
-			t.Fatalf("rebuild did not index valid bytes under %s: %v", key, s.List())
+		if l := s.List(); len(l) != 1 || l[0] != (IndexEntry{Key: key, Size: int64(len(data))}) {
+			t.Fatalf("List = %+v, want %s with size %d", l, key, len(data))
 		}
-		got, raw, err := s.Get(key)
 		if err != nil || got == nil || !bytes.Equal(raw, data) {
-			t.Fatalf("Get after rebuild: entry %v, err %v, bytes equal %v", got, err, bytes.Equal(raw, data))
+			t.Fatalf("Get: entry %v, err %v, bytes equal %v", got, err, bytes.Equal(raw, data))
 		}
-		got.Seq = 0
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded entry changed:\nvalidate: %+v\nGet:      %+v", want, got)
 		}

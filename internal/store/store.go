@@ -4,34 +4,34 @@
 // key is the SHA-256 of the canonical encoding of the run's request (the
 // harness derives it — request coordinates plus every option that reaches
 // the simulator, prefixed with the store schema version), and the value is
-// the run's full sim.Result JSON plus an optional sharing-profiler report
-// and optional trace/autopsy artifact paths. Capacity-study campaigns are
-// large config sweeps re-run with small deltas; with the store underneath
-// the scheduler, regenerating one figure re-simulates only the cells that
-// actually changed.
+// the run's full sim.Result JSON plus an optional sharing-profiler report.
+// Capacity-study campaigns are large config sweeps re-run with small
+// deltas; with the store underneath the scheduler, regenerating one figure
+// re-simulates only the cells that actually changed.
 //
 // Layout on disk:
 //
-//	<dir>/index.json            index: schema, next sequence, entry list
 //	<dir>/objects/<k[:2]>/<k>.json  one entry per key, written atomically
-//	<dir>/quarantine/<k>.bad    corrupt entries moved aside, never fatal
+//	<dir>/quarantine/<k>.bad        corrupt entries moved aside, never fatal
+//
+// The objects directory is the whole store: there is no index or other
+// shared bookkeeping file, so a Store value holds only its directory and
+// any number of Store values — in one process or in many — may read and
+// write one directory at once. Each sees every object another has written
+// as soon as its rename lands.
 //
 // Durability and corruption policy: object files are written to a temp
 // file and renamed into place, so a crash never leaves a half-written
-// entry at its final path; the index is rewritten the same way after every
-// Put. An unreadable or inconsistent entry (bad JSON, schema mismatch, key
-// that does not match its own request preimage) is quarantined on access
-// and treated as a miss — the store degrades to re-simulation, it does not
-// fail. A missing or corrupt index is rebuilt by scanning the objects
-// directory, quarantining what cannot be salvaged.
+// entry at its final path. An unreadable or inconsistent entry (bad JSON,
+// schema mismatch, key that does not match its own request preimage) is
+// quarantined on access and treated as a miss — the store degrades to
+// re-simulation, it does not fail.
 //
 // Byte-identity: Get returns the raw object file bytes alongside the
 // decoded entry, so every hit of the same key yields the same bytes.
 //
-// Location independence: object files carry no store-local state (the
-// insertion sequence lives only in the index), so the same entry stored in
-// two store directories is the same bytes, and a lost index is rebuilt
-// from the object files alone.
+// Location independence: object files carry no store-local state, so the
+// same entry stored in two store directories is the same bytes.
 package store
 
 import (
@@ -40,11 +40,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Schema versions the store layout and key derivation. It is part of every
@@ -54,7 +53,6 @@ import (
 const Schema = "hintm-store/v1"
 
 const (
-	indexFile     = "index.json"
 	objectsDir    = "objects"
 	quarantineDir = "quarantine"
 )
@@ -66,125 +64,51 @@ func Key(preimage []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// validKey reports whether key has the form Key returns, so it names a
+// file inside the objects directory and nowhere else.
+func validKey(key string) bool {
+	return len(key) == 2*sha256.Size && strings.Trim(key, "0123456789abcdef") == ""
+}
+
 // Entry is one stored run. Request carries the canonical key preimage and
 // Result the run's sim.Result encoding; both stay raw JSON here so the
 // store has no dependency on the simulator's types and recalled bytes are
 // exactly the stored bytes.
 type Entry struct {
-	Schema string `json:"schema"`
-	Key    string `json:"key"`
-	// Seq is the store-assigned insertion sequence, the order List returns.
-	// It is index-only bookkeeping, deliberately excluded from the object
-	// file so object bytes are location-independent: two stores holding the
-	// same key hold byte-identical files.
-	Seq     uint64          `json:"-"`
+	Schema  string          `json:"schema"`
+	Key     string          `json:"key"`
 	Request json.RawMessage `json:"request"`
 	Result  json.RawMessage `json:"result"`
 	// Profile is the run's sharing-profiler report, for the requests that
 	// carry one (Fig. 1's InfCap cells); absent everywhere else, so those
 	// objects encode exactly as they did before the field existed.
 	Profile json.RawMessage `json:"profile,omitempty"`
-	// TracePath/AutopsyPath point at per-run observability artifacts when
-	// the producing runner had a trace directory configured.
-	TracePath   string `json:"tracePath,omitempty"`
-	AutopsyPath string `json:"autopsyPath,omitempty"`
 }
 
-// IndexEntry is the index's per-entry summary: identity, insertion
-// sequence and object size.
+// IndexEntry is List's per-object summary: the key and the object file's
+// size in bytes.
 type IndexEntry struct {
 	Key  string `json:"key"`
-	Seq  uint64 `json:"seq"`
 	Size int64  `json:"size"`
 }
 
-// indexVersion versions the index layout (not the key derivation — that is
-// Schema's job). An index of any other version is rebuilt from the object
-// files on Open. Version 2 indexes written with request-coordinate
-// summaries still load: the extra fields are ignored.
-const indexVersion = 2
-
-// indexDoc is the on-disk index layout.
-type indexDoc struct {
-	Schema  string       `json:"schema"`
-	Version int          `json:"version"`
-	NextSeq uint64       `json:"nextSeq"`
-	Entries []IndexEntry `json:"entries"`
-}
-
-// Store is safe for concurrent use by any number of goroutines.
+// Store is a handle on one store directory. It is safe for concurrent use
+// by any number of goroutines, and other Store values, in this process or
+// another, may use the same directory at the same time.
 type Store struct {
 	dir string
-
-	mu      sync.Mutex
-	entries map[string]IndexEntry
-	nextSeq uint64
 }
 
-// Open opens (creating if needed) the store rooted at dir. A corrupt or
-// missing index is rebuilt from the objects directory; object files that
-// cannot be salvaged are quarantined. Open never fails on bad content —
-// only on I/O errors creating the layout itself.
+// Open opens (creating if needed) the store rooted at dir. It fails only on
+// I/O errors creating the layout; content is checked object by object, as
+// Get reads it.
 func Open(dir string) (*Store, error) {
 	for _, d := range []string{dir, filepath.Join(dir, objectsDir), filepath.Join(dir, quarantineDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: open %s: %w", dir, err)
 		}
 	}
-	s := &Store{dir: dir, entries: make(map[string]IndexEntry), nextSeq: 1}
-	data, err := os.ReadFile(filepath.Join(dir, indexFile))
-	var idx indexDoc
-	// An index from another layout version falls through to a rebuild from
-	// the object files.
-	if err == nil && json.Unmarshal(data, &idx) == nil && idx.Schema == Schema && idx.Version == indexVersion {
-		for _, e := range idx.Entries {
-			s.entries[e.Key] = e
-		}
-		s.nextSeq = idx.NextSeq
-		if s.nextSeq == 0 {
-			s.nextSeq = 1
-		}
-		return s, nil
-	}
-	if err := s.rebuild(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// rebuild reconstructs the index by scanning the objects directory,
-// quarantining any file that fails validation, and rewrites index.json.
-// Object files carry no sequence numbers (they are location-independent),
-// so a rebuild assigns fresh ones in walk order — key order, which is
-// deterministic; the original insertion order is index-only state and does
-// not survive losing the index.
-func (s *Store) rebuild() error {
-	s.entries = make(map[string]IndexEntry)
-	s.nextSeq = 1
-	root := filepath.Join(s.dir, objectsDir)
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".json") {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil // unreadable: leave for a later quarantine attempt
-		}
-		e, ok := validate(data, strings.TrimSuffix(filepath.Base(path), ".json"))
-		if !ok {
-			s.moveToQuarantine(path)
-			return nil
-		}
-		s.entries[e.Key] = IndexEntry{Key: e.Key, Seq: s.nextSeq, Size: int64(len(data))}
-		s.nextSeq++
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("store: rebuild: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeIndexLocked()
+	return &Store{dir: dir}, nil
 }
 
 // validate checks one object file body against its expected key.
@@ -197,18 +121,14 @@ func validate(data []byte, key string) (*Entry, bool) {
 }
 
 func (s *Store) objectPath(key string) string {
-	shard := key
-	if len(shard) > 2 {
-		shard = shard[:2]
-	}
-	return filepath.Join(s.dir, objectsDir, shard, key+".json")
+	return filepath.Join(s.dir, objectsDir, key[:2], key+".json")
 }
 
 // Put stores an entry, deriving its key from the request preimage (callers
-// cannot mis-key an entry). The object file and the updated index are both
-// written atomically (temp file + rename). It returns the assigned key;
-// re-putting an existing key overwrites the object in place and keeps its
-// original sequence number.
+// cannot mis-key an entry), as one atomic object write (temp file +
+// rename). It returns the assigned key; re-putting an existing key
+// replaces the object, and a concurrent reader sees the old or the new
+// file, never a mix.
 func (s *Store) Put(e Entry) (string, error) {
 	// The request preimage is compacted before hashing so the bytes that
 	// come back out of the object file (encoding/json compacts embedded
@@ -222,106 +142,73 @@ func (s *Store) Put(e Entry) (string, error) {
 	key := Key(e.Request)
 	e.Schema = Schema
 	e.Key = key
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.entries[key]; ok {
-		e.Seq = old.Seq
-	} else {
-		e.Seq = s.nextSeq
-		s.nextSeq++
-	}
 	data, err := json.Marshal(&e)
 	if err != nil {
 		return "", fmt.Errorf("store: put: %w", err)
 	}
 	data = append(data, '\n')
-	path := s.objectPath(key)
-	if err := atomicWrite(path, data); err != nil {
+	if err := atomicWrite(s.objectPath(key), data); err != nil {
 		return "", fmt.Errorf("store: put %s: %w", key, err)
-	}
-	s.entries[key] = IndexEntry{Key: key, Seq: e.Seq, Size: int64(len(data))}
-	if err := s.writeIndexLocked(); err != nil {
-		return "", err
 	}
 	return key, nil
 }
 
 // Get returns the entry for key along with the raw object bytes, or
-// (nil, nil, nil) on a miss. A corrupt entry is quarantined and reported
-// as a miss; Get only errors on the store's own bookkeeping I/O.
+// (nil, nil, nil) on a miss. A missing object, or a key not of the form
+// Key returns, is a miss; an unreadable or invalid object is quarantined
+// and is a miss too. Every failure degrades to a miss, so the error is
+// always nil.
 func (s *Store) Get(key string) (*Entry, []byte, error) {
-	s.mu.Lock()
-	ie, ok := s.entries[key]
-	s.mu.Unlock()
-	if !ok {
+	if !validKey(key) {
 		return nil, nil, nil
 	}
 	path := s.objectPath(key)
 	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
 	if err != nil {
-		// Indexed but unreadable: drop the index entry so later calls are
-		// clean misses.
-		s.quarantine(key)
+		s.quarantine(path)
 		return nil, nil, nil
 	}
 	e, valid := validate(data, key)
 	if !valid {
-		s.quarantine(key)
+		s.quarantine(path)
 		return nil, nil, nil
 	}
-	// Seq is index-only state (object bytes are location-independent);
-	// restore it on the way out so callers still see insertion order.
-	e.Seq = ie.Seq
 	return e, data, nil
 }
 
-// List returns the index in insertion order (ascending sequence).
+// List walks the objects directory and returns every object's key and size
+// in key order. Temp files of writes still in flight are skipped. List does
+// not validate objects; Get does that as it reads one.
 func (s *Store) List() []IndexEntry {
-	s.mu.Lock()
-	out := make([]IndexEntry, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e)
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	var out []IndexEntry
+	// WalkDir visits the shard directories, and the files within each, in
+	// lexical order; a shard is its keys' first two characters, so the walk
+	// is in key order. A file that vanishes mid-walk (quarantined, say) is
+	// skipped.
+	_ = filepath.WalkDir(filepath.Join(s.dir, objectsDir), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return nil
+		}
+		key, ok := strings.CutSuffix(d.Name(), ".json")
+		if !ok || !validKey(key) {
+			return nil
+		}
+		if info, err := d.Info(); err == nil {
+			out = append(out, IndexEntry{Key: key, Size: info.Size()})
+		}
+		return nil
+	})
 	return out
 }
 
-// quarantine moves key's object file aside and drops it from the index.
-func (s *Store) quarantine(key string) {
-	s.mu.Lock()
-	delete(s.entries, key)
-	err := s.writeIndexLocked()
-	s.mu.Unlock()
-	_ = err // the index rewrite is best-effort here; the map entry is gone
-	s.moveToQuarantine(s.objectPath(key))
-}
-
-// moveToQuarantine renames an object file into the quarantine directory.
-func (s *Store) moveToQuarantine(path string) {
+// quarantine renames an object file into the quarantine directory.
+func (s *Store) quarantine(path string) {
 	dst := filepath.Join(s.dir, quarantineDir,
 		strings.TrimSuffix(filepath.Base(path), ".json")+".bad")
-	_ = os.Rename(path, dst)
-}
-
-// writeIndexLocked atomically rewrites index.json (entries key-sorted for
-// byte-stable output). Callers hold s.mu.
-func (s *Store) writeIndexLocked() error {
-	idx := indexDoc{Schema: Schema, Version: indexVersion, NextSeq: s.nextSeq}
-	for _, e := range s.entries {
-		idx.Entries = append(idx.Entries, e)
-	}
-	sort.Slice(idx.Entries, func(i, j int) bool { return idx.Entries[i].Key < idx.Entries[j].Key })
-	data, err := json.MarshalIndent(&idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: index: %w", err)
-	}
-	data = append(data, '\n')
-	if err := atomicWrite(filepath.Join(s.dir, indexFile), data); err != nil {
-		return fmt.Errorf("store: index: %w", err)
-	}
-	return nil
+	_ = os.Rename(path, dst) // best effort: a file left in place is re-checked on the next Get
 }
 
 // atomicWrite writes data to path via a temp file in the same directory

@@ -3,9 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -18,8 +21,8 @@ func put(t *testing.T, s *Store, req, result string) string {
 	return key
 }
 
-// indexed reports whether key is in s's index, without reading its object.
-func indexed(s *Store, key string) bool {
+// listed reports whether List names key, without reading its object.
+func listed(s *Store, key string) bool {
 	for _, e := range s.List() {
 		if e.Key == key {
 			return true
@@ -45,7 +48,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if string(e.Request) != req || string(e.Result) != `{"cycles":42}` {
 		t.Errorf("round-trip mismatch: %+v", e)
 	}
-	if e.Schema != Schema || e.Key != key || e.Seq != 1 {
+	if e.Schema != Schema || e.Key != key {
 		t.Errorf("entry metadata wrong: %+v", e)
 	}
 	if !json.Valid(raw) || !bytes.Contains(raw, []byte(key)) {
@@ -77,7 +80,7 @@ func TestReopenRecalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s2.List()) != 2 || !indexed(s2, key) {
+	if len(s2.List()) != 2 || !listed(s2, key) {
 		t.Fatalf("reopened store lost entries: %v", s2.List())
 	}
 	e, _, _ := s2.Get(key)
@@ -86,27 +89,40 @@ func TestReopenRecalls(t *testing.T) {
 	}
 }
 
-func TestPutOverwriteKeepsSeq(t *testing.T) {
+func TestPutOverwrites(t *testing.T) {
 	s, _ := Open(t.TempDir())
 	put(t, s, `{"a":1}`, `{"r":1}`)
 	key := put(t, s, `{"a":1}`, `{"r":9}`)
 	e, _, _ := s.Get(key)
-	if e.Seq != 1 || string(e.Result) != `{"r":9}` {
-		t.Errorf("overwrite: seq=%d result=%s, want seq 1 and new result", e.Seq, e.Result)
+	if string(e.Result) != `{"r":9}` {
+		t.Errorf("overwrite: result=%s, want the new result", e.Result)
 	}
 	if n := len(s.List()); n != 1 {
 		t.Errorf("%d entries after overwrite, want 1", n)
 	}
 }
 
-func TestListInsertionOrderAndGC(t *testing.T) {
+// TestListKeyOrder: List returns every object in key order with its file
+// size, and skips the temp files of writes still in flight.
+func TestListKeyOrder(t *testing.T) {
 	s, _ := Open(t.TempDir())
-	k1 := put(t, s, `{"a":1}`, `{}`)
-	k2 := put(t, s, `{"a":2}`, `{}`)
-	k3 := put(t, s, `{"a":3}`, `{}`)
+	var keys []string
+	for _, req := range []string{`{"a":1}`, `{"a":2}`, `{"a":3}`, `{"a":4}`} {
+		keys = append(keys, put(t, s, req, `{}`))
+	}
+	sort.Strings(keys)
+	if err := os.WriteFile(filepath.Join(filepath.Dir(s.objectPath(keys[0])), ".tmp-123"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	got := s.List()
-	if len(got) != 3 || got[0].Key != k1 || got[1].Key != k2 || got[2].Key != k3 {
-		t.Fatalf("List order wrong: %+v", got)
+	if len(got) != len(keys) {
+		t.Fatalf("List = %+v, want %d entries", got, len(keys))
+	}
+	for i, e := range got {
+		info, err := os.Stat(s.objectPath(e.Key))
+		if err != nil || e.Key != keys[i] || e.Size != info.Size() {
+			t.Errorf("List[%d] = %+v, want key %s and its object's size (%v)", i, e, keys[i], err)
+		}
 	}
 }
 
@@ -122,8 +138,8 @@ func TestCorruptObjectQuarantinedNotFatal(t *testing.T) {
 	if err != nil || e != nil {
 		t.Fatalf("corrupt Get: entry=%v err=%v, want clean miss", e, err)
 	}
-	if indexed(s, key) {
-		t.Error("corrupt key still indexed")
+	if listed(s, key) {
+		t.Error("corrupt key still listed")
 	}
 	bad, _ := filepath.Glob(filepath.Join(dir, quarantineDir, "*.bad"))
 	if len(bad) != 1 {
@@ -144,34 +160,6 @@ func TestKeyMismatchQuarantined(t *testing.T) {
 	}
 }
 
-func TestCorruptIndexRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	k1 := put(t, s, `{"a":1}`, `{"r":1}`)
-	k2 := put(t, s, `{"a":2}`, `{"r":2}`)
-	// Corrupt the index and one of the two objects: reopen must salvage the
-	// good object and quarantine the bad one.
-	os.WriteFile(filepath.Join(dir, indexFile), []byte("not json"), 0o644)
-	os.WriteFile(s.objectPath(k2), []byte("{broken"), 0o644)
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open after corruption: %v", err)
-	}
-	if !indexed(s2, k1) || indexed(s2, k2) {
-		t.Fatalf("rebuild: indexed(k1)=%v indexed(k2)=%v", indexed(s2, k1), indexed(s2, k2))
-	}
-	e, _, _ := s2.Get(k1)
-	if e == nil || string(e.Result) != `{"r":1}` {
-		t.Fatalf("salvaged entry unreadable: %+v", e)
-	}
-	// Sequence numbering continues past the salvaged entries.
-	k3 := put(t, s2, `{"a":3}`, `{}`)
-	if e, _, _ := s2.Get(k3); e == nil || e.Seq <= 1 {
-		t.Errorf("post-rebuild seq = %+v", e)
-	}
-}
-
 func TestNoTempFilesLeftBehind(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
@@ -188,39 +176,122 @@ func TestNoTempFilesLeftBehind(t *testing.T) {
 	}
 }
 
-// TestIndexUpgradeRebuild: an index of another layout version is not
-// trusted; Open rebuilds it from the object files.
-func TestIndexUpgradeRebuild(t *testing.T) {
+// TestStoresShareOneDirectory: two Store values opened on one directory
+// before either writes each recall the other's entry as soon as it is put,
+// and a third Open lists both.
+func TestStoresShareOneDirectory(t *testing.T) {
 	dir := t.TempDir()
+	a, _ := Open(dir)
+	b, _ := Open(dir)
+	ka := put(t, a, `{"a":1}`, `{"r":1}`)
+	if e, _, _ := b.Get(ka); e == nil || string(e.Result) != `{"r":1}` {
+		t.Fatalf("second store misses the first's entry: %+v", e)
+	}
+	kb := put(t, b, `{"a":2}`, `{"r":2}`)
+	if e, _, _ := a.Get(kb); e == nil || string(e.Result) != `{"r":2}` {
+		t.Fatalf("first store misses the second's entry: %+v", e)
+	}
+	c, _ := Open(dir)
+	if len(c.List()) != 2 || !listed(c, ka) || !listed(c, kb) {
+		t.Fatalf("reopened store lists %+v, want both entries", c.List())
+	}
+	for _, k := range []string{ka, kb} {
+		if e, _, _ := c.Get(k); e == nil {
+			t.Errorf("reopened store misses %s", k)
+		}
+	}
+}
+
+// TestConcurrentStoresPut: goroutines, each with its own Store value on one
+// directory, put keys they share and keys of their own at once. Every key
+// then reads back, and no temp or quarantined file is left. Run under
+// -race by the Makefile's race target.
+func TestConcurrentStoresPut(t *testing.T) {
+	dir := t.TempDir()
+	const writers, shared = 8, 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s, err := Open(dir)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < shared; i++ {
+				for _, req := range []string{fmt.Sprintf(`{"shared":%d}`, i), fmt.Sprintf(`{"writer":%d,"i":%d}`, w, i)} {
+					if _, err := s.Put(Entry{Request: json.RawMessage(req), Result: json.RawMessage(`{"r":1}`)}); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	s, _ := Open(dir)
+	if n := len(s.List()); n != shared+writers*shared {
+		t.Errorf("List has %d entries, want %d", n, shared+writers*shared)
+	}
+	for _, e := range s.List() {
+		if got, _, _ := s.Get(e.Key); got == nil {
+			t.Errorf("%s does not read back", e.Key)
+		}
+	}
+	var stray []string
+	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && (strings.HasPrefix(d.Name(), ".tmp-") || strings.HasSuffix(d.Name(), ".bad")) {
+			stray = append(stray, path)
+		}
+		return nil
+	})
+	if len(stray) != 0 {
+		t.Errorf("temp or quarantined files left behind: %v", stray)
+	}
+}
+
+// TestOlderLayoutRecalls: a store directory written before the store
+// dropped its index still recalls every object. testdata/older-layout holds
+// one written by that older store, with its index file set back to before
+// the second Put (so the index names only the yada entry) and without the
+// next-sequence field (which the older store defaulted). The yada object
+// carries the trace and autopsy paths runners stored then.
+func TestOlderLayoutRecalls(t *testing.T) {
+	src := filepath.Join("testdata", "older-layout")
+	dir := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, strings.TrimPrefix(path, src))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := put(t, s, `{"workload":"labyrinth","scale":"small","htm":"P8","hints":"baseline"}`, `{"cycles":1}`)
-	want := s.List()
-
-	// Regress the on-disk index to version 1 and empty it: only a rebuild
-	// from the object files can find the entry again.
-	var doc indexDoc
-	path := filepath.Join(dir, indexFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	yada := Key([]byte(`{"workload":"yada","seed":1}`))
+	vacation := Key([]byte(`{"workload":"vacation","seed":1}`))
+	if got := s.List(); len(got) != 2 || !listed(s, yada) || !listed(s, vacation) {
+		t.Fatalf("List = %+v, want the yada and vacation objects", got)
 	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc.Version, doc.Entries = 1, nil
-	regressed, _ := json.Marshal(doc)
-	if err := os.WriteFile(path, regressed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.List(); len(got) != 1 || got[0] != want[0] || got[0].Key != key {
-		t.Errorf("rebuilt index = %+v, want %+v", got, want)
+	for key, result := range map[string]string{yada: `{"cycles":7}`, vacation: `{"cycles":42}`} {
+		e, raw, _ := s.Get(key)
+		want, _ := os.ReadFile(filepath.Join(src, objectsDir, key[:2], key+".json"))
+		if e == nil || string(e.Result) != result || !bytes.Equal(raw, want) {
+			t.Errorf("%s: entry %+v, raw %q", key, e, raw)
+		}
 	}
 }
