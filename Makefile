@@ -100,15 +100,21 @@ parity:
 hyp-smoke:
 	./scripts/hyp-smoke.sh
 
-# trace-check records the same seeded run twice and requires byte-identical
-# traces and autopsies — the end-to-end determinism property the
-# observability layer guarantees (DESIGN.md §11).
+# trace-check records each of two seeded runs twice and requires
+# byte-identical traces and autopsies — the end-to-end determinism property
+# the observability layer guarantees (DESIGN.md §11). The runs are vacation
+# on P8 and Fig. 8's genome cell: L1TM with 8 threads on 4 dual-threaded
+# cores, whose trace records l1-eviction events.
 trace-check:
 	rm -rf .trace-check && mkdir -p .trace-check
-	$(GO) run ./cmd/hintm-sim -scale small -trace-out .trace-check/a.json -autopsy vacation > .trace-check/a.txt
-	$(GO) run ./cmd/hintm-sim -scale small -trace-out .trace-check/b.json -autopsy vacation > .trace-check/b.txt
-	cmp .trace-check/a.json .trace-check/b.json
-	diff .trace-check/a.txt .trace-check/b.txt
+	$(GO) build -o .trace-check/hintm-sim ./cmd/hintm-sim
+	set -e; for cell in "vacation" "-htm l1tm -smt 2 -hints full genome"; do \
+		for run in a b; do \
+			.trace-check/hintm-sim -scale small -trace-out .trace-check/$$run.json -autopsy $$cell > .trace-check/$$run.txt; \
+		done; \
+		cmp .trace-check/a.json .trace-check/b.json; \
+		diff .trace-check/a.txt .trace-check/b.txt; \
+	done
 	rm -rf .trace-check
 
 clean:

@@ -16,9 +16,6 @@
 //	-faults SPEC                fault-injection plan, e.g. "spurious=0.01"
 //	-watchdog N                 livelock watchdog: fail a run after N cycles without progress
 //	-max-cycles N               hard cap on each run's simulated cycles
-//	-trace-dir DIR              write per-run Chrome traces + abort autopsies into DIR
-//	-sample-cycles N            counter-sample period for traced runs
-//	                            (default 10000, 0 = off)
 //	-results FILE               write machine-readable headline metrics ("all" target;
 //	                            default BENCH_results.json, "" disables)
 //	-store DIR                  recall/persist every run in a content-addressed
@@ -33,6 +30,10 @@
 // When individual runs fail (injected faults, watchdog trips, panics) the
 // figures still render with the failed cells explicitly marked; the command
 // then exits non-zero with a summary of every failure.
+//
+// To trace one figure cell, or read its capacity-abort autopsy, run it with
+// hintm-sim -trace-out/-autopsy: hintm-sim sizes the machine by the same
+// rule as this command, so its run is the cell's run.
 package main
 
 import (

@@ -75,8 +75,9 @@ func TestUnknownWorkloadRunsNoSimulation(t *testing.T) {
 
 // TestNegativeTimeoutIsUsageError: a negative -timeout, and a negative
 // count, is a usage error (exit 2) before the store opens or anything
-// runs, not "no timeout". The command runs in a child process, since the
-// flag package exits it.
+// runs, not "no timeout". So are the removed grid-tracing flags: hintm-sim
+// traces a cell. The command runs in a child process, since the flag
+// package exits it.
 func TestNegativeTimeoutIsUsageError(t *testing.T) {
 	if args := os.Getenv("HINTM_BENCH_ARGS"); args != "" {
 		if err := run(strings.Fields(args), os.Stdout); err != nil {
@@ -84,12 +85,13 @@ func TestNegativeTimeoutIsUsageError(t *testing.T) {
 		}
 		return
 	}
-	for _, c := range []struct{ flag, args string }{
-		{"-timeout", "-timeout -1s"},
-		{"-workers", "-workers -3"},
-		{"-watchdog", "-watchdog -5"},
-		{"-max-cycles", "-max-cycles -5"},
-		{"-sample-cycles", "-sample-cycles -5"},
+	for _, c := range []struct{ args, want string }{
+		{"-timeout -1s", "-timeout: must not be negative"},
+		{"-workers -3", "-workers: must not be negative"},
+		{"-watchdog -5", "-watchdog: must not be negative"},
+		{"-max-cycles -5", "-max-cycles: must not be negative"},
+		{"-trace-dir traces", "flag provided but not defined: -trace-dir"},
+		{"-sample-cycles 5", "flag provided but not defined: -sample-cycles"},
 	} {
 		dir := filepath.Join(t.TempDir(), "store")
 		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeTimeoutIsUsageError$")
@@ -102,8 +104,8 @@ func TestNegativeTimeoutIsUsageError(t *testing.T) {
 			t.Errorf("hintm-bench %s: err = %v, want exit status 2\nstdout:\n%s", c.args, err, stdout.String())
 			continue
 		}
-		if !strings.Contains(stderr.String(), c.flag+": must not be negative") {
-			t.Errorf("stderr does not name the %s usage error:\n%s", c.flag, stderr.String())
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("stderr does not say %q:\n%s", c.want, stderr.String())
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%s: printed before failing:\n%s", c.args, stdout.String())

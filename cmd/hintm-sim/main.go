@@ -15,9 +15,12 @@
 //	-scale small|medium|large  input scale (default medium)
 //	-threads N                 override the paper's thread count (with -module:
 //	                           the module's worker count, to size the machine)
-//	-smt N                     hardware threads per core (default 1)
+//	-smt N                     hardware threads per core (default 1); the paper's
+//	                           thread count is multiplied by N, and with N > 1
+//	                           every core is shared, as in the Fig. 8 grid
 //	-seed N                    simulation seed
-//	-sig-bits N                P8S read-signature size in bits (0 = default 1024)
+//	-sig-bits N                P8S read-signature size in bits, at most 1048576
+//	                           (0 = default 1024)
 //	-timeout D                 abort the simulation after D (e.g. 30s)
 //	-faults SPEC               fault-injection plan, e.g. "spurious=0.01,spurious-window=8"
 //	-watchdog N                livelock watchdog: fail after N cycles without progress
@@ -27,6 +30,12 @@
 //	-sample-cycles N           counter-sample period for traced runs
 //	                           (default 10000, 0 = off)
 //	-cpuprofile/-memprofile    write Go pprof profiles of the simulator itself
+//
+// The machine is sized by the rule the figure harness uses
+// (sim.Config.SizeFor), so any figure cell is one command away: Fig. 4 is
+// -htm p8 -scale <scale>, Fig. 7 -htm p8s -scale large, Fig. 8 -htm l1tm
+// -smt 2 -scale large, each with its -hints mode. Add -trace-out and
+// -autopsy to see why a cell reads what it does.
 //
 // A watchdog trip prints a per-core diagnostic snapshot (thread positions,
 // transaction states, retry counts, clocks, lock ownership) before exiting.
@@ -41,7 +50,6 @@ import (
 	"fmt"
 	"os"
 
-	"hintm/internal/cache"
 	"hintm/internal/classify"
 	"hintm/internal/cli"
 	"hintm/internal/htm"
@@ -62,7 +70,7 @@ func main() {
 	noClassify := flag.Bool("no-classify", false, "skip the static classification pass")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
 	autopsy := flag.Bool("autopsy", false, "print the capacity-abort autopsy report after the run")
-	sampleCycles := cli.RegisterSampleCycles(flag.CommandLine)
+	sampleCycles := cli.RegisterCount(flag.CommandLine, "sample-cycles", 10000, "sample counters every `N` cycles in traced runs (0 = off)")
 	profiles := cli.RegisterProfiles(flag.CommandLine, "hintm-sim", "simulator")
 	flag.Parse()
 
@@ -202,9 +210,9 @@ func main() {
 // set, else the named workload built for its thread count at scale. threads
 // overrides the workload's paper thread count; for a module it is the worker
 // count its parallel region asks for (0 leaves the machine as configured).
-// Either way cfg grows to the fewest cores whose hardware contexts hold every
-// thread, with the cache hierarchy sized to match. It also returns the
-// display name and the thread count.
+// Either way cfg is sized for the threads by sim.Config.SizeFor, the rule
+// the figure harness uses. It also returns the display name and the thread
+// count.
 func program(cfg *sim.Config, path, workload string, threads int, scale workloads.Scale) (*ir.Module, string, int, error) {
 	if threads < 0 {
 		return nil, "", 0, fmt.Errorf("-threads %d: must not be negative", threads)
@@ -232,10 +240,7 @@ func program(cfg *sim.Config, path, workload string, threads int, scale workload
 		}
 		mod, name = spec.Build(threads, scale), spec.Name
 	}
-	if threads > cfg.Contexts() {
-		cfg.Cores = (threads + cfg.SMT - 1) / cfg.SMT
-		cfg.Cache = cache.DefaultConfig(cfg.Cores)
-	}
+	cfg.SizeFor(threads)
 	return mod, name, threads, nil
 }
 

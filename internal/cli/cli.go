@@ -36,21 +36,18 @@ import (
 // HarnessFlags collects the scheduler-facing flags. Register with
 // RegisterHarness, then call Options after flag parsing.
 type HarnessFlags struct {
-	scale        *string
-	large        *string
-	workloads    *string
-	seed         *uint64
-	workers      *int64
-	faults       *string
-	watchdog     *int64
-	maxCycles    *int64
-	traceDir     *string
-	sampleCycles *int64
+	scale     *string
+	large     *string
+	workloads *string
+	seed      *uint64
+	workers   *int64
+	faults    *string
+	watchdog  *int64
+	maxCycles *int64
 }
 
 // RegisterHarness registers the shared scheduler flags (-scale, -large,
-// -workloads, -seed, -workers, -faults, -watchdog, -max-cycles,
-// -trace-dir, -sample-cycles) on fs.
+// -workloads, -seed, -workers, -faults, -watchdog, -max-cycles) on fs.
 func RegisterHarness(fs *flag.FlagSet) *HarnessFlags {
 	h := &HarnessFlags{}
 	h.scale = fs.String("scale", "medium", "input scale for requests and P8 figures: small|medium|large")
@@ -61,8 +58,6 @@ func RegisterHarness(fs *flag.FlagSet) *HarnessFlags {
 	h.faults = fs.String("faults", "", `fault-injection plan, e.g. "spurious=0.01,spurious-window=8"`)
 	h.watchdog = RegisterCount(fs, "watchdog", 0, "fail a run after `N` cycles without forward progress (0 = off)")
 	h.maxCycles = RegisterCount(fs, "max-cycles", 0, "hard cap of `N` simulated cycles on each run (0 = none)")
-	h.traceDir = fs.String("trace-dir", "", "write per-run Chrome traces and abort autopsies into this directory")
-	h.sampleCycles = RegisterSampleCycles(fs)
 	return h
 }
 
@@ -93,8 +88,6 @@ func (h *HarnessFlags) Options() (harness.Options, error) {
 	}
 	opts.WatchdogCycles = *h.watchdog
 	opts.MaxCycles = *h.maxCycles
-	opts.TraceDir = *h.traceDir
-	opts.SampleCycles = *h.sampleCycles
 	return opts, nil
 }
 
@@ -123,7 +116,18 @@ func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	f.scale = fs.String("scale", "medium", "input scale: small|medium|large")
 	f.smt = fs.Int("smt", 1, "hardware threads per core")
 	f.seed = fs.Uint64("seed", 1, "simulation seed")
-	f.sigBits = fs.Uint64("sig-bits", 0, "P8S read-signature size in bits (0 = config default, 1024)")
+	f.sigBits = new(uint64)
+	fs.Func("sig-bits", fmt.Sprintf("P8S read-signature size in `bits`, at most %d (default: the config's, 1024)", sim.MaxSigBits), func(s string) error {
+		n, err := strconv.ParseUint(s, 0, 64)
+		if err != nil {
+			return err
+		}
+		if n > sim.MaxSigBits {
+			return fmt.Errorf("must be at most %d", sim.MaxSigBits)
+		}
+		*f.sigBits = n
+		return nil
+	})
 	f.faults = fs.String("faults", "", `fault-injection plan, e.g. "spurious=0.01,spurious-window=8"`)
 	f.watchdog = RegisterCount(fs, "watchdog", 0, "fail after `N` cycles without forward progress (0 = off)")
 	f.maxCycles = RegisterCount(fs, "max-cycles", 0, "hard cap of `N` simulated cycles (0 = none)")
@@ -169,12 +173,6 @@ func RegisterCount(fs *flag.FlagSet, name string, value int64, usage string) *in
 	n := value
 	fs.Var((*countFlag)(&n), name, usage)
 	return &n
-}
-
-// RegisterSampleCycles registers -sample-cycles, the counter-sample period
-// of traced runs; 0 turns counter sampling off.
-func RegisterSampleCycles(fs *flag.FlagSet) *int64 {
-	return RegisterCount(fs, "sample-cycles", 10000, "sample counters every `N` cycles in traced runs (0 = off)")
 }
 
 // countFlag is a flag.Value for a non-negative int64.

@@ -17,7 +17,7 @@ func TestHarnessFlagsRoundTrip(t *testing.T) {
 	err := fs.Parse([]string{
 		"-scale", "small", "-large", "medium", "-workloads", "labyrinth,vacation",
 		"-seed", "7", "-workers", "3", "-watchdog", "100", "-max-cycles", "200",
-		"-trace-dir", "/tmp/traces", "-faults", "spurious=0.01",
+		"-faults", "spurious=0.01",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +30,7 @@ func TestHarnessFlagsRoundTrip(t *testing.T) {
 		t.Errorf("scales: %v/%v", opts.Scale, opts.LargeScale)
 	}
 	if len(opts.Filter) != 2 || opts.Seed != 7 || opts.Workers != 3 ||
-		opts.WatchdogCycles != 100 || opts.MaxCycles != 200 || opts.TraceDir != "/tmp/traces" {
+		opts.WatchdogCycles != 100 || opts.MaxCycles != 200 {
 		t.Errorf("options: %+v", opts)
 	}
 	if !opts.Faults.Enabled() {
@@ -80,6 +80,22 @@ func TestSimFlagsRoundTrip(t *testing.T) {
 		t.Errorf("scale: %v, %v", scale, err)
 	}
 
+	// -sig-bits is bounded while the flags parse, before a signature of
+	// that size could be allocated for every context.
+	for bits, ok := range map[string]bool{"1048576": true, "1048577": false, "100000000000": false} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := RegisterSim(fs)
+		err := fs.Parse([]string{"-sig-bits", bits})
+		if ok && err != nil {
+			t.Errorf("-sig-bits %s: %v", bits, err)
+		} else if !ok && (err == nil || !strings.Contains(err.Error(), "must be at most 1048576")) {
+			t.Errorf("-sig-bits %s: err = %v, want a parse error naming the bound", bits, err)
+		} else if cfg, err := f.Config(); ok && (err != nil || cfg.SigBits != sim.MaxSigBits) {
+			t.Errorf("-sig-bits %s: SigBits = %d (%v)", bits, cfg.SigBits, err)
+		}
+	}
+
 	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
 	f2 := RegisterSim(fs2)
 	if err := fs2.Parse([]string{"-htm", "p99"}); err != nil {
@@ -124,7 +140,6 @@ func TestHarnessFlagsRejectNegativeCounts(t *testing.T) {
 		{harness, []string{"-workers", "-3"}},
 		{harness, []string{"-watchdog", "-5"}},
 		{harness, []string{"-max-cycles", "-5"}},
-		{harness, []string{"-trace-dir", "traces", "-sample-cycles", "-1"}},
 		{simulator, []string{"-watchdog", "-5"}},
 		{simulator, []string{"-max-cycles", "-5"}},
 	} {
@@ -134,21 +149,6 @@ func TestHarnessFlagsRejectNegativeCounts(t *testing.T) {
 		name := c.args[len(c.args)-2]
 		if err := fs.Parse(c.args); err == nil || !strings.Contains(err.Error(), name+": must not be negative") {
 			t.Errorf("%v: err = %v, want a parse error naming %s", c.args, err, name)
-		}
-	}
-}
-
-// TestSampleCyclesDefault: -sample-cycles defaults to a 10000-cycle period
-// and 0 turns counter sampling off, in hintm-bench as in hintm-sim.
-func TestSampleCyclesDefault(t *testing.T) {
-	for args, want := range map[string]int64{"": 10000, "-sample-cycles 0": 0, "-sample-cycles 500": 500} {
-		fs := flag.NewFlagSet("test", flag.ContinueOnError)
-		h := RegisterHarness(fs)
-		if err := fs.Parse(strings.Fields(args)); err != nil {
-			t.Fatal(err)
-		}
-		if opts, err := h.Options(); err != nil || opts.SampleCycles != want {
-			t.Errorf("%q: SampleCycles = %d (%v), want %d", args, opts.SampleCycles, err, want)
 		}
 	}
 }

@@ -158,33 +158,6 @@ func TestDerivedCellsMatchFreshRuns(t *testing.T) {
 	checkFresh(t, faulty, fds)
 }
 
-// TestTracedRunnerDerivesNothing: each traced run writes its own trace and
-// autopsy, so a runner with a TraceDir simulates every distinct request.
-func TestTracedRunnerDerivesNothing(t *testing.T) {
-	opts := QuickOptions()
-	opts.TraceDir = t.TempDir()
-	r := NewRunner(opts)
-	grid := []Request{
-		req("kmeans", workloads.Small, sim.HTMP8, sim.HintFull),
-		req("kmeans", workloads.Small, sim.HTMP8, sim.HintDynamic),
-		req("kmeans", workloads.Small, sim.HTMInfCap, sim.HintDynamic),
-	}
-	if _, err := r.RunAll(context.Background(), grid); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.SimRuns != 3 || st.Derived != 0 {
-		t.Fatalf("traced grid: %+v, want 3 simulated and none derived", st)
-	}
-	// The same grid untraced does derive: the test above is not vacuous.
-	plain := NewRunner(QuickOptions())
-	if _, err := plain.RunAll(context.Background(), grid); err != nil {
-		t.Fatal(err)
-	}
-	if st := plain.Stats(); st.Derived == 0 {
-		t.Fatalf("untraced grid: %+v, want a derived cell", st)
-	}
-}
-
 // TestDerivationWaitRespectsContext: a request waiting on an in-flight
 // member of its family returns its own cancellation without a worker slot,
 // and the member it waited on still completes and is memoized. Run under

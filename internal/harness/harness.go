@@ -50,14 +50,6 @@ type Options struct {
 	WatchdogCycles int64
 	// MaxCycles hard-caps each run's simulated clock (0 = no cap).
 	MaxCycles int64
-	// TraceDir, when set, writes per-run observability artifacts into the
-	// directory: every distinct Request the memoized scheduler executes
-	// leaves a Chrome trace-event JSON file and an abort-autopsy text report
-	// named after the request.
-	TraceDir string
-	// SampleCycles is the counter-sample period for traced runs (0 = no
-	// counter samples; only meaningful with TraceDir set).
-	SampleCycles int64
 	// Store, when non-nil, is the content-addressed result store the
 	// scheduler consults before simulating and persists into afterwards:
 	// a warm store turns figure regeneration into a pure, byte-identical

@@ -4,16 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime/debug"
-	"strings"
 	"sync"
 
-	"hintm/internal/cache"
 	"hintm/internal/classify"
 	"hintm/internal/ir"
-	"hintm/internal/obs"
 	"hintm/internal/profile"
 	"hintm/internal/sim"
 	"hintm/internal/workloads"
@@ -158,11 +153,10 @@ func (r *Runner) fly(ctx context.Context, req Request, f *flight[cell]) {
 // — on members still in flight. Requests only wait on earlier ones, so
 // waits cannot cycle. A member that failed, was recalled from the store or
 // ran under another context's cancellation answers nothing. A profiled
-// request is never derived (its run carries the sharing profiler), nor is
-// any request of a traced runner (each traced run writes its own trace and
-// autopsy). A derived cell carries its source's facts.
+// request is never derived (its run carries the sharing profiler). A
+// derived cell carries its source's facts.
 func (r *Runner) derive(ctx context.Context, req Request, self *flight[cell]) (cell, bool, error) {
-	if r.opts.TraceDir != "" || req.profiled() {
+	if req.profiled() {
 		return cell{}, false, nil
 	}
 	r.mu.Lock()
@@ -257,19 +251,13 @@ func (r *Runner) report(req Request) *profile.Report {
 // execute performs one simulation under a worker-pool slot. A panicking
 // simulation (an interpreter bug, or the fault layer's injected crash) is
 // recovered into a PanicError: the worker survives, the pool slot is
-// released, and the grid's other requests keep running. When the runner has
-// a TraceDir, the run carries a tracer and its artifacts are finalized even
-// on failure — a livelocked run's trace is exactly the one worth reading.
-// A profiled request's run carries the sharing profiler, a passive observer
-// of worker accesses: the result is unchanged.
+// released, and the grid's other requests keep running. A profiled
+// request's run carries the sharing profiler, a passive observer of worker
+// accesses: the result is unchanged.
 func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
-	var finish func(error) error
 	defer func() {
 		if v := recover(); v != nil {
 			c, err = cell{}, &PanicError{Value: v, Stack: debug.Stack()}
-		}
-		if finish != nil {
-			err = finish(err)
 		}
 	}()
 	spec, err := workloads.ByName(req.Workload)
@@ -285,10 +273,7 @@ func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 	if err != nil {
 		return cell{}, err
 	}
-	cfg := r.configFor(spec, req)
-	if finish, err = r.attachTrace(&cfg, req); err != nil {
-		return cell{}, err
-	}
+	cfg := r.ConfigFor(spec, req)
 	m, err := sim.New(cfg, mod)
 	if err != nil {
 		return cell{}, err
@@ -313,39 +298,6 @@ func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 		c.prof = &rep
 	}
 	return c, err
-}
-
-// attachTrace wires per-run observability into cfg when the runner has a
-// TraceDir: a Chrome trace-event file plus an in-memory collector whose
-// autopsy is written alongside it. The returned finish closes both artifacts
-// (merging close errors into the run's) and must be called exactly once.
-func (r *Runner) attachTrace(cfg *sim.Config, req Request) (finish func(error) error, err error) {
-	if r.opts.TraceDir == "" {
-		return nil, nil
-	}
-	if err := os.MkdirAll(r.opts.TraceDir, 0o755); err != nil {
-		return nil, err
-	}
-	base := filepath.Join(r.opts.TraceDir, strings.ReplaceAll(req.String(), "/", "_"))
-	f, err := os.Create(base + ".trace.json")
-	if err != nil {
-		return nil, err
-	}
-	chrome := obs.NewChromeTracer(f)
-	col := obs.NewCollector()
-	cfg.Tracer = obs.Multi(chrome, col)
-	cfg.SampleCycles = r.opts.SampleCycles
-	return func(runErr error) error {
-		errs := []error{runErr, chrome.Close(), f.Close()}
-		af, err := os.Create(base + ".autopsy.txt")
-		if err != nil {
-			errs = append(errs, err)
-		} else {
-			col.Autopsy().Render(af)
-			errs = append(errs, af.Close())
-		}
-		return joinErrors(errs)
-	}, nil
 }
 
 // module builds and classifies a workload module, single-flighted: the
@@ -377,12 +329,11 @@ func (r *Runner) module(ctx context.Context, spec *workloads.Spec, threads int, 
 	return f.val, f.err
 }
 
-// configFor assembles the machine configuration for a request. With SMT,
-// the machine shrinks to the workload's thread count in cores so that two
-// contexts co-schedule on every core, generating the L1 pressure the
-// paper's Fig.-8 methodology relies on (8 threads of genome/yada run on 4
-// dual-threaded cores).
-func (r *Runner) configFor(spec *workloads.Spec, req Request) sim.Config {
+// ConfigFor assembles the machine configuration req runs on; spec is
+// req's workload. The machine is sized by sim.Config.SizeFor for the
+// workload's thread count, the rule hintm-sim applies too, so one
+// hintm-sim command reproduces (and can trace) any figure cell.
+func (r *Runner) ConfigFor(spec *workloads.Spec, req Request) sim.Config {
 	req = r.resolve(req)
 	cfg := sim.DefaultConfig()
 	cfg.HTM = req.HTM
@@ -400,10 +351,7 @@ func (r *Runner) configFor(spec *workloads.Spec, req Request) sim.Config {
 		cfg.VM.ShootdownInitiator = cfg.VM.ShootdownInitiator * pct / 100
 		cfg.VM.ShootdownSlave = cfg.VM.ShootdownSlave * pct / 100
 	}
-	if req.SMT > 1 {
-		cfg.Cores = spec.DefaultThreads
-		cfg.Cache = cache.DefaultConfig(cfg.Cores)
-	}
+	cfg.SizeFor(spec.DefaultThreads * req.SMT)
 	cfg.Seed = req.Seed
 	cfg.Faults = req.Faults
 	cfg.WatchdogCycles = r.opts.WatchdogCycles

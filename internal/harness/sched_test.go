@@ -346,7 +346,7 @@ func TestProfiledMatchesUnprofiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sim.New(lone.configFor(spec, inf), mod)
+		m, err := sim.New(lone.ConfigFor(spec, inf), mod)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +461,7 @@ func TestConfigForAppliesOverrides(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Request{Workload: "vacation", Scale: workloads.Small}
-	def, got := sim.DefaultConfig(), r.configFor(spec, q)
+	def, got := sim.DefaultConfig(), r.ConfigFor(spec, q)
 	if got.P8Entries != def.P8Entries || got.CapacityRetries != def.CapacityRetries || got.VM != def.VM {
 		t.Fatalf("zero overrides moved the config: %+v", got)
 	}
@@ -470,7 +470,7 @@ func TestConfigForAppliesOverrides(t *testing.T) {
 	}
 	q.P8Entries, q.CapacityRetries, q.PageCostPct = 16, 2, 50
 	q.Seed, q.Faults = 7, fault.Plan{SpuriousProb: 0.5}
-	got = r.configFor(spec, q)
+	got = r.ConfigFor(spec, q)
 	if got.Seed != 7 || got.Faults != q.Faults {
 		t.Errorf("Seed/Faults = %d/%+v, want 7/%+v", got.Seed, got.Faults, q.Faults)
 	}

@@ -215,8 +215,30 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxSigBits bounds Config.SigBits. Every hardware context allocates
+// SigBits/64 signature words, so an unbounded size exhausts host memory
+// before the run starts; 1<<20 bits (128 KiB per context) keeps the
+// 1024-bit default and every swept size well inside.
+const MaxSigBits = 1 << 20
+
 // Contexts returns the hardware context count.
 func (c Config) Contexts() int { return c.Cores * c.SMT }
+
+// SizeFor sizes the machine for threads software threads, the one rule
+// every entry point shares. With SMT > 1 the machine has ceil(threads/SMT)
+// cores, so every core is shared: the paper's Fig. 8 methodology runs the
+// 8 threads of genome or yada on 4 dual-threaded cores, generating the L1
+// pressure SMT exists to show. Otherwise the machine grows to the fewest
+// cores that hold every thread. The cache hierarchy is sized to match.
+// threads <= 0, or an SMT below 1 (which validate rejects), leaves c as
+// configured.
+func (c *Config) SizeFor(threads int) {
+	if threads <= 0 || c.SMT < 1 || (c.SMT == 1 && threads <= c.Cores) {
+		return
+	}
+	c.Cores = (threads + c.SMT - 1) / c.SMT
+	c.Cache = cache.DefaultConfig(c.Cores)
+}
 
 // validate checks internal consistency.
 func (c Config) validate() error {
@@ -225,6 +247,9 @@ func (c Config) validate() error {
 	}
 	if c.P8Entries <= 0 && (c.HTM == HTMP8 || c.HTM == HTMP8S) {
 		return fmt.Errorf("sim: P8 buffer needs entries")
+	}
+	if c.SigBits < 1 || c.SigBits > MaxSigBits {
+		return fmt.Errorf("sim: signature size %d bits outside 1..%d", c.SigBits, MaxSigBits)
 	}
 	if c.Cache.Cores != c.Cores {
 		return fmt.Errorf("sim: cache config is for %d cores, machine has %d",

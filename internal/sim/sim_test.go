@@ -518,6 +518,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg, counterModule(1, 1)); err != nil {
 		t.Errorf("1-way L1, 16-way L2 rejected: %v", err)
 	}
+	// Each context allocates SigBits/64 signature words, so the size is
+	// bounded; a zero-bit signature would divide by zero on its first
+	// hash. Only validation runs: no signature is allocated.
+	for bits, ok := range map[uint64]bool{0: false, 1: true, 64: true, 1024: true, MaxSigBits: true, MaxSigBits + 1: false, 100_000_000_000: false} {
+		cfg = DefaultConfig()
+		cfg.HTM, cfg.SigBits = HTMP8S, bits
+		if err := cfg.validate(); (err == nil) != ok {
+			t.Errorf("SigBits %d: err = %v, want accepted = %v", bits, err, ok)
+		} else if !ok && !strings.Contains(err.Error(), "signature size") {
+			t.Errorf("SigBits %d: err = %v, want a signature-size error", bits, err)
+		}
+	}
 }
 
 func TestHTMKindAndHintModeStrings(t *testing.T) {

@@ -6,7 +6,9 @@
 # Builds hintm-sim at <rev> (in a temporary git worktree under $TMPDIR) and
 # at the working tree, runs both over every workload × six HTM
 # configurations (P8 baseline, P8/HinTM, P8S/HinTM, L1TM+SMT2/HinTM, InfCap,
-# STM/HinTM) at large scale, seed 1, and diffs their outputs. Exits non-zero
+# STM/HinTM) at large scale, seed 1, and diffs their outputs. hintm-sim
+# sizes the machine by the figure harness's rule, so the L1TM+SMT2 runs are
+# Fig. 8's HinTM cells (every core shared). Exits non-zero
 # on any difference, on a run that fails on either side, or when the two
 # builds do not list the same non-empty set of workloads.
 set -euo pipefail
