@@ -31,15 +31,17 @@ race:
 	$(GO) test -race -timeout 1800s ./internal/harness/... ./internal/sim/... \
 		./internal/cli/... ./internal/hyp/... ./internal/store/...
 
-# fuzz-short gives the four fuzzers — classifier soundness, the TIR
-# parse→print→parse round trip, store-object decoding and the cache's LRU
-# recency word against the stamp-based model — a 10-second native-fuzzing
-# budget each, enough for CI to catch regressions the seeded corpora miss.
+# fuzz-short gives the five fuzzers — classifier soundness, the TIR
+# parse→print→parse round trip, store-object decoding, the cache's LRU
+# recency word against the stamp-based model, and the HTM tracker against
+# its map-based model — a 10-second native-fuzzing budget each, enough for
+# CI to catch regressions the seeded corpora miss.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzClassifierSoundness -fuzztime=10s ./internal/classify
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrintParse -fuzztime=10s ./internal/ir
 	$(GO) test -run='^$$' -fuzz=FuzzStoreEntryDecode -fuzztime=10s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzLRUMatchesStamps -fuzztime=10s ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzTrackerMatchesModel -fuzztime=10s ./internal/htm
 
 # The full verification artifacts the repository ships with.
 artifacts:

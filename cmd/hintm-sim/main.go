@@ -62,7 +62,7 @@ import (
 
 func main() {
 	sf := cli.RegisterSim(flag.CommandLine)
-	threads := flag.Int("threads", 0, "thread count (0 = paper default)")
+	threads := cli.RegisterCount(flag.CommandLine, "threads", 0, "thread `count` (0 = paper default)")
 	timeout := cli.RegisterTimeout(flag.CommandLine, "the simulation")
 	printConfig := flag.Bool("print-config", false, "print the Table-II machine parameters and exit")
 	list := flag.Bool("list", false, "list workloads and exit")
@@ -94,7 +94,9 @@ func main() {
 		return
 	}
 	if *moduleFile == "" && flag.NArg() != 1 {
-		fatal(fmt.Errorf("usage: hintm-sim [flags] <workload>; see -list"))
+		cleanup()
+		fmt.Fprintln(os.Stderr, "usage: hintm-sim [flags] <workload>; see -list")
+		os.Exit(2)
 	}
 
 	scale, err := sf.Scale()
@@ -106,7 +108,7 @@ func main() {
 		fatal(err)
 	}
 
-	mod, name, n, err := program(&cfg, *moduleFile, flag.Arg(0), *threads, scale)
+	mod, name, n, err := program(&cfg, *moduleFile, flag.Arg(0), int(*threads), scale)
 	if err != nil {
 		fatal(err)
 	}
@@ -214,12 +216,6 @@ func main() {
 // the figure harness uses. It also returns the display name and the thread
 // count.
 func program(cfg *sim.Config, path, workload string, threads int, scale workloads.Scale) (*ir.Module, string, int, error) {
-	if threads < 0 {
-		return nil, "", 0, fmt.Errorf("-threads %d: must not be negative", threads)
-	}
-	if cfg.SMT < 1 {
-		return nil, "", 0, fmt.Errorf("-smt %d: must be at least 1", cfg.SMT)
-	}
 	var mod *ir.Module
 	name := path
 	if path != "" {

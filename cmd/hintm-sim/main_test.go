@@ -48,9 +48,7 @@ entry:
 // runs share (sim.Config.SizeFor): -threads grows the machine to the fewest
 // cores whose contexts hold every thread, and with -smt above 1 every core
 // is shared. The 12-worker module case is also simulated to
-// completion: on too few contexts its parallel region panics. A negative
-// -threads and an -smt below 1 are usage errors, for a module and a
-// workload alike.
+// completion: on too few contexts its parallel region panics.
 func TestProgramSizesMachine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "twelve.tir")
 	if err := os.WriteFile(path, []byte(twelveWorkers), 0o644); err != nil {
@@ -67,21 +65,10 @@ func TestProgramSizesMachine(t *testing.T) {
 		{"", "labyrinth", 1, 12, 12, 12}, // one thread per core
 		{"", "labyrinth", 2, 12, 12, 6},  // SMT shares every core
 		{"", "labyrinth", 2, 20, 20, 10}, // rounds up to whole cores
-		{path, "", 1, -1, 0, 0},          // negative: a usage error
-		{"", "kmeans", 1, -1, 0, 0},      // likewise for a workload
-		{path, "", 0, 12, 0, 0},          // -smt 0: a usage error
-		{"", "kmeans", 0, 0, 0, 0},       // likewise for a workload
-		{"", "kmeans", -1, 0, 0, 0},      // and for a negative -smt
 	} {
 		cfg := sim.DefaultConfig()
 		cfg.SMT = c.smt
 		mod, _, n, err := program(&cfg, c.path, c.workload, c.threads, workloads.Small)
-		if c.threads < 0 || c.smt < 1 {
-			if err == nil {
-				t.Errorf("%s%s -smt %d -threads %d: no error", c.path, c.workload, c.smt, c.threads)
-			}
-			continue
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,17 +197,28 @@ func hintmSim(args string) (stdout, stderr string, err error) {
 }
 
 // TestNegativeTimeoutIsUsageError: a negative -timeout, a negative count
-// and an oversized -sig-bits are usage errors (exit 2) before anything
-// runs, not "no timeout" or a simulator config error.
+// (-threads among them, for a module and a workload alike), an -smt below
+// 1, an oversized -sig-bits and a missing workload are usage errors (exit
+// 2) before anything runs, not "no timeout" or a simulator config error.
 func TestNegativeTimeoutIsUsageError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twelve.tir")
+	if err := os.WriteFile(path, []byte(twelveWorkers), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ args, want string }{
-		{"-timeout -1s", "-timeout: must not be negative"},
-		{"-watchdog -5", "-watchdog: must not be negative"},
-		{"-max-cycles -5", "-max-cycles: must not be negative"},
-		{"-sample-cycles -5", "-sample-cycles: must not be negative"},
-		{"-htm p8s -sig-bits 1048577", "-sig-bits: must be at most 1048576"},
+		{"-timeout -1s kmeans", "-timeout: must not be negative"},
+		{"-watchdog -5 kmeans", "-watchdog: must not be negative"},
+		{"-max-cycles -5 kmeans", "-max-cycles: must not be negative"},
+		{"-sample-cycles -5 kmeans", "-sample-cycles: must not be negative"},
+		{"-htm p8s -sig-bits 1048577 kmeans", "-sig-bits: must be at most 1048576"},
+		{"-threads -1 -module " + path, "-threads: must not be negative"},
+		{"-threads -1 kmeans", "-threads: must not be negative"},
+		{"-smt 0 -threads 12 -module " + path, "-smt: must be at least 1"},
+		{"-smt 0 kmeans", "-smt: must be at least 1"},
+		{"-smt -1 kmeans", "-smt: must be at least 1"},
+		{"", "usage: hintm-sim"},
 	} {
-		stdout, stderr, err := hintmSim("-scale small " + c.args + " kmeans")
+		stdout, stderr, err := hintmSim("-scale small " + c.args)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("hintm-sim %s: err = %v, want exit status 2\nstdout:\n%s", c.args, err, stdout)

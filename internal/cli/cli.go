@@ -114,7 +114,19 @@ func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	f.htm = fs.String("htm", "p8", "baseline HTM: p8|p8s|l1tm|infcap|stm")
 	f.hints = fs.String("hints", "none", "hint mode: none|st|dyn|full")
 	f.scale = fs.String("scale", "medium", "input scale: small|medium|large")
-	f.smt = fs.Int("smt", 1, "hardware threads per core")
+	f.smt = new(int)
+	*f.smt = 1
+	fs.Func("smt", "hardware threads per core, `N` >= 1 (default 1)", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return err
+		}
+		if n < 1 {
+			return fmt.Errorf("must be at least 1")
+		}
+		*f.smt = n
+		return nil
+	})
 	f.seed = fs.Uint64("seed", 1, "simulation seed")
 	f.sigBits = new(uint64)
 	fs.Func("sig-bits", fmt.Sprintf("P8S read-signature size in `bits`, at most %d (default: the config's, 1024)", sim.MaxSigBits), func(s string) error {

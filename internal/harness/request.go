@@ -52,8 +52,9 @@ type Request struct {
 	// Faults is the run's fault-injection plan (the zero plan = the
 	// Runner's Options.Faults).
 	//
-	// Seed and Faults never appear in String: a trace file is named after
-	// the request's coordinates alone.
+	// Seed and Faults never appear in String, which names the cell's
+	// coordinates alone: a hypothesis's FINDINGS.md lists its seeds apart
+	// from its base request.
 	Faults fault.Plan
 }
 
@@ -90,9 +91,10 @@ func (q Request) profiled() bool {
 	return q.normalize() == req(q.Workload, q.Scale, sim.HTMInfCap, sim.HintNone)
 }
 
-// String renders the request for error messages and logs. Each override
-// only appears when set, so default requests render (and name their trace
-// artifacts) exactly as before.
+// String renders the request's coordinates: a RequestError names its
+// failed run by them, and each hypothesis's FINDINGS.md its base request.
+// Each override only appears when set, so default requests render exactly
+// as before and committed findings keep their bytes.
 func (q Request) String() string {
 	q = q.normalize()
 	s := fmt.Sprintf("%s/%v/%v/%v/smt%d", q.Workload, q.Scale, q.HTM, q.Hints, q.SMT)

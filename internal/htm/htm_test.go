@@ -293,10 +293,10 @@ func TestNestedBeginPanics(t *testing.T) {
 	c.Begin()
 }
 
-// --- tracker parity: every Tracker implementation obeys the same contract ---
+// --- tracker parity: every tracker constructor obeys the same contract ---
 
 func TestTrackerContractParity(t *testing.T) {
-	trackers := map[string]Tracker{
+	trackers := map[string]*Tracker{
 		"p8":  NewP8Tracker(64),
 		"p8s": NewSigTracker(64, 1024, 2),
 		"l1":  NewL1Tracker(),

@@ -11,7 +11,7 @@ const (
 )
 
 // countBits tallies live entries carrying bit — the exact set-size
-// statistic every tracker reports. It scans the table's slots; the scan is
+// statistic the tracker reports. It scans the table's slots; the scan is
 // off the per-access hot path (sizes are read at commit/abort only).
 func countBits(tab *flat.Tab[rwBits], bit rwBits) int {
 	n := 0
@@ -23,69 +23,195 @@ func countBits(tab *flat.Tab[rwBits], bit rwBits) int {
 	return n
 }
 
-// P8Tracker models IBM POWER8's dedicated 64-entry fully-associative
-// transactional buffer: readset and writeset share the same structure, one
-// entry per cache block. Entries live in a fixed open-addressed table sized
-// at twice the buffer capacity, reset by generation stamp between
+// Tracker is the hardware structure that records a transaction's read and
+// write sets at cache-block granularity. Every modeled HTM is one precise
+// block table and what bounds it:
+//
+//   - P8 (NewP8Tracker): a dedicated fully-associative buffer of capacity
+//     entries; readset and writeset share it, one entry per block.
+//   - P8S (NewSigTracker): the P8 buffer backed by a PBX read signature;
+//     reads that find the buffer full spill into the signature, so only
+//     writes overflow.
+//   - L1TM (NewL1Tracker): metadata bits in the private L1, unbounded in
+//     entries, but evicting a tracked line loses the state.
+//   - InfCap and STM (NewInfTracker): unbounded and never lost.
+//
+// Entries live in an open-addressed table reset by generation stamp between
 // transactions, so steady-state tracking allocates nothing.
-type P8Tracker struct {
-	tab      flat.Tab[rwBits]
+type Tracker struct {
+	tab flat.Tab[rwBits]
+	// capacity bounds the table's entries; 0 means unbounded.
 	capacity int
+	// sig, when set, takes the reads that overflow the buffer (P8S).
+	sig *Signature
+	// inL1: the tracked state lives in the L1, so an eviction of a tracked
+	// line loses it.
+	inL1 bool
 }
 
-// NewP8Tracker returns a buffer of the given entry count (the paper uses 64).
-func NewP8Tracker(capacity int) *P8Tracker {
-	t := &P8Tracker{capacity: capacity}
+// NewP8Tracker returns a buffer of the given positive entry count (the
+// paper uses 64). Its table is sized at twice the capacity and never grows.
+func NewP8Tracker(capacity int) *Tracker {
+	t := &Tracker{capacity: capacity}
 	t.tab.Init(2*capacity, true)
 	return t
 }
 
-func (t *P8Tracker) track(block uint64, bit rwBits) bool {
+// NewSigTracker builds a P8S tracker: a capacity-entry buffer whose read
+// overflow spills into a sigBits-bit signature with the given hash count.
+func NewSigTracker(capacity int, sigBits uint64, hashes int) *Tracker {
+	t := NewP8Tracker(capacity)
+	t.sig = NewSignature(sigBits, hashes)
+	return t
+}
+
+// NewL1Tracker builds an in-L1 tracker: capacity is the L1 itself, and
+// evicting a tracked line is a capacity abort (including set-conflict
+// misses).
+func NewL1Tracker() *Tracker {
+	t := NewInfTracker()
+	t.inL1 = true
+	return t
+}
+
+// NewInfTracker builds an unbounded precise tracker: the InfCap upper
+// bound, and STM's software read/write sets.
+func NewInfTracker() *Tracker {
+	t := &Tracker{}
+	t.tab.Init(512, false)
+	return t
+}
+
+// track records bit for block in the table; false means the table is full.
+func (t *Tracker) track(block uint64, bit rwBits) bool {
 	if i, ok := t.tab.Find(block); ok {
 		t.tab.Vals[i] |= bit
 		return true
 	}
-	if t.tab.N >= t.capacity {
+	if t.capacity > 0 && t.tab.N >= t.capacity {
 		return false
 	}
 	t.tab.Add(block, bit)
 	return true
 }
 
-// TrackRead implements Tracker.
-func (t *P8Tracker) TrackRead(block uint64) bool { return t.track(block, bitRead) }
-
-// TrackWrite implements Tracker.
-func (t *P8Tracker) TrackWrite(block uint64) bool { return t.track(block, bitWrite) }
-
-// CheckRemote implements Tracker: a remote write conflicts with any tracked
-// block; a remote read conflicts with a tracked write.
-func (t *P8Tracker) CheckRemote(block uint64, remoteWrite bool) (bool, bool) {
-	i, ok := t.tab.Find(block)
-	if !ok {
-		return false, false
+// TrackRead records a read of block; false means capacity overflow. A read
+// that finds the buffer full spills into the signature, if there is one.
+func (t *Tracker) TrackRead(block uint64) bool {
+	if t.track(block, bitRead) {
+		return true
 	}
-	if remoteWrite {
-		return true, false
+	if t.sig == nil {
+		return false
 	}
-	return t.tab.Vals[i]&bitWrite != 0, false
+	t.sig.Add(block)
+	return true
 }
 
-// NotifyEviction implements Tracker: the dedicated buffer is decoupled from
-// the L1, so evictions are harmless.
-func (t *P8Tracker) NotifyEviction(uint64) bool { return true }
+// TrackWrite records a write of block; false means capacity overflow. With
+// a signature, a full buffer first spills one read-only entry into it to
+// make room, so only a buffer full of writes overflows.
+func (t *Tracker) TrackWrite(block uint64) bool {
+	if t.track(block, bitWrite) {
+		return true
+	}
+	if t.sig == nil {
+		return false
+	}
+	// Deterministic victim choice (lowest block) keeps simulations
+	// reproducible despite probe-order table layout.
+	tab := &t.tab
+	victim, found := uint64(0), false
+	for i, g := range tab.Gens {
+		if g == tab.Gen && tab.Vals[i] == bitRead {
+			if b := tab.Keys[i]; !found || b < victim {
+				victim, found = b, true
+			}
+		}
+	}
+	if !found {
+		return false
+	}
+	tab.Del(victim)
+	t.sig.Add(victim)
+	return t.track(block, bitWrite)
+}
 
-// ReadSetSize implements Tracker.
-func (t *P8Tracker) ReadSetSize() int { return countBits(&t.tab, bitRead) }
+// CheckRemote checks a snooped bus operation against the tracked sets: a
+// remote write conflicts with any tracked block, a remote read with a
+// tracked write. It returns whether the operation conflicts and whether
+// that conflict is a false positive: table hits are precise, signature hits
+// on remote writes may alias.
+func (t *Tracker) CheckRemote(block uint64, remoteWrite bool) (conflict, falsePositive bool) {
+	if i, ok := t.tab.Find(block); ok && (remoteWrite || t.tab.Vals[i]&bitWrite != 0) {
+		return true, false
+	}
+	if remoteWrite && t.sig != nil && t.sig.MayContain(block) {
+		return true, !t.sig.Contains(block)
+	}
+	return false, false
+}
 
-// WriteSetSize implements Tracker.
-func (t *P8Tracker) WriteSetSize() int { return countBits(&t.tab, bitWrite) }
+// NotifyEviction reports that the local L1 evicted block; false means the
+// tracker lost transactional state. Only in-L1 tracking can: a dedicated
+// buffer or software table is decoupled from the L1.
+func (t *Tracker) NotifyEviction(block uint64) bool {
+	if !t.inL1 {
+		return true
+	}
+	_, tracked := t.tab.Find(block)
+	return !tracked
+}
 
-// DistinctBlocks implements Tracker.
-func (t *P8Tracker) DistinctBlocks() int { return t.tab.N }
+// OverflowStructure names the structure a capacity abort overflowed: the
+// L1 that evicted a tracked line (in-L1), the buffer's write set (P8S,
+// whose reads never overflow), or the buffer (P8). Unbounded trackers never
+// overflow and return "".
+func (t *Tracker) OverflowStructure() string {
+	switch {
+	case t.inL1:
+		return "l1-eviction"
+	case t.sig != nil:
+		return "tx-buffer-writeset"
+	case t.capacity > 0:
+		return "tx-buffer"
+	}
+	return ""
+}
 
-// Reset implements Tracker.
-func (t *P8Tracker) Reset() { t.tab.Reset() }
+// ReadSetSize returns the read set size in blocks (exact, for statistics):
+// table entries read plus every block inserted into the signature.
+func (t *Tracker) ReadSetSize() int {
+	n := countBits(&t.tab, bitRead)
+	if t.sig != nil {
+		n += t.sig.Size()
+	}
+	return n
+}
+
+// WriteSetSize returns the write set size in blocks.
+func (t *Tracker) WriteSetSize() int { return countBits(&t.tab, bitWrite) }
+
+// DistinctBlocks is the tracked-entry count: blocks both read and written
+// occupy ONE entry, so this — not readset+writeset — is the
+// capacity-relevant footprint. With a signature it adds the blocks the
+// signature holds. The two are not disjoint: a signature-resident block
+// that is later written also enters the buffer, and then counts twice.
+func (t *Tracker) DistinctBlocks() int {
+	n := t.tab.N
+	if t.sig != nil {
+		n += t.sig.Size()
+	}
+	return n
+}
+
+// Reset clears all tracked state.
+func (t *Tracker) Reset() {
+	t.tab.Reset()
+	if t.sig != nil {
+		t.sig.Reset()
+	}
+}
 
 // Signature is a PBX-style hardware signature: a Bloom-like bitvector that
 // summarizes overflowed readset addresses. Membership tests can alias,
@@ -161,210 +287,3 @@ func (s *Signature) Reset() {
 	}
 	s.exact.Reset()
 }
-
-// SigTracker models P8S: the P8 buffer backed by a read signature. When the
-// buffer is full, further reads spill into the signature (unbounded readset,
-// subject to false positives); writes remain bounded by the buffer.
-type SigTracker struct {
-	buf *P8Tracker
-	sig *Signature
-}
-
-// NewSigTracker builds a P8S tracker.
-func NewSigTracker(capacity int, sigBits uint64, hashes int) *SigTracker {
-	return &SigTracker{
-		buf: NewP8Tracker(capacity),
-		sig: NewSignature(sigBits, hashes),
-	}
-}
-
-// TrackRead implements Tracker: reads never overflow.
-func (t *SigTracker) TrackRead(block uint64) bool {
-	if t.buf.TrackRead(block) {
-		return true
-	}
-	t.sig.Add(block)
-	return true
-}
-
-// TrackWrite implements Tracker: writes are bounded by the buffer, but a
-// full buffer first spills one read-only entry into the signature to make
-// room — only a buffer full of writes overflows.
-func (t *SigTracker) TrackWrite(block uint64) bool {
-	if t.buf.TrackWrite(block) {
-		return true
-	}
-	// Deterministic victim choice (lowest block) keeps simulations
-	// reproducible despite probe-order table layout.
-	tab := &t.buf.tab
-	victim, found := uint64(0), false
-	for i, g := range tab.Gens {
-		if g == tab.Gen && tab.Vals[i] == bitRead {
-			if b := tab.Keys[i]; !found || b < victim {
-				victim, found = b, true
-			}
-		}
-	}
-	if !found {
-		return false
-	}
-	tab.Del(victim)
-	t.sig.Add(victim)
-	return t.buf.TrackWrite(block)
-}
-
-// CheckRemote implements Tracker: buffer hits are precise; signature hits on
-// remote writes may be false positives.
-func (t *SigTracker) CheckRemote(block uint64, remoteWrite bool) (bool, bool) {
-	if c, _ := t.buf.CheckRemote(block, remoteWrite); c {
-		return true, false
-	}
-	if remoteWrite && t.sig.MayContain(block) {
-		return true, !t.sig.Contains(block)
-	}
-	return false, false
-}
-
-// NotifyEviction implements Tracker.
-func (t *SigTracker) NotifyEviction(uint64) bool { return true }
-
-// ReadSetSize implements Tracker (buffer + signature exact count).
-func (t *SigTracker) ReadSetSize() int { return t.buf.ReadSetSize() + t.sig.Size() }
-
-// WriteSetSize implements Tracker.
-func (t *SigTracker) WriteSetSize() int { return t.buf.WriteSetSize() }
-
-// DistinctBlocks implements Tracker: buffer entries plus signature-resident
-// overflow blocks (disjoint by construction).
-func (t *SigTracker) DistinctBlocks() int { return t.buf.tab.N + t.sig.Size() }
-
-// Reset implements Tracker.
-func (t *SigTracker) Reset() {
-	t.buf.Reset()
-	t.sig.Reset()
-}
-
-// L1Tracker models HTMs that track transactional state with metadata bits in
-// the private L1 cache (Intel-style / the paper's L1TM): capacity is the L1
-// itself, and evicting a tracked line loses the state — a capacity abort
-// (including set-conflict misses).
-type L1Tracker struct {
-	tab flat.Tab[rwBits]
-}
-
-// NewL1Tracker builds an in-L1 tracker.
-func NewL1Tracker() *L1Tracker {
-	t := &L1Tracker{}
-	t.tab.Init(512, false)
-	return t
-}
-
-func trackUnbounded(tab *flat.Tab[rwBits], block uint64, bit rwBits) {
-	if i, ok := tab.Find(block); ok {
-		tab.Vals[i] |= bit
-		return
-	}
-	tab.Add(block, bit)
-}
-
-// TrackRead implements Tracker: insertion always succeeds (the line was just
-// brought into the L1); loss happens via NotifyEviction.
-func (t *L1Tracker) TrackRead(block uint64) bool {
-	trackUnbounded(&t.tab, block, bitRead)
-	return true
-}
-
-// TrackWrite implements Tracker.
-func (t *L1Tracker) TrackWrite(block uint64) bool {
-	trackUnbounded(&t.tab, block, bitWrite)
-	return true
-}
-
-// CheckRemote implements Tracker.
-func (t *L1Tracker) CheckRemote(block uint64, remoteWrite bool) (bool, bool) {
-	i, ok := t.tab.Find(block)
-	if !ok {
-		return false, false
-	}
-	if remoteWrite {
-		return true, false
-	}
-	return t.tab.Vals[i]&bitWrite != 0, false
-}
-
-// NotifyEviction implements Tracker: losing a tracked line aborts.
-func (t *L1Tracker) NotifyEviction(block uint64) bool {
-	_, tracked := t.tab.Find(block)
-	return !tracked
-}
-
-// ReadSetSize implements Tracker.
-func (t *L1Tracker) ReadSetSize() int { return countBits(&t.tab, bitRead) }
-
-// WriteSetSize implements Tracker.
-func (t *L1Tracker) WriteSetSize() int { return countBits(&t.tab, bitWrite) }
-
-// DistinctBlocks implements Tracker.
-func (t *L1Tracker) DistinctBlocks() int { return t.tab.N }
-
-// Reset implements Tracker.
-func (t *L1Tracker) Reset() { t.tab.Reset() }
-
-// InfTracker is the InfCap upper bound: unbounded precise tracking.
-type InfTracker struct {
-	tab flat.Tab[rwBits]
-}
-
-// NewInfTracker builds an unbounded tracker.
-func NewInfTracker() *InfTracker {
-	t := &InfTracker{}
-	t.tab.Init(512, false)
-	return t
-}
-
-// TrackRead implements Tracker.
-func (t *InfTracker) TrackRead(block uint64) bool {
-	trackUnbounded(&t.tab, block, bitRead)
-	return true
-}
-
-// TrackWrite implements Tracker.
-func (t *InfTracker) TrackWrite(block uint64) bool {
-	trackUnbounded(&t.tab, block, bitWrite)
-	return true
-}
-
-// CheckRemote implements Tracker.
-func (t *InfTracker) CheckRemote(block uint64, remoteWrite bool) (bool, bool) {
-	i, ok := t.tab.Find(block)
-	if !ok {
-		return false, false
-	}
-	if remoteWrite {
-		return true, false
-	}
-	return t.tab.Vals[i]&bitWrite != 0, false
-}
-
-// NotifyEviction implements Tracker.
-func (t *InfTracker) NotifyEviction(uint64) bool { return true }
-
-// ReadSetSize implements Tracker.
-func (t *InfTracker) ReadSetSize() int { return countBits(&t.tab, bitRead) }
-
-// WriteSetSize implements Tracker.
-func (t *InfTracker) WriteSetSize() int { return countBits(&t.tab, bitWrite) }
-
-// DistinctBlocks implements Tracker.
-func (t *InfTracker) DistinctBlocks() int { return t.tab.N }
-
-// Reset implements Tracker.
-func (t *InfTracker) Reset() { t.tab.Reset() }
-
-// Interface conformance checks.
-var (
-	_ Tracker = (*P8Tracker)(nil)
-	_ Tracker = (*SigTracker)(nil)
-	_ Tracker = (*L1Tracker)(nil)
-	_ Tracker = (*InfTracker)(nil)
-)

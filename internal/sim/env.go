@@ -111,9 +111,6 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 				continue
 			}
 			if r := o.ctrl.OnLocalEviction(ev); r != htm.AbortNone {
-				if r == htm.AbortCapacity {
-					o.capStructure = "l1-eviction"
-				}
 				if o == c {
 					m.abortTx(c, r)
 					return interp.CtrlAbort

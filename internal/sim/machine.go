@@ -53,9 +53,6 @@ type hwContext struct {
 	// access counts and the hint-skipped set); nil when tracing is disabled
 	// so the hot path allocates nothing.
 	intro *txIntro
-	// capStructure names the hardware structure behind an imminent capacity
-	// abort; the machine sets it immediately before abortTx(AbortCapacity).
-	capStructure string
 }
 
 // txIntro is one attempt's footprint introspection, maintained only while a
@@ -292,7 +289,7 @@ func New(cfg Config, mod *ir.Module) (*Machine, error) {
 	return m, nil
 }
 
-func (m *Machine) newTracker() htm.Tracker {
+func (m *Machine) newTracker() *htm.Tracker {
 	switch m.cfg.HTM {
 	case HTMP8:
 		return htm.NewP8Tracker(m.cfg.P8Entries)
@@ -645,12 +642,8 @@ func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
 		}
 		span.SafeSkipped = len(c.intro.skipped)
 		if reason == htm.AbortCapacity {
-			structure := c.capStructure
-			if structure == "" {
-				structure = m.capacityStructure()
-			}
 			span.Overflow = &obs.Overflow{
-				Structure: structure,
+				Structure: c.ctrl.OverflowStructure(),
 				Tracked:   span.Tracked,
 				Skipped:   span.SafeSkipped,
 				Top:       c.intro.top(8),
@@ -673,7 +666,6 @@ func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
 	if m.tracer != nil {
 		span.End = c.cycle
 		m.tracer.TxEnd(span)
-		c.capStructure = ""
 	}
 
 	m.res.Aborts[reason]++
@@ -707,19 +699,4 @@ func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
 		// The thread will stall at TxBegin until the lock is free.
 	}
 	m.syncEff(c)
-}
-
-// capacityStructure names the bounded structure behind a capacity abort from
-// the tracker itself (the eviction path labels itself "l1-eviction" via
-// hwContext.capStructure before calling abortTx).
-func (m *Machine) capacityStructure() string {
-	switch m.cfg.HTM {
-	case HTMP8:
-		return "tx-buffer"
-	case HTMP8S:
-		return "tx-buffer-writeset"
-	case HTML1TM:
-		return "l1"
-	}
-	return "tracker"
 }

@@ -74,39 +74,99 @@ func TestChromeTraceDeterministicUnderFaults(t *testing.T) {
 
 // Every capacity abort the run counts must appear in the autopsy with a full
 // overflow attribution: the structure that overflowed and a non-empty
-// offending-block ranking.
+// offending-block ranking. Each bounded tracker names its own structure:
+// P8's buffer, P8S's buffer write set (its reads spill into the signature),
+// and under L1TM the L1 whose eviction lost a tracked line — here a TX
+// tracking more blocks in one L1 set than the set has ways, on two contexts
+// of one core.
 func TestAutopsyAttributesEveryCapacityAbort(t *testing.T) {
-	col := obs.NewCollector()
-	cfg := DefaultConfig()
-	cfg.Tracer = col
-	_, res := runModule(t, bigTxModule(2, 5, 100), cfg)
+	l1SetStride := int64(DefaultConfig().Cache.L1Sets) * 64
+	for _, c := range []struct {
+		htm           HTMKind
+		smt           int
+		mod           *ir.Module
+		wantStructure string
+	}{
+		{HTMP8, 1, bigTxModule(2, 5, 100), "tx-buffer"},
+		{HTMP8S, 1, strideTxModule(2, 3, 100, 64, true), "tx-buffer-writeset"},
+		{HTML1TM, 2, strideTxModule(2, 3, 16, l1SetStride, false), "l1-eviction"},
+	} {
+		col := obs.NewCollector()
+		cfg := DefaultConfig()
+		cfg.HTM, cfg.SMT, cfg.Tracer = c.htm, c.smt, col
+		cfg.SizeFor(2)
+		_, res := runModule(t, c.mod, cfg)
 
-	nCap := res.Aborts[htm.AbortCapacity]
-	if nCap == 0 {
-		t.Fatal("workload produced no capacity aborts; test is vacuous")
-	}
-	a := col.Autopsy()
-	if uint64(len(a.Capacity)) != nCap {
-		t.Fatalf("autopsy attributes %d capacity aborts, result counts %d",
-			len(a.Capacity), nCap)
-	}
-	for i, at := range a.Capacity {
-		if at.Overflow == nil {
-			t.Fatalf("capacity abort %d has no overflow detail", i)
+		nCap := res.Aborts[htm.AbortCapacity]
+		if nCap == 0 {
+			t.Fatalf("%v: workload produced no capacity aborts; test is vacuous", c.htm)
 		}
-		if at.Overflow.Structure == "" {
-			t.Errorf("capacity abort %d has no overflowed structure", i)
+		a := col.Autopsy()
+		if uint64(len(a.Capacity)) != nCap {
+			t.Fatalf("%v: autopsy attributes %d capacity aborts, result counts %d",
+				c.htm, len(a.Capacity), nCap)
 		}
-		if len(at.Overflow.Top) == 0 {
-			t.Errorf("capacity abort %d has no offending blocks", i)
+		for i, at := range a.Capacity {
+			if at.Overflow == nil {
+				t.Fatalf("%v: capacity abort %d has no overflow detail", c.htm, i)
+			}
+			if at.Overflow.Structure != c.wantStructure {
+				t.Errorf("%v: capacity abort %d overflowed %q, want %q",
+					c.htm, i, at.Overflow.Structure, c.wantStructure)
+			}
+			if len(at.Overflow.Top) == 0 {
+				t.Errorf("%v: capacity abort %d has no offending blocks", c.htm, i)
+			}
+			if at.Overflow.Tracked == 0 {
+				t.Errorf("%v: capacity abort %d tracked 0 blocks at overflow", c.htm, i)
+			}
 		}
-		if at.Overflow.Tracked == 0 {
-			t.Errorf("capacity abort %d tracked 0 blocks at overflow", i)
+		if len(a.TopBlocks) == 0 {
+			t.Errorf("%v: aggregated top-blocks ranking is empty", c.htm)
 		}
 	}
-	if len(a.TopBlocks) == 0 {
-		t.Error("aggregated top-blocks ranking is empty")
+}
+
+// strideTxModule: each thread's TX reads (or writes) `blocks` words of a
+// thread-private heap buffer, `stride` bytes apart. A stride of the L1's
+// sets × 64 bytes puts every block in one L1 set.
+func strideTxModule(nThreads, iters, blocks, stride int64, write bool) *ir.Module {
+	b := ir.NewBuilder("stridetx")
+	w := b.ThreadBody("worker", 1)
+	buf := w.MallocI(blocks * stride)
+	txLoop := w.NewBlock("txloop")
+	touch := w.NewBlock("touch")
+	touched := w.NewBlock("touched")
+	txDone := w.NewBlock("txdone")
+	i := w.C(0)
+	iter := w.C(0)
+	w.Br(txLoop)
+
+	w.SetBlock(txLoop)
+	w.TxBegin()
+	w.MovTo(i, w.C(0))
+	w.Br(touch)
+	w.SetBlock(touch)
+	addr := w.Add(buf, w.MulI(i, stride))
+	if write {
+		w.Store(addr, 0, i)
+	} else {
+		w.Load(addr, 0)
 	}
+	w.MovTo(i, w.AddI(i, 1))
+	w.CondBr(w.Cmp(ir.CmpLT, i, w.C(blocks)), touch, touched)
+	w.SetBlock(touched)
+	w.TxEnd()
+	w.MovTo(iter, w.AddI(iter, 1))
+	w.CondBr(w.Cmp(ir.CmpLT, iter, w.C(iters)), txLoop, txDone)
+	w.SetBlock(txDone)
+	w.FreeI(buf, blocks*stride)
+	w.RetVoid()
+
+	mn := b.Function("main", 0)
+	mn.Parallel(mn.C(nThreads), "worker")
+	mn.RetVoid()
+	return b.M
 }
 
 // The span stream must account for every transaction outcome the result

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"hintm/internal/cache"
 	"hintm/internal/classify"
 	"hintm/internal/fault"
 	"hintm/internal/htm"
@@ -39,16 +38,13 @@ var runAheadConfigs = []struct {
 }
 
 // runAheadCell builds spec's classified module and machine configuration
-// the way the harness does: with SMT the machine shrinks to one core per
-// application thread, so two contexts share every core.
+// the way the harness does, sized by sim.Config.SizeFor: with SMT every
+// core is shared.
 func runAheadCell(t *testing.T, spec *workloads.Spec, htm sim.HTMKind, hints sim.HintMode, smt int) (*ir.Module, sim.Config) {
 	t.Helper()
 	cfg := sim.DefaultConfig()
 	cfg.HTM, cfg.Hints, cfg.SMT = htm, hints, smt
-	if smt > 1 {
-		cfg.Cores = spec.DefaultThreads
-		cfg.Cache = cache.DefaultConfig(cfg.Cores)
-	}
+	cfg.SizeFor(spec.DefaultThreads * smt)
 	mod := spec.Build(spec.DefaultThreads*smt, workloads.Small)
 	if _, err := classify.Run(mod); err != nil {
 		t.Fatal(err)

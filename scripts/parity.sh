@@ -3,7 +3,7 @@
 #
 #   scripts/parity.sh <rev>        (or: make parity REV=<rev>)
 #
-# Builds hintm-sim at <rev> (in a temporary git worktree under $TMPDIR) and
+# Builds hintm-sim at <rev> (extracted with git archive under $TMPDIR) and
 # at the working tree, runs both over every workload × six HTM
 # configurations (P8 baseline, P8/HinTM, P8S/HinTM, L1TM+SMT2/HinTM, InfCap,
 # STM/HinTM) at large scale, seed 1, and diffs their outputs. hintm-sim
@@ -18,13 +18,10 @@ REV="${1:?usage: scripts/parity.sh <git rev>}"
 cd "$(dirname "$0")/.."
 
 TMP="$(mktemp -d)"
-cleanup() {
-    git worktree remove --force "$TMP/rev" > /dev/null 2>&1 || true
-    rm -rf "$TMP"
-}
-trap cleanup EXIT
+trap 'rm -rf "$TMP"' EXIT
 
-git worktree add --detach --quiet "$TMP/rev" "$REV"
+mkdir "$TMP/rev"
+git archive "$REV" | tar -x -C "$TMP/rev"
 (cd "$TMP/rev" && go build -o "$TMP/sim-rev" ./cmd/hintm-sim)
 go build -o "$TMP/sim-cur" ./cmd/hintm-sim
 
