@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-module-build parity trace-check hyp-smoke figures export clean
+.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-module-build trace-check hyp-smoke figures export clean
 
 all: test
 
@@ -23,8 +23,8 @@ vet:
 # race runs the concurrency-sensitive packages under the race detector; the
 # harness determinism tests double as the parallel-scheduler correctness
 # suite, and the store's tests put from many Store values at once. The
-# worker-count twin grid
-# and the seed-grid golden make the harness package heavy under -race, so
+# worker-count twin grid and the golden's small section (its large section
+# is skipped under -race) make the harness package heavy under -race, so
 # the per-package timeout is raised: concurrent packages on a starved
 # single-CPU runner must wait it out, not flake.
 race:
@@ -60,7 +60,7 @@ bench:
 
 # bench-smoke runs every simulator and component benchmark exactly once
 # with -benchmem (the figures themselves are pinned by the harness tests and
-# the seed-grid golden, not re-rendered here), plus the zero-allocation pin
+# the golden, not re-rendered here), plus the zero-allocation pin
 # tests (testing.AllocsPerRun over the step loop, the main-thread batch and
 # worker scheduling loops, tracker probe/insert, TLB hit, checkpoint
 # capture/restore) — the CI gate that the benchmarks still run and the hot
@@ -86,13 +86,6 @@ bench-diff:
 # break it unnoticed.
 bench-module-build:
 	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
-
-# parity builds hintm-sim at REV and at the working tree and requires
-# byte-identical output over every workload × six HTM configurations at
-# large scale — the cross-commit check for changes that must not move a
-# result, e.g. `make parity REV=HEAD`.
-parity:
-	./scripts/parity.sh $(REV)
 
 # hyp-smoke re-verifies the committed hypothesis catalogue: a cold
 # `hintm-exp check` as two concurrent processes over disjoint halves of the

@@ -1,7 +1,7 @@
 // Simulator and component benchmarks: per-workload baseline-vs-HinTM runs
 // at the small input scale, plus microbenchmarks of the cache, the HTM
 // trackers, the classifier and the analyses it rests on. The paper's
-// figures are pinned by the harness tests and the seed-grid golden, and
+// figures are pinned by the harness tests and the golden, and
 // produced at full scale by `go run ./cmd/hintm-bench all`.
 package hintm_test
 

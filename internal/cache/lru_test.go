@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -163,22 +164,27 @@ func TestLRUMatchesStamps(t *testing.T) {
 // TestHierarchyHostFootprint pins the host memory of the paper's Table II
 // hierarchy: one 8-byte tag per line, and per set one 8-byte recency word
 // and one 4-byte fill count, plus 2 KiB for the hierarchy's and arrays'
-// own structs.
+// own structs. TotalAlloc counts every goroutine's allocations, so another
+// one allocating during New inflates a measurement (seen under CPU load):
+// the least of three builds is the hierarchy's own.
 func TestHierarchyHostFootprint(t *testing.T) {
 	cfg := DefaultConfig(8)
 	lines := cfg.Cores*cfg.L1Sets*cfg.L1Ways + cfg.L2Sets*cfg.L2Ways
 	sets := cfg.Cores*cfg.L1Sets + cfg.L2Sets
 	bound := uint64(8*lines+12*sets) + 2048
 
-	drainTagPools() // measure fresh backings, not recycled ones
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	h := New(cfg)
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		drainTagPools() // measure fresh backings, not recycled ones
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h := New(cfg)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+		h.Release()
+	}
 	t.Logf("Table II hierarchy: %d B for %d lines in %d sets", got, lines, sets)
 	if got > bound {
 		t.Errorf("building the Table II hierarchy allocates %d B, want <= %d (8 B/line + 12 B/set + 2 KiB)", got, bound)
 	}
-	h.Release()
 }

@@ -75,15 +75,6 @@ func (g *Graph) computeRPO() {
 	}
 }
 
-// Reachable reports the blocks reachable from the entry.
-func (g *Graph) Reachable() map[*ir.Block]bool {
-	r := make(map[*ir.Block]bool, len(g.RPO))
-	for _, b := range g.RPO {
-		r[b] = true
-	}
-	return r
-}
-
 // TxRegion maps each instruction inside a transaction to the ID of the
 // TxBegin instruction that opens it. Instructions outside any transaction
 // are absent. TxBegin itself is not in the region; TxEnd is.

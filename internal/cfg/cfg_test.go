@@ -81,7 +81,7 @@ func TestUnreachableBlockExcluded(t *testing.T) {
 	if len(g.RPO) != 1 {
 		t.Fatalf("RPO = %d blocks, want 1 (dead excluded)", len(g.RPO))
 	}
-	if g.Reachable()[dead] {
+	if g.RPO[0] == dead {
 		t.Fatal("dead block reported reachable")
 	}
 }

@@ -186,17 +186,3 @@ func (r *Result) AllSafe(objs alias.ObjSet) bool {
 	}
 	return true
 }
-
-// AllThreadPrivate reports whether every object in the non-empty set is
-// thread-private (the requirement for safe stores).
-func (r *Result) AllThreadPrivate(objs alias.ObjSet) bool {
-	if len(objs) == 0 {
-		return false
-	}
-	for o := range objs {
-		if !r.ThreadPrivate(o) {
-			return false
-		}
-	}
-	return true
-}

@@ -205,9 +205,6 @@ func TestAllSafeRequiresNonEmpty(t *testing.T) {
 	if r.AllSafe(alias.ObjSet{}) {
 		t.Error("empty set must be conservatively unsafe")
 	}
-	if r.AllThreadPrivate(alias.ObjSet{}) {
-		t.Error("empty set must be conservatively non-private")
-	}
 }
 
 func TestMainOnlyAllocaNotInRegion(t *testing.T) {

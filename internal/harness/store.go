@@ -23,10 +23,14 @@ import (
 // every input that determines the run's result: the resolved request
 // (seed and fault plan included) plus the runner options that still reach
 // sim.Config (watchdog, cycle cap), all spelled as their
-// stable string forms, prefixed with the store schema version. Field order
-// is fixed by the struct, so json.Marshal is a canonical encoding.
+// stable string forms, prefixed with the store schema version and the
+// simulator's model version (sim.ModelVersion), so a store kept across a
+// change that moves results misses rather than recalls the older model's
+// numbers. Field order is fixed by the struct, so json.Marshal is a
+// canonical encoding.
 type runKey struct {
 	Schema          string `json:"schema"`
+	Model           int    `json:"model"`
 	Workload        string `json:"workload"`
 	Scale           string `json:"scale"`
 	HTM             string `json:"htm"`
@@ -48,6 +52,7 @@ func (r *Runner) KeyPreimage(req Request) []byte {
 	req = r.resolve(req)
 	k := runKey{
 		Schema:          store.Schema,
+		Model:           sim.ModelVersion,
 		Workload:        req.Workload,
 		Scale:           req.Scale.String(),
 		HTM:             req.HTM.String(),

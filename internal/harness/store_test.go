@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -150,6 +151,41 @@ func TestStoreHealsEntryWithoutProfile(t *testing.T) {
 	}
 	if healOut != coldOut || warmOut != coldOut {
 		t.Errorf("figure text moved:\n--- cold ---\n%s--- healed ---\n%s--- warm ---\n%s", coldOut, healOut, warmOut)
+	}
+}
+
+// TestStoreMissesOtherModels: an entry whose preimage names another model
+// version, or none (every store written before keys named the model), is
+// not recalled. The runner simulates and answers with its own result, while
+// the same bogus entry under the current preimage is recalled.
+func TestStoreMissesOtherModels(t *testing.T) {
+	q := req("labyrinth", workloads.Small, sim.HTMP8, sim.HintNone)
+	bogus := []byte(`{"Cycles":1}`)
+	cur := string(NewRunner(QuickOptions()).KeyPreimage(q))
+	field := fmt.Sprintf(`"model":%d,`, sim.ModelVersion)
+	if !strings.Contains(cur, field) {
+		t.Fatalf("preimage %s does not name the model", cur)
+	}
+	for _, tc := range []struct {
+		name, preimage string
+		recalled       bool
+	}{
+		{"current", cur, true},
+		{"next", strings.Replace(cur, field, fmt.Sprintf(`"model":%d,`, sim.ModelVersion+1), 1), false},
+		{"unnamed", strings.Replace(cur, field, "", 1), false},
+	} {
+		opts := storeOpts(t, t.TempDir())
+		if _, err := opts.Store.Put(store.Entry{Request: []byte(tc.preimage), Result: bogus}); err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(opts)
+		res, err := r.Run(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Cycles == 1; got != tc.recalled {
+			t.Errorf("%s model: recalled = %v, want %v (stats %+v)", tc.name, got, tc.recalled, r.Stats())
+		}
 	}
 }
 
@@ -312,11 +348,12 @@ func TestStoreKeyCoversRunDeterminants(t *testing.T) {
 }
 
 // TestStorePreimageIsCanonical pins the preimage encoding: changing it
-// silently would orphan every existing store.
+// silently would orphan every existing store. Only a model-version bump
+// moves it, and by that field alone.
 func TestStorePreimageIsCanonical(t *testing.T) {
 	r := NewRunner(QuickOptions())
 	req := Request{Workload: "labyrinth", Scale: workloads.Small, HTM: sim.HTMP8S, Hints: sim.HintStatic, SMT: 2}
-	want := `{"schema":"hintm-store/v1","workload":"labyrinth","scale":"small","htm":"P8S","hints":"HinTM-st","smt":2,"seed":1}`
+	want := fmt.Sprintf(`{"schema":"hintm-store/v1","model":%d,"workload":"labyrinth","scale":"small","htm":"P8S","hints":"HinTM-st","smt":2,"seed":1}`, sim.ModelVersion)
 	if got := string(r.KeyPreimage(req)); got != want {
 		t.Errorf("preimage:\n got %s\nwant %s", got, want)
 	}

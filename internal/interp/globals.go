@@ -37,18 +37,3 @@ func (p *Program) GlobalAddr(name string) mem.Addr {
 	}
 	panic(fmt.Sprintf("interp: global @%s not laid out", name))
 }
-
-// GlobalOf returns the name of the global containing addr, if any; used by
-// diagnostics and the sharing profiler.
-func (p *Program) GlobalOf(addr mem.Addr) (string, bool) {
-	if !p.globalsLaid {
-		return "", false
-	}
-	for gi, g := range p.M.Globals {
-		base := p.globalAddrs[gi]
-		if addr >= base && addr < base+mem.Addr(g.Words*mem.WordSize) {
-			return g.Name, true
-		}
-	}
-	return "", false
-}

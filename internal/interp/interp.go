@@ -303,15 +303,6 @@ func (p *Program) NewThread(id int, fn string, args []int64, stackBase mem.Addr,
 // Top returns the active frame.
 func (t *Thread) Top() *Frame { return t.Frames[len(t.Frames)-1] }
 
-// CurrentInstr returns the instruction at the PC (nil when done).
-func (t *Thread) CurrentInstr() *ir.Instr {
-	if t.Done || len(t.Frames) == 0 {
-		return nil
-	}
-	f := t.Top()
-	return f.Fn.Blocks[f.Block].Instrs[f.PC]
-}
-
 // Capture snapshots the thread's architectural state with the PC at the
 // current instruction (called by the environment at TxBegin, before the
 // transaction is entered). Checkpoint and frame storage is recycled from
@@ -383,9 +374,6 @@ func (t *Thread) Restore() *Checkpoint {
 	}
 	return cp
 }
-
-// HasCheckpoint reports whether a transaction checkpoint is pending.
-func (t *Thread) HasCheckpoint() bool { return t.checkpoint != nil }
 
 // randBounded draws the next pseudo-random value in [0, bound) from the
 // thread's xorshift stream (deterministic per thread and seed).

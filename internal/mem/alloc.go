@@ -3,8 +3,8 @@ package mem
 import "fmt"
 
 // Address-space layout. The simulator uses a single flat address space per
-// simulated process, carved into segments so that diagnostics can identify
-// what kind of memory an address belongs to.
+// simulated process, carved into segments: globals, the heap, and one stack
+// window per thread.
 const (
 	// GlobalsBase is the start of the global data segment.
 	GlobalsBase Addr = 0x0000_0000_0001_0000
@@ -18,51 +18,6 @@ const (
 	// arenaChunk is the unit in which per-thread heap arenas grow.
 	arenaChunk = 1 << 16 // 64 KiB
 )
-
-// Segment classifies an address by the region it falls into.
-type Segment int
-
-// Address-space segments.
-const (
-	SegUnknown Segment = iota
-	SegGlobals
-	SegHeap
-	SegStack
-)
-
-// String returns the conventional segment name.
-func (s Segment) String() string {
-	switch s {
-	case SegGlobals:
-		return "globals"
-	case SegHeap:
-		return "heap"
-	case SegStack:
-		return "stack"
-	default:
-		return "unknown"
-	}
-}
-
-// SegmentOf reports which address-space segment a falls into.
-func SegmentOf(a Addr) Segment {
-	switch {
-	case a >= StackBase:
-		return SegStack
-	case a >= HeapBase:
-		return SegHeap
-	case a >= GlobalsBase:
-		return SegGlobals
-	default:
-		return SegUnknown
-	}
-}
-
-// StackOwner returns the thread id owning the stack containing a.
-// Only meaningful when SegmentOf(a) == SegStack.
-func StackOwner(a Addr) int {
-	return int((uint64(a) - uint64(StackBase)) / StackStride)
-}
 
 // Allocator manages the simulated address space: a bump-allocated globals
 // segment, per-thread heap arenas (mirroring the per-thread memory pools of

@@ -40,23 +40,11 @@ func (a Addr) Block() uint64 { return uint64(a) / BlockSize }
 // Page returns the page number containing a.
 func (a Addr) Page() uint64 { return uint64(a) / PageSize }
 
-// BlockBase returns the address of the first byte of a's cache block.
-func (a Addr) BlockBase() Addr { return a &^ (BlockSize - 1) }
-
-// PageBase returns the address of the first byte of a's page.
-func (a Addr) PageBase() Addr { return a &^ (PageSize - 1) }
-
 // WordAligned reports whether a is aligned to the machine word size.
 func (a Addr) WordAligned() bool { return a%WordSize == 0 }
 
 // String formats the address in hex for diagnostics.
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
-
-// PageAddr returns the base address of page number pn.
-func PageAddr(pn uint64) Addr { return Addr(pn * PageSize) }
-
-// BlockAddr returns the base address of cache-block number bn.
-func BlockAddr(bn uint64) Addr { return Addr(bn * BlockSize) }
 
 // page is the backing store for one 4 KiB page of simulated memory.
 type page [WordsPerPage]int64
@@ -125,10 +113,6 @@ func (m *Memory) WriteWord(a Addr, v int64) {
 	}
 	p[wordIndex(a)] = v
 }
-
-// TouchedPages returns the number of pages that have backing storage, i.e.
-// pages written at least once.
-func (m *Memory) TouchedPages() int { return m.idx.N }
 
 func wordIndex(a Addr) int {
 	return int(uint64(a)%PageSize) / WordSize

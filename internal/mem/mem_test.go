@@ -19,29 +19,18 @@ func TestAddrDerivations(t *testing.T) {
 	if a.Page() != 0x1234/4096 {
 		t.Errorf("Page() = %d", a.Page())
 	}
-	if a.BlockBase() != 0x1200 {
-		t.Errorf("BlockBase() = %v", a.BlockBase())
-	}
-	if a.PageBase() != 0x1000 {
-		t.Errorf("PageBase() = %v", a.PageBase())
-	}
 	if !Addr(16).WordAligned() || Addr(17).WordAligned() {
 		t.Error("WordAligned misbehaves")
-	}
-	if PageAddr(3) != 3*4096 || BlockAddr(5) != 5*64 {
-		t.Error("PageAddr/BlockAddr misbehave")
 	}
 }
 
 func TestAddrDerivationsProperty(t *testing.T) {
 	f := func(raw uint64) bool {
 		a := Addr(raw &^ 7) // word aligned
-		return a.BlockBase() <= a &&
-			a < a.BlockBase()+BlockSize &&
-			a.PageBase() <= a &&
-			a < a.PageBase()+PageSize &&
-			a.BlockBase().Block() == a.Block() &&
-			a.PageBase().Page() == a.Page()
+		block, page := Addr(a.Block()*BlockSize), Addr(a.Page()*PageSize)
+		return block <= a && a < block+BlockSize &&
+			page <= a && a < page+PageSize &&
+			a.Block()/BlocksPerPage == a.Page()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -61,12 +50,12 @@ func TestMemoryReadWrite(t *testing.T) {
 	if got := m.ReadWord(0x1008); got != -7 {
 		t.Errorf("ReadWord(0x1008) = %d", got)
 	}
-	if m.TouchedPages() != 1 {
-		t.Errorf("TouchedPages = %d, want 1", m.TouchedPages())
+	if m.idx.N != 1 {
+		t.Errorf("backed pages = %d, want 1", m.idx.N)
 	}
-	m.WriteWord(PageAddr(99), 1)
-	if m.TouchedPages() != 2 {
-		t.Errorf("TouchedPages = %d, want 2", m.TouchedPages())
+	m.WriteWord(99*PageSize, 1)
+	if m.idx.N != 2 {
+		t.Errorf("backed pages = %d, want 2", m.idx.N)
 	}
 }
 
@@ -97,26 +86,23 @@ func TestSegments(t *testing.T) {
 	g := al.AllocGlobal(16)
 	h := al.Malloc(0, 16)
 	s := al.StackAlloc(2, 16)
-	if SegmentOf(g) != SegGlobals {
-		t.Errorf("global segment = %v", SegmentOf(g))
+	if g < GlobalsBase || g >= HeapBase {
+		t.Errorf("global %v outside the globals segment", g)
 	}
-	if SegmentOf(h) != SegHeap {
-		t.Errorf("heap segment = %v", SegmentOf(h))
+	if h < HeapBase || h >= StackBase {
+		t.Errorf("heap block %v outside the heap segment", h)
 	}
-	if SegmentOf(s) != SegStack {
-		t.Errorf("stack segment = %v", SegmentOf(s))
+	if s < StackBase {
+		t.Errorf("stack frame %v outside the stack area", s)
 	}
-	if StackOwner(s) != 2 {
-		t.Errorf("StackOwner = %d, want 2", StackOwner(s))
+	if stackOwner(s) != 2 {
+		t.Errorf("stack owner = %d, want 2", stackOwner(s))
 	}
-	if SegmentOf(0x10) != SegUnknown {
-		t.Errorf("low address should be unknown segment")
-	}
-	for _, seg := range []Segment{SegGlobals, SegHeap, SegStack, SegUnknown} {
-		if seg.String() == "" {
-			t.Error("empty segment name")
-		}
-	}
+}
+
+// stackOwner returns the thread whose stack window holds a stack address.
+func stackOwner(a Addr) int {
+	return int((a - StackBase) / StackStride)
 }
 
 func TestAllocatorGlobalBump(t *testing.T) {
@@ -212,8 +198,8 @@ func TestStackIsolationBetweenThreads(t *testing.T) {
 	al := NewAllocator()
 	s0 := al.StackAlloc(0, 1024)
 	s1 := al.StackAlloc(1, 1024)
-	if StackOwner(s0) != 0 || StackOwner(s1) != 1 {
-		t.Errorf("stack owners wrong: %d %d", StackOwner(s0), StackOwner(s1))
+	if stackOwner(s0) != 0 || stackOwner(s1) != 1 {
+		t.Errorf("stack owners wrong: %d %d", stackOwner(s0), stackOwner(s1))
 	}
 	if s0.Page() == s1.Page() {
 		t.Error("thread stacks share a page")

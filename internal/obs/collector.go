@@ -24,8 +24,6 @@ type Collector struct {
 	Attempts []TxAttempt
 	Instants []Instant
 	Samples  []CounterSample
-
-	instCount [numEventKinds]uint64
 }
 
 var _ Tracer = (*Collector)(nil)
@@ -42,21 +40,10 @@ func (c *Collector) TxEnd(a TxAttempt) { c.Attempts = append(c.Attempts, a) }
 // Instant implements Tracer.
 func (c *Collector) Instant(ctx int, cycle int64, kind EventKind, arg uint64) {
 	c.Instants = append(c.Instants, Instant{Ctx: ctx, Cycle: cycle, Kind: kind, Arg: arg})
-	if int(kind) < len(c.instCount) {
-		c.instCount[kind]++
-	}
 }
 
 // Sample implements Tracer.
 func (c *Collector) Sample(s CounterSample) { c.Samples = append(c.Samples, s) }
-
-// InstantCount reports how many instants of one kind were seen.
-func (c *Collector) InstantCount(kind EventKind) uint64 {
-	if int(kind) >= len(c.instCount) {
-		return 0
-	}
-	return c.instCount[kind]
-}
 
 // Autopsy is the per-run abort post-mortem: every abort span grouped by
 // reason, and for each capacity abort the footprint breakdown the paper's

@@ -45,8 +45,6 @@ const (
 	EvEviction
 	// EvFaultSpurious: the fault layer fired an injected spurious abort.
 	EvFaultSpurious
-
-	numEventKinds
 )
 
 func (k EventKind) String() string {

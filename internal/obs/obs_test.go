@@ -111,11 +111,19 @@ func TestMultiDropsNilAndUnwraps(t *testing.T) {
 func TestCollectorAutopsy(t *testing.T) {
 	c := NewCollector()
 	sampleStream(c)
-	if got := c.InstantCount(EvPageTransition); got != 1 {
-		t.Errorf("InstantCount(page-transition) = %d, want 1", got)
+	count := func(kind EventKind) (n int) {
+		for _, in := range c.Instants {
+			if in.Kind == kind {
+				n++
+			}
+		}
+		return n
 	}
-	if got := c.InstantCount(EvEviction); got != 0 {
-		t.Errorf("InstantCount(l1-eviction) = %d, want 0", got)
+	if got := count(EvPageTransition); got != 1 {
+		t.Errorf("page-transition instants = %d, want 1", got)
+	}
+	if got := count(EvEviction); got != 0 {
+		t.Errorf("l1-eviction instants = %d, want 0", got)
 	}
 
 	a := c.Autopsy()

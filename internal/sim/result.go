@@ -10,6 +10,14 @@ import (
 	"hintm/internal/vmem"
 )
 
+// ModelVersion names the simulator's behaviour: the Result each
+// configuration yields. Bump it in the same change as anything that moves a
+// Result byte (a cost, a policy, an iteration order). Result stores key
+// every run under it, so a store written by an older model misses instead of
+// serving that model's numbers, and the harness's golden records it and
+// refuses a regeneration that moves a result under an unchanged version.
+const ModelVersion = 1
+
 // Result aggregates one simulation run's statistics.
 type Result struct {
 	// Cycles is the run's wall-clock length: the maximum context clock.

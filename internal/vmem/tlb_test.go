@@ -84,6 +84,12 @@ func (r *refTLB) order() []uint64 {
 	return pages
 }
 
+// has reports whether the TLB caches page.
+func (t *tlb) has(page uint64) bool {
+	_, ok := t.tab.Find(page)
+	return ok
+}
+
 // order walks the recency list head to tail, checking its links and that
 // every listed page is indexed and every node is either listed or free.
 func (tl *tlb) order(t *testing.T) []uint64 {

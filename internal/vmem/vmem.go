@@ -228,11 +228,6 @@ func (t *tlb) invalidate(page uint64) bool {
 	return true
 }
 
-func (t *tlb) has(page uint64) bool {
-	_, ok := t.tab.Find(page)
-	return ok
-}
-
 // Manager is the translation subsystem for all hardware contexts.
 type Manager struct {
 	// Enabled selects HinTM-dyn; when false, translation still models TLB
@@ -426,9 +421,4 @@ func (m *Manager) ResetSharing() {
 	for _, t := range m.tlbs {
 		t.reset()
 	}
-}
-
-// HasTLBEntry reports whether context ctx caches page (tests/diagnostics).
-func (m *Manager) HasTLBEntry(ctx int, page uint64) bool {
-	return m.tlbs[ctx].has(page)
 }

@@ -85,7 +85,7 @@ func TestWriteToSharedROTransitions(t *testing.T) {
 	if out.FaultCycles < DefaultCosts().ShootdownInitiator {
 		t.Fatalf("initiator cycles = %d", out.FaultCycles)
 	}
-	if m.HasTLBEntry(0, 100) {
+	if m.tlbs[0].has(100) {
 		t.Fatal("slave TLB entry not shot down")
 	}
 	if mode, _ := m.PageMode(100); mode != SharedRW {
@@ -152,10 +152,10 @@ func TestTLBEvictionLRU(t *testing.T) {
 	m.Access(0, 0, 2, false)
 	m.Access(0, 0, 1, false) // touch 1; 2 becomes LRU
 	m.Access(0, 0, 3, false) // evicts 2
-	if m.HasTLBEntry(0, 2) {
+	if m.tlbs[0].has(2) {
 		t.Fatal("LRU entry not evicted")
 	}
-	if !m.HasTLBEntry(0, 1) || !m.HasTLBEntry(0, 3) {
+	if !m.tlbs[0].has(1) || !m.tlbs[0].has(3) {
 		t.Fatal("wrong entries resident")
 	}
 	out := m.Access(0, 0, 2, false)
