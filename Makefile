@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-module-build trace-check hyp-smoke figures export clean
+.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-ab bench-module-build trace-check hyp-smoke figures export clean
 
 all: test
 
@@ -70,16 +70,27 @@ bench-smoke:
 
 # bench-diff re-runs the small-input benchmark trajectory and fails when a
 # headline metric regresses the committed BENCH_baseline.json beyond the
-# tolerance (default 5%), or when the whole run's wall time regresses beyond
-# the much wider wall gate (10x tolerance, floor 50% — wall clocks are
-# noisy, headline metrics are not). The simulator is seeded-deterministic,
-# so an unchanged tree diffs exactly zero on the metrics; regenerate the
-# baseline deliberately with:
+# tolerance (default 5%), when the run's production counts (cold runs,
+# derived cells, simulated cycles) differ at all, or when the whole run's
+# wall time regresses beyond the much wider wall gate (10x tolerance, floor
+# 50% — wall clocks are noisy, headline metrics are not). The simulator is
+# seeded-deterministic, so an unchanged tree diffs exactly zero on the
+# metrics and counts; regenerate the baseline deliberately with:
 #   go run ./cmd/hintm-bench -scale small -large small -results BENCH_baseline.json all
 bench-diff:
 	$(GO) run ./cmd/hintm-bench -scale small -large small -results .bench-current.json all > /dev/null
 	$(GO) run ./cmd/hintm-bench benchdiff BENCH_baseline.json .bench-current.json
 	rm -f .bench-current.json
+
+# bench-ab compares the benchmark workload WORKLOAD between revision REV
+# and the working tree in N alternating pairs of benchmark/run.sh runs, and
+# prints each end-to-end metric's medians, quartiles, pairs won and whether
+# a gain may be claimed (scripts/bench-ab.sh). Minutes per workload, so not
+# part of CI:
+#   make bench-ab REV=HEAD WORKLOAD=sim-dispatch N=10
+N ?= 10
+bench-ab:
+	./scripts/bench-ab.sh "$(REV)" "$(WORKLOAD)" "$(N)"
 
 # bench-module-build builds and vets the benchmark module (benchmark/, its
 # own go.mod) without writing a binary, so a harness API change cannot

@@ -16,8 +16,8 @@
 //	-faults SPEC                fault-injection plan, e.g. "spurious=0.01"
 //	-watchdog N                 livelock watchdog: fail a run after N cycles without progress
 //	-max-cycles N               hard cap on each run's simulated cycles
-//	-results FILE               write machine-readable headline metrics ("all" target;
-//	                            default BENCH_results.json, "" disables)
+//	-results FILE               write the results document the "all" target rendered
+//	                            (default BENCH_results.json, "" disables)
 //	-store DIR                  recall/persist every run in a content-addressed
 //	                            result store (warm-cache figure regeneration;
 //	                            shared with hintm-exp)
@@ -37,7 +37,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +60,7 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("hintm-bench", flag.ExitOnError)
 	hf := cli.RegisterHarness(fs)
 	timeout := cli.RegisterTimeout(fs, "the whole run")
-	results := fs.String("results", "BENCH_results.json", `write machine-readable headline metrics here on the "all" target ("" = off)`)
+	results := fs.String("results", "BENCH_results.json", `write the results document the "all" target rendered here ("" = off)`)
 	storeDir := cli.RegisterStore(fs)
 	tolerance := fs.Float64("tolerance", 0.05, `relative headline-metric tolerance for the "benchdiff" target`)
 	minWall := fs.Float64("min-wall", harness.DefaultMinWallSeconds, `shortest baseline wall time (seconds) the "benchdiff" target gates in relative terms`)
@@ -75,9 +74,9 @@ func run(args []string, w io.Writer) error {
 	switch target {
 	case "table1", "table2", "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "export", "all":
 	case "benchdiff":
-		// benchdiff never simulates: it loads two BENCH_results.json files
-		// and exits non-zero when the new one regresses the baseline's
-		// headline metrics beyond -tolerance.
+		// benchdiff never simulates: it loads two results documents and
+		// exits non-zero when the new one regresses the baseline (see
+		// harness.DiffBenchResults).
 		if fs.NArg() != 3 {
 			return fmt.Errorf("usage: hintm-bench [-tolerance F] [-min-wall S] benchdiff BASELINE.json CURRENT.json")
 		}
@@ -108,34 +107,40 @@ func run(args []string, w io.Writer) error {
 
 	r := harness.NewRunner(opts)
 	switch target {
-	case "fig1", "fig4", "fig5", "fig6", "fig7", "fig8":
-		render := map[string]func(context.Context, io.Writer) error{
-			"fig1": r.RenderFig1, "fig4": r.RenderFig4, "fig5": r.RenderFig5,
-			"fig6": r.RenderFig6, "fig7": r.RenderFig7, "fig8": r.RenderFig8,
-		}[target]
-		before := r.Stats()
-		err = render(ctx, w)
-		// Every run gets the production breakdown, not just "all": a
-		// single-figure render shows its own cold/store-hit split the
-		// same way.
-		if ctx.Err() == nil {
-			r.RenderRunSummary(w, target, r.Stats().Sub(before))
-		}
-	case "export":
-		err = r.ExportAll(ctx, w)
 	case "table1":
 		harness.RenderTable1(w)
+		return nil
 	case "table2":
 		harness.RenderTable2(w)
-	case "all":
-		start := time.Now()
-		err = r.RenderAll(ctx, w)
-		if *results != "" && ctx.Err() == nil {
-			// The memoized scheduler recalls every figure's runs, so the
-			// summary is a pure reduction at this point.
-			if rerr := writeResults(ctx, r, *results, time.Since(start)); err == nil {
-				err = rerr
-			}
+		return nil
+	}
+	// Every other target renders the results document or, for "export",
+	// prints it: a single figure's holds that figure's section, "all" and
+	// "export" hold all six, and "all" also writes it to -results.
+	var figures []string
+	if strings.HasPrefix(target, "fig") {
+		figures = []string{target}
+	}
+	start := time.Now()
+	doc, err := r.BenchResults(ctx, figures...)
+	if err != nil {
+		return err
+	}
+	doc.WallSeconds = time.Since(start).Seconds()
+	if doc.WallSeconds > 0 {
+		doc.SimCyclesPerSec = float64(doc.SimCycles) / doc.WallSeconds
+	}
+	if target == "export" {
+		if err := doc.WriteJSON(w); err != nil {
+			return err
+		}
+		return doc.Err()
+	}
+	doc.Render(w)
+	err = doc.Err()
+	if target == "all" && *results != "" {
+		if werr := writeResults(doc, *results); err == nil {
+			err = werr
 		}
 	}
 	return err
@@ -177,22 +182,13 @@ func runBenchDiff(basePath, curPath string, o harness.DiffOptions) error {
 		curPath, basePath, strings.Join(regressions, "\n"))
 }
 
-// writeResults reduces the run into BENCH_results.json-style headline
-// metrics and writes them to path.
-func writeResults(ctx context.Context, r *harness.Runner, path string, wall time.Duration) error {
-	sum, err := r.BenchResults(ctx)
-	if err != nil {
-		return err
-	}
-	sum.WallSeconds = wall.Seconds()
-	if sum.WallSeconds > 0 {
-		sum.SimCyclesPerSec = float64(sum.SimCycles) / sum.WallSeconds
-	}
+// writeResults writes the results document to path.
+func writeResults(doc *harness.BenchResults, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := sum.WriteJSON(f); err != nil {
+	if err := doc.WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}

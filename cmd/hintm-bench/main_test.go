@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -35,6 +36,56 @@ func TestBenchDiffRejectsBadGates(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
 			t.Errorf("%+v: err = %v, want a %s usage error", c.o, err, c.flag)
 		}
+	}
+}
+
+// TestAllResultsCountsSumToTotals: the document "all" writes to -results
+// is the one it rendered, so on a cold run the figures' production counts
+// add up to the run's totals, Fig. 1, the first figure, produced cells of
+// its own, and the document's sections match the printed run summary.
+func TestAllResultsCountsSumToTotals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole small figure grid")
+	}
+	path := filepath.Join(t.TempDir(), "results.json")
+	var out bytes.Buffer
+	if err := run([]string{"-scale", "small", "-large", "small", "-results", path, "all"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := harness.ReadBenchResults(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := []*harness.Section{&doc.Fig1.Section, &doc.Fig4.Section, &doc.Fig5.Section,
+		&doc.Fig6.Section, &doc.Fig7.Section, &doc.Fig8.Section}
+	var cold, derived, hits uint64
+	for _, s := range sections {
+		cold += s.ColdRuns
+		derived += s.Derived
+		hits += s.StoreHits
+	}
+	if cold != doc.ColdRuns || derived != doc.Derived || hits != doc.StoreHits {
+		t.Errorf("sections sum to %d cold, %d derived, %d store hits; run totals %d, %d, %d",
+			cold, derived, hits, doc.ColdRuns, doc.Derived, doc.StoreHits)
+	}
+	if doc.Fig1.ColdRuns == 0 || doc.ColdRuns == 0 || doc.SimCycles == 0 {
+		t.Errorf("cold run: fig1 %d cold, run %d cold and %d cycles, want all nonzero",
+			doc.Fig1.ColdRuns, doc.ColdRuns, doc.SimCycles)
+	}
+	want := fmt.Sprint("TOTAL ", doc.ColdRuns, " ", doc.Derived, " ", doc.StoreHits)
+	var total string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "TOTAL") {
+			total = strings.Join(strings.Fields(line), " ")
+		}
+	}
+	if total != want {
+		t.Errorf("printed run summary's total %q, want %q", total, want)
 	}
 }
 

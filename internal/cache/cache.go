@@ -60,10 +60,19 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// Validate reports whether cfg's geometry is one New can build: set counts
-// must be powers of two (a block's set is its low bits) and associativity
-// 1..16 (a set's recency word holds one 4-bit way index per way).
+// Validate reports whether cfg is one New can build: set counts must be
+// powers of two (a block's set is its low bits), associativity 1..16 (a
+// set's recency word holds one 4-bit way index per way), and no latency
+// negative (an access would move the clock backwards).
 func (c Config) Validate() error {
+	for _, l := range [...]struct {
+		name string
+		v    int64
+	}{{"L1", c.L1Latency}, {"L2", c.L2Latency}, {"memory", c.MemLatency}} {
+		if l.v < 0 {
+			return fmt.Errorf("cache: negative %s latency %d", l.name, l.v)
+		}
+	}
 	for _, sets := range [...]int{c.L1Sets, c.L2Sets} {
 		if sets <= 0 || sets&(sets-1) != 0 {
 			return fmt.Errorf("cache: %d sets is not a power of two", sets)
@@ -359,6 +368,9 @@ func (h *Hierarchy) Access(core int, block uint64, write bool) AccessResult {
 	case !othersHold && dirtyOwner < 0:
 		st = Exclusive
 	}
+	// The victim is dropped whatever its state: a Modified victim is not
+	// written back, and L2 lines carry no dirty state, so a later miss on
+	// the block costs what it would had it never been written (DESIGN.md §4).
 	if ev, _, did := l1.insert(block, st); did {
 		h.evBuf[0] = ev
 		res.Evicted = h.evBuf[:1]

@@ -119,6 +119,31 @@ func TestEvictionOnSetOverflow(t *testing.T) {
 	}
 }
 
+// TestEvictedModifiedLineIsDropped pins the current model of a dirty L1
+// victim: it is dropped without a writeback, and L2 lines carry no dirty
+// state, so once the L2 has also evicted the block the next reader pays
+// the memory latency, as for a block never written. Core 0 writes block 0,
+// the L2 evicts it, core 0's L1 evicts it, and core 1 reads it.
+func TestEvictedModifiedLineIsDropped(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.L1Sets, cfg.L1Ways = 2, 2 // blocks 0, 2, 4, 6, 8 share L1 set 0
+	cfg.L2Sets, cfg.L2Ways = 4, 2 // blocks 0, 4, 8 share L2 set 0
+	h := New(cfg)
+	h.Access(0, 0, true)
+	h.Access(1, 4, false)
+	h.Access(1, 8, false) // the L2 evicts block 0
+	if st := h.StateOf(0, 0); st != Modified {
+		t.Fatalf("core 0 holds block 0 as %v after the L2 eviction, want M", st)
+	}
+	h.Access(0, 2, false)
+	if res := h.Access(0, 6, false); len(res.Evicted) != 1 || res.Evicted[0] != 0 {
+		t.Fatalf("core 0's L1 evicted %v, want [0]", res.Evicted)
+	}
+	if res := h.Access(1, 0, false); res.Latency != cfg.MemLatency {
+		t.Errorf("core 1's read of the dropped dirty block: latency %d, want memory's %d", res.Latency, cfg.MemLatency)
+	}
+}
+
 func TestLRUTouchPreventsEviction(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.L1Sets, cfg.L1Ways = 2, 2

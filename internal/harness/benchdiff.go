@@ -4,16 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Bench-trajectory regression checking: `hintm-bench benchdiff` (and the
 // `make bench-diff` target) compares a freshly produced BENCH_results.json
 // against the committed baseline and fails when a headline metric moved
-// the wrong way by more than a relative tolerance. The simulator is
-// deterministic for a fixed seed, so on an unchanged tree the diff is
-// exactly zero; the tolerance exists to let intentional modelling changes
-// land without churning the baseline for sub-noise drift.
+// the wrong way by more than a relative tolerance, or when a store-free
+// run's production counts (cold runs, derived cells, simulated cycles)
+// changed at all. The simulator is deterministic for a fixed seed, so on an
+// unchanged tree the diff is exactly zero; the tolerance exists to let
+// intentional modelling changes land without churning the baseline for
+// sub-noise drift.
 
 // wallTolerance widens the metric tolerance for wall-clock comparisons:
 // at least 50%, and never tighter than 10x the headline tolerance.
@@ -57,30 +58,6 @@ func ReadBenchResults(r io.Reader) (*BenchResults, error) {
 	return &b, nil
 }
 
-// higherIsBetter lists the FigureHeadline metrics where a drop is a
-// regression; the remaining metrics are workload properties (capacity-time
-// fractions, safe-access fractions) where any large move in either
-// direction means the model changed and the baseline must be looked at.
-var higherIsBetter = []struct {
-	name string
-	get  func(*FigureHeadline) float64
-}{
-	{"geomeanSpeedup", func(h *FigureHeadline) float64 { return h.GeomeanSpeedup }},
-	{"geomeanSpeedupInf", func(h *FigureHeadline) float64 { return h.GeomeanSpeedupInf }},
-	{"meanCapAbortReduction", func(h *FigureHeadline) float64 { return h.MeanCapAbortReduction }},
-	{"meanStaticSafeFrac", func(h *FigureHeadline) float64 { return h.MeanStaticSafeFrac }},
-	{"meanDynSafeFrac", func(h *FigureHeadline) float64 { return h.MeanDynSafeFrac }},
-}
-
-var drifting = []struct {
-	name string
-	get  func(*FigureHeadline) float64
-}{
-	{"meanCapacityTime", func(h *FigureHeadline) float64 { return h.MeanCapacityTime }},
-	{"meanSafeReadsBlock", func(h *FigureHeadline) float64 { return h.MeanSafeReadsBlock }},
-	{"meanFracOverP8Full", func(h *FigureHeadline) float64 { return h.MeanFracOverP8Full }},
-}
-
 // DiffBenchResults compares cur against base and returns one line per
 // regression (empty = clean).
 func DiffBenchResults(base, cur *BenchResults, o DiffOptions) []string {
@@ -111,50 +88,54 @@ func DiffBenchResults(base, cur *BenchResults, o DiffOptions) []string {
 			(cur.WallSeconds/base.WallSeconds-1)*100, wallTol*100))
 	}
 
-	figs := make([]string, 0, len(base.Figures))
-	for name := range base.Figures {
-		figs = append(figs, name)
-	}
-	sort.Strings(figs)
-	for _, name := range figs {
-		b := base.Figures[name]
-		c, ok := cur.Figures[name]
-		if !ok {
-			out = append(out, fmt.Sprintf("  %s: figure missing from current results", name))
-			continue
-		}
-		if c.Rows != b.Rows {
-			out = append(out, fmt.Sprintf("  %s: rows %d -> %d (grid changed)", name, b.Rows, c.Rows))
-		}
-		if c.Failed > b.Failed {
-			out = append(out, fmt.Sprintf("  %s: failed rows %d -> %d", name, b.Failed, c.Failed))
-		}
-		for _, m := range higherIsBetter {
-			bv, cv := m.get(b), m.get(c)
-			if bv > 0 && cv < bv*(1-tolerance) {
-				out = append(out, fmt.Sprintf("  %s: %s %.4f -> %.4f (-%.1f%%, tolerance %.1f%%)",
-					name, m.name, bv, cv, (1-cv/bv)*100, tolerance*100))
-			}
-		}
-		for _, m := range drifting {
-			bv, cv := m.get(b), m.get(c)
-			if bv > 0 && (cv < bv*(1-tolerance) || cv > bv*(1+tolerance)) {
-				out = append(out, fmt.Sprintf("  %s: %s drifted %.4f -> %.4f (beyond %.1f%% tolerance)",
-					name, m.name, bv, cv, tolerance*100))
+	// A store-free run's production counts are a function of the tree, so
+	// any change to them is a change in what the grid simulates.
+	if !base.Store && !cur.Store {
+		for _, c := range []struct {
+			name      string
+			base, cur uint64
+		}{{"coldRuns", base.ColdRuns, cur.ColdRuns}, {"derived", base.Derived, cur.Derived}, {"simCycles", base.SimCycles, cur.SimCycles}} {
+			if c.base != c.cur {
+				out = append(out, fmt.Sprintf("  %s %d -> %d (production changed; regenerate the baseline if intended)",
+					c.name, c.base, c.cur))
 			}
 		}
 	}
 
-	// Errors appearing where the baseline had none are regressions even if
-	// the surviving rows' aggregates look healthy.
-	errNames := make([]string, 0, len(cur.Errors))
-	for name := range cur.Errors {
-		errNames = append(errNames, name)
+	curFigs := make(map[string]figure)
+	for _, f := range cur.figures() {
+		curFigs[f.name] = f
 	}
-	sort.Strings(errNames)
-	for _, name := range errNames {
-		if base.Errors[name] == "" {
-			out = append(out, fmt.Sprintf("  %s: new error: %s", name, cur.Errors[name]))
+	for _, b := range base.figures() {
+		c, ok := curFigs[b.name]
+		if !ok {
+			out = append(out, fmt.Sprintf("  %s: figure missing from current results", b.name))
+			continue
+		}
+		if c.rows != b.rows {
+			out = append(out, fmt.Sprintf("  %s: rows %d -> %d (grid changed)", b.name, b.rows, c.rows))
+		}
+		if c.sec.Failed > b.sec.Failed {
+			out = append(out, fmt.Sprintf("  %s: failed rows %d -> %d", b.name, b.sec.Failed, c.sec.Failed))
+		}
+		for i, m := range b.higher {
+			bv, cv := m.v, c.higher[i].v
+			if bv > 0 && cv < bv*(1-tolerance) {
+				out = append(out, fmt.Sprintf("  %s: %s %.4f -> %.4f (-%.1f%%, tolerance %.1f%%)",
+					b.name, m.name, bv, cv, (1-cv/bv)*100, tolerance*100))
+			}
+		}
+		for i, m := range b.drifting {
+			bv, cv := m.v, c.drifting[i].v
+			if bv > 0 && (cv < bv*(1-tolerance) || cv > bv*(1+tolerance)) {
+				out = append(out, fmt.Sprintf("  %s: %s drifted %.4f -> %.4f (beyond %.1f%% tolerance)",
+					b.name, m.name, bv, cv, tolerance*100))
+			}
+		}
+		// An error where the baseline had none is a regression even if
+		// the surviving rows' aggregates look healthy.
+		if c.sec.Error != "" && b.sec.Error == "" {
+			out = append(out, fmt.Sprintf("  %s: new error: %s", b.name, c.sec.Error))
 		}
 	}
 	return out

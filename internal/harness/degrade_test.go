@@ -15,6 +15,21 @@ import (
 // cycle cap — yields a typed per-request error, the rest of the grid
 // completes, and the figures render with the failed cells explicitly marked.
 
+// TestNegativePageCostIsFailedCell: a request scaling the page-mode costs
+// below zero is a failed cell naming its request, not a run with negative
+// page-mode cycles.
+func TestNegativePageCostIsFailedCell(t *testing.T) {
+	q := Request{Workload: "vacation", Scale: workloads.Small, HTM: sim.HTMP8, Hints: sim.HintDynamic, PageCostPct: -100}
+	res, err := quick("vacation").Run(context.Background(), q)
+	var reqErr *RequestError
+	if res != nil || !errors.As(err, &reqErr) || reqErr.Req.PageCostPct != -100 {
+		t.Fatalf("PageCostPct -100: (%v, %v), want a RequestError for the request", res, err)
+	}
+	if !strings.Contains(err.Error(), "negative VM.MinorFault") {
+		t.Errorf("err = %v, want it to name the negative minor-fault cost", err)
+	}
+}
+
 func TestRunRecoversInjectedPanic(t *testing.T) {
 	opts := QuickOptions()
 	opts.Faults = fault.Plan{PanicTx: 1}

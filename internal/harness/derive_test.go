@@ -99,8 +99,8 @@ func TestDerivedCellsMatchFreshRuns(t *testing.T) {
 		t.Errorf("small seed grid: %+v, want 80 simulated and 36 derived of 116", st)
 	}
 	var figDerived uint64
-	for _, h := range sum.Figures {
-		figDerived += h.Derived
+	for _, f := range sum.figures() {
+		figDerived += f.sec.Derived
 	}
 	if sum.ColdRuns != 80 || sum.Derived != 36 || figDerived != 36 {
 		t.Errorf("BenchResults: %d cold, %d derived (%d over its figures), want 80 and 36", sum.ColdRuns, sum.Derived, figDerived)

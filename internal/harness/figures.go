@@ -20,9 +20,10 @@ import (
 // Figures degrade gracefully: when some of a figure's requests fail (panic,
 // livelock, cycle cap), the builder still returns every computable row,
 // marks the dead cells with Failed, and returns the joined error alongside
-// them. Renderers print FAILED markers for those cells, exclude them from
-// means, and pass the error on — so hintm-bench shows the surviving figure
-// and exits non-zero. Only a cancelled context aborts a figure outright.
+// them. The results document (results.go) excludes those rows from its
+// aggregates and keeps the error in the figure's section; renderers print
+// FAILED markers for them, so hintm-bench shows the surviving figure and
+// exits non-zero. Only a cancelled context aborts a figure outright.
 
 // anyNil reports whether any needed result is missing (its request failed).
 func anyNil(results ...*sim.Result) bool {
@@ -111,37 +112,6 @@ func (r *Runner) Fig1(ctx context.Context) ([]Fig1Row, error) {
 		})
 	}
 	return rows, err
-}
-
-// RenderFig1 prints the figure as a table.
-func (r *Runner) RenderFig1(ctx context.Context, w io.Writer) error {
-	rows, err := r.Fig1(ctx)
-	if rows == nil {
-		return err
-	}
-	fmt.Fprint(w, Title("Fig 1: capacity-abort time and safe-access opportunity (P8)"))
-	t := stats.NewTable("app", "capacity-time", "safe-pages", "safe-reads@4K", "safe-reads@64B")
-	chart := stats.NewBarChart("%")
-	var ct, sp, srp, srb []float64
-	for _, row := range rows {
-		if row.Failed {
-			t.Row(row.App, "FAILED", "-", "-", "-")
-			chart.FailedBar(row.App)
-			continue
-		}
-		t.Row(row.App, stats.Pct(row.CapacityTime), stats.Pct(row.SafePages),
-			stats.Pct(row.SafeReadsPage), stats.Pct(row.SafeReadsBlock))
-		ct = append(ct, row.CapacityTime)
-		sp = append(sp, row.SafePages)
-		srp = append(srp, row.SafeReadsPage)
-		srb = append(srb, row.SafeReadsBlock)
-		chart.Bar(row.App, row.CapacityTime*100)
-	}
-	t.Row("MEAN", stats.Pct(stats.Mean(ct)), stats.Pct(stats.Mean(sp)), stats.Pct(stats.Mean(srp)), stats.Pct(stats.Mean(srb)))
-	t.Render(w)
-	fmt.Fprintln(w, "\nruntime lost to capacity aborts:")
-	chart.Render(w)
-	return err
 }
 
 // SweepRow is one application of the hint sweep behind paper Figs. 4, 7
@@ -246,64 +216,6 @@ func (r *Runner) sweep(ctx context.Context, apps []string, scale workloads.Scale
 	return rows, err
 }
 
-// RenderFig4 prints Fig. 4a+4b.
-func (r *Runner) RenderFig4(ctx context.Context, w io.Writer) error {
-	rows, err := r.Fig4(ctx)
-	if rows == nil {
-		return err
-	}
-	fmt.Fprint(w, Title("Fig 4a: capacity-abort reduction vs P8"))
-	ta := stats.NewTable("app", "base-cap-aborts", "HinTM-st", "HinTM-dyn", "HinTM")
-	var rs, rd, rf []float64
-	for _, row := range rows {
-		if row.Failed {
-			ta.Row(row.App, "FAILED", "-", "-", "-")
-			continue
-		}
-		ta.Row(row.App, row.BaseCapacity, stats.Pct(row.CapRedSt),
-			stats.Pct(row.CapRedDyn), stats.Pct(row.CapRedFull))
-		if row.BaseCapacity > 0 {
-			rs = append(rs, row.CapRedSt)
-			rd = append(rd, row.CapRedDyn)
-			rf = append(rf, row.CapRedFull)
-		}
-	}
-	ta.Row("MEAN", "-", stats.Pct(stats.Mean(rs)), stats.Pct(stats.Mean(rd)), stats.Pct(stats.Mean(rf)))
-	ta.Render(w)
-
-	fmt.Fprint(w, Title("Fig 4b: speedup over P8 (and page-mode cycle fraction)"))
-	tb := stats.NewTable("app", "HinTM-st", "HinTM-dyn", "HinTM", "InfCap", "pagemode-cycles")
-	chart := stats.NewBarChart("x")
-	var ss, sd, sf, si []float64
-	for _, row := range rows {
-		if row.Failed {
-			tb.Row(row.App, "FAILED", "-", "-", "-", "-")
-			chart.FailedBar(row.App)
-			continue
-		}
-		tb.Row(row.App,
-			fmt.Sprintf("%.2fx", row.SpeedupSt),
-			fmt.Sprintf("%.2fx", row.SpeedupDyn),
-			fmt.Sprintf("%.2fx", row.SpeedupFull),
-			fmt.Sprintf("%.2fx", row.SpeedupInf),
-			stats.Pct(row.PageModeCycleFrac))
-		ss = append(ss, row.SpeedupSt)
-		sd = append(sd, row.SpeedupDyn)
-		sf = append(sf, row.SpeedupFull)
-		si = append(si, row.SpeedupInf)
-		chart.Bar(row.App, row.SpeedupFull)
-	}
-	tb.Row("GEOMEAN",
-		fmt.Sprintf("%.2fx", geomean(ss)),
-		fmt.Sprintf("%.2fx", geomean(sd)),
-		fmt.Sprintf("%.2fx", geomean(sf)),
-		fmt.Sprintf("%.2fx", geomean(si)), "-")
-	tb.Render(w)
-	fmt.Fprintln(w, "\nHinTM speedup:")
-	chart.Render(w)
-	return err
-}
-
 // Fig5Row reproduces paper Fig. 5: the transactional access breakdown.
 type Fig5Row struct {
 	App                             string
@@ -351,29 +263,6 @@ func (r *Runner) Fig5(ctx context.Context) ([]Fig5Row, error) {
 		})
 	}
 	return rows, err
-}
-
-// RenderFig5 prints the breakdown.
-func (r *Runner) RenderFig5(ctx context.Context, w io.Writer) error {
-	rows, err := r.Fig5(ctx)
-	if rows == nil {
-		return err
-	}
-	fmt.Fprint(w, Title("Fig 5: transactional access breakdown (compiler/runtime/unsafe)"))
-	t := stats.NewTable("app", "static-safe", "dynamic-safe", "unsafe")
-	var sf, df []float64
-	for _, row := range rows {
-		if row.Failed {
-			t.Row(row.App, "FAILED", "-", "-")
-			continue
-		}
-		t.Row(row.App, stats.Pct(row.StaticFrac), stats.Pct(row.DynFrac), stats.Pct(row.UnsafeFrac))
-		sf = append(sf, row.StaticFrac)
-		df = append(df, row.DynFrac)
-	}
-	t.Row("MEAN", stats.Pct(stats.Mean(sf)), stats.Pct(stats.Mean(df)), stats.Pct(1-stats.Mean(sf)-stats.Mean(df)))
-	t.Render(w)
-	return err
 }
 
 // Fig6Series reproduces one subplot of paper Fig. 6: transaction-footprint
@@ -436,36 +325,154 @@ func (r *Runner) Fig6(ctx context.Context) ([]Fig6Series, error) {
 	return out, err
 }
 
-// RenderFig6 prints the CDFs.
-func (r *Runner) RenderFig6(ctx context.Context, w io.Writer) error {
-	series, err := r.Fig6(ctx)
-	if series == nil && err != nil {
+// RenderFig1 prints Fig. 1's section; RenderFig4 to RenderFig8 print
+// theirs. Each builds a document holding only its figure's section.
+func (r *Runner) RenderFig1(ctx context.Context, w io.Writer) error { return r.render(ctx, w, "fig1") }
+func (r *Runner) RenderFig4(ctx context.Context, w io.Writer) error { return r.render(ctx, w, "fig4") }
+func (r *Runner) RenderFig5(ctx context.Context, w io.Writer) error { return r.render(ctx, w, "fig5") }
+func (r *Runner) RenderFig6(ctx context.Context, w io.Writer) error { return r.render(ctx, w, "fig6") }
+func (r *Runner) RenderFig7(ctx context.Context, w io.Writer) error { return r.render(ctx, w, "fig7") }
+func (r *Runner) RenderFig8(ctx context.Context, w io.Writer) error { return r.render(ctx, w, "fig8") }
+
+func (r *Runner) render(ctx context.Context, w io.Writer, name string) error {
+	doc, err := r.BenchResults(ctx, name)
+	if err != nil {
 		return err
 	}
-	for _, s := range series {
-		fmt.Fprint(w, Title(fmt.Sprintf("Fig 6: TX size CDF — %s (x = blocks, P8 capacity = 64)", s.App)))
-		if s.Failed {
+	doc.renderFigures(w)
+	return doc.Err()
+}
+
+// RenderAll builds the whole document, renders it with its run summary,
+// and returns the figures' joined errors. A figure with failed cells
+// renders degraded; a cancelled context renders nothing.
+func (r *Runner) RenderAll(ctx context.Context, w io.Writer) error {
+	doc, err := r.BenchResults(ctx)
+	if err != nil {
+		return err
+	}
+	doc.Render(w)
+	return doc.Err()
+}
+
+// renderFigures prints each built section in order. A section without rows
+// prints nothing.
+func (b *BenchResults) renderFigures(w io.Writer) {
+	if b.Fig1 != nil && len(b.Fig1.Rows) > 0 {
+		b.Fig1.render(w)
+	}
+	if b.Fig4 != nil && len(b.Fig4.Rows) > 0 {
+		b.Fig4.renderFig4(w)
+	}
+	if b.Fig5 != nil && len(b.Fig5.Rows) > 0 {
+		b.Fig5.render(w)
+	}
+	if b.Fig6 != nil {
+		b.Fig6.render(w)
+	}
+	if b.Fig7 != nil && len(b.Fig7.Rows) > 0 {
+		b.Fig7.renderFig7(w)
+	}
+	if b.Fig8 != nil && len(b.Fig8.Rows) > 0 {
+		b.Fig8.renderFig8(w)
+	}
+}
+
+// times formats a speedup.
+func times(v float64) string { return fmt.Sprintf("%.2fx", v) }
+
+func (s *Fig1Section) render(w io.Writer) {
+	fmt.Fprint(w, Title("Fig 1: capacity-abort time and safe-access opportunity (P8)"))
+	t := stats.NewTable("app", "capacity-time", "safe-pages", "safe-reads@4K", "safe-reads@64B")
+	chart := stats.NewBarChart("%")
+	for _, row := range s.Rows {
+		if row.Failed {
+			t.Row(row.App, "FAILED", "-", "-", "-")
+			chart.FailedBar(row.App)
+			continue
+		}
+		t.Row(row.App, stats.Pct(row.CapacityTime), stats.Pct(row.SafePages),
+			stats.Pct(row.SafeReadsPage), stats.Pct(row.SafeReadsBlock))
+		chart.Bar(row.App, row.CapacityTime*100)
+	}
+	m := s.Mean
+	t.Row(m.App, stats.Pct(m.CapacityTime), stats.Pct(m.SafePages), stats.Pct(m.SafeReadsPage), stats.Pct(m.SafeReadsBlock))
+	t.Render(w)
+	fmt.Fprintln(w, "\nruntime lost to capacity aborts:")
+	chart.Render(w)
+}
+
+// renderFig4 prints Fig. 4a+4b.
+func (s *SweepSection) renderFig4(w io.Writer) {
+	fmt.Fprint(w, Title("Fig 4a: capacity-abort reduction vs P8"))
+	ta := stats.NewTable("app", "base-cap-aborts", "HinTM-st", "HinTM-dyn", "HinTM")
+	for _, row := range s.Rows {
+		if row.Failed {
+			ta.Row(row.App, "FAILED", "-", "-", "-")
+			continue
+		}
+		ta.Row(row.App, row.BaseCapacity, stats.Pct(row.CapRedSt),
+			stats.Pct(row.CapRedDyn), stats.Pct(row.CapRedFull))
+	}
+	m := s.Mean
+	ta.Row(m.App, "-", stats.Pct(m.CapRedSt), stats.Pct(m.CapRedDyn), stats.Pct(m.CapRedFull))
+	ta.Render(w)
+
+	fmt.Fprint(w, Title("Fig 4b: speedup over P8 (and page-mode cycle fraction)"))
+	tb := stats.NewTable("app", "HinTM-st", "HinTM-dyn", "HinTM", "InfCap", "pagemode-cycles")
+	chart := stats.NewBarChart("x")
+	for _, row := range s.Rows {
+		if row.Failed {
+			tb.Row(row.App, "FAILED", "-", "-", "-", "-")
+			chart.FailedBar(row.App)
+			continue
+		}
+		tb.Row(row.App, times(row.SpeedupSt), times(row.SpeedupDyn), times(row.SpeedupFull),
+			times(row.SpeedupInf), stats.Pct(row.PageModeCycleFrac))
+		chart.Bar(row.App, row.SpeedupFull)
+	}
+	g := s.Geomean
+	tb.Row(g.App, times(g.SpeedupSt), times(g.SpeedupDyn), times(g.SpeedupFull), times(g.SpeedupInf), "-")
+	tb.Render(w)
+	fmt.Fprintln(w, "\nHinTM speedup:")
+	chart.Render(w)
+}
+
+func (s *Fig5Section) render(w io.Writer) {
+	fmt.Fprint(w, Title("Fig 5: transactional access breakdown (compiler/runtime/unsafe)"))
+	t := stats.NewTable("app", "static-safe", "dynamic-safe", "unsafe")
+	for _, row := range s.Rows {
+		if row.Failed {
+			t.Row(row.App, "FAILED", "-", "-")
+			continue
+		}
+		t.Row(row.App, stats.Pct(row.StaticFrac), stats.Pct(row.DynFrac), stats.Pct(row.UnsafeFrac))
+	}
+	m := s.Mean
+	t.Row(m.App, stats.Pct(m.StaticFrac), stats.Pct(m.DynFrac), stats.Pct(m.UnsafeFrac))
+	t.Render(w)
+}
+
+func (s *Fig6Section) render(w io.Writer) {
+	for _, series := range s.Series {
+		fmt.Fprint(w, Title(fmt.Sprintf("Fig 6: TX size CDF — %s (x = blocks, P8 capacity = 64)", series.App)))
+		if series.Failed {
 			fmt.Fprintln(w, "FAILED: underlying runs did not complete")
 			continue
 		}
 		t := stats.NewTable("blocks", "baseline", "HinTM-st", "HinTM")
-		for i, p := range s.Points {
-			t.Row(p, s.Base[i], s.St[i], s.Full[i])
+		for i, p := range series.Points {
+			t.Row(p, series.Base[i], series.St[i], series.Full[i])
 		}
 		t.Render(w)
 	}
-	return err
 }
 
-// RenderFig7 prints the P8S study.
-func (r *Runner) RenderFig7(ctx context.Context, w io.Writer) error {
-	rows, err := r.Fig7(ctx)
-	if rows == nil {
-		return err
-	}
+// renderFig7 prints the P8S study.
+func (s *SweepSection) renderFig7(w io.Writer) {
 	fmt.Fprint(w, Title("Fig 7a: capacity & false-conflict abort reduction vs P8S (large inputs)"))
 	ta := stats.NewTable("app", "base-cap", "base-false", "cap-red-st", "cap-red-dyn", "cap-red-full", "false-red-full")
-	for _, row := range rows {
+	for _, row := range s.Rows {
 		if row.Failed {
 			ta.Row(row.App, "FAILED", "-", "-", "-", "-", "-")
 			continue
@@ -477,107 +484,31 @@ func (r *Runner) RenderFig7(ctx context.Context, w io.Writer) error {
 
 	fmt.Fprint(w, Title("Fig 7b: speedup over P8S"))
 	tb := stats.NewTable("app", "HinTM-st", "HinTM-dyn", "HinTM", "InfCap")
-	var sf []float64
-	for _, row := range rows {
+	for _, row := range s.Rows {
 		if row.Failed {
 			tb.Row(row.App, "FAILED", "-", "-", "-")
 			continue
 		}
-		tb.Row(row.App,
-			fmt.Sprintf("%.2fx", row.SpeedupSt),
-			fmt.Sprintf("%.2fx", row.SpeedupDyn),
-			fmt.Sprintf("%.2fx", row.SpeedupFull),
-			fmt.Sprintf("%.2fx", row.SpeedupInf))
-		sf = append(sf, row.SpeedupFull)
+		tb.Row(row.App, times(row.SpeedupSt), times(row.SpeedupDyn), times(row.SpeedupFull), times(row.SpeedupInf))
 	}
-	tb.Row("GEOMEAN", "-", "-", fmt.Sprintf("%.2fx", geomean(sf)), "-")
+	tb.Row(s.Geomean.App, "-", "-", times(s.Geomean.SpeedupFull), "-")
 	tb.Render(w)
-	return err
 }
 
-// RenderFig8 prints the L1TM study.
-func (r *Runner) RenderFig8(ctx context.Context, w io.Writer) error {
-	rows, err := r.Fig8(ctx)
-	if rows == nil {
-		return err
-	}
+// renderFig8 prints the L1TM study.
+func (s *SweepSection) renderFig8(w io.Writer) {
 	fmt.Fprint(w, Title("Fig 8: speedup over L1TM with 2-way SMT (large inputs)"))
 	t := stats.NewTable("app", "base-cap-aborts", "cap-red-full", "HinTM-st", "HinTM-dyn", "HinTM", "InfCap", "pagemode-cycles")
-	var sf []float64
-	for _, row := range rows {
+	for _, row := range s.Rows {
 		if row.Failed {
 			t.Row(row.App, "FAILED", "-", "-", "-", "-", "-", "-")
 			continue
 		}
-		t.Row(row.App, row.BaseCapacity, stats.Pct(row.CapRedFull),
-			fmt.Sprintf("%.2fx", row.SpeedupSt),
-			fmt.Sprintf("%.2fx", row.SpeedupDyn),
-			fmt.Sprintf("%.2fx", row.SpeedupFull),
-			fmt.Sprintf("%.2fx", row.SpeedupInf),
-			stats.Pct(row.PageModeCycleFrac))
-		sf = append(sf, row.SpeedupFull)
+		t.Row(row.App, row.BaseCapacity, stats.Pct(row.CapRedFull), times(row.SpeedupSt), times(row.SpeedupDyn),
+			times(row.SpeedupFull), times(row.SpeedupInf), stats.Pct(row.PageModeCycleFrac))
 	}
-	t.Row("GEOMEAN", "-", "-", "-", "-", fmt.Sprintf("%.2fx", geomean(sf)), "-", "-")
+	t.Row(s.Geomean.App, "-", "-", "-", "-", times(s.Geomean.SpeedupFull), "-", "-")
 	t.Render(w)
-	return err
-}
-
-// RenderAll runs every figure in order. A figure with failed cells renders
-// degraded and its error is collected; only a cancelled context (or a
-// figure yielding nothing at all) stops the sequence early.
-func (r *Runner) RenderAll(ctx context.Context, w io.Writer) error {
-	var errs []error
-	figures := []struct {
-		name   string
-		render func(context.Context, io.Writer) error
-	}{
-		{"fig1", r.RenderFig1}, {"fig4", r.RenderFig4}, {"fig5", r.RenderFig5},
-		{"fig6", r.RenderFig6}, {"fig7", r.RenderFig7}, {"fig8", r.RenderFig8},
-	}
-	spans := make([]RunStats, 0, len(figures))
-	names := make([]string, 0, len(figures))
-	for _, f := range figures {
-		before := r.Stats()
-		err := f.render(ctx, w)
-		spans = append(spans, r.Stats().Sub(before))
-		names = append(names, f.name)
-		if err != nil {
-			if ctx.Err() != nil {
-				return err
-			}
-			errs = append(errs, err)
-		}
-	}
-	r.renderRunSummary(w, names, spans)
-	return joinErrors(errs)
-}
-
-// renderRunSummary appends the per-figure production breakdown to every
-// full render: how each figure's simulations were obtained (full cold runs,
-// cells derived from an equivalent run, or content-addressed store
-// recalls). Shared runs attribute to the first
-// figure that needed them, so later figures showing zeros means the
-// memoization is working, not that they rendered for free.
-// RenderRunSummary is the single-figure entry point to the same table:
-// callers that render one figure directly (hintm-bench fig4 etc.) pass the
-// figure name and the stats span their render consumed.
-func (r *Runner) RenderRunSummary(w io.Writer, name string, span RunStats) {
-	r.renderRunSummary(w, []string{name}, []RunStats{span})
-}
-
-func (r *Runner) renderRunSummary(w io.Writer, names []string, spans []RunStats) {
-	fmt.Fprint(w, Title("Run summary: how each figure's simulations were produced"))
-	tb := stats.NewTable("figure", "cold", "derived", "store-hit")
-	var total RunStats
-	for i, name := range names {
-		d := spans[i]
-		tb.Row(name, d.SimRuns, d.Derived, d.StoreHits)
-		total.SimRuns += d.SimRuns
-		total.Derived += d.Derived
-		total.StoreHits += d.StoreHits
-	}
-	tb.Row("TOTAL", total.SimRuns, total.Derived, total.StoreHits)
-	tb.Render(w)
 }
 
 func contains(list []string, s string) bool {

@@ -74,8 +74,8 @@ func goldenCells(t *testing.T, large bool) []goldenCell {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Errors) > 0 {
-		t.Fatalf("figure grid degraded: %v", sum.Errors)
+	if err := sum.Err(); err != nil {
+		t.Fatalf("figure grid degraded: %v", err)
 	}
 	var reqs []Request
 	for _, spec := range workloads.All() {

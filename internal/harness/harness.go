@@ -86,7 +86,7 @@ type Runner struct {
 	// headline.
 	simCycles atomic.Uint64
 	// storeHits counts requests answered from the content-addressed store
-	// (the RenderAll run summary reads it through Stats).
+	// (the results document reads it through Stats).
 	storeHits atomic.Uint64
 	// derived counts requests answered by another request's run (see
 	// Runner.derive).
@@ -101,8 +101,8 @@ type Runner struct {
 }
 
 // RunStats is a point-in-time snapshot of the runner's execution counters.
-// Differences of two snapshots attribute work to a span of calls (RenderAll
-// and BenchResults use that for their per-figure breakdowns).
+// Differences of two snapshots attribute work to a span of calls
+// (BenchResults uses that for each figure's production counts).
 type RunStats struct {
 	// SimRuns counts simulations executed; StoreHits counts requests
 	// answered from the content-addressed store; Derived counts requests

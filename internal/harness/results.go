@@ -3,238 +3,331 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 
 	"hintm/internal/stats"
 )
 
-// BenchResultsSchema versions the BENCH_results.json layout; bump it when a
-// field changes meaning so downstream tooling can detect stale files.
+// BenchResultsSchema versions the results document; bump it when a field
+// changes meaning so downstream tooling can detect stale files.
 // v2 added per-figure wall time and whole-run simulated-cycle throughput;
 // v3 added the run-production breakdown (cold / store-hit counts) per figure
-// and for the whole run; v4 dropped the per-figure wall time (the grid is
-// submitted up front, so it timed only a reduction) and the prefix-sharing
-// counters. ReadBenchResults accepts only the current schema.
-const BenchResultsSchema = "hintm-bench-results/v4"
+// and for the whole run; v4 dropped the per-figure wall time and the
+// prefix-sharing counters; v5 made the document the grid run's one
+// reduction: each figure's section holds its rows, the aggregates the text
+// prints, its production counts and its error. ReadBenchResults accepts
+// only the current schema.
+const BenchResultsSchema = "hintm-bench-results/v5"
 
-// FigureHeadline is one figure's machine-readable summary: the headline
-// aggregate numbers a regression checker or dashboard wants, without the
-// per-app rows (those live in `hintm-bench export`).
-type FigureHeadline struct {
-	// Rows is the number of app rows the figure produced; Failed counts the
-	// rows whose underlying runs did not complete. Means/geomeans cover the
-	// surviving rows only.
-	Rows   int `json:"rows"`
-	Failed int `json:"failed"`
-
-	// Production breakdown (v3): how this figure's simulations were obtained
-	// while it rendered — cold runs the simulator executed, content-addressed
-	// store recalls, and cells derived from an equivalent run without
-	// simulating (ColdRuns never counts those). These are deltas over the
-	// figure's span (≈0 when an earlier figure already ran the cells: shared
-	// runs attribute to the first figure that needed them) and are
-	// measurement metadata, never part of the deterministic result bytes.
-	ColdRuns  uint64 `json:"coldRuns,omitempty"`
-	StoreHits uint64 `json:"storeHits,omitempty"`
-	Derived   uint64 `json:"derived,omitempty"`
-
-	// GeomeanSpeedup is the HinTM-full speedup geomean over the figure's
-	// baseline HTM; GeomeanSpeedupInf the InfCap upper bound.
-	GeomeanSpeedup    float64 `json:"geomeanSpeedup,omitempty"`
-	GeomeanSpeedupInf float64 `json:"geomeanSpeedupInf,omitempty"`
-	// MeanCapAbortReduction is the mean HinTM-full capacity-abort reduction
-	// (apps with baseline capacity aborts only).
-	MeanCapAbortReduction float64 `json:"meanCapAbortReduction,omitempty"`
-	// MeanCapacityTime is Fig. 1's mean runtime fraction lost to capacity
-	// aborts; MeanSafeReadsBlock its mean safe-read fraction at 64 B.
-	MeanCapacityTime   float64 `json:"meanCapacityTime,omitempty"`
-	MeanSafeReadsBlock float64 `json:"meanSafeReadsBlock,omitempty"`
-	// MeanStaticSafeFrac/MeanDynSafeFrac are Fig. 5's access-class means.
-	MeanStaticSafeFrac float64 `json:"meanStaticSafeFrac,omitempty"`
-	MeanDynSafeFrac    float64 `json:"meanDynSafeFrac,omitempty"`
-	// MeanFracOverP8Full is Fig. 6's mean fraction of HinTM transactions
-	// still exceeding the 64-block P8 capacity.
-	MeanFracOverP8Full float64 `json:"meanFracOverP8Full,omitempty"`
-}
-
-// BenchResults is the machine-readable run summary hintm-bench writes next
-// to its text figures (satellite of the observability layer: CI and scripts
-// diff these instead of scraping tables).
+// BenchResults is the one document of a grid run. The text figures are a
+// rendering of it, `hintm-bench export` prints it, `hintm-bench all` writes
+// it to -results, and benchdiff compares two of them.
 type BenchResults struct {
 	Schema     string `json:"schema"`
 	Scale      string `json:"scale"`
 	LargeScale string `json:"largeScale"`
 	Seed       uint64 `json:"seed"`
+	// Store reports whether the run consulted a result store. Only a
+	// store-free run's production counts are a function of the tree.
+	Store bool `json:"store,omitempty"`
 	// WallSeconds is the whole run's wall-clock time; the caller stamps it
 	// (the harness itself avoids wall-clock reads for determinism).
 	WallSeconds float64 `json:"wallSeconds"`
 	// SimCycles is the total simulated cycles this process actually executed
 	// (store recalls and derived cells contribute nothing); SimCyclesPerSec
-	// divides it by WallSeconds — the v2 throughput headline the perf CI
-	// watches.
-	SimCycles       uint64  `json:"simCycles,omitempty"`
+	// divides it by WallSeconds.
+	SimCycles       uint64  `json:"simCycles"`
 	SimCyclesPerSec float64 `json:"simCyclesPerSec,omitempty"`
+	// ColdRuns, Derived and StoreHits are the runner's totals: simulations
+	// executed, cells answered by an equivalent run, and store recalls.
+	ColdRuns  uint64 `json:"coldRuns"`
+	Derived   uint64 `json:"derived"`
+	StoreHits uint64 `json:"storeHits"`
 
-	// Whole-run production breakdown (v3): runner-global totals over every
-	// cell this process produced. ColdRuns counts executed simulations only;
-	// Derived counts the cells answered by an equivalent run instead.
-	ColdRuns  uint64 `json:"coldRuns,omitempty"`
-	StoreHits uint64 `json:"storeHits,omitempty"`
-	Derived   uint64 `json:"derived,omitempty"`
-
-	// Figures maps figure name → headline metrics.
-	Figures map[string]*FigureHeadline `json:"figures"`
-	// Errors maps figure name → joined error text for degraded figures.
-	Errors map[string]string `json:"errors,omitempty"`
+	// One section per figure built (nil = not built).
+	Fig1 *Fig1Section  `json:"fig1,omitempty"`
+	Fig4 *SweepSection `json:"fig4,omitempty"`
+	Fig5 *Fig5Section  `json:"fig5,omitempty"`
+	Fig6 *Fig6Section  `json:"fig6,omitempty"`
+	Fig7 *SweepSection `json:"fig7,omitempty"`
+	Fig8 *SweepSection `json:"fig8,omitempty"`
 }
 
-// BenchResults reduces every figure into headline metrics. Run after the
-// figures have rendered, the memoized scheduler recalls every simulation, so
-// the summary costs no extra runs; standalone it runs the full grid.
-func (r *Runner) BenchResults(ctx context.Context) (*BenchResults, error) {
-	out := &BenchResults{
+// Section is what every figure's section holds besides its rows and
+// aggregates.
+type Section struct {
+	// Failed counts the rows whose runs did not complete; the aggregates
+	// cover the others.
+	Failed int `json:"failed"`
+	// ColdRuns, Derived and StoreHits count how the figure's cells were
+	// produced while it was built. A cell shared with an earlier figure
+	// counts there, so a later figure showing zeros means memoization
+	// works, not that it was free.
+	ColdRuns  uint64 `json:"coldRuns"`
+	Derived   uint64 `json:"derived"`
+	StoreHits uint64 `json:"storeHits"`
+	// Error is the figure's joined error text ("" = every cell completed).
+	Error string `json:"error,omitempty"`
+	err   error
+}
+
+// Fig1Section is paper Fig. 1's section.
+type Fig1Section struct {
+	Section
+	Rows []Fig1Row `json:"rows"`
+	// Mean averages the fraction columns over the completed rows; its
+	// count columns are zero.
+	Mean Fig1Row `json:"mean"`
+}
+
+// SweepSection is the section of a hint sweep: Fig. 4, 7 or 8.
+type SweepSection struct {
+	Section
+	Rows []SweepRow `json:"rows"`
+	// Mean averages the capacity-abort reductions of HinTM-st, HinTM-dyn
+	// and HinTM over the completed rows whose baseline had capacity aborts.
+	// Geomean holds the geometric means of the four speedups over the
+	// completed rows.
+	Mean    SweepRow `json:"mean"`
+	Geomean SweepRow `json:"geomean"`
+}
+
+// Fig5Section is paper Fig. 5's section.
+type Fig5Section struct {
+	Section
+	Rows []Fig5Row `json:"rows"`
+	// Mean averages the static and dynamic fractions over the completed
+	// rows; its unsafe fraction is the remainder.
+	Mean Fig5Row `json:"mean"`
+}
+
+// Fig6Section is paper Fig. 6's section.
+type Fig6Section struct {
+	Section
+	Series []Fig6Series `json:"series"`
+	// MeanFracOverP8Full is the mean fraction of HinTM transactions still
+	// larger than the 64-block P8 buffer.
+	MeanFracOverP8Full float64 `json:"meanFracOverP8Full"`
+}
+
+// aggregator is a section that reduces its rows into its aggregates.
+type aggregator interface{ aggregate() *Section }
+
+func (s *Fig1Section) aggregate() *Section {
+	var ct, sp, sb, srp, srb []float64
+	for _, row := range s.Rows {
+		if row.Failed {
+			s.Failed++
+			continue
+		}
+		ct = append(ct, row.CapacityTime)
+		sp = append(sp, row.SafePages)
+		sb = append(sb, row.SafeBlocks)
+		srp = append(srp, row.SafeReadsPage)
+		srb = append(srb, row.SafeReadsBlock)
+	}
+	s.Mean = Fig1Row{App: "MEAN", CapacityTime: stats.Mean(ct), SafePages: stats.Mean(sp), SafeBlocks: stats.Mean(sb),
+		SafeReadsPage: stats.Mean(srp), SafeReadsBlock: stats.Mean(srb)}
+	return &s.Section
+}
+
+func (s *SweepSection) aggregate() *Section {
+	var rs, rd, rf, ss, sd, sf, si []float64
+	for _, row := range s.Rows {
+		if row.Failed {
+			s.Failed++
+			continue
+		}
+		if row.BaseCapacity > 0 {
+			rs = append(rs, row.CapRedSt)
+			rd = append(rd, row.CapRedDyn)
+			rf = append(rf, row.CapRedFull)
+		}
+		ss = append(ss, row.SpeedupSt)
+		sd = append(sd, row.SpeedupDyn)
+		sf = append(sf, row.SpeedupFull)
+		si = append(si, row.SpeedupInf)
+	}
+	s.Mean = SweepRow{App: "MEAN", CapRedSt: stats.Mean(rs), CapRedDyn: stats.Mean(rd), CapRedFull: stats.Mean(rf)}
+	s.Geomean = SweepRow{App: "GEOMEAN", SpeedupSt: geomean(ss), SpeedupDyn: geomean(sd),
+		SpeedupFull: geomean(sf), SpeedupInf: geomean(si)}
+	return &s.Section
+}
+
+func (s *Fig5Section) aggregate() *Section {
+	var sf, df []float64
+	for _, row := range s.Rows {
+		if row.Failed {
+			s.Failed++
+			continue
+		}
+		sf = append(sf, row.StaticFrac)
+		df = append(df, row.DynFrac)
+	}
+	st, dyn := stats.Mean(sf), stats.Mean(df)
+	s.Mean = Fig5Row{App: "MEAN", StaticFrac: st, DynFrac: dyn, UnsafeFrac: 1 - st - dyn}
+	return &s.Section
+}
+
+func (s *Fig6Section) aggregate() *Section {
+	var over []float64
+	for _, series := range s.Series {
+		if series.Failed {
+			s.Failed++
+			continue
+		}
+		if n := len(series.Full); n > 0 {
+			over = append(over, 1-series.Full[n-1])
+		}
+	}
+	s.MeanFracOverP8Full = stats.Mean(over)
+	return &s.Section
+}
+
+// figureNames lists the document's figures in rendering order.
+var figureNames = []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8"}
+
+// BenchResults builds the results document in one pass: the section of
+// each named figure (every figure when names is empty), then the run's
+// totals. A figure whose cells fail still gets its section, with the
+// failed rows marked and the error recorded there (see Err); the returned
+// error is only a cancelled context or an unknown figure name.
+func (r *Runner) BenchResults(ctx context.Context, names ...string) (*BenchResults, error) {
+	if len(names) == 0 {
+		names = figureNames
+	}
+	doc := &BenchResults{
 		Schema:     BenchResultsSchema,
 		Scale:      r.opts.Scale.String(),
 		LargeScale: r.opts.LargeScale.String(),
 		Seed:       r.opts.Seed,
-		Figures:    make(map[string]*FigureHeadline),
-		Errors:     make(map[string]string),
+		Store:      r.opts.Store != nil,
 	}
-
-	// Per-figure production breakdowns are measurement metadata, not
-	// simulation state; the deterministic result bytes never see them.
-	figStats := r.Stats()
-	if rows, err := r.Fig1(ctx); !out.note(ctx, "fig1", err) {
-		h := &FigureHeadline{}
-		var ct, srb []float64
-		for _, row := range rows {
-			h.count(row.Failed)
-			if !row.Failed {
-				ct = append(ct, row.CapacityTime)
-				srb = append(srb, row.SafeReadsBlock)
-			}
+	for _, name := range names {
+		before := r.Stats()
+		var sec aggregator
+		var err error
+		switch name {
+		case "fig1":
+			doc.Fig1 = &Fig1Section{}
+			doc.Fig1.Rows, err = r.Fig1(ctx)
+			sec = doc.Fig1
+		case "fig4":
+			doc.Fig4 = &SweepSection{}
+			doc.Fig4.Rows, err = r.Fig4(ctx)
+			sec = doc.Fig4
+		case "fig5":
+			doc.Fig5 = &Fig5Section{}
+			doc.Fig5.Rows, err = r.Fig5(ctx)
+			sec = doc.Fig5
+		case "fig6":
+			doc.Fig6 = &Fig6Section{}
+			doc.Fig6.Series, err = r.Fig6(ctx)
+			sec = doc.Fig6
+		case "fig7":
+			doc.Fig7 = &SweepSection{}
+			doc.Fig7.Rows, err = r.Fig7(ctx)
+			sec = doc.Fig7
+		case "fig8":
+			doc.Fig8 = &SweepSection{}
+			doc.Fig8.Rows, err = r.Fig8(ctx)
+			sec = doc.Fig8
+		default:
+			return nil, fmt.Errorf("unknown figure %q", name)
 		}
-		h.MeanCapacityTime = stats.Mean(ct)
-		h.MeanSafeReadsBlock = stats.Mean(srb)
-		h.stamp(figStats, r.Stats())
-		out.Figures["fig1"] = h
-	}
-
-	figStats = r.Stats()
-	if rows, err := r.Fig4(ctx); !out.note(ctx, "fig4", err) {
-		h := sweepHeadline(rows)
-		h.stamp(figStats, r.Stats())
-		out.Figures["fig4"] = h
-	}
-
-	figStats = r.Stats()
-	if rows, err := r.Fig5(ctx); !out.note(ctx, "fig5", err) {
-		h := &FigureHeadline{}
-		var sf, df []float64
-		for _, row := range rows {
-			h.count(row.Failed)
-			if !row.Failed {
-				sf = append(sf, row.StaticFrac)
-				df = append(df, row.DynFrac)
-			}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		h.MeanStaticSafeFrac = stats.Mean(sf)
-		h.MeanDynSafeFrac = stats.Mean(df)
-		h.stamp(figStats, r.Stats())
-		out.Figures["fig5"] = h
-	}
-
-	figStats = r.Stats()
-	if series, err := r.Fig6(ctx); !out.note(ctx, "fig6", err) {
-		h := &FigureHeadline{}
-		var over []float64
-		for _, s := range series {
-			h.count(s.Failed)
-			if !s.Failed && len(s.Full) > 0 {
-				over = append(over, 1-s.Full[len(s.Full)-1])
-			}
+		s := sec.aggregate()
+		d := r.Stats().Sub(before)
+		s.ColdRuns, s.Derived, s.StoreHits = d.SimRuns, d.Derived, d.StoreHits
+		if err != nil {
+			s.err, s.Error = err, err.Error()
 		}
-		h.MeanFracOverP8Full = stats.Mean(over)
-		h.stamp(figStats, r.Stats())
-		out.Figures["fig6"] = h
 	}
-
-	figStats = r.Stats()
-	if rows, err := r.Fig7(ctx); !out.note(ctx, "fig7", err) {
-		h := sweepHeadline(rows)
-		h.stamp(figStats, r.Stats())
-		out.Figures["fig7"] = h
-	}
-
-	figStats = r.Stats()
-	if rows, err := r.Fig8(ctx); !out.note(ctx, "fig8", err) {
-		h := sweepHeadline(rows)
-		h.stamp(figStats, r.Stats())
-		out.Figures["fig8"] = h
-	}
-
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	if len(out.Errors) == 0 {
-		out.Errors = nil
-	}
-	out.SimCycles = r.simCycles.Load()
 	st := r.Stats()
-	out.ColdRuns = st.SimRuns
-	out.StoreHits = st.StoreHits
-	out.Derived = st.Derived
-	return out, nil
+	doc.SimCycles = r.simCycles.Load()
+	doc.ColdRuns, doc.Derived, doc.StoreHits = st.SimRuns, st.Derived, st.StoreHits
+	return doc, nil
 }
 
-// stamp records the figure's production breakdown from the runner counter
-// deltas over its rendering span.
-func (h *FigureHeadline) stamp(before, after RunStats) {
-	d := after.Sub(before)
-	h.ColdRuns = d.SimRuns
-	h.StoreHits = d.StoreHits
-	h.Derived = d.Derived
+// metric is one headline benchdiff gates.
+type metric struct {
+	name string
+	v    float64
 }
 
-// note records a figure failure; it reports whether the figure must be
-// skipped outright (cancelled context). A degraded figure (err != nil but
-// rows present) is recorded yet still summarized by the caller.
-func (b *BenchResults) note(ctx context.Context, name string, err error) (skip bool) {
-	if err != nil {
-		b.Errors[name] = err.Error()
-	}
-	return ctx.Err() != nil
+// figure is one built section of a document, with its gated headlines:
+// higher lists those where a drop is a regression, drifting the workload
+// properties where a large move either way means the model changed.
+type figure struct {
+	name             string
+	sec              *Section
+	rows             int
+	higher, drifting []metric
 }
 
-func (h *FigureHeadline) count(failed bool) {
-	h.Rows++
-	if failed {
-		h.Failed++
-	}
-}
-
-// sweepHeadline reduces a hint sweep (Figs. 4, 7 and 8).
-func sweepHeadline(rows []SweepRow) *FigureHeadline {
-	h := &FigureHeadline{}
-	var sp, si, cr []float64
-	for _, row := range rows {
-		h.count(row.Failed)
-		if !row.Failed {
-			sp = append(sp, row.SpeedupFull)
-			si = append(si, row.SpeedupInf)
-			if row.BaseCapacity > 0 {
-				cr = append(cr, row.CapRedFull)
-			}
+// figures lists the document's built sections in rendering order.
+func (b *BenchResults) figures() []figure {
+	var out []figure
+	sweep := func(name string, s *SweepSection) {
+		if s != nil {
+			out = append(out, figure{name, &s.Section, len(s.Rows), []metric{
+				{"geomeanSpeedup", s.Geomean.SpeedupFull},
+				{"geomeanSpeedupInf", s.Geomean.SpeedupInf},
+				{"meanCapAbortReduction", s.Mean.CapRedFull}}, nil})
 		}
 	}
-	h.GeomeanSpeedup = geomean(sp)
-	h.GeomeanSpeedupInf = geomean(si)
-	h.MeanCapAbortReduction = stats.Mean(cr)
-	return h
+	if s := b.Fig1; s != nil {
+		out = append(out, figure{"fig1", &s.Section, len(s.Rows), nil, []metric{
+			{"meanCapacityTime", s.Mean.CapacityTime},
+			{"meanSafeReadsBlock", s.Mean.SafeReadsBlock}}})
+	}
+	sweep("fig4", b.Fig4)
+	if s := b.Fig5; s != nil {
+		out = append(out, figure{"fig5", &s.Section, len(s.Rows), []metric{
+			{"meanStaticSafeFrac", s.Mean.StaticFrac},
+			{"meanDynSafeFrac", s.Mean.DynFrac}}, nil})
+	}
+	if s := b.Fig6; s != nil {
+		out = append(out, figure{"fig6", &s.Section, len(s.Series), nil, []metric{
+			{"meanFracOverP8Full", s.MeanFracOverP8Full}}})
+	}
+	sweep("fig7", b.Fig7)
+	sweep("fig8", b.Fig8)
+	return out
 }
 
-// WriteJSON serializes the summary as indented JSON (map keys sort, so the
-// output is deterministic for a deterministic run).
+// Err joins the built figures' errors in order (nil when every cell
+// completed). A decoded document carries only the error texts.
+func (b *BenchResults) Err() error {
+	var errs []error
+	for _, f := range b.figures() {
+		errs = append(errs, f.sec.err)
+	}
+	return joinErrors(errs)
+}
+
+// Render prints the document's figures in order, then the run summary.
+func (b *BenchResults) Render(w io.Writer) {
+	b.renderFigures(w)
+	fmt.Fprint(w, Title("Run summary: how each figure's simulations were produced"))
+	tb := stats.NewTable("figure", "cold", "derived", "store-hit")
+	var total Section
+	for _, f := range b.figures() {
+		s := f.sec
+		tb.Row(f.name, s.ColdRuns, s.Derived, s.StoreHits)
+		total.ColdRuns += s.ColdRuns
+		total.Derived += s.Derived
+		total.StoreHits += s.StoreHits
+	}
+	tb.Row("TOTAL", total.ColdRuns, total.Derived, total.StoreHits)
+	tb.Render(w)
+}
+
+// WriteJSON serializes the document as indented JSON; its field order is
+// fixed, so a deterministic run writes deterministic bytes.
 func (b *BenchResults) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -7,21 +7,63 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"hintm/internal/sim"
 )
 
 // benchResultsFixture produces a small but real BenchResults via the
 // harness (memoized, so the cost is one tiny grid).
 func benchResultsFixture(t *testing.T) *BenchResults {
 	t.Helper()
-	opts := QuickOptions()
-	opts.Filter = []string{"labyrinth"}
-	r := NewRunner(opts)
-	sum, err := r.BenchResults(context.Background())
+	sum, err := quick("labyrinth").BenchResults(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum.WallSeconds = 1.25
 	return sum
+}
+
+// TestResultsDocumentFig1MatchesProfile decodes the document and checks
+// that Fig. 1's rows carry the profiled run's whole sharing report, not
+// just the plotted fractions.
+func TestResultsDocumentFig1MatchesProfile(t *testing.T) {
+	r := quick("labyrinth")
+	sum, err := r.BenchResults(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := sum.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"fig1"`, `"fig4"`, `"fig6"`, `"SpeedupFull"`, `"geomean"`} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("document missing %q", want)
+		}
+	}
+	doc, err := ReadBenchResults(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Fig1 == nil || len(doc.Fig1.Rows) != 1 || doc.Fig1.Rows[0].Failed {
+		t.Fatalf("fig1 = %+v, want one labyrinth row", doc.Fig1)
+	}
+	prof := r.report(req("labyrinth", r.opts.Scale, sim.HTMInfCap, sim.HintNone))
+	if prof == nil {
+		t.Fatal("no stored profile report for the labyrinth InfCap run")
+	}
+	row := doc.Fig1.Rows[0]
+	if row.SafeBlocks != prof.SafeBlockFrac || row.Blocks != prof.Blocks ||
+		row.Pages != prof.Pages || row.TxAccesses != prof.TxAccesses {
+		t.Errorf("fig1 row %+v disagrees with profile report %+v", row, *prof)
+	}
+	if row.Blocks == 0 || row.Pages == 0 || row.TxAccesses == 0 {
+		t.Errorf("fig1 row totals are zero: %+v", row)
+	}
+	// With one row, the mean is that row's fractions.
+	if m := doc.Fig1.Mean; m.CapacityTime != row.CapacityTime || m.SafeReadsBlock != row.SafeReadsBlock {
+		t.Errorf("fig1 mean %+v is not its only row %+v", m, row)
+	}
 }
 
 func TestBenchResultsJSONRoundTrip(t *testing.T) {
@@ -59,10 +101,10 @@ func TestBenchResultsSchemaField(t *testing.T) {
 
 	// A wrong or older schema is rejected with a regeneration hint, not
 	// misparsed.
-	for _, stale := range []string{"hintm-bench-results/v0", "hintm-bench-results/v3"} {
+	for _, stale := range []string{"hintm-bench-results/v0", "hintm-bench-results/v3", "hintm-bench-results/v4"} {
 		bad := strings.Replace(sb.String(), BenchResultsSchema, stale, 1)
 		if _, err := ReadBenchResults(strings.NewReader(bad)); err == nil ||
-			!strings.Contains(err.Error(), "schema") {
+			!strings.Contains(err.Error(), "schema") || !strings.Contains(err.Error(), "regenerate") {
 			t.Errorf("stale schema %s accepted: %v", stale, err)
 		}
 	}
@@ -94,14 +136,20 @@ func TestBenchResultsStableKeyOrdering(t *testing.T) {
 	}
 }
 
-func headline(sp float64) *FigureHeadline {
-	return &FigureHeadline{Rows: 5, GeomeanSpeedup: sp, GeomeanSpeedupInf: sp + 0.2, MeanCapAbortReduction: 0.8}
+func sweep(sp float64) *SweepSection {
+	return &SweepSection{
+		Rows:    make([]SweepRow, 5),
+		Mean:    SweepRow{CapRedFull: 0.8},
+		Geomean: SweepRow{SpeedupFull: sp, SpeedupInf: sp + 0.2},
+	}
 }
 
 func baseSummary() *BenchResults {
 	return &BenchResults{
 		Schema: BenchResultsSchema, Scale: "small", LargeScale: "small", Seed: 1,
-		Figures: map[string]*FigureHeadline{"fig4": headline(1.5), "fig7": headline(1.4)},
+		ColdRuns: 80, Derived: 36, SimCycles: 16_448_523,
+		Fig1: &Fig1Section{Rows: make([]Fig1Row, 5)},
+		Fig4: sweep(1.5), Fig7: sweep(1.4),
 	}
 }
 
@@ -117,12 +165,15 @@ func TestDiffBenchResultsFlagsRegressions(t *testing.T) {
 		mutate func(*BenchResults)
 		want   string
 	}{
-		{"speedup drop", func(b *BenchResults) { b.Figures["fig4"].GeomeanSpeedup = 1.2 }, "geomeanSpeedup"},
-		{"failed rows", func(b *BenchResults) { b.Figures["fig7"].Failed = 2 }, "failed rows"},
-		{"row count", func(b *BenchResults) { b.Figures["fig4"].Rows = 3 }, "grid changed"},
-		{"missing figure", func(b *BenchResults) { delete(b.Figures, "fig7") }, "missing"},
-		{"new error", func(b *BenchResults) { b.Errors = map[string]string{"fig4": "boom"} }, "new error"},
+		{"speedup drop", func(b *BenchResults) { b.Fig4.Geomean.SpeedupFull = 1.2 }, "geomeanSpeedup"},
+		{"failed rows", func(b *BenchResults) { b.Fig7.Failed = 2 }, "failed rows"},
+		{"row count", func(b *BenchResults) { b.Fig4.Rows = b.Fig4.Rows[:3] }, "grid changed"},
+		{"missing figure", func(b *BenchResults) { b.Fig7 = nil }, "missing"},
+		{"new error", func(b *BenchResults) { b.Fig4.Error = "boom" }, "fig4: new error: boom"},
 		{"seed mismatch", func(b *BenchResults) { b.Seed = 2 }, "seed mismatch"},
+		{"cold runs", func(b *BenchResults) { b.ColdRuns = 116 }, "coldRuns 80 -> 116"},
+		{"derived cells", func(b *BenchResults) { b.Derived = 0 }, "derived 36 -> 0"},
+		{"simulated cycles", func(b *BenchResults) { b.SimCycles++ }, "simCycles 16448523 -> 16448524"},
 	}
 	for _, tc := range cases {
 		cur := baseSummary()
@@ -135,10 +186,10 @@ func TestDiffBenchResultsFlagsRegressions(t *testing.T) {
 
 	// Drifting metrics flag movement in either direction.
 	base := baseSummary()
-	base.Figures["fig4"].MeanCapacityTime = 0.20
+	base.Fig1.Mean.CapacityTime = 0.20
 	for _, v := range []float64{0.30, 0.10} {
 		cur := baseSummary()
-		cur.Figures["fig4"].MeanCapacityTime = v
+		cur.Fig1.Mean.CapacityTime = v
 		regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05})
 		if !strings.Contains(strings.Join(regs, "\n"), "drifted") {
 			t.Errorf("capacity-time %v -> %v not flagged: %v", 0.20, v, regs)
@@ -148,7 +199,7 @@ func TestDiffBenchResultsFlagsRegressions(t *testing.T) {
 
 func TestDiffBenchResultsRespectsTolerance(t *testing.T) {
 	cur := baseSummary()
-	cur.Figures["fig4"].GeomeanSpeedup = 1.5 * 0.97 // a 3% dip
+	cur.Fig4.Geomean.SpeedupFull = 1.5 * 0.97 // a 3% dip
 	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
 		t.Errorf("3%% dip flagged at 5%% tolerance: %v", regs)
 	}
@@ -156,9 +207,24 @@ func TestDiffBenchResultsRespectsTolerance(t *testing.T) {
 		t.Error("3% dip not flagged at 1% tolerance")
 	}
 	// An improvement is never a regression.
-	cur.Figures["fig4"].GeomeanSpeedup = 2.0
+	cur.Fig4.Geomean.SpeedupFull = 2.0
 	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.01}); len(regs) != 0 {
 		t.Errorf("improvement flagged: %v", regs)
+	}
+}
+
+// TestDiffBenchResultsProductionNeedsStoreFreeRuns: production counts are
+// gated exactly, but only when neither run used a result store, whose
+// recalls make the counts depend on what the store held.
+func TestDiffBenchResultsProductionNeedsStoreFreeRuns(t *testing.T) {
+	cur := baseSummary()
+	cur.ColdRuns, cur.SimCycles = 0, 0
+	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05}); len(regs) != 2 {
+		t.Errorf("store-free production change: regressions = %v, want coldRuns and simCycles", regs)
+	}
+	cur.Store = true
+	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
+		t.Errorf("store-backed run gated on production counts: %v", regs)
 	}
 }
 

@@ -265,6 +265,24 @@ func (c Config) validate() error {
 	if c.SampleCycles < 0 {
 		return fmt.Errorf("sim: negative sample period %d", c.SampleCycles)
 	}
+	// A negative cost would move a context's clock backwards, which the
+	// min-clock scheduler's bound rules out (DESIGN.md §13).
+	for _, p := range []struct {
+		name string
+		v    int64
+	}{
+		{"VM.TLBMiss", c.VM.TLBMiss}, {"VM.MinorFault", c.VM.MinorFault},
+		{"VM.ShootdownInitiator", c.VM.ShootdownInitiator}, {"VM.ShootdownSlave", c.VM.ShootdownSlave},
+		{"TxBeginCost", c.TxBeginCost}, {"TxCommitCost", c.TxCommitCost},
+		{"STMReadBarrier", c.STMReadBarrier}, {"STMWriteBarrier", c.STMWriteBarrier},
+		{"AbortFixedCost", c.AbortFixedCost}, {"FallbackPollCost", c.FallbackPollCost},
+		{"BackoffBase", c.BackoffBase},
+		{"MaxConflictRetries", int64(c.MaxConflictRetries)}, {"CapacityRetries", int64(c.CapacityRetries)},
+	} {
+		if p.v < 0 {
+			return fmt.Errorf("sim: negative %s %d", p.name, p.v)
+		}
+	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}

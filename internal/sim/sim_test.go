@@ -532,6 +532,44 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeCostsRejected: every cycle cost, cache latency and retry
+// count must be non-negative, since a negative one moves a clock backwards;
+// zero is a valid (free) cost.
+func TestNegativeCostsRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Config, int64)
+	}{
+		{"VM.TLBMiss", func(c *Config, v int64) { c.VM.TLBMiss = v }},
+		{"VM.MinorFault", func(c *Config, v int64) { c.VM.MinorFault = v }},
+		{"VM.ShootdownInitiator", func(c *Config, v int64) { c.VM.ShootdownInitiator = v }},
+		{"VM.ShootdownSlave", func(c *Config, v int64) { c.VM.ShootdownSlave = v }},
+		{"L1 latency", func(c *Config, v int64) { c.Cache.L1Latency = v }},
+		{"L2 latency", func(c *Config, v int64) { c.Cache.L2Latency = v }},
+		{"memory latency", func(c *Config, v int64) { c.Cache.MemLatency = v }},
+		{"TxBeginCost", func(c *Config, v int64) { c.TxBeginCost = v }},
+		{"TxCommitCost", func(c *Config, v int64) { c.TxCommitCost = v }},
+		{"STMReadBarrier", func(c *Config, v int64) { c.STMReadBarrier = v }},
+		{"STMWriteBarrier", func(c *Config, v int64) { c.STMWriteBarrier = v }},
+		{"AbortFixedCost", func(c *Config, v int64) { c.AbortFixedCost = v }},
+		{"FallbackPollCost", func(c *Config, v int64) { c.FallbackPollCost = v }},
+		{"BackoffBase", func(c *Config, v int64) { c.BackoffBase = v }},
+		{"MaxConflictRetries", func(c *Config, v int64) { c.MaxConflictRetries = int(v) }},
+		{"CapacityRetries", func(c *Config, v int64) { c.CapacityRetries = int(v) }},
+	} {
+		cfg := DefaultConfig()
+		c.set(&cfg, -51)
+		if _, err := New(cfg, counterModule(1, 1)); err == nil || !strings.Contains(err.Error(), "negative "+c.name+" -51") {
+			t.Errorf("%s = -51: err = %v, want a negative-%s error", c.name, err, c.name)
+		}
+		cfg = DefaultConfig()
+		c.set(&cfg, 0)
+		if err := cfg.validate(); err != nil {
+			t.Errorf("%s = 0 rejected: %v", c.name, err)
+		}
+	}
+}
+
 func TestHTMKindAndHintModeStrings(t *testing.T) {
 	for _, k := range []HTMKind{HTMP8, HTMP8S, HTML1TM, HTMInfCap} {
 		if k.String() == "" {
