@@ -14,9 +14,8 @@
 //
 // Flags:
 //
-//	-hypothesis a,b   run only these hypotheses (comma-separated names)
-//	-all              run every registered hypothesis (default when no
-//	                  -hypothesis is given)
+//	-hypothesis a,b   run only these hypotheses (comma-separated names;
+//	                  default: every registered hypothesis)
 //	-scale small|medium|large   input scale for every grid cell (default small,
 //	                  the scale the committed findings are generated at)
 //	-dir DIR          hypotheses tree root holding <name>/FINDINGS.md
@@ -62,7 +61,6 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("hintm-exp", flag.ExitOnError)
 	names := fs.String("hypothesis", "", "comma-separated hypothesis names (default: all)")
-	all := fs.Bool("all", false, "run every registered hypothesis")
 	scaleFlag := fs.String("scale", "small", "input scale for every grid cell: small|medium|large")
 	dir := fs.String("dir", "hypotheses", "hypotheses tree root holding <name>/FINDINGS.md")
 	storeDir := cli.RegisterStore(fs)
@@ -81,7 +79,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("unknown target %q (want list|run|check|write)", target)
 	}
 
-	specs, err := selectSpecs(*names, *all)
+	specs, err := selectSpecs(*names)
 	if err != nil {
 		return err
 	}
@@ -143,12 +141,9 @@ func warm(simRuns, derived uint64) error {
 	return nil
 }
 
-// selectSpecs resolves -hypothesis/-all into a concrete spec list. With
-// neither flag, every target gets the full catalogue.
-func selectSpecs(names string, all bool) ([]*hyp.Spec, error) {
-	if names != "" && all {
-		return nil, fmt.Errorf("-hypothesis and -all are mutually exclusive")
-	}
+// selectSpecs resolves -hypothesis into a concrete spec list. Without it,
+// every target gets the full catalogue.
+func selectSpecs(names string) ([]*hyp.Spec, error) {
 	if names == "" {
 		return hyp.All(), nil
 	}

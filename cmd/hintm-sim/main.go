@@ -5,6 +5,7 @@
 //
 //	hintm-sim [flags] <workload>
 //	hintm-sim [flags] -module prog.tir
+//	hintm-sim -dump [-func NAME] [-no-classify] [flags] <workload> | -module prog.tir
 //	hintm-sim -print-config
 //	hintm-sim -list
 //
@@ -25,6 +26,11 @@
 //	-faults SPEC               fault-injection plan, e.g. "spurious=0.01,spurious-window=8"
 //	-watchdog N                livelock watchdog: fail after N cycles without progress
 //	-max-cycles N              hard cap on simulated cycles
+//	-dump                      print the loaded TIR module and exit: classified
+//	                           (load.safe/store.safe) unless -no-classify; the
+//	                           text parses back with ir.Parse, so a dump can be
+//	                           edited and run with -module
+//	-func NAME                 print only function NAME of the module (implies -dump)
 //	-trace-out FILE            write a Chrome trace-event JSON (ui.perfetto.dev)
 //	-autopsy                   print the capacity-abort autopsy after the run
 //	-sample-cycles N           counter-sample period for traced runs
@@ -52,6 +58,7 @@ import (
 
 	"hintm/internal/classify"
 	"hintm/internal/cli"
+	"hintm/internal/harness"
 	"hintm/internal/htm"
 	"hintm/internal/ir"
 	"hintm/internal/obs"
@@ -68,6 +75,8 @@ func main() {
 	list := flag.Bool("list", false, "list workloads and exit")
 	moduleFile := flag.String("module", "", "run a hand-written textual TIR module instead of a workload")
 	noClassify := flag.Bool("no-classify", false, "skip the static classification pass")
+	dump := flag.Bool("dump", false, "print the loaded TIR module (classified unless -no-classify) and exit")
+	funcName := flag.String("func", "", "print only function `NAME` of the module and exit (implies -dump)")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
 	autopsy := flag.Bool("autopsy", false, "print the capacity-abort autopsy report after the run")
 	sampleCycles := cli.RegisterCount(flag.CommandLine, "sample-cycles", 10000, "sample counters every `N` cycles in traced runs (0 = off)")
@@ -82,7 +91,7 @@ func main() {
 	defer stopProfiles()
 
 	if *printConfig {
-		renderConfig(sim.DefaultConfig())
+		harness.RenderTable2(os.Stdout)
 		return
 	}
 	if *list {
@@ -118,6 +127,18 @@ func main() {
 			fatal(err)
 		}
 	}
+	if *funcName != "" {
+		f := mod.Func(*funcName)
+		if f == nil {
+			fatal(fmt.Errorf("no function %q in module %s", *funcName, mod.Name))
+		}
+		fmt.Print(f.String())
+		return
+	}
+	if *dump {
+		fmt.Print(mod.String())
+		return
+	}
 
 	// Observability sinks: the Chrome trace streams to disk, the collector
 	// powers the autopsy. finishObs completes both even when the run fails.
@@ -136,10 +157,7 @@ func main() {
 		col = obs.NewCollector()
 		tracers = append(tracers, col)
 	}
-	if len(tracers) > 0 {
-		cfg.Tracer = obs.Multi(tracers...)
-		cfg.SampleCycles = *sampleCycles
-	}
+	cfg.SampleCycles = *sampleCycles
 	finishObs := func() {
 		if chrome != nil {
 			if err := chrome.Close(); err != nil {
@@ -163,6 +181,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	m.Observe(obs.Multi(tracers...))
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 	res, err := run(ctx, m)
@@ -254,25 +273,6 @@ func run(ctx context.Context, m *sim.Machine) (res *sim.Result, err error) {
 		}
 	}()
 	return m.Run(ctx)
-}
-
-func renderConfig(cfg sim.Config) {
-	t := stats.NewTable("parameter", "value (paper Table II / §V)")
-	t.Row("cores", fmt.Sprintf("%d 64-bit, in-order timing model", cfg.Cores))
-	t.Row("L1d", fmt.Sprintf("%d sets x %d ways x 64B = 32KB, %d-cycle",
-		cfg.Cache.L1Sets, cfg.Cache.L1Ways, cfg.Cache.L1Latency))
-	t.Row("L2", fmt.Sprintf("%d sets x %d ways x 64B = 8MB shared, %d-cycle",
-		cfg.Cache.L2Sets, cfg.Cache.L2Ways, cfg.Cache.L2Latency))
-	t.Row("memory", fmt.Sprintf("%d-cycle", cfg.Cache.MemLatency))
-	t.Row("coherence", "snoopy MESI")
-	t.Row("HTM buffer (P8)", fmt.Sprintf("%d-entry fully associative", cfg.P8Entries))
-	t.Row("signature (P8S)", fmt.Sprintf("%d-bit PBX, %d hashes", cfg.SigBits, cfg.SigHashes))
-	t.Row("TLB", fmt.Sprintf("%d entries/context, %d-cycle walk", cfg.TLBEntries, cfg.VM.TLBMiss))
-	t.Row("minor fault", fmt.Sprintf("%d cycles", cfg.VM.MinorFault))
-	t.Row("TLB shootdown", fmt.Sprintf("%d init / %d slave cycles",
-		cfg.VM.ShootdownInitiator, cfg.VM.ShootdownSlave))
-	t.Row("conflict retries", fmt.Sprintf("%d, then fallback lock", cfg.MaxConflictRetries))
-	t.Render(os.Stdout)
 }
 
 // cleanup finalizes any armed profiles before an early exit; fatal and the

@@ -15,6 +15,7 @@ import (
 	"hintm/internal/classify"
 	"hintm/internal/cli"
 	"hintm/internal/harness"
+	"hintm/internal/ir"
 	"hintm/internal/sim"
 	"hintm/internal/workloads"
 )
@@ -213,6 +214,7 @@ func TestNegativeTimeoutIsUsageError(t *testing.T) {
 		{"-htm p8s -sig-bits 1048577 kmeans", "-sig-bits: must be at most 1048576"},
 		{"-threads -1 -module " + path, "-threads: must not be negative"},
 		{"-threads -1 kmeans", "-threads: must not be negative"},
+		{"-dump -threads -1 kmeans", "-threads: must not be negative"},
 		{"-smt 0 -threads 12 -module " + path, "-smt: must be at least 1"},
 		{"-smt 0 kmeans", "-smt: must be at least 1"},
 		{"-smt -1 kmeans", "-smt: must be at least 1"},
@@ -252,5 +254,50 @@ func TestSampleCyclesDefault(t *testing.T) {
 	if def == 0 || off != 0 || fine < 5*def {
 		t.Errorf("counter samples: %d by default, %d with -sample-cycles 0, %d every 1000 cycles; want some, none, and ~10x the default",
 			def, off, fine)
+	}
+}
+
+// TestDumpRoundTrip: for every registered workload at small scale, the
+// -dump text parses with ir.Parse, prints back identically, and runs to the
+// same Result as the built, classified module, with hints and without.
+func TestDumpRoundTrip(t *testing.T) {
+	for _, name := range append(workloads.Names(), "intset-ll") {
+		stdout, stderr, err := hintmSim("-scale small -dump " + name)
+		if err != nil {
+			t.Fatalf("hintm-sim -dump %s: %v\n%s", name, err, stderr)
+		}
+		parsed, err := ir.Parse(stdout)
+		if err != nil {
+			t.Fatalf("%s: dump does not parse: %v", name, err)
+		}
+		if parsed.String() != stdout {
+			t.Errorf("%s: parsed dump prints back differently", name)
+		}
+		for _, hints := range []sim.HintMode{sim.HintNone, sim.HintFull} {
+			cfg := sim.DefaultConfig()
+			cfg.Hints = hints
+			built, _, _, err := program(&cfg, "", name, 0, workloads.Small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := classify.Run(built); err != nil {
+				t.Fatal(err)
+			}
+			var results [2][]byte
+			for i, mod := range []*ir.Module{built, parsed} {
+				m, err := sim.New(cfg, mod)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := run(context.Background(), m)
+				if err != nil {
+					t.Fatalf("%s %v: %v", name, hints, err)
+				}
+				results[i], _ = json.Marshal(res)
+			}
+			if !bytes.Equal(results[0], results[1]) {
+				t.Errorf("%s %v: the dumped module runs to a different result than the built one", name, hints)
+			}
+		}
 	}
 }

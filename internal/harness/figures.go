@@ -532,7 +532,9 @@ func RenderTable1(w io.Writer) {
 	t.Render(w)
 }
 
-// RenderTable2 prints the machine configuration (paper Table II).
+// RenderTable2 prints the machine configuration (paper Table II, and the
+// parameters the paper leaves unspecified); hintm-bench table2 and
+// hintm-sim -print-config print it.
 func RenderTable2(w io.Writer) {
 	cfg := sim.DefaultConfig()
 	fmt.Fprint(w, Title("Table II: simulation parameters"))
@@ -544,8 +546,9 @@ func RenderTable2(w io.Writer) {
 	t.Row("coherence", "snoopy MESI")
 	t.Row("P8 buffer", fmt.Sprintf("%d entries, fully associative", cfg.P8Entries))
 	t.Row("P8S signature", fmt.Sprintf("%d-bit PBX, %d hashes", cfg.SigBits, cfg.SigHashes))
-	t.Row("TLB", fmt.Sprintf("%d entries/context", cfg.TLBEntries))
+	t.Row("TLB", fmt.Sprintf("%d entries/context, %d-cycle walk", cfg.TLBEntries, cfg.VM.TLBMiss))
 	t.Row("page costs", fmt.Sprintf("minor fault %d, shootdown %d/%d cycles",
 		cfg.VM.MinorFault, cfg.VM.ShootdownInitiator, cfg.VM.ShootdownSlave))
+	t.Row("conflict retries", fmt.Sprintf("%d, then fallback lock", cfg.MaxConflictRetries))
 	t.Render(w)
 }

@@ -180,7 +180,10 @@ func TestRenderTable1(t *testing.T) {
 func TestRenderTable2(t *testing.T) {
 	var sb strings.Builder
 	RenderTable2(&sb)
-	for _, want := range []string{"64 entries", "snoopy MESI", "1024-bit PBX"} {
+	for _, want := range []string{
+		"1-wide contexts", "64 entries", "snoopy MESI", "1024-bit PBX",
+		"20-cycle walk", "6600/1450 cycles", "4, then fallback lock",
+	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("Table II missing %q:\n%s", want, sb.String())
 		}

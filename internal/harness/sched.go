@@ -282,7 +282,7 @@ func (r *Runner) execute(ctx context.Context, req Request) (c cell, err error) {
 	var prof *profile.Sharing
 	if req.profiled() {
 		prof = profile.NewSharing(cfg.Contexts() - 1)
-		m.SetProfiler(prof)
+		m.Observe(prof)
 	}
 	r.execs.Add(1)
 	c.res, err = m.Run(ctx)

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+
+	"hintm/internal/mem"
 )
 
 // ChromeTracer serializes the event stream as Chrome trace-event JSON — the
@@ -64,6 +66,12 @@ func (t *ChromeTracer) track(ctx int) {
 	t.printf(`{"name":"thread_sort_index","ph":"M","pid":0,"tid":%d,"args":{"sort_index":%d}}`, ctx, ctx)
 }
 
+// Access implements Tracer: the trace records no accesses.
+func (t *ChromeTracer) Access(ctx, tid int, addr mem.Addr, write, inTx bool) {}
+
+// Ordered implements Tracer: the trace records clocks and counter samples.
+func (t *ChromeTracer) Ordered() bool { return true }
+
 // TxBegin implements Tracer. Spans are emitted as complete events at TxEnd
 // (begin carries no information the end event lacks); begin only ensures the
 // context's track exists before any instants land on it.
@@ -89,7 +97,7 @@ func (t *ChromeTracer) TxEnd(a TxAttempt) {
 			if i > 0 {
 				t.printf(",")
 			}
-			t.printf(`{"addr":"0x%x","count":%d}`, bc.Block*blockSize, bc.Count)
+			t.printf(`{"addr":"0x%x","count":%d}`, bc.Block*mem.BlockSize, bc.Count)
 		}
 		t.printf("]}")
 	}
@@ -138,7 +146,3 @@ func reasonLabel(a TxAttempt) string {
 	}
 	return a.Reason.String()
 }
-
-// blockSize converts block numbers back to byte addresses for display
-// (mirrors mem.BlockSize; obs stays importable from everywhere below sim).
-const blockSize = 64

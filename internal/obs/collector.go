@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"hintm/internal/htm"
+	"hintm/internal/mem"
 	"hintm/internal/stats"
 )
 
@@ -30,6 +31,12 @@ var _ Tracer = (*Collector)(nil)
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
+
+// Access implements Tracer: accesses are not retained.
+func (c *Collector) Access(ctx, tid int, addr mem.Addr, write, inTx bool) {}
+
+// Ordered implements Tracer: the autopsy reads span annotations.
+func (c *Collector) Ordered() bool { return true }
 
 // TxBegin implements Tracer (spans are recorded complete, at TxEnd).
 func (c *Collector) TxBegin(ctx, tid int, cycle int64, fallback bool) {}
@@ -166,7 +173,7 @@ func (a *Autopsy) Render(w io.Writer) {
 			if i >= 10 {
 				break
 			}
-			t.Row(fmt.Sprintf("0x%x", row.Block*blockSize), row.Touches, row.Aborts)
+			t.Row(fmt.Sprintf("0x%x", row.Block*mem.BlockSize), row.Touches, row.Aborts)
 		}
 		t.Render(w)
 	}
@@ -183,7 +190,7 @@ func formatTop(top []BlockCount, n int) string {
 		if i > 0 {
 			s += " "
 		}
-		s += fmt.Sprintf("0x%x×%d", bc.Block*blockSize, bc.Count)
+		s += fmt.Sprintf("0x%x×%d", bc.Block*mem.BlockSize, bc.Count)
 	}
 	return s
 }

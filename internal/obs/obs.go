@@ -1,8 +1,11 @@
 // Package obs is the simulator's observability layer: a deterministic,
 // cycle-timestamped event stream threaded through the whole stack (machine,
-// HTM controller, vmem/TLB, cache, fault layer). The machine emits three
-// event classes into an attached Tracer:
+// HTM controller, vmem/TLB, cache, fault layer). The machine has one
+// observer hook (sim.Machine.Observe) and emits four event classes into the
+// Tracer attached there:
 //
+//   - accesses: every data memory access of the simulated program, with its
+//     context, thread, address, direction and whether it is transactional;
 //   - spans: one per transaction attempt (begin → commit/abort), annotated
 //     with the outcome, abort reason, read/write-set occupancy at end, the
 //     hint-skipped footprint, and fallback-lock episodes;
@@ -11,21 +14,31 @@
 //   - counter samples: periodic (every Config.SampleCycles cycles) snapshots
 //     of the run's headline counters, forming per-run metrics time series.
 //
+// Whether a sink is Ordered decides what the machine does for it. An
+// ordered sink reads clocks and counters mid-run, so it forces lockstep
+// scheduling and gets the full stream. An unordered sink (embedding
+// Unordered) reads accesses and transaction events only, whose global order
+// run-ahead scheduling keeps: it gets those alone, with spans that carry
+// their outcome but no occupancy or hint annotation.
+//
 // A nil Tracer is the compiled-out fast path: every emission site is guarded
 // by a single nil check and the hot path allocates nothing (asserted by
 // BenchmarkNilTracerAccess in internal/sim).
 //
-// Two sinks ship with the package: ChromeTracer writes Chrome trace-event
-// JSON (openable in ui.perfetto.dev, one track per hardware context) and
-// Collector retains events in memory to power the capacity-abort autopsy
-// report. Both are deterministic: two runs of the same seeded configuration
-// produce byte-identical trace files, so traces are diffable in CI.
+// Two ordered sinks ship with the package: ChromeTracer writes Chrome
+// trace-event JSON (openable in ui.perfetto.dev, one track per hardware
+// context) and Collector retains events in memory to power the
+// capacity-abort autopsy report. Both are deterministic: two runs of the
+// same seeded configuration produce byte-identical trace files, so traces
+// are diffable in CI. The Fig.-1 sharing profile (internal/profile) is an
+// unordered sink.
 package obs
 
 import (
 	"fmt"
 
 	"hintm/internal/htm"
+	"hintm/internal/mem"
 )
 
 // EventKind classifies instant events.
@@ -160,22 +173,56 @@ func (s CounterSample) TotalAborts() uint64 {
 // internal buffers); TxAttempt.Overflow.Top is freshly allocated per event
 // and safe to keep.
 type Tracer interface {
+	// Access reports one word access: the hardware context, the software
+	// thread, the address, whether it is a write, and whether it executes
+	// transactionally (in a hardware attempt or under the fallback lock).
+	Access(ctx, tid int, addr mem.Addr, write, inTx bool)
 	// TxBegin opens a transaction-attempt span on a context.
 	TxBegin(ctx, tid int, cycle int64, fallback bool)
 	// TxEnd closes the context's open span with its full annotation.
 	TxEnd(a TxAttempt)
-	// Instant reports a point event; arg's meaning depends on kind.
+	// Instant reports a point event; arg's meaning depends on kind. Only
+	// ordered sinks receive instants.
 	Instant(ctx int, cycle int64, kind EventKind, arg uint64)
-	// Sample reports a periodic counter snapshot.
+	// Sample reports a periodic counter snapshot. Only ordered sinks
+	// receive samples.
 	Sample(s CounterSample)
+	// Ordered reports whether the sink reads the machine in strict
+	// (clock, context) order; see the package comment.
+	Ordered() bool
 }
+
+// Unordered is embedded by sinks that read only accesses and transaction
+// events: it ignores every event and reports Ordered false, so the machine
+// keeps run-ahead scheduling and spends nothing on span annotations,
+// instants or samples. A sink overrides the events it reads.
+type Unordered struct{}
+
+// Access implements Tracer.
+func (Unordered) Access(ctx, tid int, addr mem.Addr, write, inTx bool) {}
+
+// TxBegin implements Tracer.
+func (Unordered) TxBegin(ctx, tid int, cycle int64, fallback bool) {}
+
+// TxEnd implements Tracer.
+func (Unordered) TxEnd(a TxAttempt) {}
+
+// Instant implements Tracer.
+func (Unordered) Instant(ctx int, cycle int64, kind EventKind, arg uint64) {}
+
+// Sample implements Tracer.
+func (Unordered) Sample(s CounterSample) {}
+
+// Ordered implements Tracer.
+func (Unordered) Ordered() bool { return false }
 
 // multi fans events out to several sinks in order.
 type multi []Tracer
 
 // Multi combines tracers into one; nil entries are dropped. It returns nil
 // when nothing remains (keeping the disabled fast path) and the tracer
-// itself when only one remains.
+// itself when only one remains. The combination is ordered when any of its
+// sinks is.
 func Multi(ts ...Tracer) Tracer {
 	var live multi
 	for _, t := range ts {
@@ -190,6 +237,12 @@ func Multi(ts ...Tracer) Tracer {
 		return live[0]
 	}
 	return live
+}
+
+func (m multi) Access(ctx, tid int, addr mem.Addr, write, inTx bool) {
+	for _, t := range m {
+		t.Access(ctx, tid, addr, write, inTx)
+	}
 }
 
 func (m multi) TxBegin(ctx, tid int, cycle int64, fallback bool) {
@@ -214,4 +267,13 @@ func (m multi) Sample(s CounterSample) {
 	for _, t := range m {
 		t.Sample(s)
 	}
+}
+
+func (m multi) Ordered() bool {
+	for _, t := range m {
+		if t.Ordered() {
+			return true
+		}
+	}
+	return false
 }

@@ -9,7 +9,7 @@ package profile
 import (
 	"hintm/internal/flat"
 	"hintm/internal/mem"
-	"hintm/internal/sim"
+	"hintm/internal/obs"
 )
 
 // threadSet is a bitmask of worker thread ids (the suite runs ≤ 16 threads).
@@ -41,8 +41,11 @@ func (r regionInfo) safe() bool {
 	return all.count() == 1
 }
 
-// Sharing profiles one run. It implements sim.Profiler.
+// Sharing profiles one run. It is an unordered observer (obs.Tracer) that
+// reads accesses only, so a profiled run keeps run-ahead scheduling.
 type Sharing struct {
+	obs.Unordered
+
 	// MaxWorkerTID filters out the main (setup) thread: only accesses by
 	// tids <= MaxWorkerTID count, since Fig. 1 studies the parallel phase.
 	MaxWorkerTID int
@@ -62,10 +65,10 @@ func NewSharing(maxWorkerTID int) *Sharing {
 	return s
 }
 
-var _ sim.Profiler = (*Sharing)(nil)
+var _ obs.Tracer = (*Sharing)(nil)
 
-// OnAccess implements sim.Profiler.
-func (s *Sharing) OnAccess(tid int, addr mem.Addr, write, inTx bool) {
+// Access implements obs.Tracer.
+func (s *Sharing) Access(_, tid int, addr mem.Addr, write, inTx bool) {
 	if tid > s.MaxWorkerTID {
 		return
 	}
@@ -92,7 +95,7 @@ func (s *Sharing) OnAccess(tid int, addr mem.Addr, write, inTx bool) {
 // region returns a pointer into the table's value slot for key, inserting an
 // empty record on first touch. The pointer is only valid until the next Add
 // (a grow rehashes into fresh backing), so callers must not retain it across
-// OnAccess calls.
+// Access calls.
 func region(t *flat.Tab[regionInfo], key uint64) *regionInfo {
 	i, ok := t.Find(key)
 	if !ok {

@@ -31,16 +31,16 @@ func TestSharingReport(t *testing.T) {
 	blk := func(i uint64) mem.Addr { return mem.Addr(i * mem.BlockSize) }
 
 	// Region A (block 0): read-only shared by threads 0,1 — safe.
-	s.OnAccess(0, blk(0), false, true)
-	s.OnAccess(1, blk(0), false, true)
+	s.Access(0, 0, blk(0), false, true)
+	s.Access(0, 1, blk(0), false, true)
 	// Region B (block 1): thread 0 private RW — safe.
-	s.OnAccess(0, blk(1), true, true)
-	s.OnAccess(0, blk(1), false, true)
+	s.Access(0, 0, blk(1), true, true)
+	s.Access(0, 0, blk(1), false, true)
 	// Region C (block 2): RW-shared — unsafe.
-	s.OnAccess(0, blk(2), false, true)
-	s.OnAccess(1, blk(2), true, true)
+	s.Access(0, 0, blk(2), false, true)
+	s.Access(0, 1, blk(2), true, true)
 	// Main thread (tid 8 > max 7) must be ignored.
-	s.OnAccess(8, blk(3), true, false)
+	s.Access(0, 8, blk(3), true, false)
 
 	rep := s.Report()
 	if rep.Blocks != 3 {
@@ -65,8 +65,8 @@ func TestPageCoarserThanBlock(t *testing.T) {
 	// writes block 70 (different page? no: block 70 is within page 1).
 	// Use same-page blocks 0 and 1: block-granular both private-safe,
 	// page-granular unsafe (two writers on one page).
-	s.OnAccess(0, 0, true, true)
-	s.OnAccess(1, mem.BlockSize, true, true)
+	s.Access(0, 0, 0, true, true)
+	s.Access(0, 1, mem.BlockSize, true, true)
 	rep := s.Report()
 	if rep.SafeBlockFrac != 1.0 {
 		t.Fatalf("block frac = %f, want 1", rep.SafeBlockFrac)
@@ -81,7 +81,7 @@ func TestPageCoarserThanBlock(t *testing.T) {
 
 func TestNonTxNotCounted(t *testing.T) {
 	s := NewSharing(7)
-	s.OnAccess(0, 0, false, false)
+	s.Access(0, 0, 0, false, false)
 	rep := s.Report()
 	if rep.TxAccesses != 0 || rep.TxReads != 0 {
 		t.Fatal("non-TX access counted as transactional")
@@ -103,9 +103,9 @@ func TestEmptyReportSafe(t *testing.T) {
 // reads of that block, and of every block on its page, unsafe.
 func TestSafeReadsJudgedAtRunEnd(t *testing.T) {
 	s := NewSharing(7)
-	s.OnAccess(0, 0, false, true)
-	s.OnAccess(0, mem.BlockSize, false, true)
-	s.OnAccess(1, mem.BlockSize, true, true)
+	s.Access(0, 0, 0, false, true)
+	s.Access(0, 0, mem.BlockSize, false, true)
+	s.Access(0, 1, mem.BlockSize, true, true)
 	rep := s.Report()
 	if rep.TxAccesses != 3 || rep.TxReads != 2 {
 		t.Fatalf("tx accesses %d reads %d, want 3 and 2", rep.TxAccesses, rep.TxReads)

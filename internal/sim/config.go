@@ -12,7 +12,6 @@ import (
 
 	"hintm/internal/cache"
 	"hintm/internal/fault"
-	"hintm/internal/obs"
 	"hintm/internal/vmem"
 )
 
@@ -177,15 +176,10 @@ type Config struct {
 	// Faults is the fault-injection plan (zero value = no injection).
 	Faults fault.Plan
 
-	// Tracer receives cycle-timestamped observability events: transaction
-	// spans, instant events (page transitions, shootdowns, evictions,
-	// injected faults), and periodic counter samples. nil is the disabled
-	// fast path: every emission site is one nil check and the access hot
-	// path allocates nothing (see internal/obs).
-	Tracer obs.Tracer
 	// SampleCycles is the counter-sample period in simulated cycles; a
 	// sample is emitted each time a context clock crosses the next multiple
-	// (0 = sampling off). Only meaningful with a Tracer attached.
+	// (0 = sampling off). Only meaningful with an ordered observer attached
+	// (Machine.Observe).
 	SampleCycles int64
 }
 

@@ -47,14 +47,14 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 	page := addr.Page()
 	block := addr.Block()
 
-	if m.profiler != nil {
-		m.profiler.OnAccess(t.ID, addr, write, c.txActive || t.Fallback)
+	if m.tracer != nil {
+		m.tracer.Access(c.id, t.ID, addr, write, c.txActive || t.Fallback)
 	}
 
 	// 0. Fault layer: an armed spurious abort (interrupt/TLB-miss model)
 	// fires before the access takes architectural effect.
 	if m.faults != nil && c.txActive && m.faults.SpuriousAbortNow(c.id) {
-		if m.tracer != nil {
+		if m.ordered {
 			m.tracer.Instant(c.id, c.cycle, obs.EvFaultSpurious, uint64(block))
 		}
 		m.abortTx(c, htm.AbortSpurious)
@@ -65,7 +65,7 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 	// safe instructions skip dynamic classification but still translate.
 	out := m.vm.Access(c.id, t.ID, page, write)
 	c.cycle += out.FaultCycles
-	if m.tracer != nil && out.MinorFault {
+	if m.ordered && out.MinorFault {
 		m.tracer.Instant(c.id, c.cycle, obs.EvMinorFault, uint64(page))
 	}
 	if out.Transition != nil {
@@ -103,7 +103,7 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 
 	// 4. L1 evictions: contexts on this core may lose in-L1 tracked state.
 	for _, ev := range res.Evicted {
-		if m.tracer != nil {
+		if m.ordered {
 			m.tracer.Instant(c.id, c.cycle, obs.EvEviction, ev)
 		}
 		for _, o := range c.coreMates {
@@ -173,7 +173,7 @@ func (m *Machine) access(c *hwContext, t *interp.Thread, addr mem.Addr, write, s
 func (m *Machine) pageModeTransition(c *hwContext, out vmem.Outcome) (selfAborted bool) {
 	tr := out.Transition
 	cost := tr.InitiatorCycles
-	if m.tracer != nil {
+	if m.ordered {
 		m.tracer.Instant(c.id, c.cycle, obs.EvPageTransition, tr.Page)
 	}
 	for _, s := range tr.Slaves {
@@ -185,7 +185,7 @@ func (m *Machine) pageModeTransition(c *hwContext, out vmem.Outcome) (selfAborte
 		sc.cycle += m.vm.SlaveCost()
 		m.syncEff(sc)
 		cost += m.vm.SlaveCost()
-		if m.tracer != nil {
+		if m.ordered {
 			m.tracer.Instant(s, sc.cycle, obs.EvTLBShootdown, tr.Page)
 		}
 	}
@@ -239,6 +239,7 @@ func (m *Machine) TxBegin(t *interp.Thread) interp.Ctrl {
 		return interp.CtrlStall
 	}
 	c.cycle += m.cfg.TxBeginCost
+	c.txStart = c.cycle
 	if c.fallbackNext {
 		// Acquire the global fallback lock; running TXs subscribed to the
 		// lock abort (they would otherwise miss our unprotected writes).
@@ -249,27 +250,22 @@ func (m *Machine) TxBegin(t *interp.Thread) interp.Ctrl {
 			}
 		}
 		t.Fallback = true
-		c.txStart = c.cycle
 		m.fallbackAcquires++
-		if m.tracer != nil {
-			m.tracer.TxBegin(c.id, t.ID, c.cycle, true)
+	} else {
+		t.Capture(m.alloc.StackTop(t.ID))
+		c.ctrl.Begin()
+		c.txActive = true
+		if m.faults != nil {
+			m.faults.TxBegun(c.id)
 		}
-		return interp.CtrlOK
-	}
-	t.Capture(m.alloc.StackTop(t.ID))
-	c.ctrl.Begin()
-	c.txActive = true
-	if m.faults != nil {
-		m.faults.TxBegun(c.id)
-	}
-	t.InTx = true
-	c.txStart = c.cycle
-	if m.profiler != nil {
-		m.notifyTx(t.ID, TxEventBegin, htm.AbortNone)
+		t.InTx = true
+		if c.intro != nil {
+			clear(c.intro.counts)
+			clear(c.intro.skipped)
+		}
 	}
 	if m.tracer != nil {
-		c.intro.reset()
-		m.tracer.TxBegin(c.id, t.ID, c.cycle, false)
+		m.tracer.TxBegin(c.id, t.ID, c.cycle, t.Fallback)
 	}
 	return interp.CtrlOK
 }
@@ -278,44 +274,28 @@ func (m *Machine) TxBegin(t *interp.Thread) interp.Ctrl {
 func (m *Machine) TxEnd(t *interp.Thread) interp.Ctrl {
 	c := m.ctxOf(t)
 	c.cycle += m.cfg.TxCommitCost
+	var span obs.TxAttempt
 	if t.Fallback {
+		if m.tracer != nil {
+			span = m.span(c, obs.OutcomeFallbackCommit, htm.AbortNone, 0)
+		}
 		m.fallbackHolder = nil
 		t.Fallback = false
 		c.fallbackNext = false
-		c.retries = 0
 		m.res.FallbackCommits++
+	} else {
+		tracked := c.ctrl.FootprintBlocks()
+		m.res.TxFootprints.Add(tracked)
+		m.facts.MaxTracked = max(m.facts.MaxTracked, tracked)
 		if m.tracer != nil {
-			m.tracer.TxEnd(obs.TxAttempt{
-				Ctx: c.id, TID: t.ID,
-				Start: c.txStart, End: c.cycle,
-				Outcome: obs.OutcomeFallbackCommit, Fallback: true,
-			})
+			span = m.span(c, obs.OutcomeCommit, htm.AbortNone, tracked)
 		}
-		return interp.CtrlOK
+		c.ctrl.Commit()
+		c.txActive = false
+		t.InTx = false
+		m.res.Commits++
 	}
-	tracked := c.ctrl.FootprintBlocks()
-	m.res.TxFootprints.Add(tracked)
-	m.facts.MaxTracked = max(m.facts.MaxTracked, tracked)
-	// Commit spans are captured before Commit() resets the tracker.
-	var span obs.TxAttempt
-	if m.tracer != nil {
-		span = obs.TxAttempt{
-			Ctx: c.id, TID: t.ID, Start: c.txStart,
-			Outcome:     obs.OutcomeCommit,
-			ReadSet:     c.ctrl.ReadSetSize(),
-			WriteSet:    c.ctrl.WriteSetSize(),
-			Tracked:     tracked,
-			SafeSkipped: len(c.intro.skipped),
-		}
-	}
-	c.ctrl.Commit()
-	c.txActive = false
-	t.InTx = false
 	c.retries = 0
-	m.res.Commits++
-	if m.profiler != nil {
-		m.notifyTx(t.ID, TxEventCommit, htm.AbortNone)
-	}
 	if m.tracer != nil {
 		span.End = c.cycle
 		m.tracer.TxEnd(span)

@@ -49,14 +49,14 @@ type hwContext struct {
 	// settle splits the run when another context acts on this one.
 	aheadFrom, ahead int64
 
-	// intro accumulates per-attempt introspection for the tracer (block
-	// access counts and the hint-skipped set); nil when tracing is disabled
-	// so the hot path allocates nothing.
+	// intro accumulates per-attempt introspection for the observer (block
+	// access counts and the hint-skipped set); nil unless an ordered
+	// observer is attached, so the hot path allocates nothing.
 	intro *txIntro
 }
 
-// txIntro is one attempt's footprint introspection, maintained only while a
-// tracer is attached.
+// txIntro is one attempt's footprint introspection, maintained only while an
+// ordered observer is attached.
 type txIntro struct {
 	// counts maps block → access count for the running attempt.
 	counts map[uint64]int
@@ -66,15 +66,6 @@ type txIntro struct {
 
 func newTxIntro() *txIntro {
 	return &txIntro{counts: make(map[uint64]int), skipped: make(map[uint64]struct{})}
-}
-
-func (ti *txIntro) reset() {
-	for k := range ti.counts {
-		delete(ti.counts, k)
-	}
-	for k := range ti.skipped {
-		delete(ti.skipped, k)
-	}
 }
 
 // top ranks the attempt's most-accessed blocks, highest count first (block
@@ -132,17 +123,16 @@ type Machine struct {
 	fallbackHolder *hwContext
 	res            *Result
 	facts          Facts
-	profiler       Profiler
 	// stepCap is Run's effective MaxSteps; stepWorkers consults it so that
 	// batched stepping stops exactly where the single-step loop would.
 	stepCap int64
 
-	// tracer is the observability sink (nil = tracing disabled); nextSample
-	// is the cycle the next counter sample is due at. sampling caches
-	// "tracer != nil && SampleCycles > 0" so the per-step check is one load.
-	tracer     obs.Tracer
-	nextSample int64
-	sampling   bool
+	// tracer is the one observer (nil = none); Observe caches its Ordered
+	// in ordered, and "ordered && SampleCycles > 0" in sampling so the
+	// per-step check is one load. nextSample is the next sample's cycle.
+	tracer            obs.Tracer
+	ordered, sampling bool
+	nextSample        int64
 
 	// faults is the injection engine (nil unless cfg.Faults is enabled).
 	faults *fault.Engine
@@ -153,9 +143,9 @@ type Machine struct {
 	lastProgressCycle int64
 
 	// runAhead enables run-ahead scheduling and main-thread batches for this
-	// run (batch): off when the run carries a tracer, whose events and
-	// counter samples read other contexts' clocks mid-run. noRunAhead forces
-	// it off (tests compare both schedules).
+	// run (batch): off when the run carries an ordered observer, whose
+	// events and counter samples read other contexts' clocks mid-run.
+	// noRunAhead forces it off (tests compare both schedules).
 	runAhead, noRunAhead bool
 	// actClock and actID are the (clock, id) scheduling key of the
 	// instruction executing now; settle splits run-ahead against it.
@@ -169,12 +159,27 @@ type Machine struct {
 	settles [2]uint64
 }
 
-// Profiler observes every data memory access the simulated program performs.
-// The sharing profiler (internal/profile) uses it to compute the paper's
-// Fig.-1 metrics.
+// Observe attaches t as the machine's one observer (call once, before Run).
+// Whether t is ordered decides, here, all the machine spends on it: an
+// ordered sink forces lockstep and gets instants, counter samples and spans
+// annotated by the tracker and txIntro; an unordered one keeps run-ahead
+// and gets accesses and bare spans only (obs.Unordered).
+func (m *Machine) Observe(t obs.Tracer) {
+	m.tracer = t
+	m.ordered = t != nil && t.Ordered()
+	m.sampling = m.ordered && m.cfg.SampleCycles > 0
+	if m.ordered {
+		for _, c := range m.ctxs {
+			c.intro = newTxIntro()
+		}
+	}
+}
+
+// Profiler, TxObserver and SetProfiler are an adapter onto Observe for the
+// benchmark module (benchmark/), which compiles against them. OnAccess
+// reports every data memory access as obs.Tracer's Access does, less the
+// hardware context.
 type Profiler interface {
-	// OnAccess reports one word access: the software thread, the address,
-	// whether it is a write, and whether it executes transactionally.
 	OnAccess(tid int, addr mem.Addr, write, inTx bool)
 }
 
@@ -189,22 +194,48 @@ const (
 )
 
 // TxObserver is an optional extension of Profiler: observers implementing it
-// additionally receive transaction begin/commit/abort events, which an
-// access recorder needs to delimit transactions. Abort events carry
-// their reason (htm.AbortNone for begin/commit).
+// also receive the begin and the commit or abort (with its reason, else
+// htm.AbortNone) of every hardware transaction attempt, which an access
+// recorder needs to delimit transactions; fallback sections deliver none.
 type TxObserver interface {
 	OnTxEvent(tid int, ev TxEventKind, reason htm.AbortReason)
 }
 
-// notifyTx forwards a lifecycle event to the profiler, if it observes them.
-func (m *Machine) notifyTx(tid int, ev TxEventKind, reason htm.AbortReason) {
-	if o, ok := m.profiler.(TxObserver); ok {
-		o.OnTxEvent(tid, ev, reason)
+// SetProfiler attaches p (non-nil) as an unordered observer (call before
+// Run).
+func (m *Machine) SetProfiler(p Profiler) {
+	tx, _ := p.(TxObserver)
+	m.Observe(&profilerSink{p: p, tx: tx})
+}
+
+// profilerSink adapts a Profiler, and a TxObserver when it is one, to
+// obs.Tracer.
+type profilerSink struct {
+	obs.Unordered
+	p  Profiler
+	tx TxObserver
+}
+
+func (s *profilerSink) Access(_, tid int, addr mem.Addr, write, inTx bool) {
+	s.p.OnAccess(tid, addr, write, inTx)
+}
+
+func (s *profilerSink) TxBegin(_, tid int, _ int64, fallback bool) {
+	if s.tx != nil && !fallback {
+		s.tx.OnTxEvent(tid, TxEventBegin, htm.AbortNone)
 	}
 }
 
-// SetProfiler attaches an access observer (call before Run).
-func (m *Machine) SetProfiler(p Profiler) { m.profiler = p }
+func (s *profilerSink) TxEnd(a obs.TxAttempt) {
+	if s.tx == nil || a.Fallback {
+		return
+	}
+	ev := TxEventCommit
+	if a.Outcome == obs.OutcomeAbort {
+		ev = TxEventAbort
+	}
+	s.tx.OnTxEvent(a.TID, ev, a.Reason) // a commit's reason is htm.AbortNone
+}
 
 // ReadGlobal returns word wordIdx of the named global after (or during) a
 // run — the way tests and examples inspect a program's final state.
@@ -279,12 +310,6 @@ func New(cfg Config, mod *ir.Module) (*Machine, error) {
 	}
 	if cfg.Faults.Enabled() {
 		m.faults = fault.NewEngine(cfg.Faults, cfg.Seed, cfg.Contexts())
-	}
-	if cfg.Tracer != nil {
-		m.tracer = cfg.Tracer
-		for _, c := range m.ctxs {
-			c.intro = newTxIntro()
-		}
 	}
 	return m, nil
 }
@@ -361,8 +386,7 @@ func (m *Machine) runMain(ctx context.Context) error {
 		maxSteps = 2_000_000_000
 	}
 	m.stepCap = maxSteps
-	m.sampling = m.tracer != nil && m.cfg.SampleCycles > 0
-	m.runAhead = !m.noRunAhead && m.tracer == nil
+	m.runAhead = !m.noRunAhead && !m.ordered
 
 	for !m.mainThread.Done {
 		if m.res.Steps&ctxCheckMask == 0 {
@@ -602,6 +626,29 @@ func (m *Machine) sample(now int64) {
 	m.nextSample = now - now%step + step
 }
 
+// span records how c's attempt ends; the caller sets End and emits it. For
+// an ordered observer a hardware attempt's span carries the tracker's state
+// and the hint-skipped blocks, so it must be taken before Commit() or
+// Abort() resets the tracker; a capacity abort names what overflowed.
+func (m *Machine) span(c *hwContext, outcome obs.Outcome, reason htm.AbortReason, tracked int) obs.TxAttempt {
+	a := obs.TxAttempt{Ctx: c.id, TID: c.thread.ID, Start: c.txStart, Outcome: outcome, Reason: reason,
+		Fallback: outcome == obs.OutcomeFallbackCommit}
+	if c.intro == nil || a.Fallback {
+		return a
+	}
+	a.ReadSet, a.WriteSet, a.Tracked = c.ctrl.ReadSetSize(), c.ctrl.WriteSetSize(), tracked
+	a.SafeSkipped = len(c.intro.skipped)
+	if reason == htm.AbortCapacity {
+		a.Overflow = &obs.Overflow{
+			Structure: c.ctrl.OverflowStructure(),
+			Tracked:   tracked,
+			Skipped:   a.SafeSkipped,
+			Top:       c.intro.top(8),
+		}
+	}
+	return a
+}
+
 // ctxOf maps a thread to its hardware context.
 func (m *Machine) ctxOf(t *interp.Thread) *hwContext {
 	c := m.byThread[t.ID]
@@ -627,30 +674,12 @@ func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
 			m.bound = c.cycle // the batch's runner-up moved back
 		}
 	}
-	// The span must be captured before Abort() resets the tracker: set sizes
-	// and the footprint are the attempt's state at the moment of death.
+	tracked := c.ctrl.FootprintBlocks()
+	m.facts.MaxTracked = max(m.facts.MaxTracked, tracked)
 	var span obs.TxAttempt
 	if m.tracer != nil {
-		span = obs.TxAttempt{
-			Ctx: c.id, TID: c.thread.ID,
-			Start:    c.txStart,
-			Outcome:  obs.OutcomeAbort,
-			Reason:   reason,
-			ReadSet:  c.ctrl.ReadSetSize(),
-			WriteSet: c.ctrl.WriteSetSize(),
-			Tracked:  c.ctrl.FootprintBlocks(),
-		}
-		span.SafeSkipped = len(c.intro.skipped)
-		if reason == htm.AbortCapacity {
-			span.Overflow = &obs.Overflow{
-				Structure: c.ctrl.OverflowStructure(),
-				Tracked:   span.Tracked,
-				Skipped:   span.SafeSkipped,
-				Top:       c.intro.top(8),
-			}
-		}
+		span = m.span(c, obs.OutcomeAbort, reason, tracked)
 	}
-	m.facts.MaxTracked = max(m.facts.MaxTracked, c.ctrl.FootprintBlocks())
 	undo := c.ctrl.Abort()
 	c.txActive = false
 	for _, e := range undo {
@@ -660,9 +689,6 @@ func (m *Machine) abortTx(c *hwContext, reason htm.AbortReason) {
 
 	cp := c.thread.Restore()
 	m.alloc.StackRelease(c.thread.ID, cp.StackTop)
-	if m.profiler != nil {
-		m.notifyTx(c.thread.ID, TxEventAbort, reason)
-	}
 	if m.tracer != nil {
 		span.End = c.cycle
 		m.tracer.TxEnd(span)

@@ -14,20 +14,28 @@ import (
 	"hintm/internal/obs"
 )
 
+// observedRun executes mod under cfg with tr attached.
+func observedRun(t *testing.T, mod *ir.Module, cfg Config, tr obs.Tracer) *Result {
+	t.Helper()
+	m, err := New(cfg, mod)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	m.Observe(tr)
+	res, err := m.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
 // chromeRun executes a freshly-built module under cfg with a ChromeTracer
 // attached and returns the rendered trace bytes.
 func chromeRun(t *testing.T, build func() *ir.Module, cfg Config) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	ct := obs.NewChromeTracer(&buf)
-	cfg.Tracer = ct
-	m, err := New(cfg, build())
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := m.Run(context.Background()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	observedRun(t, build(), cfg, ct)
 	if err := ct.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -93,9 +101,9 @@ func TestAutopsyAttributesEveryCapacityAbort(t *testing.T) {
 	} {
 		col := obs.NewCollector()
 		cfg := DefaultConfig()
-		cfg.HTM, cfg.SMT, cfg.Tracer = c.htm, c.smt, col
+		cfg.HTM, cfg.SMT = c.htm, c.smt
 		cfg.SizeFor(2)
-		_, res := runModule(t, c.mod, cfg)
+		res := observedRun(t, c.mod, cfg, col)
 
 		nCap := res.Aborts[htm.AbortCapacity]
 		if nCap == 0 {
@@ -174,9 +182,8 @@ func strideTxModule(nThreads, iters, blocks, stride int64, write bool) *ir.Modul
 func TestSpanAccountingMatchesResult(t *testing.T) {
 	col := obs.NewCollector()
 	cfg := DefaultConfig()
-	cfg.Tracer = col
 	cfg.SampleCycles = 200
-	_, res := runModule(t, counterModule(8, 20), cfg)
+	res := observedRun(t, counterModule(8, 20), cfg, col)
 
 	a := col.Autopsy()
 	if uint64(a.Commits) != res.Commits {
@@ -275,11 +282,11 @@ func BenchmarkCollectorTracedRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		col := obs.NewCollector()
 		cfg := DefaultConfig()
-		cfg.Tracer = col
 		m, err := New(cfg, counterModule(4, 10))
 		if err != nil {
 			b.Fatal(err)
 		}
+		m.Observe(col)
 		if _, err := m.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func runScheduled(t *testing.T, mod *ir.Module, cfg sim.Config, runAhead, profil
 	var prof *profile.Sharing
 	if profiled {
 		prof = profile.NewSharing(cfg.Contexts() - 1)
-		m.SetProfiler(prof)
+		m.Observe(prof)
 	}
 	res, err := m.Run(context.Background())
 	if err != nil {

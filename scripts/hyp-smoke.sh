@@ -45,6 +45,6 @@ if [ "$status" -ne 0 ]; then
 fi
 
 echo "hyp-smoke: warm check (every cell must be a store recall)"
-"$TMP/hintm-exp" -scale small -store "$TMP/store" -all -assert-warm check
+"$TMP/hintm-exp" -scale small -store "$TMP/store" -assert-warm check
 
 echo "hyp-smoke: OK"
