@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-ab bench-module-build trace-check hyp-smoke figures export clean
+.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-ab bench-module-build hyp-smoke figures clean
 
 all: test
 
@@ -52,9 +52,6 @@ artifacts:
 figures:
 	$(GO) run ./cmd/hintm-bench all
 
-export:
-	$(GO) run ./cmd/hintm-bench export > results.json
-
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -68,17 +65,16 @@ bench:
 bench-smoke:
 	$(GO) test -run='Alloc' -bench=. -benchtime=1x -benchmem ./...
 
-# bench-diff re-runs the small-input benchmark trajectory and fails when a
-# headline metric regresses the committed BENCH_baseline.json beyond the
-# tolerance (default 5%), when the run's production counts (cold runs,
-# derived cells, simulated cycles) differ at all, or when the whole run's
-# wall time regresses beyond the much wider wall gate (10x tolerance, floor
-# 50% — wall clocks are noisy, headline metrics are not). The simulator is
-# seeded-deterministic, so an unchanged tree diffs exactly zero on the
-# metrics and counts; regenerate the baseline deliberately with:
-#   go run ./cmd/hintm-bench -scale small -large small -results BENCH_baseline.json all
+# bench-diff re-runs the paper-scale figure grid and fails when its
+# production counts (cold runs, derived cells, simulated cycles) differ at
+# all from the committed BENCH_baseline.json's, or when its wall time
+# exceeds 1.5x the baseline's. Every cell's result is pinned by the golden
+# (TestGolden); this gate covers what the grid costs. The simulator is
+# seeded-deterministic, so an unchanged tree makes the same counts;
+# regenerate the baseline deliberately with:
+#   go run ./cmd/hintm-bench -scale large -large large -results BENCH_baseline.json all
 bench-diff:
-	$(GO) run ./cmd/hintm-bench -scale small -large small -results .bench-current.json all > /dev/null
+	$(GO) run ./cmd/hintm-bench -scale large -large large -results .bench-current.json all > /dev/null
 	$(GO) run ./cmd/hintm-bench benchdiff BENCH_baseline.json .bench-current.json
 	rm -f .bench-current.json
 
@@ -106,22 +102,5 @@ bench-module-build:
 hyp-smoke:
 	./scripts/hyp-smoke.sh
 
-# trace-check records each of two seeded runs twice and requires
-# byte-identical traces and autopsies — the end-to-end determinism property
-# the observability layer guarantees (DESIGN.md §11). The runs are vacation
-# on P8 and Fig. 8's genome cell: L1TM with 8 threads on 4 dual-threaded
-# cores, whose trace records l1-eviction events.
-trace-check:
-	rm -rf .trace-check && mkdir -p .trace-check
-	$(GO) build -o .trace-check/hintm-sim ./cmd/hintm-sim
-	set -e; for cell in "vacation" "-htm l1tm -smt 2 -hints full genome"; do \
-		for run in a b; do \
-			.trace-check/hintm-sim -scale small -trace-out .trace-check/$$run.json -autopsy $$cell > .trace-check/$$run.txt; \
-		done; \
-		cmp .trace-check/a.json .trace-check/b.json; \
-		diff .trace-check/a.txt .trace-check/b.txt; \
-	done
-	rm -rf .trace-check
-
 clean:
-	rm -rf results.json BENCH_results.json .trace-check .bench-current.json .hintm-store
+	rm -rf BENCH_results.json .bench-current.json .hintm-store

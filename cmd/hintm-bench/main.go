@@ -2,8 +2,8 @@
 //
 // Usage:
 //
-//	hintm-bench [flags] [table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|export|all]
-//	hintm-bench [-tolerance F] [-min-wall S] benchdiff BASELINE.json CURRENT.json
+//	hintm-bench [flags] [table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|all]
+//	hintm-bench benchdiff BASELINE.json CURRENT.json
 //
 // Flags:
 //
@@ -21,15 +21,16 @@
 //	-store DIR                  recall/persist every run in a content-addressed
 //	                            result store (warm-cache figure regeneration;
 //	                            shared with hintm-exp)
-//	-tolerance F                relative tolerance for the benchdiff target
-//	                            (default 0.05)
-//	-min-wall S                 shortest baseline wall time the benchdiff
-//	                            target gates in relative terms (default 0.05)
 //	-cpuprofile/-memprofile     write Go pprof profiles of the harness itself
 //
 // When individual runs fail (injected faults, watchdog trips, panics) the
 // figures still render with the failed cells explicitly marked; the command
 // then exits non-zero with a summary of every failure.
+//
+// benchdiff compares two results documents written by "all" and exits
+// non-zero when the current one is not comparable with the baseline, made
+// different production counts, or took over 1.5x the baseline's wall time
+// (see harness.DiffBenchResults).
 //
 // To trace one figure cell, or read its capacity-abort autopsy, run it with
 // hintm-sim -trace-out/-autopsy: hintm-sim sizes the machine by the same
@@ -62,8 +63,6 @@ func run(args []string, w io.Writer) error {
 	timeout := cli.RegisterTimeout(fs, "the whole run")
 	results := fs.String("results", "BENCH_results.json", `write the results document the "all" target rendered here ("" = off)`)
 	storeDir := cli.RegisterStore(fs)
-	tolerance := fs.Float64("tolerance", 0.05, `relative headline-metric tolerance for the "benchdiff" target`)
-	minWall := fs.Float64("min-wall", harness.DefaultMinWallSeconds, `shortest baseline wall time (seconds) the "benchdiff" target gates in relative terms`)
 	profiles := cli.RegisterProfiles(fs, "hintm-bench", "harness")
 	fs.Parse(args)
 
@@ -72,17 +71,15 @@ func run(args []string, w io.Writer) error {
 		target = fs.Arg(0)
 	}
 	switch target {
-	case "table1", "table2", "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "export", "all":
+	case "table1", "table2", "fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "all":
 	case "benchdiff":
-		// benchdiff never simulates: it loads two results documents and
-		// exits non-zero when the new one regresses the baseline (see
-		// harness.DiffBenchResults).
+		// benchdiff never simulates: it loads two results documents.
 		if fs.NArg() != 3 {
-			return fmt.Errorf("usage: hintm-bench [-tolerance F] [-min-wall S] benchdiff BASELINE.json CURRENT.json")
+			return fmt.Errorf("usage: hintm-bench benchdiff BASELINE.json CURRENT.json")
 		}
-		return runBenchDiff(fs.Arg(1), fs.Arg(2), harness.DiffOptions{Tolerance: *tolerance, MinWallSeconds: *minWall})
+		return runBenchDiff(fs.Arg(1), fs.Arg(2), w)
 	default:
-		return fmt.Errorf("unknown target %q (want table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|export|benchdiff|all)", target)
+		return fmt.Errorf("unknown target %q (want table1|table2|fig1|fig4|fig5|fig6|fig7|fig8|benchdiff|all)", target)
 	}
 
 	stopProfiles, err := profiles.Start()
@@ -114,9 +111,9 @@ func run(args []string, w io.Writer) error {
 		harness.RenderTable2(w)
 		return nil
 	}
-	// Every other target renders the results document or, for "export",
-	// prints it: a single figure's holds that figure's section, "all" and
-	// "export" hold all six, and "all" also writes it to -results.
+	// Every other target renders the results document: a single figure's
+	// holds that figure's section, "all" holds all six and also writes the
+	// document to -results.
 	var figures []string
 	if strings.HasPrefix(target, "fig") {
 		figures = []string{target}
@@ -130,12 +127,6 @@ func run(args []string, w io.Writer) error {
 	if doc.WallSeconds > 0 {
 		doc.SimCyclesPerSec = float64(doc.SimCycles) / doc.WallSeconds
 	}
-	if target == "export" {
-		if err := doc.WriteJSON(w); err != nil {
-			return err
-		}
-		return doc.Err()
-	}
 	doc.Render(w)
 	err = doc.Err()
 	if target == "all" && *results != "" {
@@ -146,16 +137,8 @@ func run(args []string, w io.Writer) error {
 	return err
 }
 
-// runBenchDiff compares two headline-metric files and fails on regressions.
-// A negative or NaN tolerance or minimum wall time is a usage error: the
-// first flags identical files as regressed, the second gates nothing.
-func runBenchDiff(basePath, curPath string, o harness.DiffOptions) error {
-	if !(o.Tolerance >= 0) {
-		return fmt.Errorf("-tolerance %v: must be a non-negative number", o.Tolerance)
-	}
-	if !(o.MinWallSeconds >= 0) {
-		return fmt.Errorf("-min-wall %v: must be a non-negative number", o.MinWallSeconds)
-	}
+// runBenchDiff compares two results documents and fails on regressions.
+func runBenchDiff(basePath, curPath string, w io.Writer) error {
 	load := func(path string) (*harness.BenchResults, error) {
 		f, err := os.Open(path)
 		if err != nil {
@@ -172,14 +155,14 @@ func runBenchDiff(basePath, curPath string, o harness.DiffOptions) error {
 	if err != nil {
 		return err
 	}
-	regressions := harness.DiffBenchResults(base, cur, o)
+	regressions := harness.DiffBenchResults(base, cur)
 	if len(regressions) == 0 {
-		fmt.Printf("benchdiff: %s vs %s: no regressions beyond %.1f%% tolerance\n",
-			basePath, curPath, o.Tolerance*100)
+		fmt.Fprintf(w, "benchdiff: %s vs %s: same production, wall time %.2f s -> %.2f s\n",
+			basePath, curPath, base.WallSeconds, cur.WallSeconds)
 		return nil
 	}
-	return fmt.Errorf("benchdiff: %s regresses %s:\n%s",
-		curPath, basePath, strings.Join(regressions, "\n"))
+	fmt.Fprintf(w, "benchdiff: %s vs %s:\n%s\n", basePath, curPath, strings.Join(regressions, "\n"))
+	return fmt.Errorf("benchdiff: %s regresses %s", curPath, basePath)
 }
 
 // writeResults writes the results document to path.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,28 +13,35 @@ import (
 	"hintm/internal/harness"
 )
 
-// TestBenchDiffRejectsBadGates: a negative or NaN -tolerance or -min-wall is
-// a usage error, not a comparison that fails identical files or passes
-// everything.
-func TestBenchDiffRejectsBadGates(t *testing.T) {
-	const base = "../../BENCH_baseline.json"
-	good := harness.DiffOptions{Tolerance: 0.05, MinWallSeconds: harness.DefaultMinWallSeconds}
-	if err := runBenchDiff(base, base, good); err != nil {
-		t.Fatalf("identical files with default gates: %v", err)
+// TestBaselineIsPaperScale: the committed BENCH_baseline.json parses under
+// the current schema and comes from a store-free paper-scale run at seed 1,
+// the run `make bench-diff` makes, so the gate compares comparable
+// documents; benchdiff passes it against itself and reports on run's writer.
+func TestBaselineIsPaperScale(t *testing.T) {
+	const path = "../../BENCH_baseline.json"
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		flag string
-		o    harness.DiffOptions
-	}{
-		{"-tolerance", harness.DiffOptions{Tolerance: -1}},
-		{"-tolerance", harness.DiffOptions{Tolerance: math.NaN()}},
-		{"-min-wall", harness.DiffOptions{Tolerance: 0.05, MinWallSeconds: -1}},
-		{"-min-wall", harness.DiffOptions{Tolerance: 0.05, MinWallSeconds: math.NaN()}},
-	} {
-		err := runBenchDiff(base, base, c.o)
-		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
-			t.Errorf("%+v: err = %v, want a %s usage error", c.o, err, c.flag)
-		}
+	defer f.Close()
+	base, err := harness.ReadBenchResults(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Scale != "large" || base.LargeScale != "large" || base.Seed != 1 || base.Store {
+		t.Errorf("baseline is %s/%s, seed %d, store %t; want large/large, seed 1, store-free",
+			base.Scale, base.LargeScale, base.Seed, base.Store)
+	}
+	if base.ColdRuns == 0 || base.SimCycles == 0 || base.WallSeconds <= 0 {
+		t.Errorf("baseline has %d cold runs, %d cycles, %v s wall; want all nonzero",
+			base.ColdRuns, base.SimCycles, base.WallSeconds)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"benchdiff", path, path}, &out); err != nil {
+		t.Fatalf("baseline against itself: %v", err)
+	}
+	if !strings.Contains(out.String(), "same production") {
+		t.Errorf("benchdiff printed %q, want its success line", out.String())
 	}
 }
 
@@ -89,10 +95,11 @@ func TestAllResultsCountsSumToTotals(t *testing.T) {
 	}
 }
 
-// TestRemovedTargetsAreUnknown: the SVG renderer and the intset extras
-// sweep are gone, so their targets fail as unknown before anything runs.
+// TestRemovedTargetsAreUnknown: the SVG renderer, the intset extras sweep
+// and export (-results writes the same document) are gone, so their
+// targets fail as unknown before anything runs.
 func TestRemovedTargetsAreUnknown(t *testing.T) {
-	for _, target := range []string{"extras", "svg"} {
+	for _, target := range []string{"extras", "svg", "export"} {
 		var out bytes.Buffer
 		err := run([]string{target}, &out)
 		if err == nil || !strings.Contains(err.Error(), `unknown target "`+target+`"`) {
@@ -104,22 +111,28 @@ func TestRemovedTargetsAreUnknown(t *testing.T) {
 	}
 }
 
-// TestUnknownWorkloadRunsNoSimulation: a misspelled -workloads name fails
-// before the store is opened or any figure renders, so nothing is printed
-// (no all-zero "Run summary" table) and no store directory is created.
+// TestUnknownWorkloadRunsNoSimulation: a misspelled or repeated -workloads
+// name fails before the store is opened or any figure renders, so nothing
+// is printed (no all-zero "Run summary" table, no workload's rows twice)
+// and no store directory is created.
 func TestUnknownWorkloadRunsNoSimulation(t *testing.T) {
-	for _, target := range []string{"fig4", "all"} {
-		dir := filepath.Join(t.TempDir(), "store")
-		var out bytes.Buffer
-		err := run([]string{"-scale", "small", "-results", "", "-store", dir, "-workloads", "bogus", target}, &out)
-		if err == nil || !strings.Contains(err.Error(), `-workloads: workloads: unknown workload "bogus"`) {
-			t.Errorf("%s: err = %v, want an unknown-workload usage error", target, err)
-		}
-		if out.Len() != 0 {
-			t.Errorf("%s: printed before failing:\n%s", target, out.String())
-		}
-		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Errorf("%s: store directory exists (%v): the filter was checked after the store opened", target, err)
+	for _, c := range []struct{ list, want string }{
+		{"bogus", `-workloads: workloads: unknown workload "bogus"`},
+		{"vacation,vacation,bayes", `-workloads: "vacation" listed twice`},
+	} {
+		for _, target := range []string{"fig4", "all"} {
+			dir := filepath.Join(t.TempDir(), "store")
+			var out bytes.Buffer
+			err := run([]string{"-scale", "small", "-results", "", "-store", dir, "-workloads", c.list, target}, &out)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s %s: err = %v, want %q", c.list, target, err, c.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s %s: printed before failing:\n%s", c.list, target, out.String())
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("%s %s: store directory exists (%v): the filter was checked after the store opened", c.list, target, err)
+			}
 		}
 	}
 }

@@ -11,7 +11,8 @@
 //
 // Flags:
 //
-//	-htm p8|p8s|l1tm|infcap    baseline HTM (default p8)
+//	-htm p8|p8s|l1tm|infcap|stm
+//	                           baseline HTM (default p8)
 //	-hints none|st|dyn|full    HinTM mode (default none)
 //	-scale small|medium|large  input scale (default medium)
 //	-threads N                 override the paper's thread count (with -module:

@@ -12,17 +12,18 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/trace-hashes.txt from the current simulator")
 
-// traceCells are the runs make trace-check records: vacation on P8, and
-// Fig. 8's genome cell, L1TM with 8 threads on 4 dual-threaded cores.
+// traceCells are the traced runs: vacation on P8, and Fig. 8's genome
+// cell, L1TM with 8 threads on 4 dual-threaded cores, whose trace records
+// l1-eviction events.
 var traceCells = []string{
 	"-scale small vacation",
 	"-scale small -htm l1tm -smt 2 -hints full genome",
 }
 
 // TestTraceHashes pins the Chrome trace and the stdout (statistics and
-// autopsy) of trace-check's cells against testdata/trace-hashes.txt, so a
-// change that moves a trace byte fails here, not only a change that makes
-// two runs differ. Regenerate deliberately with
+// autopsy) of traceCells against testdata/trace-hashes.txt, so a change
+// that moves a trace byte fails here, and so does a run that differs from
+// another of the same binary. Regenerate deliberately with
 //
 //	go test ./cmd/hintm-sim -run TestTraceHashes -update
 func TestTraceHashes(t *testing.T) {

@@ -43,7 +43,7 @@ type Report struct {
 	Clones []string
 }
 
-// String renders the report for the tirc CLI.
+// String renders the report as hintm-sim prints it on its "compiler" line.
 func (r *Report) String() string {
 	return fmt.Sprintf(
 		"tx loads: %d (%d safe)  tx stores: %d (%d safe)  clones: %d",

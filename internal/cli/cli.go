@@ -73,12 +73,18 @@ func (h *HarnessFlags) Options() (harness.Options, error) {
 	}
 	if *h.workloads != "" {
 		opts.Filter = strings.Split(*h.workloads, ",")
-		// An unknown name is a usage error here, before any store is
-		// opened or any figure renders a table.
+		// An unknown or repeated name is a usage error here, before any
+		// store is opened or any figure renders a table: a repeat would
+		// print its rows twice and count them twice in the means.
+		seen := make(map[string]bool)
 		for _, name := range opts.Filter {
 			if _, err := workloads.ByName(name); err != nil {
 				return opts, fmt.Errorf("-workloads: %w", err)
 			}
+			if seen[name] {
+				return opts, fmt.Errorf("-workloads: %q listed twice", name)
+			}
+			seen[name] = true
 		}
 	}
 	opts.Seed = *h.seed

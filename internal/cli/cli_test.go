@@ -154,18 +154,25 @@ func TestHarnessFlagsRejectNegativeCounts(t *testing.T) {
 }
 
 // TestHarnessFlagsRejectUnknownWorkloads: every -workloads name must be a
-// registered workload; a misspelling fails in Options, before any figure
-// could render its table over an empty selection.
+// registered workload, listed once; a misspelling or a repeat fails in
+// Options, before any figure could render its table over an empty
+// selection or weigh a workload twice in its MEAN and GEOMEAN rows.
 func TestHarnessFlagsRejectUnknownWorkloads(t *testing.T) {
-	for _, list := range []string{"bogus", "labyrinth,bogus", "labyrinth,"} {
+	for _, c := range []struct{ list, want string }{
+		{"bogus", "unknown workload"},
+		{"labyrinth,bogus", "unknown workload"},
+		{"labyrinth,", "unknown workload"},
+		{"vacation,vacation,bayes", `"vacation" listed twice`},
+		{"bayes,vacation,bayes", `"bayes" listed twice`},
+	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		h := RegisterHarness(fs)
-		if err := fs.Parse([]string{"-workloads", list}); err != nil {
+		if err := fs.Parse([]string{"-workloads", c.list}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := h.Options(); err == nil || !strings.Contains(err.Error(), "-workloads: ") ||
-			!strings.Contains(err.Error(), "unknown workload") {
-			t.Errorf("-workloads %q: err = %v, want an unknown-workload usage error", list, err)
+			!strings.Contains(err.Error(), c.want) {
+			t.Errorf("-workloads %q: err = %v, want a usage error saying %s", c.list, err, c.want)
 		}
 	}
 }

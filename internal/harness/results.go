@@ -21,8 +21,8 @@ import (
 const BenchResultsSchema = "hintm-bench-results/v5"
 
 // BenchResults is the one document of a grid run. The text figures are a
-// rendering of it, `hintm-bench export` prints it, `hintm-bench all` writes
-// it to -results, and benchdiff compares two of them.
+// rendering of it, `hintm-bench all` writes it to -results, and benchdiff
+// compares two of them.
 type BenchResults struct {
 	Schema     string `json:"schema"`
 	Scale      string `json:"scale"`
@@ -252,50 +252,33 @@ func (r *Runner) BenchResults(ctx context.Context, names ...string) (*BenchResul
 	return doc, nil
 }
 
-// metric is one headline benchdiff gates.
-type metric struct {
-	name string
-	v    float64
-}
-
-// figure is one built section of a document, with its gated headlines:
-// higher lists those where a drop is a regression, drifting the workload
-// properties where a large move either way means the model changed.
+// figure is one built section of a document, under its name.
 type figure struct {
-	name             string
-	sec              *Section
-	rows             int
-	higher, drifting []metric
+	name string
+	sec  *Section
 }
 
 // figures lists the document's built sections in rendering order.
 func (b *BenchResults) figures() []figure {
 	var out []figure
-	sweep := func(name string, s *SweepSection) {
-		if s != nil {
-			out = append(out, figure{name, &s.Section, len(s.Rows), []metric{
-				{"geomeanSpeedup", s.Geomean.SpeedupFull},
-				{"geomeanSpeedupInf", s.Geomean.SpeedupInf},
-				{"meanCapAbortReduction", s.Mean.CapRedFull}}, nil})
-		}
+	if b.Fig1 != nil {
+		out = append(out, figure{"fig1", &b.Fig1.Section})
 	}
-	if s := b.Fig1; s != nil {
-		out = append(out, figure{"fig1", &s.Section, len(s.Rows), nil, []metric{
-			{"meanCapacityTime", s.Mean.CapacityTime},
-			{"meanSafeReadsBlock", s.Mean.SafeReadsBlock}}})
+	if b.Fig4 != nil {
+		out = append(out, figure{"fig4", &b.Fig4.Section})
 	}
-	sweep("fig4", b.Fig4)
-	if s := b.Fig5; s != nil {
-		out = append(out, figure{"fig5", &s.Section, len(s.Rows), []metric{
-			{"meanStaticSafeFrac", s.Mean.StaticFrac},
-			{"meanDynSafeFrac", s.Mean.DynFrac}}, nil})
+	if b.Fig5 != nil {
+		out = append(out, figure{"fig5", &b.Fig5.Section})
 	}
-	if s := b.Fig6; s != nil {
-		out = append(out, figure{"fig6", &s.Section, len(s.Series), nil, []metric{
-			{"meanFracOverP8Full", s.MeanFracOverP8Full}}})
+	if b.Fig6 != nil {
+		out = append(out, figure{"fig6", &b.Fig6.Section})
 	}
-	sweep("fig7", b.Fig7)
-	sweep("fig8", b.Fig8)
+	if b.Fig7 != nil {
+		out = append(out, figure{"fig7", &b.Fig7.Section})
+	}
+	if b.Fig8 != nil {
+		out = append(out, figure{"fig8", &b.Fig8.Section})
+	}
 	return out
 }
 

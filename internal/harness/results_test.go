@@ -136,148 +136,70 @@ func TestBenchResultsStableKeyOrdering(t *testing.T) {
 	}
 }
 
-func sweep(sp float64) *SweepSection {
-	return &SweepSection{
-		Rows:    make([]SweepRow, 5),
-		Mean:    SweepRow{CapRedFull: 0.8},
-		Geomean: SweepRow{SpeedupFull: sp, SpeedupInf: sp + 0.2},
-	}
-}
-
 func baseSummary() *BenchResults {
 	return &BenchResults{
-		Schema: BenchResultsSchema, Scale: "small", LargeScale: "small", Seed: 1,
-		ColdRuns: 80, Derived: 36, SimCycles: 16_448_523,
-		Fig1: &Fig1Section{Rows: make([]Fig1Row, 5)},
-		Fig4: sweep(1.5), Fig7: sweep(1.4),
+		Schema: BenchResultsSchema, Scale: "large", LargeScale: "large", Seed: 1,
+		WallSeconds: 10, ColdRuns: 95, Derived: 21, SimCycles: 622_647_107,
 	}
 }
 
 func TestDiffBenchResultsCleanOnIdentical(t *testing.T) {
-	if regs := DiffBenchResults(baseSummary(), baseSummary(), DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
+	if regs := DiffBenchResults(baseSummary(), baseSummary()); len(regs) != 0 {
 		t.Errorf("identical summaries flagged: %v", regs)
 	}
 }
 
+// TestDiffBenchResultsFlagsRegressions: a seed or scale mismatch makes the
+// documents not comparable, and each production count must be equal.
 func TestDiffBenchResultsFlagsRegressions(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*BenchResults)
 		want   string
 	}{
-		{"speedup drop", func(b *BenchResults) { b.Fig4.Geomean.SpeedupFull = 1.2 }, "geomeanSpeedup"},
-		{"failed rows", func(b *BenchResults) { b.Fig7.Failed = 2 }, "failed rows"},
-		{"row count", func(b *BenchResults) { b.Fig4.Rows = b.Fig4.Rows[:3] }, "grid changed"},
-		{"missing figure", func(b *BenchResults) { b.Fig7 = nil }, "missing"},
-		{"new error", func(b *BenchResults) { b.Fig4.Error = "boom" }, "fig4: new error: boom"},
-		{"seed mismatch", func(b *BenchResults) { b.Seed = 2 }, "seed mismatch"},
-		{"cold runs", func(b *BenchResults) { b.ColdRuns = 116 }, "coldRuns 80 -> 116"},
-		{"derived cells", func(b *BenchResults) { b.Derived = 0 }, "derived 36 -> 0"},
-		{"simulated cycles", func(b *BenchResults) { b.SimCycles++ }, "simCycles 16448523 -> 16448524"},
+		{"seed mismatch", func(b *BenchResults) { b.Seed = 2 }, "not comparable"},
+		{"scale mismatch", func(b *BenchResults) { b.Scale = "small" }, "not comparable"},
+		{"large-scale mismatch", func(b *BenchResults) { b.LargeScale = "small" }, "not comparable"},
+		{"cold runs", func(b *BenchResults) { b.ColdRuns = 116 }, "coldRuns 95 -> 116"},
+		{"derived cells", func(b *BenchResults) { b.Derived = 0 }, "derived 21 -> 0"},
+		{"simulated cycles", func(b *BenchResults) { b.SimCycles++ }, "simCycles 622647107 -> 622647108"},
 	}
 	for _, tc := range cases {
 		cur := baseSummary()
 		tc.mutate(cur)
-		regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05})
-		if len(regs) == 0 || !strings.Contains(strings.Join(regs, "\n"), tc.want) {
-			t.Errorf("%s: regressions = %v, want mention of %q", tc.name, regs, tc.want)
-		}
-	}
-
-	// Drifting metrics flag movement in either direction.
-	base := baseSummary()
-	base.Fig1.Mean.CapacityTime = 0.20
-	for _, v := range []float64{0.30, 0.10} {
-		cur := baseSummary()
-		cur.Fig1.Mean.CapacityTime = v
-		regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05})
-		if !strings.Contains(strings.Join(regs, "\n"), "drifted") {
-			t.Errorf("capacity-time %v -> %v not flagged: %v", 0.20, v, regs)
+		regs := DiffBenchResults(baseSummary(), cur)
+		if len(regs) != 1 || !strings.Contains(regs[0], tc.want) {
+			t.Errorf("%s: regressions = %v, want one mentioning %q", tc.name, regs, tc.want)
 		}
 	}
 }
 
-func TestDiffBenchResultsRespectsTolerance(t *testing.T) {
-	cur := baseSummary()
-	cur.Fig4.Geomean.SpeedupFull = 1.5 * 0.97 // a 3% dip
-	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
-		t.Errorf("3%% dip flagged at 5%% tolerance: %v", regs)
-	}
-	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.01}); len(regs) == 0 {
-		t.Error("3% dip not flagged at 1% tolerance")
-	}
-	// An improvement is never a regression.
-	cur.Fig4.Geomean.SpeedupFull = 2.0
-	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.01}); len(regs) != 0 {
-		t.Errorf("improvement flagged: %v", regs)
-	}
-}
-
-// TestDiffBenchResultsProductionNeedsStoreFreeRuns: production counts are
-// gated exactly, but only when neither run used a result store, whose
-// recalls make the counts depend on what the store held.
+// TestDiffBenchResultsProductionNeedsStoreFreeRuns: a run that used a
+// result store is not comparable, on either side: its recalls make the
+// counts depend on what the store held.
 func TestDiffBenchResultsProductionNeedsStoreFreeRuns(t *testing.T) {
-	cur := baseSummary()
-	cur.ColdRuns, cur.SimCycles = 0, 0
-	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05}); len(regs) != 2 {
-		t.Errorf("store-free production change: regressions = %v, want coldRuns and simCycles", regs)
-	}
-	cur.Store = true
-	if regs := DiffBenchResults(baseSummary(), cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
-		t.Errorf("store-backed run gated on production counts: %v", regs)
+	for _, store := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+		base, cur := baseSummary(), baseSummary()
+		base.Store, cur.Store = store[0], store[1]
+		regs := DiffBenchResults(base, cur)
+		if len(regs) != 1 || !strings.Contains(regs[0], "not comparable") {
+			t.Errorf("store %v: regressions = %v, want not comparable", store, regs)
+		}
 	}
 }
 
+// TestDiffBenchResultsFlagsWallTimeRegression: the wall time may grow by
+// at most 50%.
 func TestDiffBenchResultsFlagsWallTimeRegression(t *testing.T) {
-	base := baseSummary()
-	base.WallSeconds = 10
-
-	// Within the wide wall gate (50% at default tolerance): clean.
-	cur := baseSummary()
-	cur.WallSeconds = 13
-	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
-		t.Errorf("sub-gate wall noise flagged: %v", regs)
-	}
-
-	// Beyond it: flagged.
-	cur.WallSeconds = 16
-	regs := strings.Join(DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}), "\n")
-	if !strings.Contains(regs, "wallSeconds 10.00 -> 16.00") {
-		t.Errorf("whole-run wall regression not flagged: %v", regs)
-	}
-
-	// Wall improvements are never regressions.
-	cur.WallSeconds = 2
-	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
-		t.Errorf("wall improvement flagged: %v", regs)
-	}
-}
-
-// MinWallSeconds moves the relative-gate floor: the same wall move must be
-// ignored below the floor and flagged above it, from both directions.
-func TestDiffOptionsMinWallSeconds(t *testing.T) {
-	base := baseSummary()
-	base.WallSeconds = 0.02 // below the 0.05 default floor
-	cur := baseSummary()
-	cur.WallSeconds = 10
-
-	// Default floor: a 0.02s baseline is noise, never gated.
-	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) != 0 {
-		t.Errorf("sub-default-floor baseline gated: %v", regs)
-	}
-	// Lowered floor: the same move is now a real regression.
-	o := DiffOptions{Tolerance: 0.05, MinWallSeconds: 0.01}
-	if regs := DiffBenchResults(base, cur, o); len(regs) == 0 {
-		t.Error("lowered floor did not gate a 500x wall regression")
-	}
-	// Raised floor: baselines under it are exempt even when the default
-	// would have gated them.
-	base.WallSeconds = 1
-	cur.WallSeconds = 100
-	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05, MinWallSeconds: 5}); len(regs) != 0 {
-		t.Errorf("raised floor still gated a 1s baseline: %v", regs)
-	}
-	if regs := DiffBenchResults(base, cur, DiffOptions{Tolerance: 0.05}); len(regs) == 0 {
-		t.Error("default floor missed a 100x regression on a 1s baseline")
+	for _, c := range []struct {
+		wall    float64
+		flagged bool
+	}{{2, false}, {13, false}, {15, false}, {15.1, true}, {16, true}} {
+		cur := baseSummary()
+		cur.WallSeconds = c.wall
+		regs := DiffBenchResults(baseSummary(), cur)
+		if got := len(regs) == 1 && strings.Contains(regs[0], "wallSeconds 10.00 -> "); got != c.flagged || len(regs) > 1 {
+			t.Errorf("wall 10 s -> %v s: regressions = %v, want flagged = %t", c.wall, regs, c.flagged)
+		}
 	}
 }

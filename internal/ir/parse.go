@@ -7,9 +7,9 @@ import (
 )
 
 // Parse reads the textual TIR syntax emitted by Module.String back into a
-// Module, enabling round-trip tooling: dumping a classified module with tirc,
-// editing it by hand, and re-running it. The grammar is exactly the printer's
-// output:
+// Module, enabling round-trip tooling: dumping a classified module with
+// hintm-sim -dump, editing it by hand, and re-running it with -module. The
+// grammar is exactly the printer's output:
 //
 //	module NAME
 //	global @name [N words] [pagealigned]

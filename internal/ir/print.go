@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// String renders the module in a readable textual form, used by the tirc
-// CLI to dump IR before/after classification and by tests for golden
-// comparisons of pass output.
+// String renders the module in a readable textual form, used by hintm-sim
+// -dump/-func to print IR with or without classification and by tests for
+// golden comparisons of pass output.
 func (m *Module) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "module %s\n", m.Name)
