@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-ab bench-module-build hyp-smoke figures clean
+.PHONY: all test vet race fuzz-short artifacts bench bench-smoke bench-diff bench-ab bench-module-build figures clean
 
 all: test
 
@@ -93,14 +93,6 @@ bench-ab:
 # break it unnoticed.
 bench-module-build:
 	cd benchmark && $(GO) build -o /dev/null ./... && $(GO) vet ./...
-
-# hyp-smoke re-verifies the committed hypothesis catalogue: a cold
-# `hintm-exp check` as two concurrent processes over disjoint halves of the
-# catalogue sharing one store (every FINDINGS.md must regenerate
-# byte-identical), then a warm check with -assert-warm (every cell must be
-# a store recall — zero simulations, zero derived).
-hyp-smoke:
-	./scripts/hyp-smoke.sh
 
 clean:
 	rm -rf BENCH_results.json .bench-current.json .hintm-store

@@ -2,32 +2,27 @@
 //
 // Usage:
 //
-//	hintm-exp [flags] [list|run|check|write]
+//	hintm-exp [flags] [list|run]
 //
 // Targets:
 //
 //	list    print every registered hypothesis with its claim (no simulation)
 //	run     evaluate the selected hypotheses and print their verdicts
-//	check   run, then diff each committed FINDINGS.md byte-for-byte against
-//	        the fresh evaluation; exit non-zero on any drift
-//	write   run and regenerate the committed FINDINGS.md files in place
+//
+// The committed FINDINGS.md files are pinned at small scale by
+// `go test ./hypotheses -run TestFindings`, which also rewrites them with
+// -update; run prints verdicts at any scale.
 //
 // Flags:
 //
-//	-hypothesis a,b   run only these hypotheses (comma-separated names;
-//	                  default: every registered hypothesis)
+//	-hypothesis a,b   run only these hypotheses (comma-separated names, each
+//	                  listed once; default: every registered hypothesis)
 //	-scale small|medium|large   input scale for every grid cell (default small,
 //	                  the scale the committed findings are generated at)
-//	-dir DIR          hypotheses tree root holding <name>/FINDINGS.md
-//	                  (default "hypotheses")
 //	-store DIR        content-addressed result store; warm cells are recalled,
 //	                  not re-simulated ("" = off)
 //	-workers N        concurrent simulations (0 = GOMAXPROCS)
 //	-timeout D        abort the whole run after D (e.g. 10m)
-//	-assert-warm      after running, exit non-zero if any cell actually
-//	                  simulated or was derived from another cell's run
-//	                  instead of recalled (CI uses this to prove the store
-//	                  made the second pass free)
 //
 // Every hypothesis is a one-variable-at-a-time grid, and every grid runs on
 // one harness Runner, so all cells share its single-flight dedup (a cell
@@ -55,18 +50,16 @@ func main() {
 	}
 }
 
-// run parses args, then lists, runs, checks or writes the selected
-// hypotheses, printing to w. The target is validated before any hypothesis
-// is resolved or simulated.
+// run parses args, then lists or runs the selected hypotheses, printing to
+// w. The target and the names are validated before any hypothesis is
+// simulated.
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("hintm-exp", flag.ExitOnError)
 	names := fs.String("hypothesis", "", "comma-separated hypothesis names (default: all)")
 	scaleFlag := fs.String("scale", "small", "input scale for every grid cell: small|medium|large")
-	dir := fs.String("dir", "hypotheses", "hypotheses tree root holding <name>/FINDINGS.md")
 	storeDir := cli.RegisterStore(fs)
 	workers := cli.RegisterCount(fs, "workers", 0, "run at most `N` simulations at once (0 = GOMAXPROCS)")
 	timeout := cli.RegisterTimeout(fs, "the whole run")
-	assertWarm := fs.Bool("assert-warm", false, "exit non-zero if any cell simulated or was derived instead of recalling from the store")
 	fs.Parse(args)
 
 	target := "list"
@@ -74,9 +67,11 @@ func run(args []string, w io.Writer) error {
 		target = fs.Arg(0)
 	}
 	switch target {
-	case "list", "run", "check", "write":
+	case "list", "run":
+	case "check", "write":
+		return fmt.Errorf("no target %q: the committed findings are checked by `go test ./hypotheses -run TestFindings` and rewritten by adding -update", target)
 	default:
-		return fmt.Errorf("unknown target %q (want list|run|check|write)", target)
+		return fmt.Errorf("unknown target %q (want list|run)", target)
 	}
 
 	specs, err := selectSpecs(*names)
@@ -96,7 +91,6 @@ func run(args []string, w io.Writer) error {
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 
-	var failures []string
 	var simRuns, derived uint64
 	for _, spec := range specs {
 		e, err := eng.Run(ctx, spec)
@@ -106,53 +100,30 @@ func run(args []string, w io.Writer) error {
 		simRuns += e.SimRuns
 		derived += e.Derived
 		fmt.Fprintf(w, "%-28s %-12s sim-runs=%-3d derived=%-3d %s\n", spec.Name, e.Outcome.Verdict, e.SimRuns, e.Derived, e.Outcome.Reason)
-		switch target {
-		case "write":
-			if err := hyp.Write(e, *dir); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%-28s wrote %s\n", "", hyp.Path(*dir, spec))
-		case "check":
-			if err := hyp.Check(e, *dir); err != nil {
-				failures = append(failures, err.Error())
-			}
-		}
 	}
 	fmt.Fprintf(w, "total sim-runs: %d derived=%d (store recalls excluded)\n", simRuns, derived)
-	if len(failures) > 0 {
-		return fmt.Errorf("%d hypothesis findings drifted:\n%s", len(failures), strings.Join(failures, "\n"))
-	}
-	if target == "check" {
-		fmt.Fprintf(w, "check: %d hypotheses byte-identical to committed findings\n", len(specs))
-	}
-	if *assertWarm {
-		return warm(simRuns, derived)
-	}
-	return nil
-}
-
-// warm is the -assert-warm check: a warm pass recalls every cell from the
-// store, so it neither simulates a cell nor derives one (a derived cell
-// missing from the store is not warm either).
-func warm(simRuns, derived uint64) error {
-	if simRuns > 0 || derived > 0 {
-		return fmt.Errorf("assert-warm: %d cells simulated and %d derived instead of recalling from the store", simRuns, derived)
-	}
 	return nil
 }
 
 // selectSpecs resolves -hypothesis into a concrete spec list. Without it,
-// every target gets the full catalogue.
+// every target gets the full catalogue. An unknown or repeated name is an
+// error: a repeat would evaluate and print that hypothesis twice.
 func selectSpecs(names string) ([]*hyp.Spec, error) {
 	if names == "" {
 		return hyp.All(), nil
 	}
 	var specs []*hyp.Spec
+	seen := make(map[string]bool)
 	for _, name := range strings.Split(names, ",") {
-		s, err := hyp.ByName(strings.TrimSpace(name))
+		name = strings.TrimSpace(name)
+		s, err := hyp.ByName(name)
 		if err != nil {
 			return nil, err
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("-hypothesis: %q listed twice", name)
+		}
+		seen[name] = true
 		specs = append(specs, s)
 	}
 	return specs, nil

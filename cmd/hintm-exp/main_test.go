@@ -12,20 +12,47 @@ import (
 )
 
 // TestUnknownTargetRunsNoSimulation: a misspelled target fails before any
-// hypothesis grid runs, so the store is never opened and no verdict line is
-// printed.
+// hypothesis grid runs, and so do check and write, whose error names the
+// test that checks and rewrites the committed findings.
 func TestUnknownTargetRunsNoSimulation(t *testing.T) {
+	for _, c := range []struct{ target, want string }{
+		{"chek", `unknown target "chek"`},
+		{"check", "go test ./hypotheses -run TestFindings"},
+		{"write", "go test ./hypotheses -run TestFindings"},
+	} {
+		failsBeforeSimulation(t, []string{"-hypothesis", "dyn-recovers-infcap", c.target}, c.want)
+	}
+}
+
+// TestBadHypothesisListRunsNoSimulation: every -hypothesis name must be
+// registered and listed once; a repeat would evaluate and print one
+// hypothesis twice.
+func TestBadHypothesisListRunsNoSimulation(t *testing.T) {
+	for _, c := range []struct{ names, want string }{
+		{"no-such-hypothesis", `unknown hypothesis "no-such-hypothesis"`},
+		{"signature-false-conflicts,signature-false-conflicts", `"signature-false-conflicts" listed twice`},
+		{"dyn-recovers-infcap, htm-vs-stm,dyn-recovers-infcap", `"dyn-recovers-infcap" listed twice`},
+	} {
+		failsBeforeSimulation(t, []string{"-scale", "small", "-hypothesis", c.names, "run"}, c.want)
+	}
+}
+
+// failsBeforeSimulation runs hintm-exp on args with a fresh -store and
+// requires an error containing want, with nothing printed and the store
+// never opened.
+func failsBeforeSimulation(t *testing.T, args []string, want string) {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
 	var out bytes.Buffer
-	err := run([]string{"-hypothesis", "dyn-recovers-infcap", "-store", dir, "chek"}, &out)
-	if err == nil || !strings.Contains(err.Error(), `unknown target "chek"`) {
-		t.Fatalf("err = %v, want an unknown-target error", err)
+	err := run(append([]string{"-store", dir}, args...), &out)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("hintm-exp %v: err = %v, want it to contain %q", args, err, want)
 	}
 	if out.Len() != 0 {
-		t.Errorf("printed before failing:\n%s", out.String())
+		t.Errorf("hintm-exp %v: printed before failing:\n%s", args, out.String())
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Errorf("store directory exists (%v): the grid ran before the target was checked", err)
+		t.Errorf("hintm-exp %v: store directory exists (%v): a grid ran before the arguments were checked", args, err)
 	}
 }
 
@@ -87,22 +114,5 @@ func usageExit(t *testing.T, test, flags, target, flag string) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Errorf("store directory exists (%v): %s was checked after the store opened", err, flag)
-	}
-}
-
-// TestAssertWarmCountsDerivedCells: -assert-warm fails when a pass derived
-// a cell, even with no simulation: a derived cell that never reached the
-// store is not warm. A cold pass names both counts.
-func TestAssertWarmCountsDerivedCells(t *testing.T) {
-	if err := warm(0, 0); err != nil {
-		t.Errorf("a pass that recalled every cell: %v", err)
-	}
-	if err := warm(0, 3); err == nil || !strings.Contains(err.Error(), "3 derived") {
-		t.Errorf("a pass that derived 3 cells: err = %v, want an assert-warm failure naming them", err)
-	}
-	var out bytes.Buffer
-	err := run([]string{"-scale", "small", "-hypothesis", "hints-multiply-capacity", "-assert-warm", "run"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "30 cells simulated and 10 derived") {
-		t.Errorf("cold pass: err = %v, want an assert-warm failure over 30 simulated and 10 derived cells", err)
 	}
 }

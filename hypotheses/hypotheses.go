@@ -1,8 +1,9 @@
 // Package hypotheses links every committed hypothesis into one importable
 // registry. Each subdirectory holds a single hyp.Spec (registered from its
-// init) alongside the committed FINDINGS.md that cmd/hintm-exp regenerates
-// and verifies byte-for-byte. Importing this package — as hintm-exp and the
-// tests here do — is what brings the full catalogue into hyp.All().
+// init) alongside the committed FINDINGS.md that TestFindings checks
+// byte-for-byte and rewrites with -update. Importing this package — as
+// hintm-exp and the tests here do — is what brings the full catalogue into
+// hyp.All().
 package hypotheses
 
 import (

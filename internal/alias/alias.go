@@ -329,9 +329,6 @@ func (a *Analysis) Contents(o ObjID) ObjSet {
 // Object returns the object record for id.
 func (a *Analysis) Object(id ObjID) *Object { return a.objects[id] }
 
-// Objects returns all abstract objects.
-func (a *Analysis) Objects() []*Object { return a.objects }
-
 // ObjectForInstr returns the abstract object allocated by the given
 // Alloca/Malloc instruction id, if any.
 func (a *Analysis) ObjectForInstr(instrID int) (ObjID, bool) {

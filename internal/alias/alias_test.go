@@ -220,7 +220,7 @@ func TestObjectLabels(t *testing.T) {
 	mustVerify(t, b)
 	a := Analyze(b.M)
 	kinds := map[ObjKind]bool{}
-	for _, o := range a.Objects() {
+	for _, o := range a.objects {
 		if o.String() == "" {
 			t.Error("empty object label")
 		}

@@ -428,14 +428,3 @@ func (h *Hierarchy) invalidateOthers(core int, block uint64) {
 		}
 	}
 }
-
-// StateOf returns core's L1 state for block (Invalid if absent). Exposed
-// for tests and diagnostics; unlike an access, it leaves LRU order alone.
-func (h *Hierarchy) StateOf(core int, block uint64) State {
-	for _, t := range h.l1[core].set(block) {
-		if t>>2 == block {
-			return State(t & 3)
-		}
-	}
-	return Invalid
-}

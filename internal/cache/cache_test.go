@@ -10,6 +10,17 @@ func small() *Hierarchy {
 	return New(cfg)
 }
 
+// stateOf returns core's L1 state for block (Invalid if absent); unlike an
+// access, it leaves LRU order alone.
+func stateOf(h *Hierarchy, core int, block uint64) State {
+	for _, t := range h.l1[core].set(block) {
+		if t>>2 == block {
+			return State(t & 3)
+		}
+	}
+	return Invalid
+}
+
 func TestColdMissGoesToMemory(t *testing.T) {
 	h := small()
 	res := h.Access(0, 100, false)
@@ -19,8 +30,8 @@ func TestColdMissGoesToMemory(t *testing.T) {
 	if !res.BusOp {
 		t.Fatal("cold miss must be a bus op")
 	}
-	if h.StateOf(0, 100) != Exclusive {
-		t.Fatalf("sole reader should be E, got %v", h.StateOf(0, 100))
+	if stateOf(h, 0, 100) != Exclusive {
+		t.Fatalf("sole reader should be E, got %v", stateOf(h, 0, 100))
 	}
 }
 
@@ -40,8 +51,8 @@ func TestL2HitAfterOtherCoreFetched(t *testing.T) {
 	if res.Latency != 12 {
 		t.Fatalf("L2/shared hit latency = %d, want 12", res.Latency)
 	}
-	if h.StateOf(0, 100) != Exclusive && h.StateOf(0, 100) != Shared {
-		t.Fatalf("core0 state %v", h.StateOf(0, 100))
+	if stateOf(h, 0, 100) != Exclusive && stateOf(h, 0, 100) != Shared {
+		t.Fatalf("core0 state %v", stateOf(h, 0, 100))
 	}
 }
 
@@ -53,11 +64,11 @@ func TestWriteUpgradesAndInvalidates(t *testing.T) {
 	if !res.BusOp {
 		t.Fatal("upgrade must generate a bus op")
 	}
-	if h.StateOf(0, 100) != Modified {
-		t.Fatalf("writer state %v, want M", h.StateOf(0, 100))
+	if stateOf(h, 0, 100) != Modified {
+		t.Fatalf("writer state %v, want M", stateOf(h, 0, 100))
 	}
-	if h.StateOf(1, 100) != Invalid {
-		t.Fatalf("sharer state %v, want I", h.StateOf(1, 100))
+	if stateOf(h, 1, 100) != Invalid {
+		t.Fatalf("sharer state %v, want I", stateOf(h, 1, 100))
 	}
 }
 
@@ -68,8 +79,8 @@ func TestSilentWriteOnExclusive(t *testing.T) {
 	if res.BusOp {
 		t.Fatal("E->M must be silent")
 	}
-	if h.StateOf(0, 100) != Modified {
-		t.Fatalf("state %v, want M", h.StateOf(0, 100))
+	if stateOf(h, 0, 100) != Modified {
+		t.Fatalf("state %v, want M", stateOf(h, 0, 100))
 	}
 }
 
@@ -80,11 +91,11 @@ func TestReadOfModifiedDowngrades(t *testing.T) {
 	if res.Latency != 12 {
 		t.Fatalf("c2c latency = %d, want 12", res.Latency)
 	}
-	if h.StateOf(0, 100) != Shared {
-		t.Fatalf("owner state %v, want S", h.StateOf(0, 100))
+	if stateOf(h, 0, 100) != Shared {
+		t.Fatalf("owner state %v, want S", stateOf(h, 0, 100))
 	}
-	if h.StateOf(1, 100) != Shared {
-		t.Fatalf("reader state %v, want S", h.StateOf(1, 100))
+	if stateOf(h, 1, 100) != Shared {
+		t.Fatalf("reader state %v, want S", stateOf(h, 1, 100))
 	}
 	if h.Stats().CacheToCacheXfers != 1 {
 		t.Fatalf("c2c count %d", h.Stats().CacheToCacheXfers)
@@ -95,11 +106,11 @@ func TestWriteOfRemoteModifiedInvalidatesOwner(t *testing.T) {
 	h := small()
 	h.Access(0, 100, true) // core0 M
 	h.Access(1, 100, true)
-	if h.StateOf(0, 100) != Invalid {
-		t.Fatalf("old owner %v, want I", h.StateOf(0, 100))
+	if stateOf(h, 0, 100) != Invalid {
+		t.Fatalf("old owner %v, want I", stateOf(h, 0, 100))
 	}
-	if h.StateOf(1, 100) != Modified {
-		t.Fatalf("new owner %v, want M", h.StateOf(1, 100))
+	if stateOf(h, 1, 100) != Modified {
+		t.Fatalf("new owner %v, want M", stateOf(h, 1, 100))
 	}
 }
 
@@ -114,7 +125,7 @@ func TestEvictionOnSetOverflow(t *testing.T) {
 	if len(res.Evicted) != 1 || res.Evicted[0] != 0 {
 		t.Fatalf("evicted = %v, want [0] (LRU)", res.Evicted)
 	}
-	if h.StateOf(0, 2) == Invalid || h.StateOf(0, 4) == Invalid {
+	if stateOf(h, 0, 2) == Invalid || stateOf(h, 0, 4) == Invalid {
 		t.Fatal("resident set wrong after eviction")
 	}
 }
@@ -132,7 +143,7 @@ func TestEvictedModifiedLineIsDropped(t *testing.T) {
 	h.Access(0, 0, true)
 	h.Access(1, 4, false)
 	h.Access(1, 8, false) // the L2 evicts block 0
-	if st := h.StateOf(0, 0); st != Modified {
+	if st := stateOf(h, 0, 0); st != Modified {
 		t.Fatalf("core 0 holds block 0 as %v after the L2 eviction, want M", st)
 	}
 	h.Access(0, 2, false)
@@ -172,7 +183,7 @@ func TestMESISingleWriterInvariant(t *testing.T) {
 			for b := uint64(0); b < 16; b++ {
 				var m, valid int
 				for c := 0; c < 3; c++ {
-					switch h.StateOf(c, b) {
+					switch stateOf(h, c, b) {
 					case Modified, Exclusive:
 						m++
 						valid++

@@ -1,14 +1,13 @@
 // Package cli is the shared command-line surface of the hintm binaries.
 //
-// hintm-sim, hintm-bench, and hintm-exp configure the same
-// machinery — input scales, HTM kind and hint mode, seeds, fault plans,
-// the result store, worker counts, timeouts — and before this package each
-// binary re-registered and re-parsed those flags by hand, drifting in
-// defaults and usage text. The flag groups live here once: a binary
-// registers the group(s) it needs on its FlagSet and asks the group for
-// the parsed, validated configuration. Spellings are validated with one
-// parser per kind (workloads.ParseScale, sim.ParseHTMKind,
-// sim.ParseHintMode), so every binary accepts exactly the same values.
+// hintm-sim, hintm-bench, and hintm-exp configure the same machinery —
+// input scales, HTM kind and hint mode, seeds, fault plans, the result
+// store, worker counts, timeouts. The flag groups live here once, so their
+// defaults and usage text agree: a binary registers the group(s) it needs
+// on its FlagSet and asks the group for the parsed, validated
+// configuration. Spellings are validated with one parser per kind
+// (workloads.ParseScale, sim.ParseHTMKind, sim.ParseHintMode), so every
+// binary accepts exactly the same values.
 package cli
 
 import (

@@ -75,7 +75,8 @@ func TestEngineGridShapeAndDeterminism(t *testing.T) {
 	}
 
 	// Warm rerun through the shared store: byte-identical findings, zero
-	// simulator invocations — the property `hintm-exp check` leans on.
+	// simulator invocations — the property TestFindings' warm pass asserts
+	// over the whole catalogue.
 	e2, err := smallEngine(t, dir).Run(context.Background(), engineSpec())
 	if err != nil {
 		t.Fatal(err)

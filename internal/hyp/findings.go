@@ -3,8 +3,6 @@ package hyp
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"hintm/internal/stats"
@@ -13,14 +11,9 @@ import (
 // FINDINGS.md generation. Render is a pure function of the evaluation:
 // fixed section order, fixed-precision number formatting, no timestamps,
 // no environment — the same spec, scale, and seeds produce the same bytes
-// on every run, which is what lets the committed findings be re-verified
-// byte-for-byte in CI (`hintm-exp check`) and what the content-addressed
-// store makes cheap (a warm check simulates nothing).
-
-// Path returns the findings file for spec under the hypotheses tree root.
-func Path(root string, spec *Spec) string {
-	return filepath.Join(root, spec.Name, "FINDINGS.md")
-}
+// on every run, which is what lets hypotheses.TestFindings pin the
+// committed findings byte for byte and what the content-addressed store
+// makes cheap (a warm pass simulates nothing).
 
 // Render produces the complete FINDINGS.md contents for a measured
 // evaluation.
@@ -81,8 +74,8 @@ func Render(e *Evaluation) []byte {
 	}
 
 	fmt.Fprintf(&b, "\n## Reproduce\n\n")
-	fmt.Fprintf(&b, "```\ngo run ./cmd/hintm-exp -scale %s -hypothesis %s run\ngo run ./cmd/hintm-exp -scale %s -hypothesis %s check\n```\n\n", e.Scale, spec.Name, e.Scale, spec.Name)
-	fmt.Fprintf(&b, "Every cell is a seeded-deterministic, content-addressed simulation:\n`check` re-runs the grid (warm cells are store recalls, not simulations —\npass `-store DIR` to keep one) and diffs this file byte-for-byte against\nthe committed copy, exiting non-zero on drift.\n")
+	fmt.Fprintf(&b, "```\ngo run ./cmd/hintm-exp -scale %s -hypothesis %s run\ngo test ./hypotheses -run TestFindings\n```\n\n", e.Scale, spec.Name)
+	fmt.Fprintf(&b, "Every cell is a seeded-deterministic, content-addressed simulation:\n`run` re-runs the grid and prints the verdict (warm cells are store\nrecalls, not simulations — pass `-store DIR` to keep one). `TestFindings`\nre-runs the whole catalogue and diffs this file byte-for-byte against the\nevaluation; `-update` rewrites it.\n")
 	return b.Bytes()
 }
 
@@ -97,41 +90,4 @@ func effectCell(e *Evaluation, l, m int) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.2f", d)
-}
-
-// Write regenerates the findings file for e under root, creating the
-// hypothesis directory if needed.
-func Write(e *Evaluation, root string) error {
-	path := Path(root, e.Spec)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, Render(e), 0o644)
-}
-
-// Check compares the freshly rendered findings against the committed file
-// and returns a descriptive error on any difference — a missing file, a
-// length change, or the first differing line. Byte identity is the
-// contract: the committed findings are exactly what the current tree
-// measures.
-func Check(e *Evaluation, root string) error {
-	path := Path(root, e.Spec)
-	want, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("hyp: %s: committed findings unreadable (generate with hintm-exp write): %w", e.Spec.Name, err)
-	}
-	got := Render(e)
-	if bytes.Equal(got, want) {
-		return nil
-	}
-	gotLines := strings.Split(string(got), "\n")
-	wantLines := strings.Split(string(want), "\n")
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if gotLines[i] != wantLines[i] {
-			return fmt.Errorf("hyp: %s: findings drift at %s:%d:\n  committed: %s\n  measured:  %s",
-				e.Spec.Name, path, i+1, wantLines[i], gotLines[i])
-		}
-	}
-	return fmt.Errorf("hyp: %s: findings drift: %s has %d lines, regeneration has %d",
-		e.Spec.Name, path, len(wantLines), len(gotLines))
 }

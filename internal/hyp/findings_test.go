@@ -2,7 +2,6 @@ package hyp
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -117,46 +116,11 @@ func TestRenderDeterministicAndComplete(t *testing.T) {
 		"2 levels × 3 seeds = 6 simulations",
 		"### widgets",
 		"## Reproduce",
-		"-hypothesis synthetic check",
+		"-hypothesis synthetic run",
+		"go test ./hypotheses -run TestFindings",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("rendered findings missing %q", want)
 		}
-	}
-}
-
-func TestWriteAndCheck(t *testing.T) {
-	e := syntheticEval([][]float64{{4, 5, 6}, {8, 9, 10}}, effectJudge)
-	root := t.TempDir()
-	if err := Check(e, root); err == nil {
-		t.Fatal("Check passed with no committed findings")
-	}
-	if err := Write(e, root); err != nil {
-		t.Fatal(err)
-	}
-	if err := Check(e, root); err != nil {
-		t.Fatalf("freshly written findings drift: %v", err)
-	}
-
-	// Any byte change is drift, reported with the first differing line.
-	path := Path(root, e.Spec)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, bytes.Replace(data, []byte("SUPPORTED"), []byte("REFUTED"), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = Check(e, root)
-	if err == nil || !strings.Contains(err.Error(), "drift") {
-		t.Fatalf("tampered findings not detected: %v", err)
-	}
-
-	// Truncation is also drift (line-count case).
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := Check(e, root); err == nil {
-		t.Fatal("truncated findings not detected")
 	}
 }

@@ -14,8 +14,8 @@
 // FINDINGS.md files (findings.go) cheap to re-verify byte-for-byte.
 //
 // Hypotheses register themselves (Register) from packages under the
-// repository's hypotheses/ tree; cmd/hintm-exp lists, runs, and checks
-// them.
+// repository's hypotheses/ tree; cmd/hintm-exp lists and runs them, and
+// that tree's TestFindings pins their committed findings.
 package hyp
 
 import (

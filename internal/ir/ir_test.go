@@ -214,26 +214,6 @@ func TestSafePrinting(t *testing.T) {
 	}
 }
 
-func TestCollectStats(t *testing.T) {
-	m := buildCounterModule(t)
-	s := CollectStats(m)
-	if s.Funcs != 2 || s.Loads != 1 || s.Stores != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.SafeLoads != 0 || s.SafeStores != 0 {
-		t.Fatalf("unexpected safe counts: %+v", s)
-	}
-	m.Func("worker").ForEachInstr(func(_ *Block, in *Instr) {
-		if in.IsMemAccess() {
-			in.Safe = true
-		}
-	})
-	s = CollectStats(m)
-	if s.SafeLoads != 1 || s.SafeStores != 1 {
-		t.Fatalf("after marking: %+v", s)
-	}
-}
-
 func TestCloneFunc(t *testing.T) {
 	m := buildCounterModule(t)
 	orig := m.Func("worker")

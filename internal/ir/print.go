@@ -46,37 +46,3 @@ func (f *Func) String() string {
 	sb.WriteString("}\n")
 	return sb.String()
 }
-
-// Stats summarizes a module for reports.
-type Stats struct {
-	Funcs, Blocks, Instrs int
-	Loads, Stores         int
-	SafeLoads, SafeStores int
-}
-
-// CollectStats counts instructions and safety annotations.
-func CollectStats(m *Module) Stats {
-	var s Stats
-	s.Funcs = len(m.Funcs)
-	for _, f := range m.Funcs {
-		s.Blocks += len(f.Blocks)
-		for _, b := range f.Blocks {
-			s.Instrs += len(b.Instrs)
-			for _, in := range b.Instrs {
-				switch in.Op {
-				case OpLoad:
-					s.Loads++
-					if in.Safe {
-						s.SafeLoads++
-					}
-				case OpStore:
-					s.Stores++
-					if in.Safe {
-						s.SafeStores++
-					}
-				}
-			}
-		}
-	}
-	return s
-}
